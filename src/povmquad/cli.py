@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 from itertools import product
@@ -19,7 +20,7 @@ from itertools import product
 import numpy as np
 
 from .cloner import clone, single_particle_fidelity, two_step_estimate
-from .errors import ConstructionError, InputFormatError, ResourceLimitError
+from .errors import ConstructionError, InputFormatError, ResourceLimitError, exceeds
 from .estimation import (
     mean_fidelity_exact,
     mean_fidelity_mc,
@@ -58,6 +59,11 @@ def _csv_out(header: list[str], rows: list[list]) -> None:
     sys.stdout.write(buf.getvalue())
 
 
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise InputFormatError(f"--tol must be finite and non-negative, got {tol!r}")
+
+
 def _residuals(povm: Povm) -> dict[str, float]:
     return {
         "optimality": check_optimality(povm),
@@ -67,6 +73,7 @@ def _residuals(povm: Povm) -> dict[str, float]:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
+    _check_tol(args.tol)
     povm = build_povm(args.d, args.N, dedupe=args.dedupe, tol=args.tol)
     save_povm(povm, args.out)
     res = _residuals(povm)
@@ -91,6 +98,7 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    _check_tol(args.tol)
     povm = load_povm(args.path)
     checks = {
         "completeness": check_completeness,
@@ -99,7 +107,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     }
     levels = list(checks) if args.level == "all" else [args.level]
     results = {name: float(checks[name](povm)) for name in levels}
-    failed = [name for name, value in results.items() if value > args.tol]
+    failed = [name for name, value in results.items() if exceeds(value, args.tol)]
     if args.json:
         _print_json(
             {
@@ -115,7 +123,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         print(f"POVM d={povm.d} N={povm.N}, {povm.n_outcomes} elements")
         for name in levels:
-            verdict = "PASS" if results[name] <= args.tol else "FAIL"
+            verdict = "FAIL" if name in failed else "PASS"
             print(f"  {name} residual: {results[name]:.3e}  [{verdict}]")
     return EXIT_OK if not failed else EXIT_CERTIFICATION
 

@@ -2,26 +2,25 @@
 
 The cloning map is T(rho^{tensor N}) = (d_N/d_M) S_M (rho^{tensor N}
 kron 1^{tensor (M-N)}) S_M with S_M the symmetric projector on M
-copies.  Everything here works with dense d^M matrices on purpose: it
-is the independent slow path against which the closed-form estimation
-identities are checked.  Feeding the M clones to the optimal M-copy
-estimator ("measure the clones instead of the originals") reproduces
-exactly the N-copy optimum (N+1)/(N+d), which is also the universality
-statement in operational form.
+copies (Werner, PRA 58, 1827, 1998).  The output is a dense d^M x d^M
+matrix on purpose: it is the independent slow path against which the
+closed-form estimation identities are checked.  Its only route into the
+full space is the isometry V of symmetric.sym_isometry: S_M = V V^T and
+|phi>^{tensor M} = V sym_embed(phi, M).  Feeding the M clones to the
+optimal M-copy estimator ("measure the clones instead of the
+originals") reproduces exactly the N-copy optimum (N+1)/(N+d), which is
+also the universality statement in operational form.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
 
 import numpy as np
 
-from .errors import ConstructionError, InputFormatError, ResourceLimitError
-from .limits import full_space_guard
+from .errors import ConstructionError, InputFormatError, exceeds
 from .povm import Povm
-from .symmetric import PureState, sym_dim, symmetric_projector_full
+from .symmetric import PureState, sym_dim, sym_embed, sym_embed_batch, sym_isometry
 
 VALIDATION_TOL = 1e-10
 TWO_STEP_AGREEMENT_TOL = 1e-8
@@ -50,25 +49,16 @@ class ClonerOutput:
         if density.shape != (dim, dim):
             raise InputFormatError(f"density must have shape ({dim}, {dim})")
         herm = float(np.max(np.abs(density - density.conj().T)))
-        if herm > VALIDATION_TOL:
+        if exceeds(herm, VALIDATION_TOL):
             raise ConstructionError(f"cloner output not Hermitian: {herm:.3e}", herm)
         trace_err = abs(float(np.trace(density).real) - 1.0)
-        if trace_err > VALIDATION_TOL:
+        if exceeds(trace_err, VALIDATION_TOL):
             raise ConstructionError(f"cloner output trace deviates by {trace_err:.3e}", trace_err)
         min_eig = float(np.linalg.eigvalsh(density)[0])
-        if min_eig < -VALIDATION_TOL:
+        if exceeds(-min_eig, VALIDATION_TOL):
             raise ConstructionError(f"cloner output has eigenvalue {min_eig:.3e}", -min_eig)
         density.setflags(write=False)
         object.__setattr__(self, "density", density)
-
-
-@lru_cache(maxsize=8)
-def _cached_projector(d: int, M: int) -> np.ndarray:
-    return symmetric_projector_full(d, M)
-
-
-def _tensor_power_vector(amps: np.ndarray, M: int) -> np.ndarray:
-    return reduce(np.kron, [amps] * M)
 
 
 def clone(state: PureState, N: int, M: int) -> ClonerOutput:
@@ -76,16 +66,11 @@ def clone(state: PureState, N: int, M: int) -> ClonerOutput:
     if not 1 <= N <= M:
         raise InputFormatError(f"need 1 <= N <= M, got N={N}, M={M}")
     d = state.d
-    dim = d**M
-    guard = full_space_guard()
-    if dim > guard:
-        raise ResourceLimitError(f"full-space dimension d^M = {dim} exceeds guard {guard}")
-    proj = _cached_projector(d, M)
-    psi_n = _tensor_power_vector(state.amplitudes, N)
-    rho_n = np.outer(psi_n, psi_n.conj())
-    padded = np.kron(rho_n, np.eye(d ** (M - N)))
+    iso = sym_isometry(d, M)
+    psi_n = sym_isometry(d, N) @ sym_embed(state, N)
+    padded = np.kron(np.outer(psi_n, psi_n.conj()), np.eye(d ** (M - N)))
     scale = sym_dim(d, N) / sym_dim(d, M)
-    density = scale * (proj @ padded @ proj)
+    density = scale * (iso @ (iso.T @ padded @ iso) @ iso.T)
     return ClonerOutput(d=d, N=N, M=M, density=density)
 
 
@@ -126,10 +111,10 @@ def two_step_components(state: PureState, N: int, M: int, povm_m: Povm) -> tuple
         raise InputFormatError(f"POVM is for {povm_m.N} copies, expected M={M}")
     output = clone(state, N, M)
     guesses = povm_m.guesses
-    big = np.empty((povm_m.n_outcomes, state.d**M), dtype=np.complex128)
-    for a in range(povm_m.n_outcomes):
-        big[a] = _tensor_power_vector(guesses[a], M)
-    born = np.einsum("ai,ij,aj->a", big.conj(), output.density, big).real
+    # <phi_a|^{tensor M} T |phi_a>^{tensor M} with |phi_a>^{tensor M} = V e_a.
+    iso = sym_isometry(state.d, M)
+    emb = sym_embed_batch(guesses, M)
+    born = ((emb.conj() @ (iso.T @ output.density @ iso)) * emb).sum(axis=1).real
     probs = sym_dim(state.d, M) * povm_m.weights * born
     state_fids = np.abs(guesses @ state.amplitudes.conj()) ** 2
     pipeline = float(probs @ state_fids)
@@ -147,7 +132,7 @@ def two_step_estimate(state: PureState, N: int, M: int, povm_m: Povm) -> float:
     """
     pipeline, closed = two_step_components(state, N, M, povm_m)
     gap = abs(pipeline - closed)
-    if gap > TWO_STEP_AGREEMENT_TOL:
+    if exceeds(gap, TWO_STEP_AGREEMENT_TOL):
         raise ConstructionError(
             f"two-step pipeline {pipeline!r} and closed form {closed!r} disagree by {gap:.3e}",
             gap,

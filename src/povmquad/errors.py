@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types and the fail-closed tolerance test shared across the package.
 
 The command line interface maps these onto stable exit codes:
 construction/certification failures -> 1, malformed inputs -> 2,
@@ -29,3 +29,11 @@ class InputFormatError(PovmQuadError):
 
 class ResourceLimitError(PovmQuadError):
     """A requested computation exceeds the configured resource guard."""
+
+
+def exceeds(value: float, tol: float) -> bool:
+    """True unless value <= tol, so a NaN value or tolerance never passes.
+
+    Every certification and validation tolerance test goes through here.
+    """
+    return not value <= tol

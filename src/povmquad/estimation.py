@@ -4,13 +4,17 @@ For input rho = |phi><phi| measured with E_a = d_N w_a rho_a^{tensor N},
 the outcome probabilities are p_a = d_N w_a |<phi_a|phi>|^{2N} and the
 mean estimation fidelity obeys the closed forms
 
-    F(phi) = d_N sum_a w_a |<phi_a|phi>|^{2(N+1)}          (pointwise)
+    F(phi) = d_N u^dagger G_{N+1} u                        (pointwise)
     F_mean = (d_N / d_{N+1}) sum_a w_a                     (state average)
     F_optimal(N, d) = (N+1) / (N+d)                        (optimum)
 
-so an optimal POVM with unit weight sum meets the optimum exactly.  The
-Monte Carlo estimator and the deliberately suboptimal per-copy baseline
-exist to check those closed forms from the operational side.
+with u the (N+1)-copy embedding of phi and G_{N+1} the family's frame
+operator (symmetric.frame_operator); expanded, F(phi) is
+d_N sum_a w_a |<phi_a|phi>|^{2(N+1)}.  G_{N+1} is formed once per call,
+so the per-state cost does not grow with the outcome count A.  An
+optimal POVM with unit weight sum meets the optimum exactly.  The Monte
+Carlo estimator and the deliberately suboptimal per-copy baseline exist
+to check those closed forms from the operational side.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import numpy as np
 
 from .errors import InputFormatError
 from .povm import Povm
-from .symmetric import PureState, haar_random_states, sym_dim
+from .symmetric import PureState, frame_operator, haar_random_states, sym_dim, sym_embed_batch
 
 MC_MIN_SAMPLES = 100
 _MC_BLOCK = 4096
@@ -75,17 +79,17 @@ def sample_outcomes(povm: Povm, state: PureState, shots: int, seed: int) -> np.n
     return rng.multinomial(shots, probs)
 
 
-def _pointwise_batch(povm: Povm, states: np.ndarray) -> np.ndarray:
-    """Pointwise fidelity for a batch of states, shape (n,)."""
-    d_n = sym_dim(povm.d, povm.N)
-    overlaps = np.abs(states @ povm.guesses.conj().T) ** 2
-    return d_n * (overlaps ** (povm.N + 1) @ povm.weights)
+def _pointwise_batch(povm: Povm, frame: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """d_N u^dagger G_{N+1} u for each row's (N+1)-copy embedding u, shape (n,)."""
+    u = sym_embed_batch(states, povm.N + 1)
+    return sym_dim(povm.d, povm.N) * ((u.conj() @ frame) * u).sum(axis=1).real
 
 
 def pointwise_fidelity(povm: Povm, state: PureState) -> float:
     """Mean fidelity of the estimate for one specific input state."""
     _check_state(povm, state)
-    return float(_pointwise_batch(povm, state.amplitudes[None, :])[0])
+    frame = frame_operator(povm.guesses, povm.weights, povm.N + 1)
+    return float(_pointwise_batch(povm, frame, state.amplitudes[None, :])[0])
 
 
 def mean_fidelity_exact(povm: Povm) -> FidelityReport:
@@ -108,10 +112,12 @@ def mean_fidelity_mc(povm: Povm, samples: int, seed: int) -> FidelityReport:
 
     Deterministic for fixed seed: sampling runs in fixed-size blocks
     with independent generators spawned from the seed, accumulated in
-    block order.
+    block order.  G_{N+1} is formed once per call; refused when its
+    cost A*d_{N+1}^2 exceeds the build guard.
     """
     if samples < MC_MIN_SAMPLES:
         raise InputFormatError(f"need samples >= {MC_MIN_SAMPLES}, got {samples}")
+    frame = frame_operator(povm.guesses, povm.weights, povm.N + 1)
     n_blocks = (samples + _MC_BLOCK - 1) // _MC_BLOCK
     seeds = np.random.SeedSequence(seed).spawn(n_blocks)
     total = 0.0
@@ -120,7 +126,7 @@ def mean_fidelity_mc(povm: Povm, samples: int, seed: int) -> FidelityReport:
     for b in range(n_blocks):
         count = min(_MC_BLOCK, samples - done)
         states = haar_random_states(povm.d, count, np.random.default_rng(seeds[b]))
-        vals = _pointwise_batch(povm, states)
+        vals = _pointwise_batch(povm, frame, states)
         total += float(np.sum(vals))
         total_sq += float(np.sum(vals * vals))
         done += count

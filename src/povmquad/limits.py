@@ -1,28 +1,30 @@
 """Resource guards for operations with exponential scaling.
 
 Both limits can be raised or lowered through environment variables so
-batch jobs can opt into bigger computations without code changes.
+batch jobs can opt into bigger computations without code changes;
+check_cost is the one place a guard is enforced.
 """
 
 from __future__ import annotations
 
 import os
 
-from .errors import InputFormatError
+from .errors import InputFormatError, ResourceLimitError
 
 # Largest full-space dimension d**M for dense tensor-product operators.
 FULL_SPACE_GUARD_ENV = "POVMQUAD_FULL_SPACE_GUARD"
-DEFAULT_FULL_SPACE_GUARD = 4096
 
-# Largest A * d_N**2 work estimate for grid construction/certification.
+# Largest A * d_level**2 work estimate for grid construction and for
+# every frame operator (certification and Monte Carlo fidelity alike).
 BUILD_GUARD_ENV = "POVMQUAD_BUILD_GUARD"
-DEFAULT_BUILD_GUARD = 50_000_000
+
+_DEFAULTS = {FULL_SPACE_GUARD_ENV: 4096, BUILD_GUARD_ENV: 50_000_000}
 
 
-def _read_guard(env_name: str, default: int) -> int:
+def _read_guard(env_name: str) -> int:
     raw = os.environ.get(env_name)
     if raw is None:
-        return default
+        return _DEFAULTS[env_name]
     try:
         value = int(raw)
     except ValueError as exc:
@@ -32,11 +34,10 @@ def _read_guard(env_name: str, default: int) -> int:
     return value
 
 
-def full_space_guard() -> int:
-    """Maximum full tensor-product dimension d**M allowed."""
-    return _read_guard(FULL_SPACE_GUARD_ENV, DEFAULT_FULL_SPACE_GUARD)
-
-
-def build_guard() -> int:
-    """Maximum A * d_N**2 construction cost allowed for grid builds."""
-    return _read_guard(BUILD_GUARD_ENV, DEFAULT_BUILD_GUARD)
+def check_cost(what: str, cost: int, env_name: str) -> None:
+    """Raise ResourceLimitError if cost exceeds the guard set by env_name."""
+    guard = _read_guard(env_name)
+    if cost > guard:
+        raise ResourceLimitError(
+            f"{what} = {cost} exceeds guard {guard}; set {env_name} to raise it"
+        )

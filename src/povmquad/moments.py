@@ -6,11 +6,11 @@ of c_{i_1} ... c_{i_l} conj(c_{j_1}) ... conj(c_{j_l}) equals
     (d-1)! / (d+l-1)!  *  (number of pairings sigma with i_k = j_{sigma(k)})
 
 and any moment mixing unequal counts of c and conj(c) averages to zero
-by phase invariance.  All values are exact rationals.  The l = N special
-case sum over an orthonormal symmetric basis gives the operator identity
-mean of rho^{tensor N} = S_N / d_N, reproduced here in occupation
-coordinates as identity / d_N; it is the ground truth the quadrature
-certification compares against.
+by phase invariance.  All values are exact rationals.  Summed over an
+orthonormal symmetric basis, the l = N case gives the operator identity
+mean of rho^{tensor N} = S_N / d_N, which is identity / d_N in
+occupation coordinates: the target the quadrature certification
+(symmetric.frame_residual) compares the frame operator against.
 """
 
 from __future__ import annotations
@@ -20,10 +20,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .errors import InputFormatError
-from .symmetric import sym_dim
 
 
 def _validate_indices(d: int, indices: Sequence[int], name: str) -> tuple[int, ...]:
@@ -65,11 +62,3 @@ def moment_value(d: int, i: Sequence[int], j: Sequence[int]) -> Fraction:
     if count == 0:
         return Fraction(0)
     return Fraction(math.factorial(d - 1) * count, math.factorial(d + l - 1))
-
-
-def mean_tensor_power(d: int, N: int) -> np.ndarray:
-    """Haar average of rho^{tensor N} in occupation coordinates: I / d_N."""
-    if d < 2 or N < 1:
-        raise InputFormatError(f"need d >= 2 and N >= 1, got d={d}, N={N}")
-    dim = sym_dim(d, N)
-    return np.eye(dim, dtype=np.float64) / dim

@@ -20,10 +20,10 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ConstructionError, InputFormatError, ResourceLimitError
-from .limits import build_guard
+from .errors import ConstructionError, InputFormatError, exceeds
+from .limits import BUILD_GUARD_ENV, check_cost
 from .quadrature import default_theta_counts, dedupe as dedupe_rule, sphere_grid, verify_exactness
-from .symmetric import NORM_TOL, PureState, sym_dim, sym_embed_batch
+from .symmetric import NORM_TOL, PureState, frame_residual, sym_dim
 
 FORMAT_VERSION = "1"
 CERTIFICATION_TOL = 1e-10
@@ -34,11 +34,11 @@ LOAD_COMPLETENESS_TOL = 1e-8
 class Povm:
     """Weighted family of guess states defining an optimal-form POVM.
 
-    weights has shape (A,) with strictly positive entries; guesses has
-    shape (A, d) with unit-norm rows.  Completeness and optimality are
-    not re-verified on construction (tests build deliberately broken
-    instances); build_povm and load_povm are the certifying entry
-    points.
+    weights has shape (A,) with finite, strictly positive entries;
+    guesses has shape (A, d) with finite, unit-norm rows.  Completeness
+    and optimality are not re-verified on construction (tests build
+    deliberately broken instances); build_povm and load_povm are the
+    certifying entry points.
     """
 
     d: int
@@ -56,11 +56,13 @@ class Povm:
             raise InputFormatError("guesses must have shape (len(weights), d)")
         if weights.size == 0:
             raise InputFormatError("POVM must have at least one element")
+        if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(guesses.view(np.float64)))):
+            raise InputFormatError("weights and guess amplitudes must be finite")
         if not np.all(weights > 0.0):
             raise InputFormatError("all weights must be strictly positive")
         norms = np.abs(np.linalg.norm(guesses, axis=1) - 1.0)
         worst = float(np.max(norms))
-        if worst > 10 * NORM_TOL:
+        if exceeds(worst, 10 * NORM_TOL):
             raise InputFormatError(f"guess norm deviates from 1 by {worst:.3e}")
         weights.setflags(write=False)
         guesses.setflags(write=False)
@@ -80,22 +82,9 @@ class Povm:
             yield float(self.weights[a]), self.guess_state(a)
 
 
-def _gram_residual(povm: Povm, level: int) -> float:
-    """Max-modulus of sum_a w_a v_a v_a^dagger - I/d_level at `level` copies."""
-    dim = sym_dim(povm.d, level)
-    cost = povm.n_outcomes * dim * dim
-    guard = build_guard()
-    if cost > guard:
-        raise ResourceLimitError(f"check cost A*d_level^2 = {cost} exceeds guard {guard}")
-    emb = sym_embed_batch(povm.guesses, level)
-    gram = (emb * povm.weights[:, None]).T @ emb.conj()
-    gram[np.diag_indices(dim)] -= 1.0 / dim
-    return float(np.max(np.abs(gram)))
-
-
 def check_optimality(povm: Povm) -> float:
     """Residual of sum_a w_a rho_a^{tensor N} = S_N/d_N at the POVM's N."""
-    return _gram_residual(povm, povm.N)
+    return frame_residual(povm.guesses, povm.weights, povm.N)
 
 
 def check_completeness(povm: Povm) -> float:
@@ -113,7 +102,7 @@ def check_universality(povm: Povm) -> float:
     Zero (to tolerance) iff the estimator's fidelity is pointwise
     constant in the input state.
     """
-    return _gram_residual(povm, povm.N + 1)
+    return frame_residual(povm.guesses, povm.weights, povm.N + 1)
 
 
 def build_povm(
@@ -136,18 +125,17 @@ def build_povm(
     counts = default_theta_counts(d, N) if theta_counts is None else tuple(theta_counts)
     n_phi = 2 * N + 1 if phi_count is None else int(phi_count)
     n_points = n_phi * math.prod(counts)
-    cost = n_points * sym_dim(d, N) ** 2
-    guard = build_guard()
-    if cost > guard:
-        raise ResourceLimitError(
-            f"construction cost A*d_N^2 = {cost} for d={d}, N={N} exceeds guard {guard}"
-        )
+    check_cost(
+        f"construction cost A*d_N^2 for d={d}, N={N}",
+        n_points * sym_dim(d, N) ** 2,
+        BUILD_GUARD_ENV,
+    )
     rule = sphere_grid(d, N, theta_counts=theta_counts, phi_count=phi_count)
     points_before = rule.n_points
     if dedupe:
         rule = dedupe_rule(rule)
     residual = verify_exactness(rule, N)
-    if residual > tol:
+    if exceeds(residual, tol):
         raise ConstructionError(
             f"grid for d={d}, N={N} failed certification: residual {residual:.3e} > {tol:g}",
             residual,
@@ -209,10 +197,10 @@ def save_povm(povm: Povm, path: str | Path) -> None:
 def load_povm(path: str | Path) -> Povm:
     """Read a POVM file and re-verify its invariants.
 
-    Rejects unknown format versions, non-positive weights, non-unit
-    guesses, weight sums away from 1, and completeness residuals above
-    1e-8 (reported in the error message).  Missing provenance maps to
-    {"source": "unknown"}.
+    Rejects unknown format versions, everything Povm rejects (non-finite
+    values, non-positive weights, non-unit guesses), weight sums away
+    from 1, and completeness residuals above 1e-8 (reported in the error
+    message).  Missing provenance maps to {"source": "unknown"}.
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -234,24 +222,15 @@ def load_povm(path: str | Path) -> Povm:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"malformed POVM file {path}: {exc}") from exc
-    if guesses.ndim != 2 or guesses.shape[1] != d:
-        raise InputFormatError(f"element amplitudes must have length d={d}")
-    if np.any(weights <= 0.0):
-        bad = int(np.argmin(weights))
-        raise InputFormatError(f"element {bad} has non-positive weight {weights[bad]!r}")
-    norms = np.linalg.norm(guesses, axis=1)
-    worst = float(np.max(np.abs(norms - 1.0)))
-    if worst > 10 * NORM_TOL:
-        raise InputFormatError(f"guess norm deviates from 1 by {worst:.3e}")
-    weight_sum = float(np.sum(weights))
-    if abs(weight_sum - 1.0) > 1e-8:
-        raise InputFormatError(f"weights sum to {weight_sum!r}, expected 1")
     provenance = doc.get("provenance")
     if not isinstance(provenance, dict) or not provenance:
         provenance = {"source": "unknown"}
     povm = Povm(d=d, N=N, weights=weights, guesses=guesses, provenance=provenance)
+    weight_sum = float(np.sum(povm.weights))
+    if exceeds(abs(weight_sum - 1.0), 1e-8):
+        raise InputFormatError(f"weights sum to {weight_sum!r}, expected 1")
     residual = check_completeness(povm)
-    if residual > LOAD_COMPLETENESS_TOL:
+    if exceeds(residual, LOAD_COMPLETENESS_TOL):
         raise InputFormatError(
             f"completeness residual {residual:.3e} exceeds {LOAD_COMPLETENESS_TOL:g}; "
             "refusing to load"

@@ -35,9 +35,8 @@ from itertools import product
 
 import numpy as np
 
-from .errors import ConstructionError, InputFormatError, ResourceLimitError
-from .limits import build_guard
-from .symmetric import PureState, sym_dim, sym_embed_batch
+from .errors import ConstructionError, InputFormatError, exceeds
+from .symmetric import PureState, frame_residual
 
 NEWTON_TOL = 1e-14
 NEWTON_MAX_ITER = 200
@@ -137,7 +136,7 @@ def gauss_legendre(n: int) -> Rule1D:
     # Root-distance residual |P_n/P_n'|: the Newton correction at the
     # converged nodes, invariant to the growth of P_n' with n.
     residual = float(np.max(np.abs(p / dp)))
-    if residual > NEWTON_TOL:
+    if exceeds(residual, NEWTON_TOL):
         raise ConstructionError(
             f"Legendre root residual {residual:.3e} exceeds {NEWTON_TOL:g}", residual
         )
@@ -317,7 +316,7 @@ def chi_to_state(chi: np.ndarray) -> PureState:
     if vec.size < 4 or vec.size % 2 != 0:
         raise InputFormatError(f"chi must have even length >= 4, got {vec.size}")
     norm = float(np.linalg.norm(vec))
-    if abs(norm - 1.0) > CHI_NORM_TOL:
+    if exceeds(abs(norm - 1.0), CHI_NORM_TOL):
         raise InputFormatError(
             f"|chi| deviates from 1 by {abs(norm - 1.0):.3e} (tol {CHI_NORM_TOL:g})"
         )
@@ -328,24 +327,11 @@ def chi_to_state(chi: np.ndarray) -> PureState:
 def verify_exactness(rule: QuadratureRule, N: int) -> float:
     """Max-modulus residual of the degree-2N moment identity.
 
-    Embeds every node state at N copies and accumulates the weighted
-    Gram matrix sum_a w_a v_a v_a^dagger, which for an exact rule equals
-    identity/d_N: the weighted average of rho_a^{tensor N} matching the
-    uniform state average.  Returns max |Gram - I/d_N|.
+    The level-N frame operator sum_a w_a v_a v_a^dagger of an exact rule
+    equals identity/d_N: the weighted average of rho_a^{tensor N} matches
+    the uniform state average.  Returns max |G_N - I/d_N|.
     """
-    if N < 1:
-        raise InputFormatError(f"need N >= 1, got N={N}")
-    dim = sym_dim(rule.d, N)
-    cost = rule.n_points * dim * dim
-    guard = build_guard()
-    if cost > guard:
-        raise ResourceLimitError(
-            f"verification cost A*d_N^2 = {cost} exceeds guard {guard}"
-        )
-    emb = sym_embed_batch(rule.states(), N)
-    gram = (emb * rule.weights[:, None]).T @ emb.conj()
-    gram[np.diag_indices(dim)] -= 1.0 / dim
-    return float(np.max(np.abs(gram)))
+    return frame_residual(rule.states(), rule.weights, N)
 
 
 def cross_moment_residual(rule: QuadratureRule, max_degree: int | None = None) -> float:

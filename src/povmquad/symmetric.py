@@ -5,22 +5,21 @@ d_N = C(N+d-1, d-1) and an orthonormal occupation-number basis labelled
 by tuples n = (n_1, ..., n_d) with sum N.  A product state
 |phi>^{tensor N} lies inside the subspace; its occupation coordinates
 are sqrt(N!/prod n_i!) * prod c_i^{n_i} where c are the amplitudes of
-|phi>.  Everything downstream (quadrature certification, POVM checks,
-fidelity formulas) runs in these coordinates, so the d^N full space is
-only ever materialised by the brute-force reference operations here.
+|phi>.  Certification and the fidelity formulas all run on one
+primitive in these coordinates, frame_operator; the d^M full space of
+the cloner is only ever reached through sym_isometry.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import InputFormatError, ResourceLimitError
-from .limits import full_space_guard
+from .errors import InputFormatError, exceeds
+from .limits import BUILD_GUARD_ENV, FULL_SPACE_GUARD_ENV, check_cost
 
 # Normalisation slack accepted on state amplitudes.
 NORM_TOL = 1e-12
@@ -43,7 +42,7 @@ class PureState:
         if not np.all(np.isfinite(amps.view(np.float64))):
             raise InputFormatError("state amplitudes must be finite")
         norm_sq = float(np.vdot(amps, amps).real)
-        if abs(norm_sq - 1.0) > NORM_TOL:
+        if exceeds(abs(norm_sq - 1.0), NORM_TOL):
             raise InputFormatError(
                 f"state norm^2 deviates from 1 by {abs(norm_sq - 1.0):.3e} (tol {NORM_TOL:g})"
             )
@@ -141,36 +140,58 @@ def fidelity(a: PureState, b: PureState) -> float:
     return abs(overlap(a, b)) ** 2
 
 
-def symmetric_projector_full(d: int, M: int) -> np.ndarray:
-    """Projector onto the symmetric subspace of (C^d)^{tensor M}.
+def frame_operator(amplitudes: np.ndarray, weights: np.ndarray, level: int) -> np.ndarray:
+    """Level-k frame operator G = sum_a w_a v_a v_a^dagger, shape (d_k, d_k).
 
-    Built literally as the average of all M! permutation operators on
-    the d^M-dimensional full space; serves as the reference object for
-    everything the occupation-basis fast paths claim.
+    v_a are the occupation coordinates of |phi_a>^{tensor k} for the rows
+    of amplitudes (shape (A, d)).  A family is an optimal N-copy POVM iff
+    G_N = I/d_N and universal iff also G_{N+1} = I/d_{N+1}; its pointwise
+    fidelity is d_N u^dagger G_{N+1} u.  Refused when the cost A*d_k^2
+    exceeds the build guard.
+    """
+    amps = np.asarray(amplitudes, dtype=np.complex128)
+    dim = sym_dim(amps.shape[-1], level)
+    cost = amps.shape[0] * dim * dim
+    check_cost(f"frame operator cost A*d_k^2 at level k={level}", cost, BUILD_GUARD_ENV)
+    emb = sym_embed_batch(amps, level)
+    return (emb * np.asarray(weights)[:, None]).T @ emb.conj()
+
+
+def frame_residual(amplitudes: np.ndarray, weights: np.ndarray, level: int) -> float:
+    """Max-modulus of G_level - I/d_level for the weighted family."""
+    gram = frame_operator(amplitudes, weights, level)
+    dim = gram.shape[0]
+    gram[np.diag_indices(dim)] -= 1.0 / dim
+    return float(np.max(np.abs(gram)))
+
+
+def sym_isometry(d: int, M: int) -> np.ndarray:
+    """Real d^M x d_M isometry from occupation coordinates to the full space.
+
+    Column k is the normalised symmetric basis vector of occupation n_k:
+    V[x, k] = sqrt(prod n_k! / M!) when the base-d digits of x (most
+    significant first, the kron convention |x_1> kron ... kron |x_M>)
+    have occupation n_k, and 0 otherwise.  Hence V^T V = I, V V^T is the
+    symmetric projector and V sym_embed(phi, M) = |phi>^{tensor M}.
+    Refused when d^M exceeds the full-space guard.
     """
     if d < 2 or M < 1:
         raise InputFormatError(f"need d >= 2 and M >= 1, got d={d}, M={M}")
     dim = d**M
-    guard = full_space_guard()
-    if dim > guard:
-        raise ResourceLimitError(
-            f"full-space dimension d^M = {dim} exceeds guard {guard}"
-        )
-    # digits[x] = (x_1, ..., x_M) base-d expansion, most significant first,
-    # matching the kron convention |x_1> kron ... kron |x_M>.
-    idx = np.arange(dim)
-    digits = np.empty((dim, M), dtype=np.int64)
-    rem = idx.copy()
-    for pos in range(M - 1, -1, -1):
-        digits[:, pos] = rem % d
-        rem //= d
-    place = d ** np.arange(M - 1, -1, -1)
-    proj = np.zeros((dim, dim), dtype=np.float64)
-    inv_fact = 1.0 / math.factorial(M)
-    for perm in itertools.permutations(range(M)):
-        target = digits[:, perm] @ place
-        proj[target, idx] += inv_fact
-    return proj
+    check_cost("full-space dimension d^M", dim, FULL_SPACE_GUARD_ENV)
+    digits = np.arange(dim)[:, None] // d ** np.arange(M - 1, -1, -1) % d
+    occupations = np.stack([np.count_nonzero(digits == i, axis=1) for i in range(d)], axis=1)
+    column_of = {n: k for k, n in enumerate(occupation_basis(d, M))}
+    cols = np.array([column_of[tuple(n)] for n in occupations.tolist()])
+    iso = np.zeros((dim, len(column_of)), dtype=np.float64)
+    iso[np.arange(dim), cols] = 1.0 / _embedding_coefficients(d, M)[cols]
+    return iso
+
+
+def symmetric_projector_full(d: int, M: int) -> np.ndarray:
+    """Projector S_M = V V^T onto the symmetric subspace of (C^d)^{tensor M}."""
+    iso = sym_isometry(d, M)
+    return iso @ iso.T
 
 
 def haar_random_states(d: int, count: int, rng: np.random.Generator | int) -> np.ndarray:

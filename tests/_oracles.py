@@ -215,3 +215,20 @@ def gram_residual_states(states: np.ndarray, weights: np.ndarray, n: int,
     gram = (emb * weights[:, None]).T @ emb.conj()
     gram[np.diag_indices(dim)] -= 1.0 / dim
     return float(np.max(np.abs(gram)))
+
+
+# ---------------------------------------------------------------------------
+# Fidelity by the direct sum over outcomes
+
+
+def pointwise_fidelity_direct(guesses: np.ndarray, weights: np.ndarray, n: int,
+                              states: np.ndarray) -> np.ndarray:
+    """d_n sum_a w_a |<phi_a|phi>|^{2(n+1)} for each row of states.
+
+    The A-term overlap sum the package replaces by the level-(n+1)
+    frame operator; d_n = C(n+d-1, d-1) is computed here directly.
+    """
+    d = guesses.shape[1]
+    d_n = math.comb(n + d - 1, d - 1)
+    overlaps = np.abs(states @ guesses.conj().T) ** 2
+    return d_n * (overlaps ** (n + 1) @ weights)

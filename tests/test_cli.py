@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 
 import pytest
 
@@ -59,6 +60,16 @@ class TestBuild:
         assert code == EXIT_CERTIFICATION
         assert "certification failure" in err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-0.5"])
+    def test_build_rejects_bad_tolerance(self, tmp_path, capsys, tol):
+        code, _, err = run(
+            capsys,
+            ["build", "--d", "2", "--N", "1", "--out", str(tmp_path / "x.json"), "--tol", tol],
+        )
+        assert code == EXIT_INPUT
+        assert "--tol" in err
+        assert not (tmp_path / "x.json").exists()
+
 
 class TestVerify:
     def test_verify_passes_on_built_file(self, povm_path, capsys):
@@ -97,6 +108,29 @@ class TestVerify:
     def test_verify_missing_file(self, tmp_path, capsys):
         code, _, err = run(capsys, ["verify", str(tmp_path / "nope.json")])
         assert code == EXIT_INPUT
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_verify_rejects_bad_tolerance(self, povm_path, capsys, tol):
+        code, _, err = run(capsys, ["verify", str(povm_path), "--level", "completeness",
+                                    "--tol", tol])
+        assert code == EXIT_INPUT
+        assert "--tol" in err
+
+    def test_verify_rejects_nan_amplitude(self, povm_path, capsys):
+        doc = json.loads(povm_path.read_text())
+        doc["elements"][0]["c"][0][0] = "nan"
+        povm_path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, ["verify", str(povm_path), "--level", "completeness"])
+        assert code == EXIT_INPUT
+        assert "[PASS]" not in out
+
+    def test_verify_nan_residual_fails(self, povm_path, capsys, monkeypatch):
+        import povmquad.cli
+
+        monkeypatch.setattr(povmquad.cli, "check_completeness", lambda povm: math.nan)
+        code, out, _ = run(capsys, ["verify", str(povm_path), "--level", "completeness"])
+        assert code == EXIT_CERTIFICATION
+        assert "[FAIL]" in out
 
 
 class TestFidelity:
@@ -146,6 +180,13 @@ class TestFidelity:
     def test_requires_path_or_sweep(self, capsys):
         code, _, err = run(capsys, ["fidelity", "--samples", "500", "--seed", "1"])
         assert code == EXIT_INPUT
+
+    def test_level_n_plus_one_frame_under_build_guard(self, povm_path, capsys, monkeypatch):
+        # Loading certifies G_1 (18 * 2^2 = 72); the fidelity needs G_2 (18 * 3^2 = 162).
+        monkeypatch.setenv("POVMQUAD_BUILD_GUARD", "100")
+        code, _, err = run(capsys, ["fidelity", str(povm_path), "--samples", "500", "--seed", "1"])
+        assert code == EXIT_RESOURCE
+        assert "POVMQUAD_BUILD_GUARD" in err
 
     def test_deterministic_output(self, povm_path, capsys):
         argv = ["fidelity", str(povm_path), "--samples", "1000", "--seed", "6", "--json"]

@@ -1,9 +1,13 @@
 """Optimal cloning as a full-space reference and the clone-then-estimate chain."""
 
+import math
+
 import numpy as np
 import pytest
 
 from povmquad import (
+    ClonerOutput,
+    ConstructionError,
     InputFormatError,
     PureState,
     ResourceLimitError,
@@ -58,6 +62,12 @@ class TestCloneMap:
     def test_full_space_guard(self):
         with pytest.raises(ResourceLimitError):
             clone(haar_random_state(2, 1), 1, 13)
+
+    def test_output_rejects_nan_density(self):
+        density = np.diag([1.0, 0.0, 0.0, 0.0]).astype(np.complex128)
+        density[1, 1] = math.nan
+        with pytest.raises(ConstructionError):
+            ClonerOutput(d=2, N=1, M=2, density=density)
 
 
 class TestSingleParticleFidelity:
@@ -142,6 +152,13 @@ class TestTwoStepEstimate:
         state = haar_random_state(2, 21)
         value = two_step_estimate(state, 1, 1, povm)
         assert abs(value - pointwise_fidelity(povm, state)) < 1e-10
+
+    def test_nan_pipeline_fails_closed(self, povm_for, monkeypatch):
+        import povmquad.cloner
+
+        monkeypatch.setattr(povmquad.cloner, "two_step_components", lambda *a: (math.nan, 0.5))
+        with pytest.raises(ConstructionError):
+            two_step_estimate(haar_random_state(2, 1), 1, 2, povm_for(2, 2))
 
     def test_rejects_mismatched_povm(self, povm_for):
         with pytest.raises(InputFormatError):

@@ -6,9 +6,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings, strategies as st
 
 from povmquad import (
     InputFormatError,
+    ResourceLimitError,
     Povm,
     PureState,
     haar_random_state,
@@ -25,7 +27,9 @@ from povmquad import (
     sym_dim,
 )
 
-from _oracles import ACCEPTANCE_PAIRS, tensor_power
+from povmquad.estimation import _MC_BLOCK
+
+from _oracles import ACCEPTANCE_PAIRS, pointwise_fidelity_direct, tensor_power
 
 
 class TestOptimalFidelity:
@@ -178,6 +182,54 @@ class TestPointwiseFidelity:
         fids = np.abs(povm.guesses @ state.amplitudes.conj()) ** 2
         expected = sym_dim(2, 2) * float(povm.weights @ fids**3)
         assert abs(pointwise_fidelity(povm, state) - expected) < 1e-12
+
+
+# (d, built N, N after restrict_povm or None): built families are merely
+# optimal, restricted ones universal.
+ORACLE_FAMILIES = [(2, 1, None), (2, 3, None), (3, 2, None), (2, 3, 1), (3, 2, 1)]
+
+
+def _oracle_family(povm_for, d, n, restricted):
+    povm = povm_for(d, n)
+    return povm if restricted is None else restrict_povm(povm, restricted)
+
+
+class TestFrameOperatorFidelity:
+    @settings(max_examples=30, deadline=None)
+    @given(family=st.sampled_from(ORACLE_FAMILIES), seed=st.integers(0, 2**32 - 1))
+    def test_pointwise_matches_direct_sum(self, povm_for, family, seed):
+        povm = _oracle_family(povm_for, *family)
+        state = haar_random_state(povm.d, seed)
+        expected = pointwise_fidelity_direct(
+            povm.guesses, povm.weights, povm.N, state.amplitudes[None, :]
+        )[0]
+        assert abs(pointwise_fidelity(povm, state) - expected) < 1e-12
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        family=st.sampled_from(ORACLE_FAMILIES),
+        seed=st.integers(0, 2**32 - 1),
+        samples=st.integers(100, _MC_BLOCK + 500),
+    )
+    def test_monte_carlo_matches_direct_sum(self, povm_for, family, seed, samples):
+        povm = _oracle_family(povm_for, *family)
+        report = mean_fidelity_mc(povm, samples, seed)
+        # Redraw the kernel's states: fixed-size blocks, one spawned seed each.
+        seeds = np.random.SeedSequence(seed).spawn(-(-samples // _MC_BLOCK))
+        states = np.concatenate([
+            haar_random_states(povm.d, min(_MC_BLOCK, samples - b * _MC_BLOCK),
+                               np.random.default_rng(block_seed))
+            for b, block_seed in enumerate(seeds)
+        ])
+        direct = pointwise_fidelity_direct(povm.guesses, povm.weights, povm.N, states)
+        assert abs(report.value - direct.mean()) < 1e-12
+
+    def test_monte_carlo_refused_under_build_guard(self, povm_for, monkeypatch):
+        # G_2 of the 18-element qubit family costs 18 * 3^2 = 162.
+        povm = povm_for(2, 1)
+        monkeypatch.setenv("POVMQUAD_BUILD_GUARD", "100")
+        with pytest.raises(ResourceLimitError, match="POVMQUAD_BUILD_GUARD"):
+            mean_fidelity_mc(povm, samples=1000, seed=1)
 
 
 class TestMeanFidelity:

@@ -9,9 +9,7 @@ import pytest
 from povmquad import (
     InputFormatError,
     contraction_count,
-    mean_tensor_power,
     moment_value,
-    sym_dim,
 )
 
 from _oracles import (
@@ -123,17 +121,3 @@ class TestMomentValue:
                 exact = float(moment_value(d, i, j))
                 assert abs(mean[flat_i, flat_j].real - exact) <= 5 * err_re[flat_i, flat_j] + 1e-9
                 assert abs(mean[flat_i, flat_j].imag) <= 5 * err_im[flat_i, flat_j] + 1e-9
-
-
-class TestMeanTensorPower:
-    @pytest.mark.parametrize("d,n", [(2, 1), (2, 3), (3, 2), (4, 1)])
-    def test_is_normalised_identity(self, d, n):
-        mat = mean_tensor_power(d, n)
-        dim = sym_dim(d, n)
-        assert mat.shape == (dim, dim)
-        assert np.max(np.abs(mat - np.eye(dim) / dim)) == 0.0
-        assert abs(np.trace(mat).real - 1.0) < 1e-15
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(InputFormatError):
-            mean_tensor_power(1, 1)

@@ -81,6 +81,10 @@ class TestBuild:
         assert info.value.residual is not None
         assert info.value.residual > 0.0
 
+    def test_nan_tolerance_fails_closed(self):
+        with pytest.raises(ConstructionError):
+            build_povm(2, 1, tol=math.nan)
+
     def test_undersized_counts_fail_certification(self):
         with pytest.raises(ConstructionError):
             build_povm(2, 2, theta_counts=(2, 2))
@@ -163,6 +167,18 @@ class TestValidation:
         with pytest.raises(InputFormatError):
             Povm(d=3, N=1, weights=np.array([1.0]), guesses=np.array([[1.0, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_weight(self, bad):
+        with pytest.raises(InputFormatError):
+            Povm(d=2, N=1, weights=np.array([0.5, bad]), guesses=np.eye(2))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+    def test_rejects_non_finite_guess(self, bad):
+        guesses = np.eye(2, dtype=np.complex128)
+        guesses[1, 0] = bad
+        with pytest.raises(InputFormatError):
+            Povm(d=2, N=1, weights=np.array([0.5, 0.5]), guesses=guesses)
+
     def test_elements_iterator(self, povm_for):
         povm = povm_for(2, 1)
         pairs = list(povm.elements())
@@ -226,6 +242,19 @@ class TestSaveLoad:
         save_povm(povm_for(2, 1), path)
         doc = json.loads(path.read_text())
         doc["elements"][0]["c"][0][0] = "2.0"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InputFormatError):
+            load_povm(path)
+
+    @pytest.mark.parametrize("field", ["c", "w"])
+    def test_rejects_nan_value(self, povm_for, tmp_path, field):
+        path = tmp_path / "povm.json"
+        save_povm(povm_for(2, 1), path)
+        doc = json.loads(path.read_text())
+        if field == "c":
+            doc["elements"][0]["c"][0][0] = "nan"
+        else:
+            doc["elements"][0]["w"] = "nan"
         path.write_text(json.dumps(doc))
         with pytest.raises(InputFormatError):
             load_povm(path)

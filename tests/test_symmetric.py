@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from povmquad import (
     InputFormatError,
     PureState,
     ResourceLimitError,
     fidelity,
+    frame_operator,
     haar_random_state,
     haar_random_states,
     haar_random_unitary,
@@ -18,6 +20,7 @@ from povmquad import (
     sym_dim,
     sym_embed,
     sym_embed_batch,
+    sym_isometry,
     symmetric_projector_full,
 )
 
@@ -183,6 +186,53 @@ class TestProjector:
         monkeypatch.setenv("POVMQUAD_FULL_SPACE_GUARD", "16")
         with pytest.raises(ResourceLimitError):
             symmetric_projector_full(2, 5)
+
+
+ISOMETRY_SPACES = [(2, 1), (2, 3), (2, 6), (3, 2), (3, 4), (4, 2)]
+
+
+class TestIsometry:
+    @settings(max_examples=40, deadline=None)
+    @given(space=st.sampled_from(ISOMETRY_SPACES), seed=st.integers(0, 2**32 - 1))
+    def test_maps_embedding_to_tensor_power(self, space, seed):
+        d, m = space
+        state = haar_random_state(d, seed)
+        got = sym_isometry(d, m) @ sym_embed(state, m)
+        assert np.max(np.abs(got - tensor_power(state.amplitudes, m))) < 1e-12
+
+    @pytest.mark.parametrize("d,m", ISOMETRY_SPACES)
+    def test_columns_are_orthonormal(self, d, m):
+        iso = sym_isometry(d, m)
+        assert iso.shape == (d**m, sym_dim(d, m))
+        assert np.max(np.abs(iso.T @ iso - np.eye(sym_dim(d, m)))) < 1e-12
+
+    def test_projector_without_permutation_sum(self):
+        # A 12!-term permutation average would take hours; V V^T does not.
+        proj = symmetric_projector_full(2, 12)
+        assert abs(np.trace(proj) - 13.0) < 1e-9
+
+    def test_guard_names_its_variable(self):
+        with pytest.raises(ResourceLimitError, match="POVMQUAD_FULL_SPACE_GUARD"):
+            sym_isometry(2, 13)
+
+
+class TestFrameOperator:
+    @pytest.mark.parametrize("d,n", [(2, 2), (3, 1)])
+    def test_matches_dense_tensor_power_average(self, povm_for, d, n):
+        povm = povm_for(d, n)
+        dense = np.zeros((d**n, d**n), dtype=np.complex128)
+        for w, amps in zip(povm.weights, povm.guesses):
+            psi = tensor_power(amps, n)
+            dense += w * np.outer(psi, psi.conj())
+        iso = sym_isometry(d, n)
+        got = iso @ frame_operator(povm.guesses, povm.weights, n) @ iso.T
+        assert np.max(np.abs(got - dense)) < 1e-12
+
+    def test_build_guard(self, povm_for, monkeypatch):
+        povm = povm_for(2, 1)
+        monkeypatch.setenv("POVMQUAD_BUILD_GUARD", "10")
+        with pytest.raises(ResourceLimitError, match="POVMQUAD_BUILD_GUARD"):
+            frame_operator(povm.guesses, povm.weights, 1)
 
 
 class TestHaarSampling:

@@ -51,7 +51,7 @@ class Povm:
         if self.d < 2 or self.N < 1:
             raise InputFormatError(f"need d >= 2 and N >= 1, got d={self.d}, N={self.N}")
         weights = np.asarray(self.weights, dtype=np.float64).reshape(-1)
-        guesses = np.asarray(self.guesses, dtype=np.complex128)
+        guesses = np.ascontiguousarray(self.guesses, dtype=np.complex128)
         if guesses.ndim != 2 or guesses.shape != (weights.size, self.d):
             raise InputFormatError("guesses must have shape (len(weights), d)")
         if weights.size == 0:
@@ -165,33 +165,49 @@ def restrict_povm(povm: Povm, N: int) -> Povm:
     return Povm(d=povm.d, N=N, weights=povm.weights, guesses=povm.guesses, provenance=provenance)
 
 
-def _format_float(x: float) -> str:
-    return format(float(x), ".17g")
+# Elements formatted by one %-pass each; bounds the file text held in memory.
+SAVE_BLOCK = 4096
 
 
 def save_povm(povm: Povm, path: str | Path) -> None:
     """Write the POVM as canonical JSON (sorted keys, 17-digit decimals).
 
     Weights and amplitudes are serialised as decimal strings so the
-    save -> load -> save round trip is byte identical.
+    save -> load -> save round trip is byte identical.  The bytes are
+    those of json.dumps(doc, sort_keys=True, indent=2) on the document
+    of per-element dicts; tests/_oracles.povm_json_reference is that
+    writer and the tests pin this one to it byte for byte.  Every element
+    has the same indent-2 layout, so a block of elements is one repeated
+    template filled by a single %-format ("%.17g" and format(x, ".17g")
+    share CPython's float-to-string routine).  Raises InputFormatError if
+    the file cannot be written.
     """
-    elements = []
-    for a in range(povm.n_outcomes):
-        amps = povm.guesses[a]
-        elements.append(
-            {
-                "w": _format_float(povm.weights[a]),
-                "c": [[_format_float(z.real), _format_float(z.imag)] for z in amps],
-            }
-        )
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "d": povm.d,
-        "N": povm.N,
-        "elements": elements,
-        "provenance": {str(k): v for k, v in povm.provenance.items()},
-    }
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    pair = '        [\n          "%.17g",\n          "%.17g"\n        ]'
+    element = '    {\n      "c": [\n' + ",\n".join([pair] * povm.d) + '\n      ],\n      "w": "%.17g"\n    }'
+    table = np.column_stack([povm.guesses.view(np.float64), povm.weights])
+    # Sorted top-level keys are N, d, elements, format_version, provenance:
+    # the parts before and after the elements are dumped on their own, so
+    # the splice never depends on the content of provenance.
+    head = json.dumps({"N": povm.N, "d": povm.d}, indent=2)
+    tail = json.dumps(
+        {
+            "format_version": FORMAT_VERSION,
+            "provenance": {str(k): v for k, v in povm.provenance.items()},
+        },
+        sort_keys=True,
+        indent=2,
+    )
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(head[:-2] + ',\n  "elements": [\n')
+            for start in range(0, povm.n_outcomes, SAVE_BLOCK):
+                rows = table[start : start + SAVE_BLOCK]
+                if start:
+                    fh.write(",\n")
+                fh.write(",\n".join([element] * len(rows)) % tuple(rows.ravel().tolist()))
+            fh.write("\n  ],\n" + tail[2:] + "\n")
+    except OSError as exc:
+        raise InputFormatError(f"cannot write POVM file {path}: {exc}") from exc
 
 
 def load_povm(path: str | Path) -> Povm:

@@ -10,6 +10,7 @@ shortcuts.  Tests compare package output against these oracles.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from functools import reduce
 
@@ -232,3 +233,37 @@ def pointwise_fidelity_direct(guesses: np.ndarray, weights: np.ndarray, n: int,
     d_n = math.comb(n + d - 1, d - 1)
     overlaps = np.abs(states @ guesses.conj().T) ** 2
     return d_n * (overlaps ** (n + 1) @ weights)
+
+
+# ---------------------------------------------------------------------------
+# POVM file layout by the generic JSON encoder
+
+
+def povm_json_reference(povm) -> str:
+    """The POVM file text as the dict-per-element json.dumps writer makes it.
+
+    One dict per element holding format(x, ".17g") strings, encoded by
+    json.dumps(sort_keys=True, indent=2): the canonical layout that
+    save_povm must reproduce byte for byte.
+    """
+
+    def _format_float(x: float) -> str:
+        return format(float(x), ".17g")
+
+    elements = []
+    for a in range(povm.n_outcomes):
+        amps = povm.guesses[a]
+        elements.append(
+            {
+                "w": _format_float(povm.weights[a]),
+                "c": [[_format_float(z.real), _format_float(z.imag)] for z in amps],
+            }
+        )
+    doc = {
+        "format_version": "1",
+        "d": povm.d,
+        "N": povm.N,
+        "elements": elements,
+        "provenance": {str(k): v for k, v in povm.provenance.items()},
+    }
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"

@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+from povmquad import check_completeness, check_optimality, check_universality, load_povm
 from povmquad.cli import EXIT_CERTIFICATION, EXIT_INPUT, EXIT_OK, EXIT_RESOURCE, main
 
 
@@ -71,6 +72,36 @@ class TestBuild:
         assert not (tmp_path / "x.json").exists()
 
 
+    def test_build_residuals_equal_library_checks(self, tmp_path, capsys):
+        path = tmp_path / "povm.json"
+        _, out, _ = run(capsys, ["build", "--d", "2", "--N", "3", "--out", str(path), "--json"])
+        povm = load_povm(path)
+        assert json.loads(out)["residuals"] == {
+            "completeness": check_completeness(povm),
+            "optimality": check_optimality(povm),
+            "universality": check_universality(povm),
+        }
+
+    def test_refused_build_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        # Level-1 cost 18 * 2^2 = 72 fits the guard; level-2 cost
+        # 18 * 3^2 = 162 at the universality check does not.
+        monkeypatch.setenv("POVMQUAD_BUILD_GUARD", "100")
+        path = tmp_path / "x.json"
+        code, _, err = run(capsys, ["build", "--d", "2", "--N", "1", "--out", str(path)])
+        assert code == EXIT_RESOURCE
+        assert "level k=2" in err
+        assert not path.exists()
+
+    def test_unwritable_out_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "missing_dir" / "x.json"
+        code, out, err = run(capsys, ["build", "--d", "2", "--N", "1", "--out", str(path)])
+        assert code == EXIT_INPUT
+        assert err.startswith("input error: cannot write POVM file")
+        assert "Traceback" not in err
+        assert out == ""
+        assert not path.exists()
+
+
 class TestVerify:
     def test_verify_passes_on_built_file(self, povm_path, capsys):
         code, out, _ = run(
@@ -127,10 +158,42 @@ class TestVerify:
     def test_verify_nan_residual_fails(self, povm_path, capsys, monkeypatch):
         import povmquad.cli
 
-        monkeypatch.setattr(povmquad.cli, "check_completeness", lambda povm: math.nan)
+        # completeness is derived from the level-N optimality residual.
+        monkeypatch.setattr(povmquad.cli, "check_optimality", lambda povm: math.nan)
         code, out, _ = run(capsys, ["verify", str(povm_path), "--level", "completeness"])
         assert code == EXIT_CERTIFICATION
         assert "[FAIL]" in out
+
+    @pytest.mark.parametrize("level", ["all", "completeness", "optimality", "universality"])
+    def test_residuals_equal_library_checks(self, tmp_path, capsys, level):
+        path = tmp_path / "qutrit2.json"
+        assert main(["build", "--d", "3", "--N", "2", "--out", str(path)]) == EXIT_OK
+        capsys.readouterr()
+        _, out, _ = run(capsys, ["verify", str(path), "--level", level, "--json"])
+        povm = load_povm(path)
+        expected = {
+            "completeness": check_completeness(povm),
+            "optimality": check_optimality(povm),
+            "universality": check_universality(povm),
+        }
+        if level != "all":
+            expected = {level: expected[level]}
+        assert json.loads(out)["residuals"] == expected
+
+    def test_level_n_operator_formed_once(self, povm_path, capsys, monkeypatch):
+        import povmquad.povm
+
+        levels = []
+        original = povmquad.povm.frame_residual
+
+        def counting(amplitudes, weights, level):
+            levels.append(level)
+            return original(amplitudes, weights, level)
+
+        monkeypatch.setattr(povmquad.povm, "frame_residual", counting)
+        run(capsys, ["verify", str(povm_path), "--json"])
+        # The load-time completeness gate, then one operator per level.
+        assert levels == [1, 1, 2]
 
 
 class TestFidelity:

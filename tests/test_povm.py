@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from povmquad import (
     ConstructionError,
@@ -23,7 +24,46 @@ from povmquad import (
     sym_embed,
 )
 
-from _oracles import ACCEPTANCE_PAIRS
+from _oracles import ACCEPTANCE_PAIRS, povm_json_reference
+
+# Text that stresses the JSON encoder and any splice keyed on content.
+TRICKY_TEXT = ["elements", '"elements": []', "\x00", 'say "hi" \\ ok', "é ünïcødé ☃", "\n}\n  ],", ""]
+json_text = st.one_of(st.sampled_from(TRICKY_TEXT), st.text(max_size=12))
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | json_text,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(json_text, inner, max_size=3),
+    max_leaves=8,
+)
+provenances = st.dictionaries(st.one_of(json_text, st.integers()), json_values, max_size=5)
+# Signed zeros, subnormals and values whose %.17g form needs an exponent.
+components = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1.0, 1.0))
+weight_values = st.one_of(st.floats(1e-300, 1.0), st.floats(-300.0, 0.0).map(lambda e: 10.0**e))
+
+
+@st.composite
+def arbitrary_povms(draw):
+    """Valid Povm instances: positive weights, unit rows, any provenance."""
+    d = draw(st.integers(2, 5))
+    n_out = draw(st.integers(1, 40))
+    raw = np.array(draw(st.lists(components, min_size=2 * d * n_out, max_size=2 * d * n_out)))
+    raw = raw.reshape(n_out, 2 * d)
+    norms = np.linalg.norm(raw, axis=1)
+    raw[norms < 1e-3, 0] = 1.0
+    # Dividing the real view keeps the sign of every zero.
+    raw /= np.linalg.norm(raw, axis=1)[:, None]
+    weights = np.array(draw(st.lists(weight_values, min_size=n_out, max_size=n_out)))
+    return Povm(
+        d=d,
+        N=draw(st.integers(1, 4)),
+        weights=weights,
+        guesses=raw.view(np.complex128),
+        provenance=draw(provenances),
+    )
+
+
+# (d, N built, N restricted to): built and restrict_povm families pass the
+# load-time completeness gate, so they can make the full round trip.
+ROUND_TRIP_FAMILIES = [(2, 1, 1), (2, 3, 3), (2, 3, 1), (3, 2, 2), (3, 2, 1), (4, 1, 1)]
 
 
 class TestBuild:
@@ -296,3 +336,89 @@ class TestSaveLoad:
     def test_rejects_missing_file(self, tmp_path):
         with pytest.raises(InputFormatError):
             load_povm(tmp_path / "nope.json")
+
+
+class TestFileFormat:
+    """save_povm against the generic json.dumps writer, and the round trip."""
+
+    @staticmethod
+    def _family(povm_for, family, seed, provenance):
+        d, n_built, n = family
+        povm = restrict_povm(povm_for(d, n_built), n)
+        guesses = povm.guesses
+        if seed is not None:
+            # A unitary image of a certified family is certified too.
+            rng = np.random.default_rng(seed)
+            unitary, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+            guesses = guesses @ unitary.T
+        return Povm(
+            d=d,
+            N=n,
+            weights=povm.weights,
+            guesses=guesses,
+            provenance={**povm.provenance, **provenance},
+        )
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(povm=arbitrary_povms(), block=st.integers(1, 41))
+    def test_bytes_equal_reference_writer(self, tmp_path, monkeypatch, povm, block):
+        # Small blocks put block boundaries inside the 1..40 elements.
+        import povmquad.povm
+
+        path = tmp_path / "povm.json"
+        with monkeypatch.context() as patch:
+            patch.setattr(povmquad.povm, "SAVE_BLOCK", block)
+            save_povm(povm, path)
+        assert path.read_bytes() == povm_json_reference(povm).encode("utf-8")
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        family=st.sampled_from(ROUND_TRIP_FAMILIES),
+        seed=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+        provenance=provenances,
+    )
+    def test_round_trip_is_exact_and_byte_identical(
+        self, povm_for, tmp_path, family, seed, provenance
+    ):
+        povm = self._family(povm_for, family, seed, provenance)
+        first = tmp_path / "a.json"
+        second = tmp_path / "b.json"
+        save_povm(povm, first)
+        assert first.read_bytes() == povm_json_reference(povm).encode("utf-8")
+        loaded = load_povm(first)
+        assert (loaded.d, loaded.N) == (povm.d, povm.N)
+        assert np.array_equal(loaded.weights, povm.weights)
+        assert np.array_equal(loaded.guesses.view(np.float64), povm.guesses.view(np.float64))
+        assert np.array_equal(np.signbit(loaded.guesses.view(np.float64)),
+                              np.signbit(povm.guesses.view(np.float64)))
+        assert loaded.provenance == {str(k): v for k, v in povm.provenance.items()}
+        save_povm(loaded, second)
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_signed_zero_exponent_form_and_elements_in_provenance(self, tmp_path):
+        povm = Povm(
+            d=2,
+            N=1,
+            weights=np.array([1e-300, 0.5]),
+            guesses=np.array([[1.0, -0.0], [-0.0 - 0.0j, complex(0.0, -1.0)]]),
+            provenance={"note": '"elements": []', "nested": {"elements": []}, 7: ["\x00", {"é": None}]},
+        )
+        path = tmp_path / "povm.json"
+        save_povm(povm, path)
+        text = path.read_text(encoding="utf-8")
+        assert text == povm_json_reference(povm)
+        assert '"-0"' in text and '"1e-300"' in text
+
+    def test_non_contiguous_guesses(self, povm_for, tmp_path):
+        povm = povm_for(3, 1)
+        strided = np.asfortranarray(povm.guesses)
+        copy = Povm(d=3, N=1, weights=povm.weights, guesses=strided, provenance=povm.provenance)
+        path = tmp_path / "povm.json"
+        save_povm(copy, path)
+        assert path.read_text(encoding="utf-8") == povm_json_reference(povm)
+
+    def test_unwritable_path_raises_input_error(self, povm_for, tmp_path):
+        with pytest.raises(InputFormatError, match="cannot write POVM file"):
+            save_povm(povm_for(2, 1), tmp_path / "missing_dir" / "povm.json")

@@ -28,6 +28,7 @@ from .estimation import (
     outcome_probs,
     sample_outcomes,
 )
+from .limits import FULL_SPACE_GUARD_ENV, check_cost
 from .moments import moment_value
 from .povm import (
     CERTIFICATION_TOL,
@@ -86,7 +87,7 @@ def _residuals(povm: Povm, levels: tuple[str, ...] = RESIDUAL_LEVELS) -> dict[st
 
 def cmd_build(args: argparse.Namespace) -> int:
     _check_tol(args.tol)
-    povm = build_povm(args.d, args.N, dedupe=args.dedupe, tol=args.tol)
+    povm = build_povm(args.d, args.N, tol=args.tol)
     res = _residuals(povm)
     save_povm(povm, args.out)
     if args.json:
@@ -215,6 +216,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_clone(args: argparse.Namespace) -> int:
     if not 1 <= args.N <= args.M:
         raise InputFormatError(f"need 1 <= N <= M, got N={args.N}, M={args.M}")
+    if args.states < 1:
+        raise InputFormatError(f"--states must be >= 1, got {args.states}")
     states = [haar_random_state(args.d, args.seed + k) for k in range(args.states)]
     rows = []
     for m in range(args.N, args.M + 1):
@@ -261,31 +264,38 @@ def _parse_indices(raw: str) -> tuple[int, ...]:
         raise InputFormatError(f"cannot parse index list {raw!r}") from exc
 
 
+def _moment_row(d: int, i_tuple: tuple[int, ...], j_tuple: tuple[int, ...]) -> dict:
+    value: Fraction = moment_value(d, i_tuple, j_tuple)
+    return {"i": list(i_tuple), "j": list(j_tuple), "value": f"{value.numerator}/{value.denominator}"}
+
+
 def cmd_moments(args: argparse.Namespace) -> int:
     if (args.i is None) != (args.j is None):
         raise InputFormatError("--i and --j must be given together")
     if args.i is not None:
-        pairs = [(_parse_indices(args.i), _parse_indices(args.j))]
+        rows = [_moment_row(args.d, _parse_indices(args.i), _parse_indices(args.j))]
     elif args.max_len is not None:
-        pairs = []
+        if args.d < 2 or args.max_len < 1:
+            raise InputFormatError(f"need --d >= 2 and --max-len >= 1, got {args.d} and {args.max_len}")
+        # Length l lists the d^l x d^l moment matrix.  Each d^l is checked in
+        # turn before any row is formed, so d^max_len itself never is.
         for l in range(1, args.max_len + 1):
-            for i_tuple in product(range(1, args.d + 1), repeat=l):
-                for j_tuple in product(range(1, args.d + 1), repeat=l):
-                    pairs.append((i_tuple, j_tuple))
+            check_cost(f"moment matrix dimension d^{l} for d={args.d}", args.d**l, FULL_SPACE_GUARD_ENV)
+        indices = range(1, args.d + 1)
+        rows = (
+            _moment_row(args.d, i_tuple, j_tuple)
+            for l in range(1, args.max_len + 1)
+            for i_tuple, j_tuple in product(product(indices, repeat=l), repeat=2)
+        )
     else:
         raise InputFormatError("provide --i/--j or --max-len")
-    rows = []
-    for i_tuple, j_tuple in pairs:
-        value: Fraction = moment_value(args.d, i_tuple, j_tuple)
-        rows.append(
-            {
-                "i": list(i_tuple),
-                "j": list(j_tuple),
-                "value": f"{value.numerator}/{value.denominator}",
-            }
-        )
+    # Rows are written as they are formed, so memory stays flat in the table size.
     if args.json:
-        _print_json({"operation": "moments", "d": args.d, "rows": rows})
+        head = json.dumps({"d": args.d, "operation": "moments", "rows": []}, sort_keys=True)
+        sys.stdout.write(head[:-2])
+        for k, row in enumerate(rows):
+            sys.stdout.write((", " if k else "") + json.dumps(row, sort_keys=True))
+        sys.stdout.write("]}\n")
     else:
         for row in rows:
             i_txt = ",".join(str(k) for k in row["i"])
@@ -305,7 +315,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--d", type=int, required=True)
     p_build.add_argument("--N", type=int, required=True)
     p_build.add_argument("--out", required=True)
-    p_build.add_argument("--dedupe", action="store_true")
     p_build.add_argument("--tol", type=float, default=CERTIFICATION_TOL)
     p_build.add_argument("--json", action="store_true")
     p_build.set_defaults(func=cmd_build)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConstructionError, InputFormatError, exceeds
 from .limits import BUILD_GUARD_ENV, check_cost
-from .quadrature import default_theta_counts, dedupe as dedupe_rule, sphere_grid, verify_exactness
+from .quadrature import default_theta_counts, sphere_grid, verify_exactness
 from .symmetric import NORM_TOL, PureState, frame_residual, sym_dim
 
 FORMAT_VERSION = "1"
@@ -109,7 +109,6 @@ def build_povm(
     d: int,
     N: int,
     *,
-    dedupe: bool = False,
     theta_counts: tuple[int, ...] | None = None,
     phi_count: int | None = None,
     tol: float = CERTIFICATION_TOL,
@@ -131,9 +130,6 @@ def build_povm(
         BUILD_GUARD_ENV,
     )
     rule = sphere_grid(d, N, theta_counts=theta_counts, phi_count=phi_count)
-    points_before = rule.n_points
-    if dedupe:
-        rule = dedupe_rule(rule)
     residual = verify_exactness(rule, N)
     if exceeds(residual, tol):
         raise ConstructionError(
@@ -144,8 +140,6 @@ def build_povm(
         "construction": "sphere-grid",
         "theta_counts": list(rule.theta_counts),
         "phi_count": rule.phi_count,
-        "dedupe": bool(dedupe),
-        "points_before_dedupe": points_before,
         "certified_residual": f"{residual:.17g}",
         "certification_tol": f"{tol:.17g}",
     }

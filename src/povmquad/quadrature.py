@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -39,8 +38,6 @@ from .errors import ConstructionError, InputFormatError, exceeds
 from .symmetric import PureState, frame_residual
 
 NEWTON_TOL = 1e-14
-NEWTON_MAX_ITER = 200
-DEDUPE_FIDELITY_TOL = 1e-12
 CHI_NORM_TOL = 1e-10
 
 
@@ -70,10 +67,6 @@ class Rule1D:
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
 
-    @property
-    def n(self) -> int:
-        return self.nodes.size
-
 
 def _legendre_and_derivative(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """P_n(x) and P_n'(x) by the three-term recurrence."""
@@ -88,53 +81,24 @@ def _legendre_and_derivative(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndar
 def gauss_legendre(n: int) -> Rule1D:
     """n-point Gauss-Legendre rule on [-1, 1].
 
-    Roots of P_n found by Newton iteration from Chebyshev-angle starting
-    points, safeguarded by bisection inside Bruns brackets
-    cos(2k pi/(2n+1)) < x_k < cos((2k-1) pi/(2n+1)).  Exact for
-    polynomials of degree <= 2n-1.
+    Golub-Welsch: the nodes are the eigenvalues of the symmetric Jacobi
+    matrix of the Legendre recurrence (zero diagonal, off-diagonal
+    beta_k = k/sqrt(4k^2-1)), polished by one Newton step on P_n.  The
+    rule is certified fail-closed by the root residual |P_n/P_n'| at
+    the symmetrised nodes.  Exact for polynomials of degree <= 2n-1.
     """
     if n < 1:
         raise InputFormatError(f"need n >= 1, got n={n}")
-    if n == 1:
-        return Rule1D(np.array([0.0]), np.array([2.0]), "gauss-legendre", 1)
-    roots = np.empty(n, dtype=np.float64)
-    for k in range(1, n + 1):
-        lo = math.cos(2 * k * math.pi / (2 * n + 1))
-        hi = math.cos((2 * k - 1) * math.pi / (2 * n + 1))
-        p_lo, _ = _legendre_and_derivative(n, np.array([lo]))
-        p_hi, _ = _legendre_and_derivative(n, np.array([hi]))
-        f_lo = float(p_lo[0])
-        x = math.cos(math.pi * (k - 0.25) / (n + 0.5))
-        converged = False
-        for _ in range(NEWTON_MAX_ITER):
-            p_arr, dp_arr = _legendre_and_derivative(n, np.array([x]))
-            p, dp = float(p_arr[0]), float(dp_arr[0])
-            # Keep the bracket a sign-change interval around the root.
-            if p * f_lo < 0:
-                hi = x
-            else:
-                lo, f_lo = x, p
-            step = p / dp if dp != 0.0 else math.inf
-            x_new = x - step
-            if not lo <= x_new <= hi:
-                x_new = 0.5 * (lo + hi)
-            if abs(x_new - x) <= NEWTON_TOL * max(1.0, abs(x_new)):
-                x = x_new
-                converged = True
-                break
-            x = x_new
-        if not converged:
-            raise ConstructionError(
-                f"Legendre root {k}/{n} did not converge in {NEWTON_MAX_ITER} iterations"
-            )
-        roots[k - 1] = x
-    # The bracket index k runs from the largest root down; present the
-    # nodes ascending and enforce the exact symmetry x_k = -x_{n+1-k}.
-    roots = roots[::-1]
+    k = np.arange(1.0, n)
+    beta = k / np.sqrt(4.0 * k * k - 1.0)
+    roots = np.linalg.eigvalsh(np.diag(beta, 1) + np.diag(beta, -1))
+    p, dp = _legendre_and_derivative(n, roots)
+    roots = roots - p / dp
+    # Ascending nodes with the exact symmetry x_k = -x_{n+1-k}.
     roots = 0.5 * (roots - roots[::-1])
     p, dp = _legendre_and_derivative(n, roots)
     # Root-distance residual |P_n/P_n'|: the Newton correction at the
-    # converged nodes, invariant to the growth of P_n' with n.
+    # final nodes, invariant to the growth of P_n' with n.
     residual = float(np.max(np.abs(p / dp)))
     if exceeds(residual, NEWTON_TOL):
         raise ConstructionError(
@@ -202,7 +166,6 @@ class QuadratureRule:
     weights: np.ndarray
     theta_counts: tuple[int, ...]
     phi_count: int
-    deduped: bool = False
 
     def __post_init__(self):
         points = np.asarray(self.points, dtype=np.float64)
@@ -332,63 +295,3 @@ def verify_exactness(rule: QuadratureRule, N: int) -> float:
     the uniform state average.  Returns max |G_N - I/d_N|.
     """
     return frame_residual(rule.states(), rule.weights, N)
-
-
-def cross_moment_residual(rule: QuadratureRule, max_degree: int | None = None) -> float:
-    """Largest |weighted average| over moments mixing unequal c/conj(c) counts.
-
-    Enumerates index tuples i (length p) and j (length q) with p != q
-    and p + q <= max_degree (default 2 N_exact); the true value of every
-    such moment is zero.  Diagnostic only: optimality certification does
-    not depend on it.
-    """
-    degree = 2 * rule.N_exact if max_degree is None else int(max_degree)
-    states = rule.states()
-    conj_states = states.conj()
-    worst = 0.0
-    for p in range(degree + 1):
-        for q in range(degree + 1 - p):
-            if p == q:
-                continue
-            for i_tuple in product(range(rule.d), repeat=p):
-                for j_tuple in product(range(rule.d), repeat=q):
-                    vals = np.ones(rule.n_points, dtype=np.complex128)
-                    for k in i_tuple:
-                        vals = vals * states[:, k]
-                    for k in j_tuple:
-                        vals = vals * conj_states[:, k]
-                    worst = max(worst, abs(complex(np.sum(rule.weights * vals))))
-    return worst
-
-
-def dedupe(rule: QuadratureRule) -> QuadratureRule:
-    """Merge nodes whose states coincide as rays, summing their weights.
-
-    Two nodes merge when the fidelity of their states is within
-    DEDUPE_FIDELITY_TOL of 1.  The first occurrence keeps its chi
-    coordinates; weight normalisation is preserved.
-    """
-    states = rule.states()
-    kept_idx: list[int] = []
-    kept_states: list[np.ndarray] = []
-    merged_weights: list[float] = []
-    for a in range(rule.n_points):
-        s = states[a]
-        if kept_states:
-            fids = np.abs(np.asarray(kept_states) @ s.conj()) ** 2
-            hit = int(np.argmax(fids))
-            if fids[hit] >= 1.0 - DEDUPE_FIDELITY_TOL:
-                merged_weights[hit] += float(rule.weights[a])
-                continue
-        kept_idx.append(a)
-        kept_states.append(s)
-        merged_weights.append(float(rule.weights[a]))
-    return QuadratureRule(
-        d=rule.d,
-        N_exact=rule.N_exact,
-        points=rule.points[kept_idx],
-        weights=np.asarray(merged_weights, dtype=np.float64),
-        theta_counts=rule.theta_counts,
-        phi_count=rule.phi_count,
-        deduped=True,
-    )

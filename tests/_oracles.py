@@ -218,6 +218,48 @@ def gram_residual_states(states: np.ndarray, weights: np.ndarray, n: int,
     return float(np.max(np.abs(gram)))
 
 
+def cross_moment_residual(rule, max_degree: int | None = None) -> float:
+    """Largest |weighted average| over moments mixing unequal c/conj(c) counts.
+
+    Enumerates index tuples i (length p) and j (length q) with p != q
+    and p + q <= max_degree (default 2 N_exact); the true value of every
+    such moment is zero.  Diagnostic only: optimality certification does
+    not depend on it.
+    """
+    degree = 2 * rule.N_exact if max_degree is None else int(max_degree)
+    states = rule.states()
+    conj_states = states.conj()
+    worst = 0.0
+    for p in range(degree + 1):
+        for q in range(degree + 1 - p):
+            if p == q:
+                continue
+            for i_tuple in itertools.product(range(rule.d), repeat=p):
+                for j_tuple in itertools.product(range(rule.d), repeat=q):
+                    vals = np.ones(rule.n_points, dtype=np.complex128)
+                    for k in i_tuple:
+                        vals = vals * states[:, k]
+                    for k in j_tuple:
+                        vals = vals * conj_states[:, k]
+                    worst = max(worst, abs(complex(np.sum(rule.weights * vals))))
+    return worst
+
+
+def max_ray_overlap(states: np.ndarray, block: int = 512) -> float:
+    """Largest |<phi_a|phi_b>|^2 over pairs a != b of unit-norm rows.
+
+    The Gram matrix is formed one block of rows at a time, so memory is
+    O(block * A) instead of O(A^2).
+    """
+    worst = 0.0
+    for start in range(0, states.shape[0], block):
+        fids = np.abs(states[start : start + block].conj() @ states.T) ** 2
+        rows = np.arange(fids.shape[0])
+        fids[rows, start + rows] = 0.0
+        worst = max(worst, float(fids.max()))
+    return worst
+
+
 # ---------------------------------------------------------------------------
 # Fidelity by the direct sum over outcomes
 

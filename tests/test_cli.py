@@ -6,6 +6,7 @@ import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from povmquad import check_completeness, check_optimality, check_universality, load_povm
 from povmquad.cli import EXIT_CERTIFICATION, EXIT_INPUT, EXIT_OK, EXIT_RESOURCE, main
@@ -92,6 +93,13 @@ class TestBuild:
         assert "level k=2" in err
         assert not path.exists()
 
+    def test_dedupe_flag_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["build", "--d", "2", "--N", "1", "--out", str(tmp_path / "x.json"), "--dedupe"])
+        assert info.value.code == EXIT_INPUT
+        assert "--dedupe" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
     def test_unwritable_out_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "missing_dir" / "x.json"
         code, out, err = run(capsys, ["build", "--d", "2", "--N", "1", "--out", str(path)])
@@ -147,14 +155,6 @@ class TestVerify:
         assert code == EXIT_INPUT
         assert "--tol" in err
 
-    def test_verify_rejects_nan_amplitude(self, povm_path, capsys):
-        doc = json.loads(povm_path.read_text())
-        doc["elements"][0]["c"][0][0] = "nan"
-        povm_path.write_text(json.dumps(doc))
-        code, out, _ = run(capsys, ["verify", str(povm_path), "--level", "completeness"])
-        assert code == EXIT_INPUT
-        assert "[PASS]" not in out
-
     def test_verify_nan_residual_fails(self, povm_path, capsys, monkeypatch):
         import povmquad.cli
 
@@ -194,6 +194,36 @@ class TestVerify:
         run(capsys, ["verify", str(povm_path), "--json"])
         # The load-time completeness gate, then one operator per level.
         assert levels == [1, 1, 2]
+
+
+# Commands that read a POVM file, with arguments that make them run.
+FILE_COMMANDS = {
+    "verify": ["--level", "completeness"],
+    "fidelity": ["--samples", "100", "--seed", "1"],
+    "simulate": ["--shots", "10", "--seed", "1", "--basis", "0"],
+}
+
+
+class TestNonFiniteFile:
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_non_finite_value_is_input_error(self, povm_path, capsys, data):
+        doc = json.loads(povm_path.read_text())
+        element = doc["elements"][data.draw(st.integers(0, len(doc["elements"]) - 1))]
+        value = data.draw(st.sampled_from(["nan", "inf", "-inf"]))
+        if data.draw(st.booleans(), label="weight slot"):
+            element["w"] = value
+        else:
+            amp = element["c"][data.draw(st.integers(0, len(element["c"]) - 1))]
+            amp[data.draw(st.integers(0, 1))] = value
+        bad = povm_path.with_name("bad.json")
+        bad.write_text(json.dumps(doc))
+        command = data.draw(st.sampled_from(sorted(FILE_COMMANDS)))
+        code, out, err = run(capsys, [command, str(bad), *FILE_COMMANDS[command]])
+        assert code == EXIT_INPUT
+        assert err.startswith("input error:")
+        assert out == ""
 
 
 class TestFidelity:
@@ -346,6 +376,22 @@ class TestClone:
         )
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize("states", ["0", "-2"])
+    def test_rejects_non_positive_states_before_building(self, capsys, monkeypatch, states):
+        import povmquad.cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("build_povm called")
+
+        monkeypatch.setattr(povmquad.cli, "build_povm", refuse)
+        code, out, err = run(
+            capsys,
+            ["clone", "--d", "2", "--N", "1", "--M", "3", "--states", states, "--seed", "1"],
+        )
+        assert code == EXIT_INPUT
+        assert "--states" in err
+        assert out == ""
+
 
 class TestMoments:
     def test_single_pair(self, capsys):
@@ -384,6 +430,34 @@ class TestMoments:
     def test_rejects_unparseable_index(self, capsys):
         code, _, err = run(capsys, ["moments", "--d", "2", "--i", "a", "--j", "1"])
         assert code == EXIT_INPUT
+
+    def test_readme_table_fits_default_guard(self, capsys):
+        code, out, _ = run(capsys, ["moments", "--d", "3", "--max-len", "2", "--json"])
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert len(doc["rows"]) == 3**2 + 3**4
+        # Rows are streamed, yet the text is the one json.dumps document.
+        assert out == json.dumps(doc, sort_keys=True) + "\n"
+
+    def test_table_guard_refuses_before_output(self, capsys, monkeypatch):
+        # The length-2 table is the 9 x 9 moment matrix: d^l = 9 > 8.
+        monkeypatch.setenv("POVMQUAD_FULL_SPACE_GUARD", "8")
+        code, out, err = run(capsys, ["moments", "--d", "3", "--max-len", "2"])
+        assert code == EXIT_RESOURCE
+        assert "POVMQUAD_FULL_SPACE_GUARD" in err
+        assert out == ""
+
+    def test_huge_max_len_refused_at_first_oversized_length(self, capsys):
+        code, out, err = run(capsys, ["moments", "--d", "2", "--max-len", str(10**9)])
+        assert code == EXIT_RESOURCE
+        assert "d^13 for d=2 = 8192" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("d,max_len", [("0", "3"), ("1", "3"), ("2", "0"), ("2", "-1")])
+    def test_rejects_bad_table_arguments(self, capsys, d, max_len):
+        code, out, err = run(capsys, ["moments", "--d", d, "--max-len", max_len])
+        assert code == EXIT_INPUT
+        assert out == ""
 
 
 class TestParser:

@@ -101,13 +101,20 @@ class TestOutcomeProbs:
         rotated = PureState(np.exp(0.71j) * state.amplitudes)
         assert np.max(np.abs(outcome_probs(povm, state) - outcome_probs(povm, rotated))) < 1e-14
 
-    def test_unitary_covariance(self, povm_for):
-        povm = povm_for(2, 2)
-        u = haar_random_unitary(2, 31)
+    @settings(max_examples=20, deadline=None)
+    @given(
+        pair=st.sampled_from(ACCEPTANCE_PAIRS),
+        u_seed=st.integers(0, 2**32 - 1),
+        state_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_unitary_covariance(self, povm_for, pair, u_seed, state_seed):
+        # The family {U phi_a} at U phi gives the outcome law of {phi_a} at phi.
+        povm = povm_for(*pair)
+        u = haar_random_unitary(povm.d, u_seed)
         rotated_povm = Povm(
             d=povm.d, N=povm.N, weights=povm.weights, guesses=povm.guesses @ u.T,
         )
-        state = haar_random_state(2, 32)
+        state = haar_random_state(povm.d, state_seed)
         rotated_state = PureState(u @ state.amplitudes)
         base = outcome_probs(povm, state)
         moved = outcome_probs(rotated_povm, rotated_state)

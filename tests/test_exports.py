@@ -1,0 +1,85 @@
+"""Names other code relies on: the package exports and the benchmark's layer hooks.
+
+The benchmark in perfbench/ wraps the functions listed in spans.py and
+its launcher hooks read some of their arguments by name.  Both files are
+parsed here, never imported or executed, so renaming a layer function or
+one of those parameters fails the test suite instead of the traced run.
+"""
+
+import ast
+import importlib
+import inspect
+from pathlib import Path
+
+import pytest
+
+import povmquad
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _assigned_value(filename: str, name: str) -> ast.expr:
+    tree = ast.parse((PERFBENCH / filename).read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == name for t in node.targets
+        ):
+            return node.value
+    raise AssertionError(f"{name} is not assigned in perfbench/{filename}")
+
+
+def _hooked_parameters() -> dict[str, list[str]]:
+    """Layer name -> the args["..."] keys its launcher hook reads."""
+    tree = ast.parse((PERFBENCH / "launcher.py").read_text(encoding="utf-8"))
+    reads = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            reads[node.name] = sorted(
+                {
+                    sub.slice.value
+                    for sub in ast.walk(node)
+                    if isinstance(sub, ast.Subscript)
+                    and isinstance(sub.value, ast.Name)
+                    and sub.value.id == "args"
+                    and isinstance(sub.slice, ast.Constant)
+                }
+            )
+    hooks = _assigned_value("launcher.py", "_HOOKS")
+    return {key.value: reads[value.id] for key, value in zip(hooks.keys, hooks.values)}
+
+
+LAYER_FUNCTIONS = ast.literal_eval(_assigned_value("spans.py", "LAYER_FUNCTIONS"))
+HOOKED_PARAMETERS = _hooked_parameters()
+
+
+def _layer(name: str):
+    module, function = name.split(".")
+    return getattr(importlib.import_module(f"povmquad.{module}"), function)
+
+
+@pytest.mark.parametrize("module,function", LAYER_FUNCTIONS)
+def test_layer_function_resolves(module, function):
+    assert callable(_layer(f"{module}.{function}"))
+
+
+@pytest.mark.parametrize("layer", sorted(HOOKED_PARAMETERS))
+def test_hooked_parameters_exist(layer):
+    assert tuple(layer.split(".")) in LAYER_FUNCTIONS
+    parameters = inspect.signature(_layer(layer)).parameters
+    missing = [name for name in HOOKED_PARAMETERS[layer] if name not in parameters]
+    assert not missing, f"{layer} lacks the parameters {missing} its hook reads"
+
+
+def test_hook_parser_finds_the_arguments():
+    # Guards the parser itself: an empty result would pass every check above.
+    found = {name for names in HOOKED_PARAMETERS.values() for name in names}
+    assert {"N", "samples", "povm", "povm_m", "path"} <= found
+
+
+def test_every_export_is_an_attribute():
+    missing = [name for name in povmquad.__all__ if not hasattr(povmquad, name)]
+    assert not missing
+    assert len(set(povmquad.__all__)) == len(povmquad.__all__)
+    namespace: dict = {}
+    exec("from povmquad import *", namespace)
+    assert set(povmquad.__all__) <= set(namespace)

@@ -129,11 +129,6 @@ class TestBuild:
         with pytest.raises(ConstructionError):
             build_povm(2, 2, theta_counts=(2, 2))
 
-    def test_dedupe_flag_keeps_certification(self):
-        povm = build_povm(2, 1, dedupe=True)
-        assert check_optimality(povm) < 1e-10
-        assert povm.provenance["dedupe"] is True
-
 
 class TestResiduals:
     def test_single_element_completeness_residual_is_one(self):
@@ -165,6 +160,10 @@ class TestResiduals:
             check_optimality(povm)
 
 
+# (d, M) families that restrict_povm cuts down to every N <= M.
+RESTRICT_FAMILIES = [(2, 1), (2, 3), (2, 5), (3, 1), (3, 3), (4, 2)]
+
+
 class TestRestrict:
     def test_same_level_restriction_is_identity(self, povm_for):
         povm = povm_for(2, 2)
@@ -173,11 +172,19 @@ class TestRestrict:
         assert np.array_equal(same.weights, povm.weights)
         assert np.array_equal(same.guesses, povm.guesses)
 
-    def test_restriction_stays_optimal(self, povm_for):
-        restricted = restrict_povm(povm_for(2, 3), 2)
-        assert restricted.N == 2
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_restriction_stays_optimal(self, povm_for, data):
+        # A rule exact at degree 2M is exact at degree 2(N+1) <= 2M, so
+        # every N < M is universal as well as optimal.
+        d, m = data.draw(st.sampled_from(RESTRICT_FAMILIES), label="(d, M)")
+        n = data.draw(st.integers(1, m), label="N")
+        restricted = restrict_povm(povm_for(d, m), n)
+        assert restricted.N == n
         assert check_optimality(restricted) < 1e-10
-        assert restricted.provenance["restricted_from"] == 3
+        if n < m:
+            assert check_universality(restricted) < 1e-10
+        assert restricted.provenance["restricted_from"] == m
 
     def test_rejects_raising_or_zero(self, povm_for):
         povm = povm_for(2, 2)

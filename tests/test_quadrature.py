@@ -11,8 +11,6 @@ from povmquad import (
     PureState,
     QuadratureRule,
     chi_to_state,
-    cross_moment_residual,
-    dedupe,
     default_theta_counts,
     gauss_legendre,
     moment_value,
@@ -24,7 +22,13 @@ from povmquad import (
     verify_exactness,
 )
 
-from _oracles import ACCEPTANCE_PAIRS, gram_residual_states, truncate_phi_points
+from _oracles import (
+    ACCEPTANCE_PAIRS,
+    cross_moment_residual,
+    gram_residual_states,
+    max_ray_overlap,
+    truncate_phi_points,
+)
 
 
 class TestGaussLegendre:
@@ -70,6 +74,23 @@ class TestGaussLegendre:
     def test_rejects_zero_points(self):
         with pytest.raises(InputFormatError):
             gauss_legendre(0)
+
+    @pytest.mark.parametrize("offset", [1e-6, math.nan])
+    def test_root_residual_certificate_fails_closed(self, monkeypatch, offset):
+        # P_n off by a constant: one Newton step from the true roots leaves
+        # residuals far above NEWTON_TOL, and a NaN residual must fail too.
+        import povmquad.quadrature as quadrature
+
+        original = quadrature._legendre_and_derivative
+
+        def shifted(n, x):
+            p, dp = original(n, x)
+            return p + offset, dp
+
+        monkeypatch.setattr(quadrature, "_legendre_and_derivative", shifted)
+        with pytest.raises(ConstructionError) as info:
+            gauss_legendre(6)
+        assert not info.value.residual <= quadrature.NEWTON_TOL
 
 
 class TestTrapezoidPhase:
@@ -226,6 +247,18 @@ class TestSphereGrid:
     def test_cross_moments_vanish(self, rule_for, d, n):
         assert cross_moment_residual(rule_for(d, n)) < 1e-12
 
+    @pytest.mark.parametrize("d,n", [*ACCEPTANCE_PAIRS, (3, 3)])
+    def test_minimal_grid_has_no_coincidences(self, rule_for, d, n):
+        # No two nodes of a default grid are the same ray, so no two
+        # outcomes of a built POVM could be merged.
+        assert max_ray_overlap(rule_for(d, n).states()) < 1.0 - 1e-12
+
+    def test_even_phase_count_repeats_rays(self):
+        # Negative control: with an even phase count the node at
+        # (pi - t_j, phi + pi) is the ray of -c for every node c.
+        rule = sphere_grid(2, 1, theta_counts=(4, 3), phi_count=4)
+        assert max_ray_overlap(rule.states()) > 1.0 - 1e-12
+
     def test_insufficient_counts_fail_verification(self):
         rule = sphere_grid(3, 2, theta_counts=(3, 3, 3, 3))
         assert verify_exactness(rule, 2) > 1e-3
@@ -264,41 +297,6 @@ class TestChiToState:
     def test_rejects_off_sphere(self):
         with pytest.raises(InputFormatError):
             chi_to_state(np.array([1.0, 1.0, 0.0, 0.0]))
-
-
-class TestDedupe:
-    def test_merges_equal_rays(self):
-        points = np.array([[1.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]])
-        rule = QuadratureRule(
-            d=2, N_exact=1, points=points, weights=np.array([0.3, 0.7]),
-            theta_counts=(1, 1), phi_count=2,
-        )
-        merged = dedupe(rule)
-        assert merged.n_points == 1
-        assert merged.deduped
-        assert abs(merged.weights[0] - 1.0) < 1e-15
-
-    def test_keeps_distinct_rays(self):
-        points = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
-        rule = QuadratureRule(
-            d=2, N_exact=1, points=points, weights=np.array([0.4, 0.6]),
-            theta_counts=(1, 1), phi_count=2,
-        )
-        merged = dedupe(rule)
-        assert merged.n_points == 2
-
-    def test_minimal_grid_has_no_coincidences(self, rule_for):
-        rule = rule_for(2, 1)
-        merged = dedupe(rule)
-        assert merged.n_points == rule.n_points
-        assert verify_exactness(merged, 1) < 1e-12
-
-    def test_preserves_exactness_when_merging(self):
-        rule = sphere_grid(2, 1, theta_counts=(4, 3), phi_count=4)
-        merged = dedupe(rule)
-        assert merged.n_points <= rule.n_points
-        assert verify_exactness(merged, 1) < 1e-12
-        assert abs(math.fsum(merged.weights) - 1.0) < 1e-13
 
 
 class TestRuleValidation:

@@ -47,9 +47,7 @@ from .quadrature import (
     default_theta_counts,
     gauss_legendre,
     sphere_grid,
-    theta_rule_gl,
-    theta_rule_midpoint,
-    trapezoid_phase,
+    theta_rule,
     verify_exactness,
 )
 from .symmetric import (
@@ -118,9 +116,7 @@ __all__ = [
     "sym_embed_batch",
     "sym_isometry",
     "symmetric_projector_full",
-    "theta_rule_gl",
-    "theta_rule_midpoint",
-    "trapezoid_phase",
+    "theta_rule",
     "two_step_components",
     "two_step_estimate",
     "verify_exactness",

@@ -64,6 +64,13 @@ def _check_tol(tol: float) -> None:
         raise InputFormatError(f"--tol must be finite and non-negative, got {tol!r}")
 
 
+def _check_seeds(args: argparse.Namespace) -> None:
+    for flag in ("seed", "state_seed"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 0:
+            raise InputFormatError(f"--{flag.replace('_', '-')} must be non-negative, got {value}")
+
+
 RESIDUAL_LEVELS = ("completeness", "optimality", "universality")
 
 
@@ -377,6 +384,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_seeds(args)
         return args.func(args)
     except InputFormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)

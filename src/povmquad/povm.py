@@ -13,7 +13,6 @@ construction and are certified numerically before a Povm is returned.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
@@ -21,8 +20,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ConstructionError, InputFormatError, exceeds
-from .limits import BUILD_GUARD_ENV, check_cost
-from .quadrature import default_theta_counts, sphere_grid, verify_exactness
+from .quadrature import sphere_grid, verify_exactness
 from .symmetric import NORM_TOL, PureState, frame_residual, sym_dim
 
 FORMAT_VERSION = "1"
@@ -110,26 +108,15 @@ def build_povm(
     N: int,
     *,
     theta_counts: tuple[int, ...] | None = None,
-    phi_count: int | None = None,
     tol: float = CERTIFICATION_TOL,
 ) -> Povm:
     """Construct and certify the grid-based optimal POVM for (d, N).
 
     Raises ResourceLimitError if the construction cost exceeds the
-    guard and ConstructionError (carrying the residual) if the built
-    rule fails exactness certification at `tol`.
+    guard (checked by sphere_grid) and ConstructionError (carrying the
+    residual) if the built rule fails exactness certification at `tol`.
     """
-    if d < 2 or N < 1:
-        raise InputFormatError(f"need d >= 2 and N >= 1, got d={d}, N={N}")
-    counts = default_theta_counts(d, N) if theta_counts is None else tuple(theta_counts)
-    n_phi = 2 * N + 1 if phi_count is None else int(phi_count)
-    n_points = n_phi * math.prod(counts)
-    check_cost(
-        f"construction cost A*d_N^2 for d={d}, N={N}",
-        n_points * sym_dim(d, N) ** 2,
-        BUILD_GUARD_ENV,
-    )
-    rule = sphere_grid(d, N, theta_counts=theta_counts, phi_count=phi_count)
+    rule = sphere_grid(d, N, theta_counts=theta_counts)
     residual = verify_exactness(rule, N)
     if exceeds(residual, tol):
         raise ConstructionError(
@@ -139,7 +126,6 @@ def build_povm(
     provenance = {
         "construction": "sphere-grid",
         "theta_counts": list(rule.theta_counts),
-        "phi_count": rule.phi_count,
         "certified_residual": f"{residual:.17g}",
         "certification_tol": f"{tol:.17g}",
     }
@@ -207,10 +193,11 @@ def save_povm(povm: Povm, path: str | Path) -> None:
 def load_povm(path: str | Path) -> Povm:
     """Read a POVM file and re-verify its invariants.
 
-    Rejects unknown format versions, everything Povm rejects (non-finite
-    values, non-positive weights, non-unit guesses), weight sums away
-    from 1, and completeness residuals above 1e-8 (reported in the error
-    message).  Missing provenance maps to {"source": "unknown"}.
+    Rejects unknown format versions, d or N that are not JSON integers,
+    everything Povm rejects (non-finite values, non-positive weights,
+    non-unit guesses), weight sums away from 1, and completeness
+    residuals above 1e-8 (reported in the error message).  Missing
+    provenance maps to {"source": "unknown"}.
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -221,9 +208,11 @@ def load_povm(path: str | Path) -> Povm:
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise InputFormatError(f"unsupported format_version {version!r}")
+    d, N = doc.get("d"), doc.get("N")
+    # The writer only ever writes JSON integers; 1.9, true or "1" are not N.
+    if type(d) is not int or type(N) is not int:
+        raise InputFormatError(f"d and N must be JSON integers, got d={d!r}, N={N!r}")
     try:
-        d = int(doc["d"])
-        N = int(doc["N"])
         raw_elements = doc["elements"]
         weights = np.array([float(e["w"]) for e in raw_elements], dtype=np.float64)
         guesses = np.array(

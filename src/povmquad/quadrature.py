@@ -1,4 +1,4 @@
-"""Exact product quadratures on the unit hypersphere S^(2d-1).
+"""Exact product quadratures for the frame operator on S^(2d-1).
 
 A pure state in C^d is a point chi on the real unit sphere of dimension
 m = 2d via c_i = chi_{2i-1} + i*chi_{2i}.  In polar coordinates
@@ -8,34 +8,39 @@ m = 2d via c_i = chi_{2i-1} + i*chi_{2i}.  In polar coordinates
     chi_{m-1} = sin t_1 ... sin t_{m-2} cos phi,
     chi_m     = sin t_1 ... sin t_{m-2} sin phi,
 
-with surface measure prod_j sin^{m-1-j} t_j dt_j dphi.  A monomial
-chi^nu of total degree 2N factorises over the angles, so a product of
-one-dimensional rules that are exact for the per-angle factors yields a
-finite node set reproducing every degree-2N sphere moment exactly.
+with surface measure prod_j sin^{p_j} t_j dt_j dphi, p_j = m-1-j.  The
+grid is a product of one Gauss rule per polar angle at phi = 0, so c_d
+is real and non-negative.  It is exact for the level-N frame operator
+sum_a w_a (|phi_a><phi_a|)^{tensor N}:
 
-Per-angle rule choice: the phase angle phi takes an n-point trapezoid
-rule (exact for trigonometric degree < n).  A polar angle at position j
-carries the measure factor sin^{m-1-j} t.  When m-1-j is odd, one sine
-absorbs into the substitution x = cos t and the rest pair into
-(1-x**2)^k, so Gauss-Legendre nodes in x apply; when m-1-j is even the
-surviving integrands are polynomials in cos t alone and the n-point
-midpoint rule on [0, pi] (Gauss-Chebyshev nodes) is exact through
-degree 2n-1.  Monomials odd in any coordinate integrate to zero and
-every rule reproduces those zeros by node symmetry, so only all-even
-monomials constrain the node counts.  The measure exponent m-1-j grows
-toward outer positions, which is why the minimal counts below increase
-by one every two positions outward from the innermost angle.
+Phase.  The frame operator is invariant under a global phase.
+Multiplying a state by e^{-i phi}, phi the phase of c_d, rotates
+(chi_1, ..., chi_{m-2}) by an orthogonal map that keeps the polar
+measure, so the phi-average of a phase-invariant integrand equals its
+value at phi = 0.
+
+Polar angles.  At phi = 0 a monomial of even degree <= 2N factorises
+over the polar angles.  At t_j the factor is either a polynomial of
+degree <= 2N in x = cos t_j against the weight (1-x^2)^{(p_j-1)/2}, or
+odd in x and summed to zero by node symmetry.  The (N+1)-node Gauss
+rule for that weight is exact through degree 2N+1; N+1 is the minimum
+for degree 2N.
+
+Only phase-invariant moments are exact: an unbalanced one such as the
+average of c_d does not vanish on the grid, and nothing here uses one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .errors import ConstructionError, InputFormatError, exceeds
-from .symmetric import PureState, frame_residual
+from .limits import BUILD_GUARD_ENV, check_cost
+from .symmetric import PureState, frame_residual, sym_dim
 
 NEWTON_TOL = 1e-14
 CHI_NORM_TOL = 1e-10
@@ -45,11 +50,10 @@ CHI_NORM_TOL = 1e-10
 class Rule1D:
     """One-dimensional quadrature rule with an exactness certificate.
 
-    degree semantics by kind: "gauss-legendre" and "gauss-legendre-theta"
-    are exact for polynomial integrands (in x = cos t for the theta form)
-    up to the stated degree; "midpoint-theta" for polynomials in cos t
-    with even sine powers up to the stated degree; "trapezoid-phase" for
-    trigonometric polynomials up to the stated degree.
+    degree semantics by kind: "gauss-legendre" is exact for polynomial
+    integrands on [-1, 1] up to the stated degree; "gauss-theta" for
+    integrands cos^k t on [0, pi] against the measure sin^p t dt that
+    the weights carry, k up to the stated degree.
     """
 
     nodes: np.ndarray
@@ -68,92 +72,77 @@ class Rule1D:
         object.__setattr__(self, "weights", weights)
 
 
-def _legendre_and_derivative(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P_n(x) and P_n'(x) by the three-term recurrence."""
-    p_prev = np.ones_like(x)
-    p = x.copy()
-    for k in range(2, n + 1):
-        p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
-    dp = n * (x * p - p_prev) / (x * x - 1.0)
-    return p, dp
+def _recurrence(beta: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """q_n(x), q_n'(x) and sum_{k<n} q_k(x)^2, n = len(beta).
+
+    q_k are the orthonormal polynomials of the Jacobi matrix scaled to
+    q_0 = 1: beta_k q_k = x q_{k-1} - beta_{k-1} q_{k-2}.
+    """
+    q_prev = dq_prev = dq = squares = np.zeros_like(x)
+    q = np.ones_like(x)
+    b_prev = 0.0
+    for b in beta:
+        squares = squares + q * q
+        dq_prev, dq = dq, (q + x * dq - b_prev * dq_prev) / b
+        q_prev, q = q, (x * q - b_prev * q_prev) / b
+        b_prev = b
+    return q, dq, squares
 
 
-def gauss_legendre(n: int) -> Rule1D:
-    """n-point Gauss-Legendre rule on [-1, 1].
+def _gauss_jacobi(n: int, sin_power: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss rule on [-1, 1] for the weight (1-x^2)^a, a = (sin_power-1)/2.
 
     Golub-Welsch: the nodes are the eigenvalues of the symmetric Jacobi
-    matrix of the Legendre recurrence (zero diagonal, off-diagonal
-    beta_k = k/sqrt(4k^2-1)), polished by one Newton step on P_n.  The
-    rule is certified fail-closed by the root residual |P_n/P_n'| at
-    the symmetrised nodes.  Exact for polynomials of degree <= 2n-1.
+    matrix (zero diagonal, off-diagonal
+    beta_k = sqrt(k(k+2a)/((2k+2a)^2-1))), polished by one Newton step
+    and symmetrised.  The weights are the Christoffel numbers
+    mu_0/sum_{k<n} q_k(x)^2, with mu_0 = integral_0^pi sin^p t dt.  The
+    rule is certified fail-closed by the root residual |q_n/q_n'| (the
+    Newton correction, free of the scale of q_n) at the final nodes.
+    Exact for polynomials of degree <= 2n-1.
     """
-    if n < 1:
-        raise InputFormatError(f"need n >= 1, got n={n}")
-    k = np.arange(1.0, n)
-    beta = k / np.sqrt(4.0 * k * k - 1.0)
-    roots = np.linalg.eigvalsh(np.diag(beta, 1) + np.diag(beta, -1))
-    p, dp = _legendre_and_derivative(n, roots)
+    a = 0.5 * (sin_power - 1)
+    k = np.arange(1.0, n + 1)
+    beta = np.sqrt(k * (k + 2 * a) / ((2 * k + 2 * a) ** 2 - 1.0))
+    roots = np.linalg.eigvalsh(np.diag(beta[:-1], 1) + np.diag(beta[:-1], -1))
+    p, dp, _ = _recurrence(beta, roots)
     roots = roots - p / dp
     # Ascending nodes with the exact symmetry x_k = -x_{n+1-k}.
     roots = 0.5 * (roots - roots[::-1])
-    p, dp = _legendre_and_derivative(n, roots)
-    # Root-distance residual |P_n/P_n'|: the Newton correction at the
-    # final nodes, invariant to the growth of P_n' with n.
+    p, dp, squares = _recurrence(beta, roots)
     residual = float(np.max(np.abs(p / dp)))
     if exceeds(residual, NEWTON_TOL):
         raise ConstructionError(
-            f"Legendre root residual {residual:.3e} exceeds {NEWTON_TOL:g}", residual
+            f"Gauss root residual {residual:.3e} exceeds {NEWTON_TOL:g}", residual
         )
-    weights = 2.0 / ((1.0 - roots**2) * dp**2)
-    weights = 0.5 * (weights + weights[::-1])
-    return Rule1D(roots, weights, "gauss-legendre", 2 * n - 1)
+    # Wallis: integral_0^pi sin^p t dt from 2 (p odd) or pi (p even).
+    mu0 = 2.0 if sin_power % 2 else math.pi
+    for j in range(2 + sin_power % 2, sin_power + 1, 2):
+        mu0 *= (j - 1) / j
+    weights = mu0 / squares
+    return roots, 0.5 * (weights + weights[::-1])
 
 
-def trapezoid_phase(n: int) -> Rule1D:
-    """n equispaced nodes 2 pi k/n on [0, 2 pi), weights 2 pi/n.
-
-    Exact for trigonometric polynomials of degree <= n-1.
-    """
+def gauss_legendre(n: int) -> Rule1D:
+    """n-point Gauss-Legendre rule on [-1, 1], exact through degree 2n-1."""
     if n < 1:
         raise InputFormatError(f"need n >= 1, got n={n}")
-    nodes = 2.0 * math.pi * np.arange(n) / n
-    weights = np.full(n, 2.0 * math.pi / n)
-    return Rule1D(nodes, weights, "trapezoid-phase", n - 1)
+    nodes, weights = _gauss_jacobi(n, 1)
+    return Rule1D(nodes, weights, "gauss-legendre", 2 * n - 1)
 
 
-def theta_rule_gl(n: int, sin_power: int = 0) -> Rule1D:
-    """Gauss-Legendre rule transplanted to [0, pi] for polar angles.
+def theta_rule(n: int, sin_power: int) -> Rule1D:
+    """n-point Gauss rule for integral_0^pi f(t) sin^sin_power t dt.
 
-    Approximates integral_0^pi f(t) sin(t)^sin_power dt as
-    sum_k w_k f(t_k) with t_k = arccos(x_k) and the measure factor
-    folded into the weights; with sin_power = 0 the weights are the
-    classical w_k^gl / sin t_k.  Exact whenever
-    f(t) sin(t)^sin_power = cos^nu t sin^{mu+1} t with mu even and
-    nu + mu <= 2n-1.
+    Nodes t_k = arccos x_k ascend in (0, pi), and the weights carry the
+    measure: sum_k w_k cos^k t_k is exact for every k <= 2n-1.  The
+    x_k are the Gauss nodes for (1-x^2)^{(sin_power-1)/2}, so
+    sin_power = 1 is Gauss-Legendre in x = cos t.
     """
-    if sin_power < 0:
-        raise InputFormatError(f"need sin_power >= 0, got {sin_power}")
-    base = gauss_legendre(n)
-    theta = np.arccos(base.nodes[::-1])
-    sines = np.sin(theta)
-    weights = base.weights[::-1] * sines ** (sin_power - 1)
-    return Rule1D(theta, weights, "gauss-legendre-theta", base.degree)
-
-
-def theta_rule_midpoint(n: int) -> Rule1D:
-    """Midpoint rule on [0, pi] for polar angles with even sine powers.
-
-    Nodes t_k = (2k-1) pi/(2n), weights pi/n: the Gauss-Chebyshev rule
-    in x = cos t.  The doubled-range view (the same node set covers
-    [0, 2 pi) after reflection) shows it integrates
-    cos^nu t sin^mu t dt over [0, pi] exactly for even mu whenever
-    nu + mu <= 2n-1.
-    """
-    if n < 1:
-        raise InputFormatError(f"need n >= 1, got n={n}")
-    nodes = (2.0 * np.arange(1, n + 1) - 1.0) * math.pi / (2.0 * n)
-    weights = np.full(n, math.pi / n)
-    return Rule1D(nodes, weights, "midpoint-theta", 2 * n - 1)
+    if n < 1 or sin_power < 1:
+        raise InputFormatError(f"need n >= 1 and sin_power >= 1, got {n} and {sin_power}")
+    nodes, weights = _gauss_jacobi(n, sin_power)
+    return Rule1D(np.arccos(nodes[::-1]), weights[::-1], "gauss-theta", 2 * n - 1)
 
 
 @dataclass(frozen=True)
@@ -165,7 +154,6 @@ class QuadratureRule:
     points: np.ndarray
     weights: np.ndarray
     theta_counts: tuple[int, ...]
-    phi_count: int
 
     def __post_init__(self):
         points = np.asarray(self.points, dtype=np.float64)
@@ -189,30 +177,18 @@ class QuadratureRule:
 
 
 def default_theta_counts(d: int, N: int) -> tuple[int, ...]:
-    """Minimal per-angle node counts certifying degree-2N exactness.
-
-    Position j (1-based, j = 1..2d-2) needs its rule exact through
-    degree 2N plus the measure exponent m-1-j, giving
-    n_j = N + ceil((m-j)/2).  The innermost pair reduces to the familiar
-    N+1 Gauss-Legendre and N+2 midpoint counts.
-    """
-    m = 2 * d
-    return tuple(N + (m - j + 1) // 2 for j in range(1, m - 1))
+    """Minimal node counts for degree-2N exactness: N+1 on each of the 2d-2 polar angles."""
+    return (N + 1,) * (2 * d - 2)
 
 
-def sphere_grid(
-    d: int,
-    N: int,
-    *,
-    theta_counts: tuple[int, ...] | None = None,
-    phi_count: int | None = None,
-) -> QuadratureRule:
-    """Product quadrature on S^(2d-1) exact for all degree-2N moments.
+def sphere_grid(d: int, N: int, *, theta_counts: tuple[int, ...] | None = None) -> QuadratureRule:
+    """Product quadrature on S^(2d-1) exact for the level-N frame operator.
 
-    Optional count overrides exist for experiments and negative
-    controls; the defaults are the minimal certified-exact counts
-    (phi: 2N+1, polar: default_theta_counts).  Weights are normalised
-    to sum to 1, turning the rule into a weighted state average.
+    The theta_counts override exists for experiments and negative
+    controls; the default is default_theta_counts.  Every node has
+    phi = 0, and the weights are normalised to sum to 1, turning the
+    rule into a weighted state average.  Raises ResourceLimitError
+    before building if A*d_N^2 exceeds POVMQUAD_BUILD_GUARD.
     """
     if d < 2 or N < 1:
         raise InputFormatError(f"need d >= 2 and N >= 1, got d={d}, N={N}")
@@ -220,53 +196,21 @@ def sphere_grid(
     counts = default_theta_counts(d, N) if theta_counts is None else tuple(theta_counts)
     if len(counts) != m - 2 or any(c < 1 for c in counts):
         raise InputFormatError(f"theta_counts must be {m - 2} positive integers")
-    n_phi = 2 * N + 1 if phi_count is None else int(phi_count)
-    if n_phi < 1:
-        raise InputFormatError(f"phi_count must be positive, got {n_phi}")
+    total = math.prod(counts)
+    cost = total * sym_dim(d, N) ** 2
+    check_cost(f"construction cost A*d_N^2 for d={d}, N={N}", cost, BUILD_GUARD_ENV)
 
-    axis_nodes: list[np.ndarray] = []
-    axis_weights: list[np.ndarray] = []
-    for j in range(1, m - 1):
-        measure_power = m - 1 - j
-        if measure_power % 2 == 1:
-            rule = theta_rule_gl(counts[j - 1], sin_power=measure_power)
-            axis_weights.append(rule.weights)
-        else:
-            rule = theta_rule_midpoint(counts[j - 1])
-            axis_weights.append(rule.weights * np.sin(rule.nodes) ** measure_power)
-        axis_nodes.append(rule.nodes)
-    phi_rule = trapezoid_phase(n_phi)
-    axis_nodes.append(phi_rule.nodes)
-    axis_weights.append(phi_rule.weights)
-
-    mesh = np.meshgrid(*axis_nodes, indexing="ij")
-    total = math.prod(a.size for a in axis_nodes)
-    weights = np.ones(total, dtype=np.float64)
-    shape = tuple(a.size for a in axis_nodes)
-    for axis, w in enumerate(axis_weights):
-        expand = [1] * len(shape)
-        expand[axis] = shape[axis]
-        weights = weights * np.broadcast_to(w.reshape(expand), shape).ravel()
-
-    points = np.empty((total, m), dtype=np.float64)
+    rules = [theta_rule(n, m - 1 - j) for j, n in enumerate(counts, start=1)]
+    weights = reduce(np.multiply.outer, [r.weights for r in rules]).ravel()
+    points = np.zeros((total, m), dtype=np.float64)
     sin_cum = np.ones(total, dtype=np.float64)
-    for j in range(m - 2):
-        theta = mesh[j].ravel()
+    for j, theta in enumerate(np.meshgrid(*(r.nodes for r in rules), indexing="ij")):
+        theta = theta.ravel()
         points[:, j] = sin_cum * np.cos(theta)
         sin_cum = sin_cum * np.sin(theta)
-    phi = mesh[m - 2].ravel()
-    points[:, m - 2] = sin_cum * np.cos(phi)
-    points[:, m - 1] = sin_cum * np.sin(phi)
-
+    points[:, m - 2] = sin_cum
     weights = weights / math.fsum(weights)
-    return QuadratureRule(
-        d=d,
-        N_exact=N,
-        points=points,
-        weights=weights,
-        theta_counts=counts,
-        phi_count=n_phi,
-    )
+    return QuadratureRule(d=d, N_exact=N, points=points, weights=weights, theta_counts=counts)
 
 
 def chi_to_state(chi: np.ndarray) -> PureState:

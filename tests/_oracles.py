@@ -195,16 +195,17 @@ def moment_tensor_mc(d: int, length: int, samples: int, seed: int,
 # Grid manipulation for negative controls
 
 
-def truncate_phi_points(rule):
-    """Drop the upper half of the phase nodes from a built grid.
+def truncate_outer_angle(rule):
+    """Keep only the lower half of the outermost polar angle's nodes.
 
-    Returns (states, weights) with the surviving weights left
+    The grid is a product with the outermost angle t_1 as its slowest
+    axis.  Returns (states, weights) with the surviving weights left
     unrenormalised: a deliberately broken node set whose weighted
     moments are visibly wrong.
     """
-    n_phi = rule.phi_count
-    phi_index = np.arange(rule.n_points) % n_phi
-    keep = phi_index < n_phi // 2
+    outer = rule.theta_counts[0]
+    outer_index = np.arange(rule.n_points) // (rule.n_points // outer)
+    keep = outer_index < outer // 2
     return rule.states()[keep], rule.weights[keep]
 
 
@@ -216,33 +217,6 @@ def gram_residual_states(states: np.ndarray, weights: np.ndarray, n: int,
     gram = (emb * weights[:, None]).T @ emb.conj()
     gram[np.diag_indices(dim)] -= 1.0 / dim
     return float(np.max(np.abs(gram)))
-
-
-def cross_moment_residual(rule, max_degree: int | None = None) -> float:
-    """Largest |weighted average| over moments mixing unequal c/conj(c) counts.
-
-    Enumerates index tuples i (length p) and j (length q) with p != q
-    and p + q <= max_degree (default 2 N_exact); the true value of every
-    such moment is zero.  Diagnostic only: optimality certification does
-    not depend on it.
-    """
-    degree = 2 * rule.N_exact if max_degree is None else int(max_degree)
-    states = rule.states()
-    conj_states = states.conj()
-    worst = 0.0
-    for p in range(degree + 1):
-        for q in range(degree + 1 - p):
-            if p == q:
-                continue
-            for i_tuple in itertools.product(range(rule.d), repeat=p):
-                for j_tuple in itertools.product(range(rule.d), repeat=q):
-                    vals = np.ones(rule.n_points, dtype=np.complex128)
-                    for k in i_tuple:
-                        vals = vals * states[:, k]
-                    for k in j_tuple:
-                        vals = vals * conj_states[:, k]
-                    worst = max(worst, abs(complex(np.sum(rule.weights * vals))))
-    return worst
 
 
 def max_ray_overlap(states: np.ndarray, block: int = 512) -> float:

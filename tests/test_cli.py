@@ -31,7 +31,7 @@ class TestBuild:
         code, out, _ = run(capsys, ["build", "--d", "2", "--N", "1", "--out", str(path)])
         assert code == EXIT_OK
         assert path.exists()
-        assert "18 elements" in out
+        assert "4 elements" in out
         assert "completeness residual" in out
 
     def test_build_json_payload(self, tmp_path, capsys):
@@ -42,13 +42,13 @@ class TestBuild:
         assert code == EXIT_OK
         doc = json.loads(out)
         assert doc["operation"] == "build"
-        assert doc["elements"] == 60
+        assert doc["elements"] == 9
         assert doc["residuals"]["optimality"] < 1e-10
         assert abs(doc["weight_sum"] - 1.0) < 1e-12
 
     def test_build_resource_guard_exit_code(self, tmp_path, capsys):
         code, _, err = run(
-            capsys, ["build", "--d", "2", "--N", "50", "--out", str(tmp_path / "x.json")]
+            capsys, ["build", "--d", "3", "--N", "10", "--out", str(tmp_path / "x.json")]
         )
         assert code == EXIT_RESOURCE
         assert "resource guard" in err
@@ -84,9 +84,9 @@ class TestBuild:
         }
 
     def test_refused_build_leaves_no_file(self, tmp_path, capsys, monkeypatch):
-        # Level-1 cost 18 * 2^2 = 72 fits the guard; level-2 cost
-        # 18 * 3^2 = 162 at the universality check does not.
-        monkeypatch.setenv("POVMQUAD_BUILD_GUARD", "100")
+        # Level-1 cost 4 * 2^2 = 16 fits the guard; level-2 cost
+        # 4 * 3^2 = 36 at the universality check does not.
+        monkeypatch.setenv("POVMQUAD_BUILD_GUARD", "20")
         path = tmp_path / "x.json"
         code, _, err = run(capsys, ["build", "--d", "2", "--N", "1", "--out", str(path)])
         assert code == EXIT_RESOURCE
@@ -143,6 +143,16 @@ class TestVerify:
         code, _, err = run(capsys, ["verify", str(path)])
         assert code == EXIT_INPUT
         assert "input error" in err
+
+    @pytest.mark.parametrize("key,value", [("N", 1.9), ("N", True), ("N", "1"), ("d", 2.5)])
+    def test_verify_rejects_non_integer_dimensions(self, povm_path, capsys, key, value):
+        doc = json.loads(povm_path.read_text())
+        doc[key] = value
+        povm_path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["verify", str(povm_path), "--level", "completeness"])
+        assert code == EXIT_INPUT
+        assert err.startswith("input error:")
+        assert out == ""
 
     def test_verify_missing_file(self, tmp_path, capsys):
         code, _, err = run(capsys, ["verify", str(tmp_path / "nope.json")])
@@ -275,8 +285,8 @@ class TestFidelity:
         assert code == EXIT_INPUT
 
     def test_level_n_plus_one_frame_under_build_guard(self, povm_path, capsys, monkeypatch):
-        # Loading certifies G_1 (18 * 2^2 = 72); the fidelity needs G_2 (18 * 3^2 = 162).
-        monkeypatch.setenv("POVMQUAD_BUILD_GUARD", "100")
+        # Loading certifies G_1 (4 * 2^2 = 16); the fidelity needs G_2 (4 * 3^2 = 36).
+        monkeypatch.setenv("POVMQUAD_BUILD_GUARD", "20")
         code, _, err = run(capsys, ["fidelity", str(povm_path), "--samples", "500", "--seed", "1"])
         assert code == EXIT_RESOURCE
         assert "POVMQUAD_BUILD_GUARD" in err
@@ -298,7 +308,7 @@ class TestSimulate:
         assert code == EXIT_OK
         doc = json.loads(out)
         assert sum(doc["counts"]) == 5000
-        assert len(doc["counts"]) == 18
+        assert len(doc["counts"]) == 4
         assert doc["tv_distance"] < 0.1
 
     def test_basis_state_input(self, povm_path, capsys):
@@ -457,6 +467,33 @@ class TestMoments:
     def test_rejects_bad_table_arguments(self, capsys, d, max_len):
         code, out, err = run(capsys, ["moments", "--d", d, "--max-len", max_len])
         assert code == EXIT_INPUT
+        assert out == ""
+
+
+class TestSeeds:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "{path}", "--shots", "10", "--seed", "-1", "--state-seed", "1"],
+            ["simulate", "{path}", "--shots", "10", "--seed", "1", "--state-seed", "-3"],
+            ["fidelity", "{path}", "--samples", "100", "--seed", "-5"],
+            ["clone", "--d", "2", "--N", "1", "--M", "2", "--seed", "-1"],
+        ],
+        ids=["simulate-seed", "simulate-state-seed", "fidelity-seed", "clone-seed"],
+    )
+    def test_negative_seed_is_input_error(self, povm_path, capsys, monkeypatch, argv):
+        import povmquad.cli
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("a negative seed reached the computation")
+
+        # Rejected before any work: nothing is loaded or built.
+        monkeypatch.setattr(povmquad.cli, "load_povm", no_work)
+        monkeypatch.setattr(povmquad.cli, "build_povm", no_work)
+        code, out, err = run(capsys, [arg.format(path=povm_path) for arg in argv])
+        assert code == EXIT_INPUT
+        assert err.startswith("input error:")
+        assert "Traceback" not in err
         assert out == ""
 
 

@@ -232,9 +232,9 @@ class TestFrameOperatorFidelity:
         assert abs(report.value - direct.mean()) < 1e-12
 
     def test_monte_carlo_refused_under_build_guard(self, povm_for, monkeypatch):
-        # G_2 of the 18-element qubit family costs 18 * 3^2 = 162.
+        # G_2 of the 4-element qubit family costs 4 * 3^2 = 36; G_1 costs 16.
         povm = povm_for(2, 1)
-        monkeypatch.setenv("POVMQUAD_BUILD_GUARD", "100")
+        monkeypatch.setenv("POVMQUAD_BUILD_GUARD", "20")
         with pytest.raises(ResourceLimitError, match="POVMQUAD_BUILD_GUARD"):
             mean_fidelity_mc(povm, samples=1000, seed=1)
 

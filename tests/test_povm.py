@@ -69,7 +69,7 @@ ROUND_TRIP_FAMILIES = [(2, 1, 1), (2, 3, 3), (2, 3, 1), (3, 2, 2), (3, 2, 1), (4
 class TestBuild:
     def test_minimal_qubit_povm(self, povm_for):
         povm = povm_for(2, 1)
-        assert povm.n_outcomes == 18
+        assert povm.n_outcomes == 4
         assert check_optimality(povm) < 1e-12
         assert check_completeness(povm) < 1e-12
         assert abs(math.fsum(povm.weights) - 1.0) < 1e-14
@@ -89,17 +89,17 @@ class TestBuild:
         assert comp <= sym_dim(2, 2) * opt + 1e-15
 
     def test_provenance_records_construction(self, povm_for):
-        povm = povm_for(3, 1)
+        povm = povm_for(3, 2)
         prov = povm.provenance
         assert prov["construction"] == "sphere-grid"
-        assert prov["theta_counts"] == [4, 3, 3, 2]
-        assert prov["phi_count"] == 3
+        assert prov["theta_counts"] == [3, 3, 3, 3]
+        assert "phi_count" not in prov
         assert float(prov["certified_residual"]) < 1e-10
 
     def test_elements_are_rank_one_with_trace_dim_times_weight(self, povm_for):
         povm = povm_for(2, 2)
         dim = sym_dim(2, 2)
-        for a in (0, 7, 59):
+        for a in (0, 4, 8):
             vec = sym_embed(povm.guess_state(a), 2)
             element = dim * povm.weights[a] * np.outer(vec, vec.conj())
             eigs = np.linalg.eigvalsh(element)
@@ -107,11 +107,13 @@ class TestBuild:
             assert abs(np.trace(element).real - dim * povm.weights[a]) < 1e-12
 
     def test_build_guard_refuses_large_runs(self):
+        # (3, 10): A * d_N^2 = 11^4 * 66^2, about 6.4e7 against the default 5e7.
         with pytest.raises(ResourceLimitError):
-            build_povm(2, 50)
+            build_povm(3, 10)
 
     def test_build_guard_env_override(self, monkeypatch):
-        monkeypatch.setenv("POVMQUAD_BUILD_GUARD", "50")
+        # (2, 1): A * d_N^2 = 4 * 2^2 = 16.
+        monkeypatch.setenv("POVMQUAD_BUILD_GUARD", "10")
         with pytest.raises(ResourceLimitError):
             build_povm(2, 1)
 
@@ -143,11 +145,11 @@ class TestResiduals:
         assert check_completeness(broken) > 1e-3
 
     def test_minimal_grid_is_not_universal(self, povm_for):
-        # The level-(N+1) residual of the minimal 18-point qubit grid is
-        # exactly 1/18: optimal for estimation yet not universal.
+        # The level-(N+1) residual of the minimal 4-point qubit grid is
+        # exactly 1/6: optimal for estimation yet not universal.
         povm = povm_for(2, 1)
         residual = check_universality(povm)
-        assert abs(residual - 1.0 / 18.0) < 1e-9
+        assert abs(residual - 1.0 / 6.0) < 1e-9
 
     def test_restricted_povm_is_universal(self, povm_for):
         restricted = restrict_povm(povm_for(2, 2), 1)
@@ -262,7 +264,7 @@ class TestSaveLoad:
         doc = json.loads(path.read_text())
         assert doc["format_version"] == "1"
         assert doc["d"] == 2 and doc["N"] == 1
-        assert len(doc["elements"]) == 18
+        assert len(doc["elements"]) == 4
         assert isinstance(doc["elements"][0]["w"], str)
         assert path.read_text().endswith("\n")
 
@@ -273,6 +275,18 @@ class TestSaveLoad:
         doc["format_version"] = "999"
         path.write_text(json.dumps(doc))
         with pytest.raises(InputFormatError):
+            load_povm(path)
+
+    @pytest.mark.parametrize(
+        "key,value", [("N", 1.9), ("N", True), ("N", "1"), ("N", 1.0), ("d", 2.5), ("d", None)]
+    )
+    def test_rejects_non_integer_dimensions(self, povm_for, tmp_path, key, value):
+        path = tmp_path / "povm.json"
+        save_povm(povm_for(2, 1), path)
+        doc = json.loads(path.read_text())
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InputFormatError, match="JSON integers"):
             load_povm(path)
 
     def test_rejects_negative_weight(self, povm_for, tmp_path):

@@ -1,4 +1,4 @@
-"""One-dimensional rules and the product sphere grid, with negative controls."""
+"""One-dimensional Gauss rules and the product sphere grid, with negative controls."""
 
 import math
 
@@ -10,24 +10,22 @@ from povmquad import (
     InputFormatError,
     PureState,
     QuadratureRule,
+    ResourceLimitError,
     chi_to_state,
     default_theta_counts,
     gauss_legendre,
     moment_value,
     sphere_grid,
     sym_embed_batch,
-    theta_rule_gl,
-    theta_rule_midpoint,
-    trapezoid_phase,
+    theta_rule,
     verify_exactness,
 )
 
 from _oracles import (
     ACCEPTANCE_PAIRS,
-    cross_moment_residual,
     gram_residual_states,
     max_ray_overlap,
-    truncate_phi_points,
+    truncate_outer_angle,
 )
 
 
@@ -77,105 +75,100 @@ class TestGaussLegendre:
 
     @pytest.mark.parametrize("offset", [1e-6, math.nan])
     def test_root_residual_certificate_fails_closed(self, monkeypatch, offset):
-        # P_n off by a constant: one Newton step from the true roots leaves
-        # residuals far above NEWTON_TOL, and a NaN residual must fail too.
+        # q_n off by offset * q_n': the symmetrised nodes stay at the true
+        # roots, so the root residual reads the offset, far above
+        # NEWTON_TOL, and a NaN residual must fail too.
         import povmquad.quadrature as quadrature
 
-        original = quadrature._legendre_and_derivative
+        original = quadrature._recurrence
 
-        def shifted(n, x):
-            p, dp = original(n, x)
-            return p + offset, dp
+        def shifted(beta, x):
+            p, dp, squares = original(beta, x)
+            return p + offset * dp, dp, squares
 
-        monkeypatch.setattr(quadrature, "_legendre_and_derivative", shifted)
+        monkeypatch.setattr(quadrature, "_recurrence", shifted)
         with pytest.raises(ConstructionError) as info:
             gauss_legendre(6)
         assert not info.value.residual <= quadrature.NEWTON_TOL
 
 
-class TestTrapezoidPhase:
-    def test_nodes_and_weights(self):
-        rule = trapezoid_phase(4)
-        assert np.allclose(rule.nodes, [0.0, math.pi / 2, math.pi, 3 * math.pi / 2])
-        assert np.allclose(rule.weights, math.pi / 2)
-
-    def test_cosine_squared(self):
-        rule = trapezoid_phase(3)
-        value = np.sum(rule.weights * np.cos(rule.nodes) ** 2)
-        assert abs(value - math.pi) < 1e-13
-
-    def test_exact_harmonics_below_node_count(self):
-        rule = trapezoid_phase(5)
-        for k in range(1, 5):
-            value = np.sum(rule.weights * np.exp(1j * k * rule.nodes))
-            assert abs(value) < 1e-13
-
-    def test_aliases_at_node_count(self):
-        rule = trapezoid_phase(4)
-        value = np.sum(rule.weights * np.cos(4 * rule.nodes))
-        assert abs(value - 2 * math.pi) < 1e-13  # true integral is 0
+def sine_moment(k: int, p: int) -> float:
+    """integral_0^pi cos^k t sin^p t dt by the Beta function."""
+    if k % 2:
+        return 0.0
+    return math.gamma((k + 1) / 2) * math.gamma((p + 1) / 2) / math.gamma((k + p + 2) / 2)
 
 
 class TestThetaRules:
     def test_gl_weight_sum_is_sine_integral(self):
-        rule = theta_rule_gl(2, sin_power=1)
+        rule = theta_rule(2, sin_power=1)
         assert abs(math.fsum(rule.weights) - 2.0) < 1e-14
 
     def test_gl_odd_integrand_vanishes(self):
-        rule = theta_rule_gl(2, sin_power=1)
+        rule = theta_rule(2, sin_power=1)
         value = np.sum(rule.weights * np.cos(rule.nodes))
         assert abs(value) < 1e-15
 
     def test_gl_cos2_sin3(self):
-        rule = theta_rule_gl(3, sin_power=3)
+        rule = theta_rule(3, sin_power=3)
         value = np.sum(rule.weights * np.cos(rule.nodes) ** 2)
         assert abs(value - 4.0 / 15.0) < 1e-14
 
-    def test_gl_plain_measure(self):
-        rule = theta_rule_gl(2)
-        value = np.sum(rule.weights * np.sin(rule.nodes))
-        assert abs(value - 2.0) < 1e-14
-
     def test_gl_rejects_negative_power(self):
         with pytest.raises(InputFormatError):
-            theta_rule_gl(2, sin_power=-1)
+            theta_rule(2, sin_power=-1)
 
-    def test_midpoint_nodes(self):
-        rule = theta_rule_midpoint(2)
-        assert np.allclose(rule.nodes, [math.pi / 4, 3 * math.pi / 4])
-        assert np.allclose(rule.weights, math.pi / 2)
+    @pytest.mark.parametrize("p", range(1, 8))
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_exact_through_degree_2n_minus_1(self, n, p):
+        rule = theta_rule(n, p)
+        for k in range(2 * n):
+            value = np.sum(rule.weights * np.cos(rule.nodes) ** k)
+            assert abs(value - sine_moment(k, p)) < 1e-13
 
-    def test_midpoint_constant(self):
-        rule = theta_rule_midpoint(1)
-        assert abs(np.sum(rule.weights) - math.pi) < 1e-15
+    @pytest.mark.parametrize("p", range(1, 8))
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_not_exact_at_degree_2n(self, n, p):
+        rule = theta_rule(n, p)
+        value = np.sum(rule.weights * np.cos(rule.nodes) ** (2 * n))
+        assert abs(value - sine_moment(2 * n, p)) > 1e-6
 
-    def test_midpoint_sin_squared(self):
-        rule = theta_rule_midpoint(2)
-        value = np.sum(rule.weights * np.sin(rule.nodes) ** 2)
-        assert abs(value - math.pi / 2) < 1e-14
+    def test_nodes_ascend_inside_the_interval(self):
+        rule = theta_rule(5, 4)
+        assert np.all(np.diff(rule.nodes) > 0.0)
+        assert 0.0 < rule.nodes[0] and rule.nodes[-1] < math.pi
+        assert np.max(np.abs(rule.nodes + rule.nodes[::-1] - math.pi)) < 1e-15
 
-    def test_midpoint_cos2_sin2(self):
-        rule = theta_rule_midpoint(3)
-        value = np.sum(rule.weights * (np.cos(rule.nodes) * np.sin(rule.nodes)) ** 2)
-        assert abs(value - math.pi / 8) < 1e-14
+    def test_unit_power_is_gauss_legendre(self):
+        rule, base = theta_rule(6, 1), gauss_legendre(6)
+        assert np.array_equal(rule.nodes, np.arccos(base.nodes[::-1]))
+        assert np.array_equal(rule.weights, base.weights[::-1])
 
-    def test_midpoint_fails_beyond_degree(self):
-        rule = theta_rule_midpoint(2)
-        value = np.sum(rule.weights * np.cos(rule.nodes) ** 4)
-        # degree 4 exceeds 2n-1 = 3: midpoint gives pi/4, the integral is 3 pi/8.
-        assert abs(value - math.pi / 4) < 1e-14
+    @pytest.mark.parametrize("n", [1, 2, 5, 9])
+    def test_sine_squared_is_chebyshev_second_kind(self, n):
+        # Weight (1-x^2)^(1/2): nodes t_k = k pi/(n+1), weights
+        # pi/(n+1) sin^2 t_k in closed form.
+        rule = theta_rule(n, 2)
+        t = np.arange(1, n + 1) * math.pi / (n + 1)
+        assert np.max(np.abs(rule.nodes - t)) < 1e-14
+        assert np.max(np.abs(rule.weights - math.pi / (n + 1) * np.sin(t) ** 2)) < 1e-14
+
+    @pytest.mark.parametrize("n,p", [(2, 0), (0, 3)])
+    def test_rejects_bad_arguments(self, n, p):
+        with pytest.raises(InputFormatError):
+            theta_rule(n, p)
 
 
 class TestDefaultCounts:
     @pytest.mark.parametrize(
         "d,n,expected",
         [
-            (2, 1, (3, 2)),
-            (2, 2, (4, 3)),
-            (2, 3, (5, 4)),
-            (3, 1, (4, 3, 3, 2)),
-            (3, 2, (5, 4, 4, 3)),
-            (4, 1, (5, 4, 4, 3, 3, 2)),
+            (2, 1, (2, 2)),
+            (2, 2, (3, 3)),
+            (2, 3, (4, 4)),
+            (3, 1, (2, 2, 2, 2)),
+            (3, 2, (3, 3, 3, 3)),
+            (4, 1, (2, 2, 2, 2, 2, 2)),
         ],
     )
     def test_minimal_counts(self, d, n, expected):
@@ -185,7 +178,7 @@ class TestDefaultCounts:
 class TestSphereGrid:
     @pytest.mark.parametrize(
         "d,n,total",
-        [(2, 1, 18), (2, 2, 60), (2, 3, 140), (3, 1, 216), (3, 2, 1200), (4, 1, 4320)],
+        [(2, 1, 4), (2, 2, 9), (2, 3, 16), (3, 1, 16), (3, 2, 81), (4, 1, 64)],
     )
     def test_node_counts(self, rule_for, d, n, total):
         assert rule_for(d, n).n_points == total
@@ -230,22 +223,26 @@ class TestSphereGrid:
                     )
                     assert abs(got - exact) < 1e-10
 
-    @pytest.mark.parametrize("d,n", [(2, 2), (3, 1)])
-    def test_phase_undersampling_is_masked(self, d, n):
-        # Rebuilding with a single phase node stays exact at level n: the
-        # polar rules annihilate every phase-sensitive monomial.
-        rule = sphere_grid(d, n, phi_count=1)
-        assert verify_exactness(rule, n) < 1e-12
-
     def test_truncated_grid_fails(self, rule_for):
         rule = rule_for(2, 1)
-        states, weights = truncate_phi_points(rule)
+        states, weights = truncate_outer_angle(rule)
         residual = gram_residual_states(states, weights, 1, sym_embed_batch)
         assert residual > 1e-3
 
-    @pytest.mark.parametrize("d,n", [(2, 1), (2, 2)])
-    def test_cross_moments_vanish(self, rule_for, d, n):
-        assert cross_moment_residual(rule_for(d, n)) < 1e-12
+    @pytest.mark.parametrize("d,n", [(2, 2), (3, 1)])
+    def test_phase_undersampling_is_masked(self, rule_for, d, n):
+        # One phase node, phi = 0, so c_d is real and positive; the grid
+        # stays exact at level n because G_n is phase invariant.
+        rule = rule_for(d, n)
+        assert np.all(rule.states()[:, -1].imag == 0.0)
+        assert np.all(rule.states()[:, -1].real > 0.0)
+        assert verify_exactness(rule, n) < 1e-12
+
+    def test_unbalanced_moments_are_not_reproduced(self, rule_for):
+        # Deliberate narrowing: only phase-invariant moments are exact.
+        # The sphere average of c_d is 0; on the grid it is positive.
+        rule = rule_for(2, 1)
+        assert np.sum(rule.weights * rule.states()[:, -1]).real > 0.1
 
     @pytest.mark.parametrize("d,n", [*ACCEPTANCE_PAIRS, (3, 3)])
     def test_minimal_grid_has_no_coincidences(self, rule_for, d, n):
@@ -253,15 +250,32 @@ class TestSphereGrid:
         # outcomes of a built POVM could be merged.
         assert max_ray_overlap(rule_for(d, n).states()) < 1.0 - 1e-12
 
-    def test_even_phase_count_repeats_rays(self):
-        # Negative control: with an even phase count the node at
-        # (pi - t_j, phi + pi) is the ray of -c for every node c.
-        rule = sphere_grid(2, 1, theta_counts=(4, 3), phi_count=4)
-        assert max_ray_overlap(rule.states()) > 1.0 - 1e-12
+    def test_repeated_ray_is_detected(self, rule_for):
+        # Negative control for the overlap oracle: one node repeated
+        # with a global phase is the same ray.
+        states = rule_for(2, 2).states()
+        repeated = np.vstack([states, np.exp(0.7j) * states[3]])
+        assert max_ray_overlap(repeated) > 1.0 - 1e-12
 
     def test_insufficient_counts_fail_verification(self):
-        rule = sphere_grid(3, 2, theta_counts=(3, 3, 3, 3))
+        rule = sphere_grid(3, 2, theta_counts=(3, 3, 2, 3))
         assert verify_exactness(rule, 2) > 1e-3
+
+    @pytest.mark.parametrize("d,n", ACCEPTANCE_PAIRS)
+    def test_one_node_fewer_on_any_angle_fails(self, d, n):
+        counts = default_theta_counts(d, n)
+        for j in range(len(counts)):
+            short = counts[:j] + (n,) + counts[j + 1 :]
+            residual = verify_exactness(sphere_grid(d, n, theta_counts=short), n)
+            assert residual > 1e-3, f"angle {j + 1}: residual {residual:.3e}"
+
+    def test_guard_refuses_before_building(self, monkeypatch):
+        # (2, 1): A * d_1^2 = 4 * 4 = 16.
+        monkeypatch.setenv("POVMQUAD_BUILD_GUARD", "15")
+        with pytest.raises(ResourceLimitError, match="POVMQUAD_BUILD_GUARD"):
+            sphere_grid(2, 1)
+        monkeypatch.setenv("POVMQUAD_BUILD_GUARD", "16")
+        assert sphere_grid(2, 1).n_points == 4
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(InputFormatError):
@@ -269,7 +283,7 @@ class TestSphereGrid:
         with pytest.raises(InputFormatError):
             sphere_grid(2, 1, theta_counts=(3,))
         with pytest.raises(InputFormatError):
-            sphere_grid(2, 1, phi_count=0)
+            sphere_grid(2, 1, theta_counts=(2, 0))
 
     def test_states_interleave_real_and_imaginary(self, rule_for):
         rule = rule_for(2, 1)
@@ -310,10 +324,10 @@ class TestRuleValidation:
         with pytest.raises(InputFormatError):
             QuadratureRule(
                 d=2, N_exact=1, points=np.zeros((3, 3)), weights=np.ones(3),
-                theta_counts=(1, 1), phi_count=1,
+                theta_counts=(1, 1),
             )
         with pytest.raises(InputFormatError):
             QuadratureRule(
                 d=2, N_exact=1, points=np.zeros((3, 4)), weights=np.ones(2),
-                theta_counts=(1, 1), phi_count=1,
+                theta_counts=(1, 1),
             )

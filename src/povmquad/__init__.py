@@ -2,7 +2,7 @@
 
 Construction by exact product quadratures on the state hypersphere,
 verification against exact Haar moments, estimation statistics, and
-the optimal symmetric-projection cloner as a full-space reference.
+the optimal symmetric-projection cloner in occupation coordinates.
 """
 
 from .cloner import (

@@ -3,7 +3,8 @@
 Subcommands: build, verify, fidelity, simulate, clone, moments.  All
 stochastic commands require an explicit --seed and produce byte
 identical output for identical arguments.  Exit codes: 0 success,
-1 certification failure, 2 input error, 3 resource guard.
+1 certification failure, 2 input error (or output that cannot be
+written, a stdout closed by its reader included), 3 resource guard.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from itertools import product
@@ -228,11 +230,11 @@ def cmd_clone(args: argparse.Namespace) -> int:
     states = [haar_random_state(args.d, args.seed + k) for k in range(args.states)]
     rows = []
     for m in range(args.N, args.M + 1):
+        outputs = [clone(state, args.N, m) for state in states]
         povm_m = build_povm(args.d, m)
-        for idx, state in enumerate(states):
-            out = clone(state, args.N, m)
+        for idx, (state, out) in enumerate(zip(states, outputs)):
             single = single_particle_fidelity(out, state)
-            two_step = two_step_estimate(state, args.N, m, povm_m)
+            two_step = two_step_estimate(out, state, povm_m)
             rows.append(
                 {
                     "M": m,
@@ -284,10 +286,17 @@ def cmd_moments(args: argparse.Namespace) -> int:
     elif args.max_len is not None:
         if args.d < 2 or args.max_len < 1:
             raise InputFormatError(f"need --d >= 2 and --max-len >= 1, got {args.d} and {args.max_len}")
-        # Length l lists the d^l x d^l moment matrix.  Each d^l is checked in
-        # turn before any row is formed, so d^max_len itself never is.
+        # Length l lists the d^l x d^l moment matrix, so the table has
+        # sum_l d^(2l) rows.  The running total is checked one length at a
+        # time before any row is formed, so a huge max_len is never summed.
+        total = 0
         for l in range(1, args.max_len + 1):
-            check_cost(f"moment matrix dimension d^{l} for d={args.d}", args.d**l, FULL_SPACE_GUARD_ENV)
+            total += args.d ** (2 * l)
+            check_cost(
+                f"moment table rows sum d^(2l) over l <= {l} for d={args.d}",
+                total,
+                FULL_SPACE_GUARD_ENV,
+            )
         indices = range(1, args.d + 1)
         rows = (
             _moment_row(args.d, i_tuple, j_tuple)
@@ -385,7 +394,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_seeds(args)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except InputFormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -395,6 +406,14 @@ def main(argv: list[str] | None = None) -> int:
     except ConstructionError as exc:
         print(f"certification failure: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATION
+    except BrokenPipeError:
+        # The reader closed stdout.  Send whatever is still buffered to
+        # devnull, so the flush at interpreter exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("output error: stdout closed before all output was written", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -1,12 +1,24 @@
-"""Optimal N -> M cloning by symmetric projection, full-space reference.
+"""Optimal N -> M cloning in the occupation coordinates of M copies.
 
 The cloning map is T(rho^{tensor N}) = (d_N/d_M) S_M (rho^{tensor N}
 kron 1^{tensor (M-N)}) S_M with S_M the symmetric projector on M
-copies (Werner, PRA 58, 1827, 1998).  The output is a dense d^M x d^M
-matrix on purpose: it is the independent slow path against which the
-closed-form estimation identities are checked.  Its only route into the
-full space is the isometry V of symmetric.sym_isometry: S_M = V V^T and
-|phi>^{tensor M} = V sym_embed(phi, M).  Feeding the M clones to the
+copies (Werner, PRA 58, 1827, 1998).  T is supported on the symmetric
+subspace, so it is stored as the d_M x d_M matrix sigma = V^T T V in
+the occupation basis of M copies (V as in symmetric.sym_isometry):
+
+    sigma = (d_N/d_M) sum_k mult(k) s_k s_k^dagger,
+    s_k[r+k] = c_N[r] e_N[r] / c_M[r+k],
+
+with k over the occupations of the M-N padding copies, mult(k) =
+c_{M-N}[k]^2 the number of basis strings with occupation k, r over
+the occupations of N copies, e_N = sym_embed(phi, N) and c the
+embedding coefficients sqrt(n!/prod n_i!).  Each padding string of
+occupation k contributes the same vector s_k, hence the multiplicity.
+Nothing here forms the d^M full space; the dense construction lives in
+the test oracles, which check sigma against it.
+
+The output is permutation symmetric, so every clone has the same
+reduced state rho_ij = <a_j^dagger a_i>/M.  Feeding the M clones to the
 optimal M-copy estimator ("measure the clones instead of the
 originals") reproduces exactly the N-copy optimum (N+1)/(N+d), which is
 also the universality statement in operational form.
@@ -15,12 +27,21 @@ also the universality statement in operational form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import ConstructionError, InputFormatError, exceeds
+from .limits import BUILD_GUARD_ENV, check_cost
 from .povm import Povm
-from .symmetric import PureState, sym_dim, sym_embed, sym_embed_batch, sym_isometry
+from .symmetric import (
+    PureState,
+    _embedding_coefficients,
+    occupation_basis,
+    sym_dim,
+    sym_embed,
+    sym_embed_batch,
+)
 
 VALIDATION_TOL = 1e-10
 TWO_STEP_AGREEMENT_TOL = 1e-8
@@ -28,10 +49,11 @@ TWO_STEP_AGREEMENT_TOL = 1e-8
 
 @dataclass(frozen=True)
 class ClonerOutput:
-    """Joint state of the M clones as a dense d^M x d^M density matrix.
+    """Joint state of the M clones as a d_M x d_M density matrix.
 
-    Construction validates Hermiticity, unit trace, positive
-    semidefiniteness (within -1e-10), and the input bookkeeping.
+    Rows and columns follow occupation_basis(d, M).  Construction
+    validates Hermiticity, unit trace, positive semidefiniteness (within
+    -1e-10), and the input bookkeeping.
     """
 
     d: int
@@ -44,7 +66,7 @@ class ClonerOutput:
             raise InputFormatError(
                 f"need d >= 2 and 1 <= N <= M, got d={self.d}, N={self.N}, M={self.M}"
             )
-        dim = self.d**self.M
+        dim = sym_dim(self.d, self.M)
         density = np.asarray(self.density, dtype=np.complex128)
         if density.shape != (dim, dim):
             raise InputFormatError(f"density must have shape ({dim}, {dim})")
@@ -61,76 +83,104 @@ class ClonerOutput:
         object.__setattr__(self, "density", density)
 
 
+@lru_cache(maxsize=None)
+def _sum_index(d: int, N: int, M: int) -> np.ndarray:
+    """table[k, r] = position of k + r in occupation_basis(d, M).
+
+    k runs over occupation_basis(d, M - N) and r over
+    occupation_basis(d, N).
+    """
+    position = {n: i for i, n in enumerate(occupation_basis(d, M))}
+    table = np.array(
+        [
+            [position[tuple(a + b for a, b in zip(k, r))] for r in occupation_basis(d, N)]
+            for k in occupation_basis(d, M - N)
+        ],
+        dtype=np.intp,
+    )
+    table.setflags(write=False)
+    return table
+
+
 def clone(state: PureState, N: int, M: int) -> ClonerOutput:
-    """Optimal symmetric-projection cloning of N copies into M >= N."""
+    """Optimal symmetric-projection cloning of N copies into M >= N.
+
+    Refused when d_M^3, which bounds both the d_{M-N} d_M^2 product and
+    the eigenvalue check, exceeds the build guard.
+    """
     if not 1 <= N <= M:
         raise InputFormatError(f"need 1 <= N <= M, got N={N}, M={M}")
     d = state.d
-    iso = sym_isometry(d, M)
-    psi_n = sym_isometry(d, N) @ sym_embed(state, N)
-    padded = np.kron(np.outer(psi_n, psi_n.conj()), np.eye(d ** (M - N)))
-    scale = sym_dim(d, N) / sym_dim(d, M)
-    density = scale * (iso @ (iso.T @ padded @ iso) @ iso.T)
+    dim = sym_dim(d, M)
+    check_cost(f"cloner output cost d_M^3 for d={d}, M={M}", dim**3, BUILD_GUARD_ENV)
+    table = _sum_index(d, N, M)
+    values = (
+        _embedding_coefficients(d, N) * sym_embed(state, N)
+        / _embedding_coefficients(d, M)[table]
+    )
+    vectors = np.zeros((table.shape[0], dim), dtype=np.complex128)
+    np.put_along_axis(vectors, table, values, axis=1)
+    mult = _embedding_coefficients(d, M - N) ** 2
+    density = (sym_dim(d, N) / dim) * ((vectors * mult[:, None]).T @ vectors.conj())
     return ClonerOutput(d=d, N=N, M=M, density=density)
 
 
-def single_particle_reduced(output: ClonerOutput, which: int = 1) -> np.ndarray:
-    """Reduced d x d state of clone `which` (1-based).
+def single_particle_reduced(output: ClonerOutput) -> np.ndarray:
+    """Reduced d x d state of any one clone.
 
-    The output of the cloning map is permutation symmetric, so the
-    result is independent of which clone is traced out to.
+    rho_ij = (1/M) sum_q sqrt((q_i+1)(q_j+1)) sigma[q+e_i, q+e_j] over
+    the occupations q of M-1 copies.  The output of the cloning map is
+    permutation symmetric, so every clone has this reduced state.
     """
-    if not 1 <= which <= output.M:
-        raise InputFormatError(f"need 1 <= which <= {output.M}, got {which}")
-    d = output.d
-    left = d ** (which - 1)
-    right = d ** (output.M - which)
-    shaped = output.density.reshape(left, d, right, left, d, right)
-    return np.einsum("aibajb->ij", shaped)
+    d, M = output.d, output.M
+    raised = _sum_index(d, 1, M)
+    lift = np.sqrt(np.asarray(occupation_basis(d, M - 1), dtype=np.float64) + 1.0)
+    block = output.density[raised[:, :, None], raised[:, None, :]]
+    return np.einsum("qi,qj,qij->ij", lift, lift, block) / M
 
 
-def single_particle_fidelity(output: ClonerOutput, state: PureState, which: int = 1) -> float:
+def single_particle_fidelity(output: ClonerOutput, state: PureState) -> float:
     """Fidelity <phi| reduced |phi> of one clone against the source state."""
     if state.d != output.d:
         raise InputFormatError(f"state dimension {state.d} != cloner dimension {output.d}")
-    reduced = single_particle_reduced(output, which)
+    reduced = single_particle_reduced(output)
     return float(np.vdot(state.amplitudes, reduced @ state.amplitudes).real)
 
 
-def two_step_components(state: PureState, N: int, M: int, povm_m: Povm) -> tuple[float, float]:
-    """Clone-then-estimate fidelity: full-space pipeline and closed form.
+def two_step_components(output: ClonerOutput, state: PureState, povm_m: Povm) -> tuple[float, float]:
+    """Clone-then-estimate fidelity: pipeline on the clones and closed form.
 
-    The pipeline value is sum_a tr[E_a T(rho^{tensor N})] |<phi_a|phi>|^2
-    with the M-copy elements applied to the cloner output; the closed
-    form is d_N sum_a w_a |<phi_a|phi>|^{2(N+1)}, the N-copy pointwise
-    fidelity of the same nodes.
+    The pipeline value is sum_a d_M w_a e_a^dagger sigma e_a
+    |<phi_a|phi>|^2, the M-copy elements applied to the cloner output,
+    with e_a = sym_embed(phi_a, M); the closed form is
+    d_N sum_a w_a |<phi_a|phi>|^{2(N+1)}, the N-copy pointwise fidelity
+    of the same nodes.
     """
+    if state.d != output.d:
+        raise InputFormatError(f"state dimension {state.d} != cloner dimension {output.d}")
     if povm_m.d != state.d:
         raise InputFormatError(f"state dimension {state.d} != POVM dimension {povm_m.d}")
-    if povm_m.N != M:
-        raise InputFormatError(f"POVM is for {povm_m.N} copies, expected M={M}")
-    output = clone(state, N, M)
+    if povm_m.N != output.M:
+        raise InputFormatError(f"POVM is for {povm_m.N} copies, expected M={output.M}")
     guesses = povm_m.guesses
-    # <phi_a|^{tensor M} T |phi_a>^{tensor M} with |phi_a>^{tensor M} = V e_a.
-    iso = sym_isometry(state.d, M)
-    emb = sym_embed_batch(guesses, M)
-    born = ((emb.conj() @ (iso.T @ output.density @ iso)) * emb).sum(axis=1).real
-    probs = sym_dim(state.d, M) * povm_m.weights * born
+    emb = sym_embed_batch(guesses, output.M)
+    born = ((emb.conj() @ output.density) * emb).sum(axis=1).real
+    probs = sym_dim(state.d, output.M) * povm_m.weights * born
     state_fids = np.abs(guesses @ state.amplitudes.conj()) ** 2
     pipeline = float(probs @ state_fids)
     closed = float(
-        sym_dim(state.d, N) * (povm_m.weights @ state_fids ** (N + 1))
+        sym_dim(state.d, output.N) * (povm_m.weights @ state_fids ** (output.N + 1))
     )
     return pipeline, closed
 
 
-def two_step_estimate(state: PureState, N: int, M: int, povm_m: Povm) -> float:
+def two_step_estimate(output: ClonerOutput, state: PureState, povm_m: Povm) -> float:
     """Mean fidelity of clone-then-estimate, verified against the closed form.
 
-    Raises ConstructionError if the dense pipeline and the closed-form
-    reduction disagree beyond 1e-8.
+    Raises ConstructionError if the pipeline on the clones and the
+    closed-form reduction disagree beyond 1e-8.
     """
-    pipeline, closed = two_step_components(state, N, M, povm_m)
+    pipeline, closed = two_step_components(output, state, povm_m)
     gap = abs(pipeline - closed)
     if exceeds(gap, TWO_STEP_AGREEMENT_TOL):
         raise ConstructionError(

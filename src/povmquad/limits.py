@@ -11,11 +11,13 @@ import os
 
 from .errors import InputFormatError, ResourceLimitError
 
-# Largest full-space dimension d**M for dense tensor-product operators.
+# Largest full-space dimension d**M for dense tensor-product operators,
+# and largest row count of a moments table.
 FULL_SPACE_GUARD_ENV = "POVMQUAD_FULL_SPACE_GUARD"
 
 # Largest A * d_level**2 work estimate for grid construction and for
-# every frame operator (certification and Monte Carlo fidelity alike).
+# every frame operator (certification and Monte Carlo fidelity alike),
+# and largest d_M**3 for a cloner output.
 BUILD_GUARD_ENV = "POVMQUAD_BUILD_GUARD"
 
 _DEFAULTS = {FULL_SPACE_GUARD_ENV: 4096, BUILD_GUARD_ENV: 50_000_000}

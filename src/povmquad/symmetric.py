@@ -6,8 +6,9 @@ by tuples n = (n_1, ..., n_d) with sum N.  A product state
 |phi>^{tensor N} lies inside the subspace; its occupation coordinates
 are sqrt(N!/prod n_i!) * prod c_i^{n_i} where c are the amplitudes of
 |phi>.  Certification and the fidelity formulas all run on one
-primitive in these coordinates, frame_operator; the d^M full space of
-the cloner is only ever reached through sym_isometry.
+primitive in these coordinates, frame_operator, and the cloner works in
+them too.  sym_isometry and symmetric_projector_full are the one bridge
+to the d^M full space, for callers that need dense operators there.
 """
 
 from __future__ import annotations

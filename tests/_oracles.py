@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -45,12 +45,14 @@ def occupations_lex_desc(d: int, n: int) -> list[tuple[int, ...]]:
     return occs
 
 
+@lru_cache(maxsize=None)
 def sym_basis_bruteforce(d: int, n: int) -> np.ndarray:
     """Orthonormal symmetric basis, rows = occupations, columns = d**n.
 
     Each row is the equal-amplitude superposition of every distinct
     arrangement of the occupation multiset, built by enumerating the
-    arrangements one by one.
+    arrangements one by one.  Cached and read-only, because n = 9
+    enumerates 9! arrangements per row.
     """
     occs = occupations_lex_desc(d, n)
     basis = np.zeros((len(occs), d**n), dtype=np.complex128)
@@ -63,6 +65,7 @@ def sym_basis_bruteforce(d: int, n: int) -> np.ndarray:
             for digit in s:
                 idx = idx * d + digit
             basis[row, idx] = amp
+    basis.setflags(write=False)
     return basis
 
 
@@ -81,6 +84,67 @@ def contraction_count_bruteforce(i: tuple[int, ...], j: tuple[int, ...]) -> int:
         if all(j[sigma[k]] == i[k] for k in range(len(i))):
             total += 1
     return total
+
+
+# ---------------------------------------------------------------------------
+# Optimal cloner in the full space
+
+
+def clone_dense(amps: np.ndarray, n: int, m: int) -> np.ndarray:
+    """Dense d^m x d^m output (d_n/d_m) S_m (|psi><psi| kron 1) S_m of the cloner.
+
+    |psi> = |c>^{tensor n} by Kronecker products, S_m the brute-force
+    symmetric projector and 1 the identity on the m - n padding copies.
+    """
+    amps = np.asarray(amps, dtype=np.complex128)
+    d = amps.size
+    psi = tensor_power(amps, n)
+    padded = np.kron(np.outer(psi, psi.conj()), np.eye(d ** (m - n)))
+    proj = projector_bruteforce(d, m)
+    scale = math.comb(n + d - 1, d - 1) / math.comb(m + d - 1, d - 1)
+    return scale * (proj @ padded @ proj)
+
+
+def reduced_dense(density: np.ndarray, d: int, m: int, which: int) -> np.ndarray:
+    """Partial trace of a dense m-copy operator onto copy `which` (1-based)."""
+    left = d ** (which - 1)
+    right = d ** (m - which)
+    shaped = density.reshape(left, d, right, left, d, right)
+    return np.einsum("aibajb->ij", shaped)
+
+
+def two_step_dense(amps: np.ndarray, n: int, povm_m) -> float:
+    """Clone-then-estimate fidelity with the dense cloner output T.
+
+    sum_a d_m w_a <phi_a|^{tensor m} T |phi_a>^{tensor m} |<phi_a|phi>|^2
+    over the elements of the m-copy family povm_m, each
+    |phi_a>^{tensor m} a Kronecker power of length d^m.
+    """
+    m = povm_m.N
+    density = clone_dense(amps, n, m)
+    d_m = math.comb(m + povm_m.d - 1, povm_m.d - 1)
+    total = 0.0
+    for guess, weight in zip(povm_m.guesses, povm_m.weights):
+        phi = tensor_power(guess, m)
+        born = np.vdot(phi, density @ phi).real
+        total += d_m * weight * born * abs(np.vdot(guess, amps)) ** 2
+    return float(total)
+
+
+def compress_to_occupation(density: np.ndarray, d: int, m: int) -> np.ndarray:
+    """B T B^dagger: a dense d^m x d^m operator in occupation coordinates."""
+    basis = sym_basis_bruteforce(d, m)
+    return basis @ density @ basis.conj().T
+
+
+def lift_to_full_space(sigma: np.ndarray, d: int, m: int) -> np.ndarray:
+    """B^dagger sigma B: an occupation-basis operator as a d^m x d^m matrix.
+
+    B is the brute-force symmetric basis, whose rows follow the
+    lexicographically descending occupation order.
+    """
+    basis = sym_basis_bruteforce(d, m)
+    return basis.conj().T @ sigma @ basis
 
 
 # ---------------------------------------------------------------------------

@@ -35,19 +35,22 @@ from povmquad import (
     sym_dim,
     sym_embed,
     sym_embed_batch,
-    symmetric_projector_full,
     two_step_estimate,
 )
 
 from _oracles import (
     ACCEPTANCE_PAIRS,
+    clone_dense,
     gram_residual_states,
+    lift_to_full_space,
     moment_tensor_mc,
     moment_tensor_numeric,
+    projector_bruteforce,
     record,
     sym_basis_bruteforce,
     tensor_power,
     truncate_outer_angle,
+    two_step_dense,
 )
 
 
@@ -174,13 +177,20 @@ def test_criterion_6_cloner_and_two_step_chain(povm_for):
             gap = abs(single_particle_fidelity(out, state) - 5.0 / 6.0)
             assert gap <= 1e-10, f"one-to-two clone fidelity off by {gap:.3e}"
 
+        worst_oracle = 0.0
         for d, n, m in [(2, 1, 2), (2, 1, 3), (3, 1, 2)]:
-            out = clone(haar_random_state(d, 60 + m), n, m)
-            proj = symmetric_projector_full(d, m)
-            support = float(np.max(np.abs(proj @ out.density @ proj - out.density)))
+            state = haar_random_state(d, 60 + m)
+            sigma = clone(state, n, m).density
+            lifted = lift_to_full_space(sigma, d, m)
+            gap = float(np.max(np.abs(lifted - clone_dense(state.amplitudes, n, m))))
+            worst_oracle = max(worst_oracle, gap)
+            assert gap <= 1e-10, f"(d={d}, M={m}) dense-oracle gap {gap:.3e}"
+            proj = projector_bruteforce(d, m)
+            support = float(np.max(np.abs(proj @ lifted @ proj - lifted)))
             assert support <= 1e-10, f"(d={d}, M={m}) support leak {support:.3e}"
-            assert abs(np.trace(out.density).real - 1.0) <= 1e-10
-            assert np.linalg.eigvalsh(out.density)[0] >= -1e-10
+            for density in (lifted, sigma):
+                assert abs(np.trace(density).real - 1.0) <= 1e-10
+                assert np.linalg.eigvalsh(density)[0] >= -1e-10
 
         worst_two_step = 0.0
         for d, n, m in [(2, 1, 2), (2, 1, 3), (3, 1, 2)]:
@@ -188,12 +198,16 @@ def test_criterion_6_cloner_and_two_step_chain(povm_for):
             target = float(optimal_fidelity(n, d))
             states = haar_random_states(d, 50, 8_800 + 10 * d + m)
             for amps in states:
-                value = two_step_estimate(PureState(amps), n, m, povm_m)
+                state = PureState(amps)
+                value = two_step_estimate(clone(state, n, m), state, povm_m)
                 worst_two_step = max(worst_two_step, abs(value - target))
+                gap = abs(value - two_step_dense(amps, n, povm_m))
+                worst_oracle = max(worst_oracle, gap)
+                assert gap <= 1e-10, f"(d={d}, M={m}) two-step dense-oracle gap {gap:.3e}"
         assert worst_two_step <= 1e-8, f"two-step deviation {worst_two_step:.3e}"
         info["detail"] = (
             f"1->2 qubit fidelity 5/6, two-step deviation {worst_two_step:.1e} "
-            "over 150 states"
+            f"over 150 states, dense-oracle gap {worst_oracle:.1e}"
         )
 
 

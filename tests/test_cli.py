@@ -4,10 +4,15 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import povmquad
 from povmquad import check_completeness, check_optimality, check_universality, load_povm
 from povmquad.cli import EXIT_CERTIFICATION, EXIT_INPUT, EXIT_OK, EXIT_RESOURCE, main
 
@@ -402,6 +407,52 @@ class TestClone:
         assert "--states" in err
         assert out == ""
 
+    def test_each_output_formed_once(self, capsys, monkeypatch):
+        import povmquad.cli
+        import povmquad.cloner
+
+        calls = []
+        real_clone = povmquad.cloner.clone
+
+        def counting_clone(state, n, m):
+            calls.append(m)
+            return real_clone(state, n, m)
+
+        # Both names, so a clone formed inside the two-step chain counts too.
+        monkeypatch.setattr(povmquad.cli, "clone", counting_clone)
+        monkeypatch.setattr(povmquad.cloner, "clone", counting_clone)
+        code, _, _ = run(
+            capsys,
+            ["clone", "--d", "2", "--N", "1", "--M", "3", "--states", "2", "--seed", "1"],
+        )
+        assert code == EXIT_OK
+        assert sorted(calls) == [1, 1, 2, 2, 3, 3]
+
+    def test_thirteen_qubit_clones_fit_default_guards(self, capsys):
+        # d^M = 8192 used to exceed the full-space guard; d_M^3 = 2744.
+        code, out, _ = run(
+            capsys,
+            ["clone", "--d", "2", "--N", "1", "--M", "13", "--states", "1",
+             "--seed", "1", "--json"],
+        )
+        assert code == EXIT_OK
+        top = json.loads(out)["rows"][-1]
+        assert top["M"] == 13
+        eta = 15.0 / 39.0  # N(M+d)/(M(N+d))
+        assert abs(top["single_particle"] - (eta + (1.0 - eta) / 2.0)) < 1e-12
+
+    def test_build_guard_refuses_clone(self, capsys, monkeypatch):
+        # The M = 1 clone costs d_M^3 = 8 and is formed before the POVM is built.
+        monkeypatch.setenv("POVMQUAD_BUILD_GUARD", "7")
+        code, out, err = run(
+            capsys,
+            ["clone", "--d", "2", "--N", "1", "--M", "2", "--states", "1", "--seed", "1"],
+        )
+        assert code == EXIT_RESOURCE
+        assert "d_M^3" in err
+        assert "POVMQUAD_BUILD_GUARD" in err
+        assert out == ""
+
 
 class TestMoments:
     def test_single_pair(self, capsys):
@@ -450,8 +501,8 @@ class TestMoments:
         assert out == json.dumps(doc, sort_keys=True) + "\n"
 
     def test_table_guard_refuses_before_output(self, capsys, monkeypatch):
-        # The length-2 table is the 9 x 9 moment matrix: d^l = 9 > 8.
-        monkeypatch.setenv("POVMQUAD_FULL_SPACE_GUARD", "8")
+        # Lengths 1 and 2 make 9 + 81 = 90 rows > 89, though length 1 fits.
+        monkeypatch.setenv("POVMQUAD_FULL_SPACE_GUARD", "89")
         code, out, err = run(capsys, ["moments", "--d", "3", "--max-len", "2"])
         assert code == EXIT_RESOURCE
         assert "POVMQUAD_FULL_SPACE_GUARD" in err
@@ -460,8 +511,21 @@ class TestMoments:
     def test_huge_max_len_refused_at_first_oversized_length(self, capsys):
         code, out, err = run(capsys, ["moments", "--d", "2", "--max-len", str(10**9)])
         assert code == EXIT_RESOURCE
-        assert "d^13 for d=2 = 8192" in err
+        assert "over l <= 6 for d=2 = 5460" in err
         assert out == ""
+
+    def test_cumulative_rows_refused_at_default_guard(self, capsys):
+        # Every d^l <= 64 fits, but 4 + 16 + ... + 4096 = 5460 rows do not.
+        code, out, err = run(capsys, ["moments", "--d", "2", "--max-len", "6"])
+        assert code == EXIT_RESOURCE
+        assert "POVMQUAD_FULL_SPACE_GUARD" in err
+        assert out == ""
+
+    def test_raised_guard_admits_table(self, capsys, monkeypatch):
+        monkeypatch.setenv("POVMQUAD_FULL_SPACE_GUARD", "5460")
+        code, out, _ = run(capsys, ["moments", "--d", "2", "--max-len", "6"])
+        assert code == EXIT_OK
+        assert len(out.splitlines()) == 5460
 
     @pytest.mark.parametrize("d,max_len", [("0", "3"), ("1", "3"), ("2", "0"), ("2", "-1")])
     def test_rejects_bad_table_arguments(self, capsys, d, max_len):
@@ -495,6 +559,61 @@ class TestSeeds:
         assert err.startswith("input error:")
         assert "Traceback" not in err
         assert out == ""
+
+
+class _ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def __init__(self, fd: int):
+        self._fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self._fd
+
+
+class TestClosedStdout:
+    def test_broken_pipe_is_output_error(self, capsys, monkeypatch):
+        read_fd, write_fd = os.pipe()
+        try:
+            monkeypatch.setattr(sys, "stdout", _ClosedPipe(write_fd))
+            code = main(["moments", "--d", "3", "--max-len", "3"])
+            monkeypatch.undo()
+        finally:
+            os.close(read_fd)
+            os.close(write_fd)
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT
+        assert len(err.splitlines()) == 1
+        assert "stdout" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["moments", "--d", "3", "--max-len", "3"], ["moments", "--d", "2", "--i", "1", "--j", "1"]],
+        ids=["long", "short"],
+    )
+    def test_closed_pipe_in_a_process(self, argv):
+        # The reader end is closed before the process starts, so its first
+        # write, or the flush of a short output, meets a broken pipe.  Output
+        # stays block-buffered, as from a shell, so data is still pending
+        # when the error is caught and again at interpreter exit.
+        read_fd, write_fd = os.pipe()
+        os.close(read_fd)
+        src = Path(povmquad.__file__).resolve().parent.parent
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "povmquad.cli", *argv],
+                stdout=write_fd, stderr=subprocess.PIPE, env=env, timeout=120, text=True,
+            )
+        finally:
+            os.close(write_fd)
+        assert proc.returncode == EXIT_INPUT
+        assert len(proc.stderr.splitlines()) == 1
+        assert "Traceback" not in proc.stderr
 
 
 class TestParser:

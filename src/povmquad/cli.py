@@ -24,6 +24,8 @@ import numpy as np
 from .cloner import clone, single_particle_fidelity, two_step_estimate
 from .errors import ConstructionError, InputFormatError, ResourceLimitError, exceeds
 from .estimation import (
+    check_samples,
+    check_shots,
     mean_fidelity_exact,
     mean_fidelity_mc,
     optimal_fidelity,
@@ -165,6 +167,7 @@ def _fidelity_rows(povms: list[Povm], samples: int, seed: int) -> list[dict]:
 
 
 def cmd_fidelity(args: argparse.Namespace) -> int:
+    check_samples(args.samples)
     if args.sweep:
         if not args.d or not args.N:
             raise InputFormatError("--sweep requires --d and --N lists")
@@ -190,9 +193,10 @@ def cmd_fidelity(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    povm = load_povm(args.path)
+    check_shots(args.shots)
     if (args.state_seed is None) == (args.basis is None):
         raise InputFormatError("provide exactly one of --state-seed or --basis")
+    povm = load_povm(args.path)
     if args.state_seed is not None:
         state = haar_random_state(povm.d, args.state_seed)
         state_desc = {"kind": "haar", "seed": args.state_seed}

@@ -15,6 +15,11 @@ so the per-state cost does not grow with the outcome count A.  An
 optimal POVM with unit weight sum meets the optimum exactly.  The Monte
 Carlo estimator and the deliberately suboptimal per-copy baseline exist
 to check those closed forms from the operational side.
+
+The Monte Carlo kernel draws its states in blocks of _MC_BLOCK, one
+spawned generator per block, and evaluates each block in chunks of
+_MC_CHUNK rows, so its working set is a few _MC_CHUNK x d_{N+1} arrays
+whatever the sample count.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from .symmetric import PureState, frame_operator, haar_random_states, sym_dim, s
 
 MC_MIN_SAMPLES = 100
 _MC_BLOCK = 4096
+_MC_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -55,6 +61,18 @@ def optimal_fidelity(N: int, d: int) -> Fraction:
     return Fraction(N + 1, N + d)
 
 
+def check_samples(samples: int) -> None:
+    """Refuse a Monte Carlo sample count below MC_MIN_SAMPLES."""
+    if samples < MC_MIN_SAMPLES:
+        raise InputFormatError(f"need samples >= {MC_MIN_SAMPLES}, got {samples}")
+
+
+def check_shots(shots: int) -> None:
+    """Refuse a measurement shot count below 1."""
+    if shots < 1:
+        raise InputFormatError(f"need shots >= 1, got {shots}")
+
+
 def _check_state(povm: Povm, state: PureState) -> None:
     if state.d != povm.d:
         raise InputFormatError(f"state dimension {state.d} != POVM dimension {povm.d}")
@@ -70,8 +88,7 @@ def outcome_probs(povm: Povm, state: PureState) -> np.ndarray:
 
 def sample_outcomes(povm: Povm, state: PureState, shots: int, seed: int) -> np.ndarray:
     """Multinomial outcome counts for `shots` measurements, shape (A,)."""
-    if shots < 1:
-        raise InputFormatError(f"need shots >= 1, got {shots}")
+    check_shots(shots)
     probs = outcome_probs(povm, state)
     probs = np.clip(probs, 0.0, None)
     probs = probs / probs.sum()
@@ -80,9 +97,17 @@ def sample_outcomes(povm: Povm, state: PureState, shots: int, seed: int) -> np.n
 
 
 def _pointwise_batch(povm: Povm, frame: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """d_N u^dagger G_{N+1} u for each row's (N+1)-copy embedding u, shape (n,)."""
+    """d_N u^dagger G_{N+1} u for each row's (N+1)-copy embedding u, shape (n,).
+
+    Evaluates ((u* @ G) * u).sum(axis=1) with u conjugated in place and
+    back, so only u and one product of its shape are alive at a time.
+    """
     u = sym_embed_batch(states, povm.N + 1)
-    return sym_dim(povm.d, povm.N) * ((u.conj() @ frame) * u).sum(axis=1).real
+    np.conjugate(u, out=u)
+    prod = u @ frame
+    np.conjugate(u, out=u)
+    prod *= u
+    return sym_dim(povm.d, povm.N) * prod.sum(axis=1).real
 
 
 def pointwise_fidelity(povm: Povm, state: PureState) -> float:
@@ -110,31 +135,44 @@ def mean_fidelity_exact(povm: Povm) -> FidelityReport:
 def mean_fidelity_mc(povm: Povm, samples: int, seed: int) -> FidelityReport:
     """Monte Carlo average of the pointwise fidelity over Haar states.
 
-    Deterministic for fixed seed: sampling runs in fixed-size blocks
-    with independent generators spawned from the seed, accumulated in
-    block order.  G_{N+1} is formed once per call; refused when its
-    cost A*d_{N+1}^2 exceeds the build guard.
+    Deterministic for fixed seed: states are drawn in blocks of
+    _MC_BLOCK, each from its own generator spawned from the seed, and
+    each block is evaluated in chunks of _MC_CHUNK rows into one array
+    of the block's length.  The value is the block-order sum of the
+    block sums over samples.  The standard error combines each block's
+    mean and sum of squared deviations by the pairwise update of Chan,
+    Golub & LeVeque, so a constant integrand (a universal estimator)
+    reports the spread of its rounding, not a cancellation residue.
+    G_{N+1} is formed once per call; refused when its cost
+    A*d_{N+1}^2 exceeds the build guard.
     """
-    if samples < MC_MIN_SAMPLES:
-        raise InputFormatError(f"need samples >= {MC_MIN_SAMPLES}, got {samples}")
+    check_samples(samples)
     frame = frame_operator(povm.guesses, povm.weights, povm.N + 1)
     n_blocks = (samples + _MC_BLOCK - 1) // _MC_BLOCK
     seeds = np.random.SeedSequence(seed).spawn(n_blocks)
     total = 0.0
-    total_sq = 0.0
+    mean = 0.0
+    m2 = 0.0
     done = 0
     for b in range(n_blocks):
         count = min(_MC_BLOCK, samples - done)
         states = haar_random_states(povm.d, count, np.random.default_rng(seeds[b]))
-        vals = _pointwise_batch(povm, frame, states)
-        total += float(np.sum(vals))
-        total_sq += float(np.sum(vals * vals))
-        done += count
-    mean = total / samples
-    var = max(total_sq - samples * mean * mean, 0.0) / (samples - 1)
-    stderr = math.sqrt(var / samples)
+        vals = np.empty(count)
+        for lo in range(0, count, _MC_CHUNK):
+            rows = slice(lo, lo + _MC_CHUNK)
+            vals[rows] = _pointwise_batch(povm, frame, states[rows])
+        block_sum = float(np.sum(vals))
+        total += block_sum
+        block_mean = block_sum / count
+        block_m2 = float(np.sum((vals - block_mean) ** 2))
+        delta = block_mean - mean
+        merged = done + count
+        mean += delta * count / merged
+        m2 += block_m2 + delta * delta * done * count / merged
+        done = merged
+    stderr = math.sqrt(m2 / (samples - 1) / samples)
     return FidelityReport(
-        value=mean, stderr=stderr, method="monte-carlo", samples=samples, seed=seed
+        value=total / samples, stderr=stderr, method="monte-carlo", samples=samples, seed=seed
     )
 
 
@@ -148,8 +186,7 @@ def majority_vote_fidelity_mc(N: int, samples: int, seed: int) -> FidelityReport
     """
     if N < 1:
         raise InputFormatError(f"need N >= 1, got N={N}")
-    if samples < MC_MIN_SAMPLES:
-        raise InputFormatError(f"need samples >= {MC_MIN_SAMPLES}, got {samples}")
+    check_samples(samples)
     rng = np.random.default_rng(seed)
     states = haar_random_states(2, samples, rng)
     p0 = np.abs(states[:, 0]) ** 2

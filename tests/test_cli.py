@@ -561,6 +561,34 @@ class TestSeeds:
         assert out == ""
 
 
+class TestFlagsBeforeWork:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fidelity", "--sweep", "--d", "3", "--N", "10", "--samples", "5", "--seed", "1"],
+            ["fidelity", "--sweep", "--d", "2", "--N", "2", "3", "4", "--samples", "5", "--seed", "1"],
+            ["fidelity", "{path}", "--samples", "99", "--seed", "1"],
+            ["simulate", "{path}", "--shots", "0", "--seed", "1", "--state-seed", "1"],
+            ["simulate", "{path}", "--shots", "10", "--seed", "1"],
+            ["simulate", "{path}", "--shots", "10", "--seed", "1", "--state-seed", "1", "--basis", "0"],
+        ],
+        ids=["fidelity-sweep-guarded", "fidelity-sweep-three", "fidelity-path",
+             "simulate-shots", "simulate-no-state", "simulate-two-states"],
+    )
+    def test_bad_flag_is_input_error_before_work(self, povm_path, capsys, monkeypatch, argv):
+        import povmquad.cli
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("a bad flag reached the computation")
+
+        monkeypatch.setattr(povmquad.cli, "load_povm", no_work)
+        monkeypatch.setattr(povmquad.cli, "build_povm", no_work)
+        code, out, err = run(capsys, [arg.format(path=povm_path) for arg in argv])
+        assert code == EXIT_INPUT
+        assert err.startswith("input error:")
+        assert out == ""
+
+
 class _ClosedPipe(io.TextIOBase):
     """A stdout whose reader has gone: every write raises BrokenPipeError."""
 

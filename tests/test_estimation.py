@@ -1,6 +1,7 @@
 """Estimation statistics: probabilities, sampling, and fidelity averages."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -29,7 +30,12 @@ from povmquad import (
 
 from povmquad.estimation import _MC_BLOCK
 
-from _oracles import ACCEPTANCE_PAIRS, pointwise_fidelity_direct, tensor_power
+from _oracles import (
+    ACCEPTANCE_PAIRS,
+    mean_fidelity_mc_whole_block,
+    pointwise_fidelity_direct,
+    tensor_power,
+)
 
 
 class TestOptimalFidelity:
@@ -201,6 +207,21 @@ def _oracle_family(povm_for, d, n, restricted):
     return povm if restricted is None else restrict_povm(povm, restricted)
 
 
+def _direct_values(povm, samples, seed):
+    """The direct-sum pointwise fidelity at the Monte Carlo kernel's states.
+
+    The states are redrawn as the kernel draws them: fixed-size blocks,
+    one spawned seed each.
+    """
+    seeds = np.random.SeedSequence(seed).spawn(-(-samples // _MC_BLOCK))
+    states = np.concatenate([
+        haar_random_states(povm.d, min(_MC_BLOCK, samples - b * _MC_BLOCK),
+                           np.random.default_rng(block_seed))
+        for b, block_seed in enumerate(seeds)
+    ])
+    return pointwise_fidelity_direct(povm.guesses, povm.weights, povm.N, states)
+
+
 class TestFrameOperatorFidelity:
     @settings(max_examples=30, deadline=None)
     @given(family=st.sampled_from(ORACLE_FAMILIES), seed=st.integers(0, 2**32 - 1))
@@ -216,20 +237,51 @@ class TestFrameOperatorFidelity:
     @given(
         family=st.sampled_from(ORACLE_FAMILIES),
         seed=st.integers(0, 2**32 - 1),
-        samples=st.integers(100, _MC_BLOCK + 500),
+        samples=st.integers(100, 2 * _MC_BLOCK + 700),
     )
     def test_monte_carlo_matches_direct_sum(self, povm_for, family, seed, samples):
         povm = _oracle_family(povm_for, *family)
         report = mean_fidelity_mc(povm, samples, seed)
-        # Redraw the kernel's states: fixed-size blocks, one spawned seed each.
-        seeds = np.random.SeedSequence(seed).spawn(-(-samples // _MC_BLOCK))
-        states = np.concatenate([
-            haar_random_states(povm.d, min(_MC_BLOCK, samples - b * _MC_BLOCK),
-                               np.random.default_rng(block_seed))
-            for b, block_seed in enumerate(seeds)
-        ])
-        direct = pointwise_fidelity_direct(povm.guesses, povm.weights, povm.N, states)
+        direct = _direct_values(povm, samples, seed)
         assert abs(report.value - direct.mean()) < 1e-12
+
+    @pytest.mark.parametrize(
+        "family,tol",
+        [((2, 3, 2), 1e-15), ((3, 3, 2), 1e-15), ((2, 1, None), 1e-9),
+         ((3, 2, None), 1e-9), ((2, 8, None), 1e-9)],
+        ids=["2-3-restricted", "3-3-restricted", "2-1", "3-2", "2-8"],
+    )
+    def test_monte_carlo_stderr_matches_two_pass_spread(self, povm_for, family, tol):
+        # Universal families (restricted) have a constant integrand: the
+        # tolerance is absolute.  Minimal ones vary: it is relative.
+        povm = _oracle_family(povm_for, *family)
+        samples = 20_000
+        report = mean_fidelity_mc(povm, samples, seed=5)
+        direct = _direct_values(povm, samples, seed=5)
+        expected = np.std(direct, ddof=1) / math.sqrt(samples)
+        scale = 1.0 if family[2] is not None else expected
+        assert abs(report.stderr - expected) <= tol * scale
+
+    @pytest.mark.parametrize("samples", [100, _MC_BLOCK + 1500, 2 * _MC_BLOCK + 700])
+    @pytest.mark.parametrize("family", ORACLE_FAMILIES + [(3, 4, None)], ids=str)
+    def test_chunked_kernel_equals_whole_block_oracle(self, povm_for, family, samples):
+        # Same draws, same per-row arithmetic, same block sums: equal bits.
+        povm = _oracle_family(povm_for, *family)
+        report = mean_fidelity_mc(povm, samples, seed=23)
+        assert report.value == mean_fidelity_mc_whole_block(povm, samples, 23, _MC_BLOCK)
+
+    def test_monte_carlo_working_set_is_bounded(self, povm_for):
+        # 20,000 states on (3,4), d_{N+1} = 21: evaluating a whole
+        # 4096-state block holds about 4 MB of arrays at once.
+        povm = povm_for(3, 4)
+        mean_fidelity_mc(povm, 100, seed=1)
+        tracemalloc.start()
+        try:
+            mean_fidelity_mc(povm, 20_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6
 
     def test_monte_carlo_refused_under_build_guard(self, povm_for, monkeypatch):
         # G_2 of the 4-element qubit family costs 4 * 3^2 = 36; G_1 costs 16.

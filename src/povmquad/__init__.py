@@ -1,6 +1,6 @@
 """Finite optimal POVMs for pure-state estimation from N copies.
 
-Construction by exact product quadratures on the state hypersphere,
+Construction by exact product quadratures on the state sphere,
 verification against exact Haar moments, estimation statistics, and
 the optimal symmetric-projection cloner in occupation coordinates.
 """
@@ -43,11 +43,8 @@ from .povm import (
 from .quadrature import (
     QuadratureRule,
     Rule1D,
-    chi_to_state,
-    default_theta_counts,
     gauss_legendre,
     sphere_grid,
-    theta_rule,
     verify_exactness,
 )
 from .symmetric import (
@@ -84,10 +81,8 @@ __all__ = [
     "check_completeness",
     "check_optimality",
     "check_universality",
-    "chi_to_state",
     "clone",
     "contraction_count",
-    "default_theta_counts",
     "fidelity",
     "frame_operator",
     "frame_residual",
@@ -116,7 +111,6 @@ __all__ = [
     "sym_embed_batch",
     "sym_isometry",
     "symmetric_projector_full",
-    "theta_rule",
     "two_step_components",
     "two_step_estimate",
     "verify_exactness",

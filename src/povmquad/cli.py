@@ -82,7 +82,8 @@ def _residuals(povm: Povm, levels: tuple[str, ...] = RESIDUAL_LEVELS) -> dict[st
     """Residuals of the requested checks, forming each frame operator once.
 
     Completeness is d_N times the optimality residual (as in
-    check_completeness), so both come from one level-N operator.
+    check_completeness), so both come from the one level-N operator that
+    check_optimality forms per Povm.
     """
     res = {}
     if "completeness" in levels or "optimality" in levels:

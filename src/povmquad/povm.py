@@ -33,7 +33,8 @@ class Povm:
     """Weighted family of guess states defining an optimal-form POVM.
 
     weights has shape (A,) with finite, strictly positive entries;
-    guesses has shape (A, d) with finite, unit-norm rows.  Completeness
+    guesses has shape (A, d) with finite, unit-norm rows; both are
+    copied and frozen on construction.  Completeness
     and optimality are not re-verified on construction (tests build
     deliberately broken instances); build_povm and load_povm are the
     certifying entry points.
@@ -44,12 +45,14 @@ class Povm:
     weights: np.ndarray
     guesses: np.ndarray
     provenance: dict = field(default_factory=dict)
+    # max |G_N - I/d_N| of the frozen arrays, kept by check_optimality.
+    _level_n_residual: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.d < 2 or self.N < 1:
             raise InputFormatError(f"need d >= 2 and N >= 1, got d={self.d}, N={self.N}")
-        weights = np.asarray(self.weights, dtype=np.float64).reshape(-1)
-        guesses = np.ascontiguousarray(self.guesses, dtype=np.complex128)
+        weights = np.array(self.weights, dtype=np.float64).reshape(-1)
+        guesses = np.array(self.guesses, dtype=np.complex128, order="C")
         if guesses.ndim != 2 or guesses.shape != (weights.size, self.d):
             raise InputFormatError("guesses must have shape (len(weights), d)")
         if weights.size == 0:
@@ -81,8 +84,15 @@ class Povm:
 
 
 def check_optimality(povm: Povm) -> float:
-    """Residual of sum_a w_a rho_a^{tensor N} = S_N/d_N at the POVM's N."""
-    return frame_residual(povm.guesses, povm.weights, povm.N)
+    """Residual of sum_a w_a rho_a^{tensor N} = S_N/d_N at the POVM's N.
+
+    A Povm's arrays are frozen copies, so G_N is formed once per
+    instance and the residual kept; build_povm keeps its certificate's.
+    """
+    if povm._level_n_residual is None:
+        residual = frame_residual(povm.guesses, povm.weights, povm.N)
+        object.__setattr__(povm, "_level_n_residual", residual)
+    return povm._level_n_residual
 
 
 def check_completeness(povm: Povm) -> float:
@@ -103,33 +113,32 @@ def check_universality(povm: Povm) -> float:
     return frame_residual(povm.guesses, povm.weights, povm.N + 1)
 
 
-def build_povm(
-    d: int,
-    N: int,
-    *,
-    theta_counts: tuple[int, ...] | None = None,
-    tol: float = CERTIFICATION_TOL,
-) -> Povm:
+def build_povm(d: int, N: int, *, tol: float = CERTIFICATION_TOL) -> Povm:
     """Construct and certify the grid-based optimal POVM for (d, N).
 
     Raises ResourceLimitError if the construction cost exceeds the
     guard (checked by sphere_grid) and ConstructionError (carrying the
     residual) if the built rule fails exactness certification at `tol`.
     """
-    rule = sphere_grid(d, N, theta_counts=theta_counts)
+    rule = sphere_grid(d, N)
     residual = verify_exactness(rule, N)
     if exceeds(residual, tol):
         raise ConstructionError(
             f"grid for d={d}, N={N} failed certification: residual {residual:.3e} > {tol:g}",
             residual,
         )
+    M, z = rule.lattice
     provenance = {
-        "construction": "sphere-grid",
-        "theta_counts": list(rule.theta_counts),
+        "construction": "moduli-lattice",
+        "moduli_nodes": rule.moduli_nodes,
+        "lattice": {"M": M, "z": list(z)},
         "certified_residual": f"{residual:.17g}",
         "certification_tol": f"{tol:.17g}",
     }
-    return Povm(d=d, N=N, weights=rule.weights, guesses=rule.states(), provenance=provenance)
+    povm = Povm(d=d, N=N, weights=rule.weights, guesses=rule.states, provenance=provenance)
+    # The Povm holds the values of rule's arrays: G_N is the one just certified.
+    object.__setattr__(povm, "_level_n_residual", residual)
+    return povm
 
 
 def restrict_povm(povm: Povm, N: int) -> Povm:

@@ -1,33 +1,31 @@
-"""Exact product quadratures for the frame operator on S^(2d-1).
+"""Exact quadratures for the frame operator of pure states in C^d.
 
-A pure state in C^d is a point chi on the real unit sphere of dimension
-m = 2d via c_i = chi_{2i-1} + i*chi_{2i}.  In polar coordinates
+Write a state as c_i = sqrt(x_i) e^{i theta_i}.  Under the uniform
+measure, x is uniform on the simplex sum x_i = 1 and the phases are
+independent and uniform (Hurwitz).  An entry of the level-N frame
+operator sum_a w_a (|phi_a><phi_a|)^{tensor N} is a multiple of the
+average of prod_i c_i^{n_i} conj(c_i)^{m_i}, n and m occupation tuples
+of N.  It is a phase part e^{i k.theta}, k = n - m, times a moduli part
+prod_i x_i^{(n_i+m_i)/2}, and sphere_grid is a product of one rule for
+each part:
 
-    chi_1 = cos t_1,
-    chi_k = sin t_1 ... sin t_{k-1} cos t_k          (k <= m-2),
-    chi_{m-1} = sin t_1 ... sin t_{m-2} cos phi,
-    chi_m     = sin t_1 ... sin t_{m-2} sin phi,
+Phases.  The entry is invariant under a global phase, so theta_d = 0
+and only the first d-1 coordinates k' of k matter; k' = 0 iff k = 0.
+A rank-1 lattice theta_j = 2 pi t z_j / M, t = 0..M-1, averages
+e^{i k.theta} to 1 if k'.z = 0 (mod M) and to 0 otherwise.  The Korobov
+generator z = (1, g, g^2, ...) mod M is chosen with k'.z != 0 (mod M)
+for every n != m, so every off-diagonal entry sums to exactly 0,
+whatever its moduli part, and every diagonal phase part to 1.
 
-with surface measure prod_j sin^{p_j} t_j dt_j dphi, p_j = m-1-j.  The
-grid is a product of one Gauss rule per polar angle at phi = 0, so c_d
-is real and non-negative.  It is exact for the level-N frame operator
-sum_a w_a (|phi_a><phi_a|)^{tensor N}:
+Moduli.  On the diagonal the moduli part is x^n, of degree N.  In
+collapsed (Duffy/Stroud) coordinates x_j = u_j prod_{i<j} (1-u_i),
+x_d = prod_{i<d} (1-u_i), the simplex measure is
+prod_j (1-u_j)^{d-1-j} du_j and x^n has degree <= N in each u_j.  The
+n-node Gauss-Jacobi rule for (1-u)^{d-1-j} on [0, 1] is exact through
+degree 2n-1, so n = ceil((N+1)/2) nodes per coordinate suffice.
 
-Phase.  The frame operator is invariant under a global phase.
-Multiplying a state by e^{-i phi}, phi the phase of c_d, rotates
-(chi_1, ..., chi_{m-2}) by an orthogonal map that keeps the polar
-measure, so the phi-average of a phase-invariant integrand equals its
-value at phi = 0.
-
-Polar angles.  At phi = 0 a monomial of even degree <= 2N factorises
-over the polar angles.  At t_j the factor is either a polynomial of
-degree <= 2N in x = cos t_j against the weight (1-x^2)^{(p_j-1)/2}, or
-odd in x and summed to zero by node symmetry.  The (N+1)-node Gauss
-rule for that weight is exact through degree 2N+1; N+1 is the minimum
-for degree 2N.
-
-Only phase-invariant moments are exact: an unbalanced one such as the
-average of c_d does not vanish on the grid, and nothing here uses one.
+A = n^{d-1} M, and every weight is positive.  Only phase-invariant
+moments are exact: the average of c_d, say, is positive on the grid.
 """
 
 from __future__ import annotations
@@ -40,10 +38,9 @@ import numpy as np
 
 from .errors import ConstructionError, InputFormatError, exceeds
 from .limits import BUILD_GUARD_ENV, check_cost
-from .symmetric import PureState, frame_residual, sym_dim
+from .symmetric import frame_residual, occupation_basis, sym_dim
 
 NEWTON_TOL = 1e-14
-CHI_NORM_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -51,9 +48,7 @@ class Rule1D:
     """One-dimensional quadrature rule with an exactness certificate.
 
     degree semantics by kind: "gauss-legendre" is exact for polynomial
-    integrands on [-1, 1] up to the stated degree; "gauss-theta" for
-    integrands cos^k t on [0, pi] against the measure sin^p t dt that
-    the weights carry, k up to the stated degree.
+    integrands on [-1, 1] up to the stated degree.
     """
 
     nodes: np.ndarray
@@ -72,163 +67,160 @@ class Rule1D:
         object.__setattr__(self, "weights", weights)
 
 
-def _recurrence(beta: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """q_n(x), q_n'(x) and sum_{k<n} q_k(x)^2, n = len(beta).
+def _recurrence(jacobi: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """q_n(x), q_n'(x) and sum_{k<n} q_k(x)^2 for jacobi = (diag, off), n = len(off).
 
     q_k are the orthonormal polynomials of the Jacobi matrix scaled to
-    q_0 = 1: beta_k q_k = x q_{k-1} - beta_{k-1} q_{k-2}.
+    q_0 = 1: off_k q_k = (x - diag_{k-1}) q_{k-1} - off_{k-1} q_{k-2}.
     """
     q_prev = dq_prev = dq = squares = np.zeros_like(x)
     q = np.ones_like(x)
     b_prev = 0.0
-    for b in beta:
+    for a, b in zip(*jacobi):
         squares = squares + q * q
-        dq_prev, dq = dq, (q + x * dq - b_prev * dq_prev) / b
-        q_prev, q = q, (x * q - b_prev * q_prev) / b
+        dq_prev, dq = dq, (q + (x - a) * dq - b_prev * dq_prev) / b
+        q_prev, q = q, ((x - a) * q - b_prev * q_prev) / b
         b_prev = b
     return q, dq, squares
 
 
-def _gauss_jacobi(n: int, sin_power: int) -> tuple[np.ndarray, np.ndarray]:
-    """n-point Gauss rule on [-1, 1] for the weight (1-x^2)^a, a = (sin_power-1)/2.
+def _gauss_jacobi(n: int, alpha: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss rule on [-1, 1] for the weight (1-x)^alpha, alpha >= 0.
 
-    Golub-Welsch: the nodes are the eigenvalues of the symmetric Jacobi
-    matrix (zero diagonal, off-diagonal
-    beta_k = sqrt(k(k+2a)/((2k+2a)^2-1))), polished by one Newton step
-    and symmetrised.  The weights are the Christoffel numbers
-    mu_0/sum_{k<n} q_k(x)^2, with mu_0 = integral_0^pi sin^p t dt.  The
-    rule is certified fail-closed by the root residual |q_n/q_n'| (the
-    Newton correction, free of the scale of q_n) at the final nodes.
-    Exact for polynomials of degree <= 2n-1.
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix
+    (with s = 2k+alpha: diagonal -alpha^2/(s(s+2)), k = 0..n-1, and
+    off-diagonal 2k(k+alpha)/(s sqrt(s^2-1)), k = 1..n), polished by one
+    Newton step and, for alpha = 0, symmetrised.  The weights are
+    mu_0/sum_{k<n} q_k(x)^2, mu_0 = 2^(alpha+1)/(alpha+1).  Certified
+    fail-closed by the root residual |q_n/q_n'| (the Newton correction,
+    free of the scale of q_n) at the final nodes.  Exact for polynomials
+    of degree <= 2n-1.
     """
-    a = 0.5 * (sin_power - 1)
+    diag = np.zeros(n)
+    if alpha:
+        s = 2.0 * np.arange(n) + alpha
+        diag = -alpha**2 / (s * (s + 2.0))
     k = np.arange(1.0, n + 1)
-    beta = np.sqrt(k * (k + 2 * a) / ((2 * k + 2 * a) ** 2 - 1.0))
-    roots = np.linalg.eigvalsh(np.diag(beta[:-1], 1) + np.diag(beta[:-1], -1))
-    p, dp, _ = _recurrence(beta, roots)
+    s = 2.0 * k + alpha
+    # One rounding of an exact integer ratio: at alpha = 0 this is the Legendre k^2/(4k^2-1).
+    off = np.sqrt((2.0 * k * (k + alpha)) ** 2 / (s * s * (s * s - 1.0)))
+    jacobi = (diag, off)
+    roots = np.linalg.eigvalsh(np.diag(diag) + np.diag(off[:-1], 1) + np.diag(off[:-1], -1))
+    p, dp, _ = _recurrence(jacobi, roots)
     roots = roots - p / dp
-    # Ascending nodes with the exact symmetry x_k = -x_{n+1-k}.
-    roots = 0.5 * (roots - roots[::-1])
-    p, dp, squares = _recurrence(beta, roots)
+    if not alpha:
+        # Ascending nodes with the exact symmetry x_k = -x_{n+1-k}.
+        roots = 0.5 * (roots - roots[::-1])
+    p, dp, squares = _recurrence(jacobi, roots)
     residual = float(np.max(np.abs(p / dp)))
     if exceeds(residual, NEWTON_TOL):
         raise ConstructionError(
             f"Gauss root residual {residual:.3e} exceeds {NEWTON_TOL:g}", residual
         )
-    # Wallis: integral_0^pi sin^p t dt from 2 (p odd) or pi (p even).
-    mu0 = 2.0 if sin_power % 2 else math.pi
-    for j in range(2 + sin_power % 2, sin_power + 1, 2):
-        mu0 *= (j - 1) / j
-    weights = mu0 / squares
-    return roots, 0.5 * (weights + weights[::-1])
+    weights = 2.0 ** (alpha + 1) / (alpha + 1) / squares
+    if not alpha:
+        weights = 0.5 * (weights + weights[::-1])
+    return roots, weights
 
 
 def gauss_legendre(n: int) -> Rule1D:
     """n-point Gauss-Legendre rule on [-1, 1], exact through degree 2n-1."""
     if n < 1:
         raise InputFormatError(f"need n >= 1, got n={n}")
-    nodes, weights = _gauss_jacobi(n, 1)
+    nodes, weights = _gauss_jacobi(n, 0)
     return Rule1D(nodes, weights, "gauss-legendre", 2 * n - 1)
-
-
-def theta_rule(n: int, sin_power: int) -> Rule1D:
-    """n-point Gauss rule for integral_0^pi f(t) sin^sin_power t dt.
-
-    Nodes t_k = arccos x_k ascend in (0, pi), and the weights carry the
-    measure: sum_k w_k cos^k t_k is exact for every k <= 2n-1.  The
-    x_k are the Gauss nodes for (1-x^2)^{(sin_power-1)/2}, so
-    sin_power = 1 is Gauss-Legendre in x = cos t.
-    """
-    if n < 1 or sin_power < 1:
-        raise InputFormatError(f"need n >= 1 and sin_power >= 1, got {n} and {sin_power}")
-    nodes, weights = _gauss_jacobi(n, sin_power)
-    return Rule1D(np.arccos(nodes[::-1]), weights[::-1], "gauss-theta", 2 * n - 1)
 
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Finite node set on S^(2d-1) with normalised positive weights."""
+    """Weighted unit vectors of C^d, exact for the level-N_exact frame operator.
+
+    states has shape (A, d); weights, shape (A,), are positive and sum
+    to 1.  moduli_nodes is the Gauss node count per simplex coordinate
+    and lattice the phase lattice (M, z).
+    """
 
     d: int
     N_exact: int
-    points: np.ndarray
+    states: np.ndarray
     weights: np.ndarray
-    theta_counts: tuple[int, ...]
+    moduli_nodes: int
+    lattice: tuple[int, tuple[int, ...]]
 
     def __post_init__(self):
-        points = np.asarray(self.points, dtype=np.float64)
+        states = np.asarray(self.states, dtype=np.complex128)
         weights = np.asarray(self.weights, dtype=np.float64)
-        if points.ndim != 2 or points.shape[1] != 2 * self.d:
-            raise InputFormatError("points must have shape (A, 2d)")
-        if weights.shape != (points.shape[0],):
+        if states.ndim != 2 or states.shape[1] != self.d:
+            raise InputFormatError("states must have shape (A, d)")
+        if weights.shape != (states.shape[0],):
             raise InputFormatError("weights must have shape (A,)")
-        points.setflags(write=False)
+        states.setflags(write=False)
         weights.setflags(write=False)
-        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "states", states)
         object.__setattr__(self, "weights", weights)
 
     @property
     def n_points(self) -> int:
-        return self.points.shape[0]
-
-    def states(self) -> np.ndarray:
-        """Complex amplitudes c = chi_odd + i chi_even, shape (A, d)."""
-        return self.points[:, 0::2] + 1j * self.points[:, 1::2]
+        return self.states.shape[0]
 
 
-def default_theta_counts(d: int, N: int) -> tuple[int, ...]:
-    """Minimal node counts for degree-2N exactness: N+1 on each of the 2d-2 polar angles."""
-    return (N + 1,) * (2 * d - 2)
+def _lattice_generator(projected: np.ndarray, M: int) -> tuple[int, ...] | None:
+    """First Korobov z = (1, g, g^2, ...) mod M, g = 1..M-1, with the row.z distinct mod M.
+
+    projected holds the occupation tuples without their last coordinate,
+    so distinct row.z is k'.z != 0 (mod M) for every difference.
+    """
+    z = np.ones((projected.shape[1], M - 1), dtype=np.int64)
+    for j in range(1, z.shape[0]):
+        z[j] = z[j - 1] * np.arange(1, M) % M
+    values = np.sort(projected @ z % M, axis=0)
+    separated = np.flatnonzero(np.all(np.diff(values, axis=0), axis=0))
+    return tuple(z[:, separated[0]].tolist()) if separated.size else None
 
 
-def sphere_grid(d: int, N: int, *, theta_counts: tuple[int, ...] | None = None) -> QuadratureRule:
-    """Product quadrature on S^(2d-1) exact for the level-N frame operator.
+def _korobov_lattice(d: int, N: int, moduli_nodes: int) -> tuple[int, tuple[int, ...]]:
+    """Smallest exact Korobov lattice (M, z), the first g for that M.
 
-    The theta_counts override exists for experiments and negative
-    controls; the default is default_theta_counts.  Every node has
-    phi = 0, and the weights are normalised to sum to 1, turning the
-    rule into a weighted state average.  Raises ResourceLimitError
-    before building if A*d_N^2 exceeds POVMQUAD_BUILD_GUARD.
+    d_N distinct residues need M >= d_N, so the search starts there.  It
+    ends by M = (N+1)^(d-1) with g = N+1: then |k'.z| < M, and k'.z = 0
+    only for k' = 0 by uniqueness of balanced base-(N+1) digits.  Each M
+    is charged A*d_N^2 against POVMQUAD_BUILD_GUARD before it is tried.
+    """
+    dim = sym_dim(d, N)
+    projected = None
+    for M in range(dim, (N + 1) ** (d - 1) + 1):
+        cost = moduli_nodes ** (d - 1) * M * dim * dim
+        check_cost(f"construction cost A*d_N^2 for d={d}, N={N}, M={M}", cost, BUILD_GUARD_ENV)
+        if projected is None:
+            projected = np.array(occupation_basis(d, N), dtype=np.int64)[:, :-1]
+        z = _lattice_generator(projected, M)
+        if z is not None:
+            return M, z
+    raise AssertionError(f"no Korobov lattice up to M = (N+1)^(d-1) for d={d}, N={N}")
+
+
+def sphere_grid(d: int, N: int) -> QuadratureRule:
+    """Moduli x phase-lattice quadrature exact for the level-N frame operator.
+
+    Rows run moduli-major, lattice point fastest; the weights sum to 1.
+    Raises ResourceLimitError, before the grid is formed, at the first
+    lattice size M whose A*d_N^2 exceeds POVMQUAD_BUILD_GUARD.
     """
     if d < 2 or N < 1:
         raise InputFormatError(f"need d >= 2 and N >= 1, got d={d}, N={N}")
-    m = 2 * d
-    counts = default_theta_counts(d, N) if theta_counts is None else tuple(theta_counts)
-    if len(counts) != m - 2 or any(c < 1 for c in counts):
-        raise InputFormatError(f"theta_counts must be {m - 2} positive integers")
-    total = math.prod(counts)
-    cost = total * sym_dim(d, N) ** 2
-    check_cost(f"construction cost A*d_N^2 for d={d}, N={N}", cost, BUILD_GUARD_ENV)
-
-    rules = [theta_rule(n, m - 1 - j) for j, n in enumerate(counts, start=1)]
-    weights = reduce(np.multiply.outer, [r.weights for r in rules]).ravel()
-    points = np.zeros((total, m), dtype=np.float64)
-    sin_cum = np.ones(total, dtype=np.float64)
-    for j, theta in enumerate(np.meshgrid(*(r.nodes for r in rules), indexing="ij")):
-        theta = theta.ravel()
-        points[:, j] = sin_cum * np.cos(theta)
-        sin_cum = sin_cum * np.sin(theta)
-    points[:, m - 2] = sin_cum
+    n = (N + 2) // 2
+    M, z = _korobov_lattice(d, N, n)
+    # u_j = (1+x)/2 for the Gauss-Jacobi nodes x of (1-x)^(d-1-j).
+    rules = [_gauss_jacobi(n, d - 1 - j) for j in range(1, d)]
+    u = np.stack(np.meshgrid(*(0.5 * (1.0 + x) for x, _ in rules), indexing="ij"), axis=-1)
+    u = u.reshape(-1, d - 1)
+    ones = np.ones((u.shape[0], 1))
+    x = np.hstack([u, ones]) * np.hstack([ones, np.cumprod(1.0 - u, axis=1)])
+    phases = np.exp(2j * np.pi * (np.outer(np.arange(M), (*z, 0)) % M) / M)
+    states = (np.sqrt(x)[:, None, :] * phases).reshape(-1, d)
+    weights = np.repeat(reduce(np.multiply.outer, [w for _, w in rules]).ravel(), M)
     weights = weights / math.fsum(weights)
-    return QuadratureRule(d=d, N_exact=N, points=points, weights=weights, theta_counts=counts)
-
-
-def chi_to_state(chi: np.ndarray) -> PureState:
-    """Complex state for a real unit vector chi on S^(2d-1).
-
-    Requires len(chi) even and >= 4 and |chi| = 1 within 1e-10; the
-    result is renormalised to machine precision.
-    """
-    vec = np.asarray(chi, dtype=np.float64).reshape(-1)
-    if vec.size < 4 or vec.size % 2 != 0:
-        raise InputFormatError(f"chi must have even length >= 4, got {vec.size}")
-    norm = float(np.linalg.norm(vec))
-    if exceeds(abs(norm - 1.0), CHI_NORM_TOL):
-        raise InputFormatError(
-            f"|chi| deviates from 1 by {abs(norm - 1.0):.3e} (tol {CHI_NORM_TOL:g})"
-        )
-    amps = (vec[0::2] + 1j * vec[1::2]) / norm
-    return PureState(amps)
+    return QuadratureRule(d=d, N_exact=N, states=states, weights=weights, moduli_nodes=n, lattice=(M, z))
 
 
 def verify_exactness(rule: QuadratureRule, N: int) -> float:
@@ -238,4 +230,4 @@ def verify_exactness(rule: QuadratureRule, N: int) -> float:
     equals identity/d_N: the weighted average of rho_a^{tensor N} matches
     the uniform state average.  Returns max |G_N - I/d_N|.
     """
-    return frame_residual(rule.states(), rule.weights, N)
+    return frame_residual(rule.states, rule.weights, N)

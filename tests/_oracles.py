@@ -256,21 +256,85 @@ def moment_tensor_mc(d: int, length: int, samples: int, seed: int,
 
 
 # ---------------------------------------------------------------------------
-# Grid manipulation for negative controls
+# Reference grids and negative controls
 
 
-def truncate_outer_angle(rule):
-    """Keep only the lower half of the outermost polar angle's nodes.
+def polar_grid(d: int, n: int):
+    """The polar product grid on S^(2d-1), the layout of older POVM files.
 
-    The grid is a product with the outermost angle t_1 as its slowest
-    axis.  Returns (states, weights) with the surviving weights left
-    unrenormalised: a deliberately broken node set whose weighted
-    moments are visibly wrong.
+    A state is a real unit vector chi in R^(2d), c_i = chi_{2i-1} +
+    i chi_{2i}, in polar angles t_1..t_{2d-2} and one phase phi = 0.
+    Angle t_j gets the (n+1)-node Gauss rule for the measure
+    sin^p t dt, p = 2d-1-j, i.e. Gauss-Jacobi in x = cos t for the weight
+    (1-x^2)^((p-1)/2), here from scipy.  Returns (states, weights) with
+    A = (n+1)^(2d-2) rows and weights summing to 1.
     """
-    outer = rule.theta_counts[0]
-    outer_index = np.arange(rule.n_points) // (rule.n_points // outer)
-    keep = outer_index < outer // 2
-    return rule.states()[keep], rule.weights[keep]
+    from scipy.special import roots_jacobi
+
+    m = 2 * d
+    angles, factors = [], []
+    for j in range(1, m - 1):
+        a = 0.5 * (m - 2 - j)
+        x, w = roots_jacobi(n + 1, a, a)
+        angles.append(np.arccos(x[::-1]))
+        factors.append(w[::-1])
+    weights = reduce(np.multiply.outer, factors).ravel()
+    chi = np.zeros((weights.size, m))
+    sin_cum = np.ones(weights.size)
+    for j, theta in enumerate(np.meshgrid(*angles, indexing="ij")):
+        theta = theta.ravel()
+        chi[:, j] = sin_cum * np.cos(theta)
+        sin_cum = sin_cum * np.sin(theta)
+    chi[:, m - 2] = sin_cum
+    return chi[:, 0::2] + 1j * chi[:, 1::2], weights / math.fsum(weights)
+
+
+def moduli_lattice_grid(d: int, counts, M: int, z, drop=()):
+    """Moduli x phase-lattice grid assembled from its definition, with scipy rules.
+
+    Simplex coordinate j = 1..d-1 gets the counts[j-1]-node Gauss-Jacobi
+    rule for (1-u)^(d-1-j) on [0, 1]; x_j = u_j prod_{i<j} (1-u_i) and
+    x_d = prod_{i<d} (1-u_i).  The phases are theta_j = 2 pi t z_j / M
+    for j < d and theta_d = 0, over the lattice points t = 0..M-1 not in
+    drop.  Rows run moduli-major, lattice point fastest.  Returns
+    (states, weights) with the weights summing to 1.
+    """
+    from scipy.special import roots_jacobi
+
+    rules = []
+    for j, count in enumerate(counts, start=1):
+        x, w = roots_jacobi(count, d - 1 - j, 0)
+        rules.append(((1.0 + x) / 2.0, w))
+    moduli = []
+    for point in itertools.product(*(range(len(u)) for u, _ in rules)):
+        rest, x, weight = 1.0, [], 1.0
+        for (u, w), k in zip(rules, point):
+            x.append(rest * u[k])
+            rest *= 1.0 - u[k]
+            weight *= w[k]
+        moduli.append((x + [rest], weight))
+    keep = [t for t in range(M) if t not in drop]
+    states, weights = [], []
+    for x, weight in moduli:
+        for t in keep:
+            phases = [np.exp(2j * np.pi * (t * zj % M) / M) for zj in z] + [1.0]
+            states.append(np.sqrt(x) * np.array(phases))
+            weights.append(weight)
+    weights = np.array(weights)
+    return np.array(states), weights / math.fsum(weights)
+
+
+def truncate_lattice(rule):
+    """Keep only the lattice points t < M/2 of a sphere_grid rule.
+
+    The lattice point is the fastest axis of the grid.  Returns
+    (states, weights) with the surviving weights left unrenormalised: a
+    deliberately broken node set whose weighted moments are visibly
+    wrong.
+    """
+    M = rule.lattice[0]
+    keep = np.arange(rule.n_points) % M < M / 2
+    return rule.states[keep], rule.weights[keep]
 
 
 def gram_residual_states(states: np.ndarray, weights: np.ndarray, n: int,

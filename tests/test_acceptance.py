@@ -49,7 +49,7 @@ from _oracles import (
     record,
     sym_basis_bruteforce,
     tensor_power,
-    truncate_outer_angle,
+    truncate_lattice,
     two_step_dense,
 )
 
@@ -101,7 +101,7 @@ def test_criterion_2_grid_exactness_with_negative_control(rule_for):
             residual = verify_exactness(rule, n)
             worst = max(worst, residual)
             assert residual <= 1e-10, f"(d={d}, N={n}) residual {residual:.3e}"
-            states, weights = truncate_outer_angle(rule)
+            states, weights = truncate_lattice(rule)
             broken = gram_residual_states(states, weights, n, sym_embed_batch)
             worst_control = min(worst_control, broken)
             assert broken > 1e-3, f"(d={d}, N={n}) control residual {broken:.3e}"

@@ -36,7 +36,7 @@ class TestBuild:
         code, out, _ = run(capsys, ["build", "--d", "2", "--N", "1", "--out", str(path)])
         assert code == EXIT_OK
         assert path.exists()
-        assert "4 elements" in out
+        assert "2 elements" in out
         assert "completeness residual" in out
 
     def test_build_json_payload(self, tmp_path, capsys):
@@ -47,13 +47,13 @@ class TestBuild:
         assert code == EXIT_OK
         doc = json.loads(out)
         assert doc["operation"] == "build"
-        assert doc["elements"] == 9
+        assert doc["elements"] == 6
         assert doc["residuals"]["optimality"] < 1e-10
         assert abs(doc["weight_sum"] - 1.0) < 1e-12
 
     def test_build_resource_guard_exit_code(self, tmp_path, capsys):
         code, _, err = run(
-            capsys, ["build", "--d", "3", "--N", "10", "--out", str(tmp_path / "x.json")]
+            capsys, ["build", "--d", "3", "--N", "12", "--out", str(tmp_path / "x.json")]
         )
         assert code == EXIT_RESOURCE
         assert "resource guard" in err
@@ -89,9 +89,9 @@ class TestBuild:
         }
 
     def test_refused_build_leaves_no_file(self, tmp_path, capsys, monkeypatch):
-        # Level-1 cost 4 * 2^2 = 16 fits the guard; level-2 cost
-        # 4 * 3^2 = 36 at the universality check does not.
-        monkeypatch.setenv("POVMQUAD_BUILD_GUARD", "20")
+        # Level-1 cost 2 * 2^2 = 8 fits the guard; level-2 cost
+        # 2 * 3^2 = 18 at the universality check does not.
+        monkeypatch.setenv("POVMQUAD_BUILD_GUARD", "10")
         path = tmp_path / "x.json"
         code, _, err = run(capsys, ["build", "--d", "2", "--N", "1", "--out", str(path)])
         assert code == EXIT_RESOURCE
@@ -207,8 +207,9 @@ class TestVerify:
 
         monkeypatch.setattr(povmquad.povm, "frame_residual", counting)
         run(capsys, ["verify", str(povm_path), "--json"])
-        # The load-time completeness gate, then one operator per level.
-        assert levels == [1, 1, 2]
+        # The load-time completeness gate forms G_1, which the level-1
+        # checks reuse; then G_2 for universality.
+        assert levels == [1, 2]
 
 
 # Commands that read a POVM file, with arguments that make them run.
@@ -290,8 +291,8 @@ class TestFidelity:
         assert code == EXIT_INPUT
 
     def test_level_n_plus_one_frame_under_build_guard(self, povm_path, capsys, monkeypatch):
-        # Loading certifies G_1 (4 * 2^2 = 16); the fidelity needs G_2 (4 * 3^2 = 36).
-        monkeypatch.setenv("POVMQUAD_BUILD_GUARD", "20")
+        # Loading certifies G_1 (2 * 2^2 = 8); the fidelity needs G_2 (2 * 3^2 = 18).
+        monkeypatch.setenv("POVMQUAD_BUILD_GUARD", "10")
         code, _, err = run(capsys, ["fidelity", str(povm_path), "--samples", "500", "--seed", "1"])
         assert code == EXIT_RESOURCE
         assert "POVMQUAD_BUILD_GUARD" in err
@@ -313,7 +314,7 @@ class TestSimulate:
         assert code == EXIT_OK
         doc = json.loads(out)
         assert sum(doc["counts"]) == 5000
-        assert len(doc["counts"]) == 4
+        assert len(doc["counts"]) == 2
         assert doc["tv_distance"] < 0.1
 
     def test_basis_state_input(self, povm_path, capsys):

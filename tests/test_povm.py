@@ -18,13 +18,14 @@ from povmquad import (
     check_optimality,
     check_universality,
     load_povm,
+    mean_fidelity_exact,
     restrict_povm,
     save_povm,
     sym_dim,
     sym_embed,
 )
 
-from _oracles import ACCEPTANCE_PAIRS, povm_json_reference
+from _oracles import ACCEPTANCE_PAIRS, polar_grid, povm_json_reference
 
 # Text that stresses the JSON encoder and any splice keyed on content.
 TRICKY_TEXT = ["elements", '"elements": []', "\x00", 'say "hi" \\ ok', "é ünïcødé ☃", "\n}\n  ],", ""]
@@ -69,7 +70,7 @@ ROUND_TRIP_FAMILIES = [(2, 1, 1), (2, 3, 3), (2, 3, 1), (3, 2, 2), (3, 2, 1), (4
 class TestBuild:
     def test_minimal_qubit_povm(self, povm_for):
         povm = povm_for(2, 1)
-        assert povm.n_outcomes == 4
+        assert povm.n_outcomes == 2
         assert check_optimality(povm) < 1e-12
         assert check_completeness(povm) < 1e-12
         assert abs(math.fsum(povm.weights) - 1.0) < 1e-14
@@ -91,15 +92,16 @@ class TestBuild:
     def test_provenance_records_construction(self, povm_for):
         povm = povm_for(3, 2)
         prov = povm.provenance
-        assert prov["construction"] == "sphere-grid"
-        assert prov["theta_counts"] == [3, 3, 3, 3]
-        assert "phi_count" not in prov
+        assert prov["construction"] == "moduli-lattice"
+        assert prov["moduli_nodes"] == 2
+        assert prov["lattice"] == {"M": 7, "z": [1, 3]}
+        assert "theta_counts" not in prov and "phi_count" not in prov
         assert float(prov["certified_residual"]) < 1e-10
 
     def test_elements_are_rank_one_with_trace_dim_times_weight(self, povm_for):
         povm = povm_for(2, 2)
         dim = sym_dim(2, 2)
-        for a in (0, 4, 8):
+        for a in (0, 3, 5):
             vec = sym_embed(povm.guess_state(a), 2)
             element = dim * povm.weights[a] * np.outer(vec, vec.conj())
             eigs = np.linalg.eigvalsh(element)
@@ -107,13 +109,15 @@ class TestBuild:
             assert abs(np.trace(element).real - dim * povm.weights[a]) < 1e-12
 
     def test_build_guard_refuses_large_runs(self):
-        # (3, 10): A * d_N^2 = 11^4 * 66^2, about 6.4e7 against the default 5e7.
+        # (3, 12): n = 7 moduli nodes per coordinate and d_N = 91, so
+        # A * d_N^2 = 49 * M * 8281 passes 5e7 at M = 124, before the
+        # lattice search finds an exact M.
         with pytest.raises(ResourceLimitError):
-            build_povm(3, 10)
+            build_povm(3, 12)
 
     def test_build_guard_env_override(self, monkeypatch):
-        # (2, 1): A * d_N^2 = 4 * 2^2 = 16.
-        monkeypatch.setenv("POVMQUAD_BUILD_GUARD", "10")
+        # (2, 1): A * d_N^2 = 2 * 2^2 = 8.
+        monkeypatch.setenv("POVMQUAD_BUILD_GUARD", "7")
         with pytest.raises(ResourceLimitError):
             build_povm(2, 1)
 
@@ -126,10 +130,6 @@ class TestBuild:
     def test_nan_tolerance_fails_closed(self):
         with pytest.raises(ConstructionError):
             build_povm(2, 1, tol=math.nan)
-
-    def test_undersized_counts_fail_certification(self):
-        with pytest.raises(ConstructionError):
-            build_povm(2, 2, theta_counts=(2, 2))
 
 
 class TestResiduals:
@@ -145,25 +145,56 @@ class TestResiduals:
         assert check_completeness(broken) > 1e-3
 
     def test_minimal_grid_is_not_universal(self, povm_for):
-        # The level-(N+1) residual of the minimal 4-point qubit grid is
-        # exactly 1/6: optimal for estimation yet not universal.
+        # The minimal qubit grid is an orthonormal basis, whose G_2 has
+        # off-diagonal entries 1/4: optimal for estimation yet not universal.
         povm = povm_for(2, 1)
         residual = check_universality(povm)
-        assert abs(residual - 1.0 / 6.0) < 1e-9
+        assert abs(residual - 1.0 / 4.0) < 1e-9
 
     def test_restricted_povm_is_universal(self, povm_for):
         restricted = restrict_povm(povm_for(2, 2), 1)
         assert check_universality(restricted) < 1e-10
 
     def test_guard_applies_to_checks(self, monkeypatch, povm_for):
-        povm = povm_for(2, 1)
-        monkeypatch.setenv("POVMQUAD_BUILD_GUARD", "10")
+        # A fresh instance, so check_optimality has no kept residual and
+        # forms G_1 (cost 2 * 2^2 = 8).
+        built = povm_for(2, 1)
+        povm = Povm(d=2, N=1, weights=built.weights, guesses=built.guesses)
+        monkeypatch.setenv("POVMQUAD_BUILD_GUARD", "7")
         with pytest.raises(ResourceLimitError):
             check_optimality(povm)
+        with pytest.raises(ResourceLimitError):
+            check_universality(built)
 
 
 # (d, M) families that restrict_povm cuts down to every N <= M.
 RESTRICT_FAMILIES = [(2, 1), (2, 3), (2, 5), (3, 1), (3, 3), (4, 2)]
+
+
+class TestOldLayoutFiles:
+    """Files of the polar grid that build wrote before the moduli x lattice grid."""
+
+    @pytest.mark.parametrize("d,n", [*ACCEPTANCE_PAIRS, (4, 2)])
+    def test_old_files_load_verify_and_reach_the_optimum(self, tmp_path, capsys, d, n):
+        from povmquad.cli import EXIT_OK, main
+
+        states, weights = polar_grid(d, n)
+        old = Povm(d=d, N=n, weights=weights, guesses=states)
+        provenance = {
+            "construction": "sphere-grid",
+            "theta_counts": [n + 1] * (2 * d - 2),
+            "certified_residual": f"{check_optimality(old):.17g}",
+            "certification_tol": f"{1e-10:.17g}",
+        }
+        path = tmp_path / "old.json"
+        save_povm(Povm(d=d, N=n, weights=weights, guesses=states, provenance=provenance), path)
+        assert main(["verify", str(path), "--level", "completeness"]) == EXIT_OK
+        assert "[PASS]" in capsys.readouterr().out
+        loaded = load_povm(path)
+        assert loaded.n_outcomes == (n + 1) ** (2 * d - 2)
+        assert loaded.provenance["theta_counts"] == provenance["theta_counts"]
+        target = (n + 1) / (n + d)
+        assert abs(mean_fidelity_exact(loaded).value - target) < 1e-12
 
 
 class TestRestrict:
@@ -264,7 +295,7 @@ class TestSaveLoad:
         doc = json.loads(path.read_text())
         assert doc["format_version"] == "1"
         assert doc["d"] == 2 and doc["N"] == 1
-        assert len(doc["elements"]) == 4
+        assert len(doc["elements"]) == 2
         assert isinstance(doc["elements"][0]["w"], str)
         assert path.read_text().endswith("\n")
 

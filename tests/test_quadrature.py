@@ -1,9 +1,11 @@
-"""One-dimensional Gauss rules and the product sphere grid, with negative controls."""
+"""One-dimensional Gauss rules and the moduli x lattice grid, with negative controls."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from povmquad import (
     ConstructionError,
@@ -11,13 +13,17 @@ from povmquad import (
     PureState,
     QuadratureRule,
     ResourceLimitError,
-    chi_to_state,
-    default_theta_counts,
+    build_povm,
+    frame_residual,
     gauss_legendre,
+    haar_random_states,
     moment_value,
+    optimal_fidelity,
+    pointwise_fidelity,
+    restrict_povm,
     sphere_grid,
+    sym_dim,
     sym_embed_batch,
-    theta_rule,
     verify_exactness,
 )
 
@@ -25,8 +31,16 @@ from _oracles import (
     ACCEPTANCE_PAIRS,
     gram_residual_states,
     max_ray_overlap,
-    truncate_outer_angle,
+    moduli_lattice_grid,
+    polar_grid,
+    truncate_lattice,
 )
+
+# The (d, N) families of the benchmark and their element counts A.
+BENCHMARK_FAMILIES = {(2, 1): 2, (2, 4): 15, (2, 8): 45, (3, 2): 28, (3, 3): 52, (3, 4): 171, (4, 2): 104}
+
+# Largest N whose grid fits the default POVMQUAD_BUILD_GUARD, per d.
+GUARD_LIMITS = {2: 99, 3: 11, 4: 5, 5: 3, 6: 3}
 
 
 class TestGaussLegendre:
@@ -92,96 +106,87 @@ class TestGaussLegendre:
         assert not info.value.residual <= quadrature.NEWTON_TOL
 
 
-def sine_moment(k: int, p: int) -> float:
-    """integral_0^pi cos^k t sin^p t dt by the Beta function."""
-    if k % 2:
-        return 0.0
-    return math.gamma((k + 1) / 2) * math.gamma((p + 1) / 2) / math.gamma((k + p + 2) / 2)
+def beta_moment(k: int, alpha: int) -> float:
+    """integral_0^1 u^k (1-u)^alpha du = k! alpha! / (k+alpha+1)!."""
+    return math.factorial(k) * math.factorial(alpha) / math.factorial(k + alpha + 1)
 
 
-class TestThetaRules:
-    def test_gl_weight_sum_is_sine_integral(self):
-        rule = theta_rule(2, sin_power=1)
-        assert abs(math.fsum(rule.weights) - 2.0) < 1e-14
+def moduli_rule(n: int, alpha: int):
+    """The moduli rule of sphere_grid: nodes u = (1+x)/2 and weights on [0, 1]."""
+    from povmquad.quadrature import _gauss_jacobi
 
-    def test_gl_odd_integrand_vanishes(self):
-        rule = theta_rule(2, sin_power=1)
-        value = np.sum(rule.weights * np.cos(rule.nodes))
-        assert abs(value) < 1e-15
+    x, w = _gauss_jacobi(n, alpha)
+    return 0.5 * (1.0 + x), w / 2.0 ** (alpha + 1)
 
-    def test_gl_cos2_sin3(self):
-        rule = theta_rule(3, sin_power=3)
-        value = np.sum(rule.weights * np.cos(rule.nodes) ** 2)
-        assert abs(value - 4.0 / 15.0) < 1e-14
 
-    def test_gl_rejects_negative_power(self):
-        with pytest.raises(InputFormatError):
-            theta_rule(2, sin_power=-1)
+class TestModuliRule:
+    @pytest.mark.parametrize("alpha", range(6))
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12, 25])
+    def test_matches_scipy(self, n, alpha):
+        from scipy.special import roots_jacobi
 
-    @pytest.mark.parametrize("p", range(1, 8))
-    @pytest.mark.parametrize("n", range(1, 7))
-    def test_exact_through_degree_2n_minus_1(self, n, p):
-        rule = theta_rule(n, p)
+        from povmquad.quadrature import _gauss_jacobi
+
+        nodes, weights = _gauss_jacobi(n, alpha)
+        x, w = roots_jacobi(n, alpha, 0)
+        assert np.max(np.abs(nodes - x)) < 1e-13
+        assert np.max(np.abs(weights - w)) < 1e-13 * 2.0 ** (alpha + 1)
+
+    @pytest.mark.parametrize("alpha", range(6))
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_exact_through_degree_2n_minus_1(self, n, alpha):
+        nodes, weights = moduli_rule(n, alpha)
         for k in range(2 * n):
-            value = np.sum(rule.weights * np.cos(rule.nodes) ** k)
-            assert abs(value - sine_moment(k, p)) < 1e-13
+            exact = beta_moment(k, alpha)
+            assert abs(np.sum(weights * nodes**k) - exact) < 1e-13 * exact
 
-    @pytest.mark.parametrize("p", range(1, 8))
-    @pytest.mark.parametrize("n", range(1, 7))
-    def test_not_exact_at_degree_2n(self, n, p):
-        rule = theta_rule(n, p)
-        value = np.sum(rule.weights * np.cos(rule.nodes) ** (2 * n))
-        assert abs(value - sine_moment(2 * n, p)) > 1e-6
+    @pytest.mark.parametrize("alpha", range(6))
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_not_exact_at_degree_2n(self, n, alpha):
+        nodes, weights = moduli_rule(n, alpha)
+        exact = beta_moment(2 * n, alpha)
+        assert abs(np.sum(weights * nodes ** (2 * n)) - exact) > 1e-8 * exact
 
     def test_nodes_ascend_inside_the_interval(self):
-        rule = theta_rule(5, 4)
-        assert np.all(np.diff(rule.nodes) > 0.0)
-        assert 0.0 < rule.nodes[0] and rule.nodes[-1] < math.pi
-        assert np.max(np.abs(rule.nodes + rule.nodes[::-1] - math.pi)) < 1e-15
+        nodes, weights = moduli_rule(6, 3)
+        assert np.all(np.diff(nodes) > 0.0)
+        assert 0.0 < nodes[0] and nodes[-1] < 1.0
+        assert abs(math.fsum(weights) - 1.0 / 4.0) < 1e-15
 
-    def test_unit_power_is_gauss_legendre(self):
-        rule, base = theta_rule(6, 1), gauss_legendre(6)
-        assert np.array_equal(rule.nodes, np.arccos(base.nodes[::-1]))
-        assert np.array_equal(rule.weights, base.weights[::-1])
+    @pytest.mark.parametrize("alpha", [1, 3])
+    @pytest.mark.parametrize("offset", [1e-6, math.nan])
+    def test_root_residual_certificate_fails_closed(self, monkeypatch, alpha, offset):
+        # Without the symmetry of alpha = 0 the Newton step follows the
+        # shifted q_n, so the residual reads the offset at second order.
+        import povmquad.quadrature as quadrature
 
-    @pytest.mark.parametrize("n", [1, 2, 5, 9])
-    def test_sine_squared_is_chebyshev_second_kind(self, n):
-        # Weight (1-x^2)^(1/2): nodes t_k = k pi/(n+1), weights
-        # pi/(n+1) sin^2 t_k in closed form.
-        rule = theta_rule(n, 2)
-        t = np.arange(1, n + 1) * math.pi / (n + 1)
-        assert np.max(np.abs(rule.nodes - t)) < 1e-14
-        assert np.max(np.abs(rule.weights - math.pi / (n + 1) * np.sin(t) ** 2)) < 1e-14
+        original = quadrature._recurrence
 
-    @pytest.mark.parametrize("n,p", [(2, 0), (0, 3)])
-    def test_rejects_bad_arguments(self, n, p):
-        with pytest.raises(InputFormatError):
-            theta_rule(n, p)
+        def shifted(jacobi, x):
+            p, dp, squares = original(jacobi, x)
+            return p + offset * dp, dp, squares
 
-
-class TestDefaultCounts:
-    @pytest.mark.parametrize(
-        "d,n,expected",
-        [
-            (2, 1, (2, 2)),
-            (2, 2, (3, 3)),
-            (2, 3, (4, 4)),
-            (3, 1, (2, 2, 2, 2)),
-            (3, 2, (3, 3, 3, 3)),
-            (4, 1, (2, 2, 2, 2, 2, 2)),
-        ],
-    )
-    def test_minimal_counts(self, d, n, expected):
-        assert default_theta_counts(d, n) == expected
+        monkeypatch.setattr(quadrature, "_recurrence", shifted)
+        with pytest.raises(ConstructionError) as info:
+            quadrature._gauss_jacobi(6, alpha)
+        assert not info.value.residual <= quadrature.NEWTON_TOL
 
 
 class TestSphereGrid:
     @pytest.mark.parametrize(
         "d,n,total",
-        [(2, 1, 4), (2, 2, 9), (2, 3, 16), (3, 1, 16), (3, 2, 81), (4, 1, 64)],
+        [(2, 2, 6), (2, 3, 8), (3, 1, 3), (4, 1, 5), (5, 1, 5), (6, 1, 7),
+         *((d, n, a) for (d, n), a in BENCHMARK_FAMILIES.items())],
     )
     def test_node_counts(self, rule_for, d, n, total):
         assert rule_for(d, n).n_points == total
+
+    @pytest.mark.parametrize(
+        "d,n,lattice",
+        [(3, 4, (19, (1, 8))), (4, 2, (13, (1, 3, 9))), (3, 1, (3, (1, 2))), (2, 8, (9, (1,)))],
+    )
+    def test_lattices(self, rule_for, d, n, lattice):
+        assert rule_for(d, n).lattice == lattice
 
     @pytest.mark.parametrize("d,n", ACCEPTANCE_PAIRS)
     def test_weights_positive_and_normalised(self, rule_for, d, n):
@@ -190,13 +195,19 @@ class TestSphereGrid:
         assert abs(math.fsum(rule.weights) - 1.0) < 1e-14
 
     @pytest.mark.parametrize("d,n", ACCEPTANCE_PAIRS)
-    def test_points_on_unit_sphere(self, rule_for, d, n):
+    def test_states_are_unit_vectors(self, rule_for, d, n):
         rule = rule_for(d, n)
-        assert np.max(np.abs(np.linalg.norm(rule.points, axis=1) - 1.0)) < 1e-12
+        assert np.max(np.abs(np.linalg.norm(rule.states, axis=1) - 1.0)) < 1e-12
 
     @pytest.mark.parametrize("d,n", ACCEPTANCE_PAIRS)
     def test_certified_exactness(self, rule_for, d, n):
         assert verify_exactness(rule_for(d, n), n) < 1e-12
+
+    @pytest.mark.parametrize("d,n", sorted(BENCHMARK_FAMILIES))
+    def test_benchmark_families_exact_but_not_universal(self, rule_for, d, n):
+        rule = rule_for(d, n)
+        assert verify_exactness(rule, n) < 1e-12
+        assert verify_exactness(rule, n + 1) > 1e-4
 
     @pytest.mark.parametrize("d,n", [(2, 3), (3, 2)])
     def test_exactness_monotone_below_design_level(self, rule_for, d, n):
@@ -205,13 +216,11 @@ class TestSphereGrid:
             assert verify_exactness(rule, lower) < 1e-12
 
     def test_componentwise_moments_match_exact_values(self, rule_for):
-        from itertools import product as iproduct
-
         rule = rule_for(3, 2)
-        states = rule.states()
+        states = rule.states
         for length in (1, 2):
-            for i in iproduct(range(3), repeat=length):
-                for j in iproduct(range(3), repeat=length):
+            for i in itertools.product(range(3), repeat=length):
+                for j in itertools.product(range(3), repeat=length):
                     vals = np.ones(rule.n_points, dtype=np.complex128)
                     for k in i:
                         vals = vals * states[:, k]
@@ -223,94 +232,151 @@ class TestSphereGrid:
                     )
                     assert abs(got - exact) < 1e-10
 
+    @pytest.mark.parametrize("d,n", [*ACCEPTANCE_PAIRS, (3, 3), (3, 4), (4, 2)])
+    def test_grid_matches_its_definition(self, rule_for, d, n):
+        # The same grid assembled independently from scipy's Gauss-Jacobi
+        # rules and the recorded lattice.
+        rule = rule_for(d, n)
+        M, z = rule.lattice
+        states, weights = moduli_lattice_grid(d, (rule.moduli_nodes,) * (d - 1), M, z)
+        assert np.max(np.abs(states - rule.states)) < 1e-14
+        assert np.max(np.abs(weights - rule.weights)) < 1e-15
+
     def test_truncated_grid_fails(self, rule_for):
         rule = rule_for(2, 1)
-        states, weights = truncate_outer_angle(rule)
+        states, weights = truncate_lattice(rule)
         residual = gram_residual_states(states, weights, 1, sym_embed_batch)
         assert residual > 1e-3
 
     @pytest.mark.parametrize("d,n", [(2, 2), (3, 1)])
-    def test_phase_undersampling_is_masked(self, rule_for, d, n):
-        # One phase node, phi = 0, so c_d is real and positive; the grid
-        # stays exact at level n because G_n is phase invariant.
+    def test_last_phase_is_fixed(self, rule_for, d, n):
+        # theta_d = 0, so c_d is real and positive; the grid stays exact
+        # at level n because G_n is phase invariant.
         rule = rule_for(d, n)
-        assert np.all(rule.states()[:, -1].imag == 0.0)
-        assert np.all(rule.states()[:, -1].real > 0.0)
+        assert np.all(rule.states[:, -1].imag == 0.0)
+        assert np.all(rule.states[:, -1].real > 0.0)
         assert verify_exactness(rule, n) < 1e-12
 
     def test_unbalanced_moments_are_not_reproduced(self, rule_for):
         # Deliberate narrowing: only phase-invariant moments are exact.
         # The sphere average of c_d is 0; on the grid it is positive.
         rule = rule_for(2, 1)
-        assert np.sum(rule.weights * rule.states()[:, -1]).real > 0.1
+        assert np.sum(rule.weights * rule.states[:, -1]).real > 0.1
 
     @pytest.mark.parametrize("d,n", [*ACCEPTANCE_PAIRS, (3, 3)])
     def test_minimal_grid_has_no_coincidences(self, rule_for, d, n):
         # No two nodes of a default grid are the same ray, so no two
         # outcomes of a built POVM could be merged.
-        assert max_ray_overlap(rule_for(d, n).states()) < 1.0 - 1e-12
+        assert max_ray_overlap(rule_for(d, n).states) < 1.0 - 1e-12
 
     def test_repeated_ray_is_detected(self, rule_for):
         # Negative control for the overlap oracle: one node repeated
         # with a global phase is the same ray.
-        states = rule_for(2, 2).states()
+        states = rule_for(2, 2).states
         repeated = np.vstack([states, np.exp(0.7j) * states[3]])
         assert max_ray_overlap(repeated) > 1.0 - 1e-12
 
-    def test_insufficient_counts_fail_verification(self):
-        rule = sphere_grid(3, 2, theta_counts=(3, 3, 2, 3))
-        assert verify_exactness(rule, 2) > 1e-3
+    @pytest.mark.parametrize("d,n", [*ACCEPTANCE_PAIRS, (3, 3), (3, 4), (4, 2)])
+    def test_one_moduli_node_or_lattice_point_fewer_fails(self, rule_for, d, n):
+        rule = rule_for(d, n)
+        M, z = rule.lattice
+        counts = (rule.moduli_nodes,) * (d - 1)
+        if rule.moduli_nodes > 1:
+            for j in range(d - 1):
+                short = counts[:j] + (rule.moduli_nodes - 1,) + counts[j + 1 :]
+                residual = frame_residual(*moduli_lattice_grid(d, short, M, z), n)
+                assert residual > 1e-3, f"coordinate {j + 1}: residual {residual:.3e}"
+        for t in range(M):
+            residual = frame_residual(*moduli_lattice_grid(d, counts, M, z, drop=(t,)), n)
+            assert residual > 1e-3, f"lattice point {t} dropped: residual {residual:.3e}"
 
     @pytest.mark.parametrize("d,n", ACCEPTANCE_PAIRS)
-    def test_one_node_fewer_on_any_angle_fails(self, d, n):
-        counts = default_theta_counts(d, n)
-        for j in range(len(counts)):
-            short = counts[:j] + (n,) + counts[j + 1 :]
-            residual = verify_exactness(sphere_grid(d, n, theta_counts=short), n)
-            assert residual > 1e-3, f"angle {j + 1}: residual {residual:.3e}"
+    def test_polar_and_lattice_grids_agree_on_the_frame_operator(self, rule_for, d, n):
+        # The old polar grid (now a test oracle) and sphere_grid both
+        # give G_N = I/d_N.
+        assert frame_residual(*polar_grid(d, n), n) < 1e-12
+        assert verify_exactness(rule_for(d, n), n) < 1e-12
 
     def test_guard_refuses_before_building(self, monkeypatch):
-        # (2, 1): A * d_1^2 = 4 * 4 = 16.
-        monkeypatch.setenv("POVMQUAD_BUILD_GUARD", "15")
+        # (2, 1): A * d_1^2 = 2 * 2^2 = 8.
+        monkeypatch.setenv("POVMQUAD_BUILD_GUARD", "7")
         with pytest.raises(ResourceLimitError, match="POVMQUAD_BUILD_GUARD"):
             sphere_grid(2, 1)
-        monkeypatch.setenv("POVMQUAD_BUILD_GUARD", "16")
-        assert sphere_grid(2, 1).n_points == 4
+        monkeypatch.setenv("POVMQUAD_BUILD_GUARD", "8")
+        assert sphere_grid(2, 1).n_points == 2
+
+    @pytest.mark.parametrize("d,n", [(5, 4), (6, 4)])
+    def test_guard_bounds_the_lattice_search(self, monkeypatch, d, n):
+        # Every lattice size tried fits the default guard of 5e7; the
+        # search stops at the first M that does not, long before
+        # (N+1)^(d-1).
+        import povmquad.quadrature as quadrature
+
+        tried = []
+        original = quadrature._lattice_generator
+
+        def recording(projected, M):
+            tried.append(M)
+            return original(projected, M)
+
+        monkeypatch.setattr(quadrature, "_lattice_generator", recording)
+        with pytest.raises(ResourceLimitError, match="POVMQUAD_BUILD_GUARD"):
+            sphere_grid(d, n)
+        dim, moduli = sym_dim(d, n), (n + 2) // 2
+        assert all(moduli ** (d - 1) * M * dim * dim <= 50_000_000 for M in tried)
+        assert tried == list(range(dim, dim + len(tried)))
+        assert len(tried) <= 50_000_000 // (moduli ** (d - 1) * dim * dim)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(InputFormatError):
             sphere_grid(1, 1)
         with pytest.raises(InputFormatError):
-            sphere_grid(2, 1, theta_counts=(3,))
-        with pytest.raises(InputFormatError):
-            sphere_grid(2, 1, theta_counts=(2, 0))
-
-    def test_states_interleave_real_and_imaginary(self, rule_for):
-        rule = rule_for(2, 1)
-        states = rule.states()
-        assert np.array_equal(states.real, rule.points[:, 0::2])
-        assert np.array_equal(states.imag, rule.points[:, 1::2])
+            sphere_grid(2, 0)
 
 
-class TestChiToState:
-    def test_basis_direction(self):
-        state = chi_to_state(np.array([1.0, 0.0, 0.0, 0.0]))
-        assert np.allclose(state.amplitudes, [1.0, 0.0])
+def occupation_tuples(d: int, n: int) -> list[tuple[int, ...]]:
+    """Every tuple of d non-negative integers summing to n, by brute force."""
+    return [occ for occ in itertools.product(range(n + 1), repeat=d) if sum(occ) == n]
 
-    def test_mixed_direction(self):
-        chi = np.array([0.5, 0.5, 0.5, 0.5])
-        state = chi_to_state(chi)
-        assert np.allclose(state.amplitudes, [0.5 + 0.5j, 0.5 + 0.5j])
 
-    def test_rejects_odd_or_short_length(self):
-        with pytest.raises(InputFormatError):
-            chi_to_state(np.array([1.0, 0.0, 0.0]))
-        with pytest.raises(InputFormatError):
-            chi_to_state(np.array([1.0, 0.0]))
+families_within_guard = st.integers(2, 6).flatmap(
+    lambda d: st.tuples(st.just(d), st.integers(1, GUARD_LIMITS[d]))
+)
 
-    def test_rejects_off_sphere(self):
-        with pytest.raises(InputFormatError):
-            chi_to_state(np.array([1.0, 1.0, 0.0, 0.0]))
+
+class TestLatticeProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(family=families_within_guard)
+    def test_lattice_separates_every_difference(self, family):
+        d, n = family
+        M, z = sphere_grid(d, n).lattice
+        assert n + 1 <= M <= (n + 1) ** (d - 1)
+        assert len(z) == d - 1 and z[0] == 1
+        tuples = occupation_tuples(d, n)
+        for a, b in itertools.combinations(tuples, 2):
+            k = [x - y for x, y in zip(a[:-1], b[:-1])]
+            assert sum(kj * zj for kj, zj in zip(k, z)) % M != 0, (a, b)
+
+    @settings(max_examples=10, deadline=None)
+    @given(family=families_within_guard)
+    def test_search_is_deterministic(self, family):
+        first, second = sphere_grid(*family), sphere_grid(*family)
+        assert first.lattice == second.lattice
+        assert np.array_equal(first.states, second.states)
+        assert np.array_equal(first.weights, second.weights)
+
+    @settings(max_examples=10, deadline=None)
+    @given(family=st.sampled_from([(2, 1), (2, 2), (2, 4), (3, 1), (3, 2), (4, 1), (5, 1)]),
+           seed=st.integers(0, 2**16))
+    def test_restriction_one_level_down_is_universal(self, family, seed):
+        d, n = family
+        estimator = restrict_povm(build_povm(d, n + 1), n)
+        target = float(optimal_fidelity(n, d))
+        values = np.array(
+            [pointwise_fidelity(estimator, PureState(a)) for a in haar_random_states(d, 50, seed)]
+        )
+        assert float(np.var(values)) <= 1e-20
+        assert float(np.max(np.abs(values - target))) <= 1e-8
 
 
 class TestRuleValidation:
@@ -323,11 +389,11 @@ class TestRuleValidation:
     def test_quadrature_rule_shape_checks(self):
         with pytest.raises(InputFormatError):
             QuadratureRule(
-                d=2, N_exact=1, points=np.zeros((3, 3)), weights=np.ones(3),
-                theta_counts=(1, 1),
+                d=2, N_exact=1, states=np.zeros((3, 3)), weights=np.ones(3),
+                moduli_nodes=1, lattice=(3, (1,)),
             )
         with pytest.raises(InputFormatError):
             QuadratureRule(
-                d=2, N_exact=1, points=np.zeros((3, 4)), weights=np.ones(2),
-                theta_counts=(1, 1),
+                d=2, N_exact=1, states=np.zeros((3, 2)), weights=np.ones(2),
+                moduli_nodes=1, lattice=(3, (1,)),
             )

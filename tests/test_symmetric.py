@@ -230,7 +230,7 @@ class TestFrameOperator:
 
     def test_build_guard(self, povm_for, monkeypatch):
         povm = povm_for(2, 1)
-        monkeypatch.setenv("POVMQUAD_BUILD_GUARD", "10")
+        monkeypatch.setenv("POVMQUAD_BUILD_GUARD", "7")
         with pytest.raises(ResourceLimitError, match="POVMQUAD_BUILD_GUARD"):
             frame_operator(povm.guesses, povm.weights, 1)
 

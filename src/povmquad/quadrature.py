@@ -102,7 +102,7 @@ def _gauss_jacobi(n: int, alpha: int) -> tuple[np.ndarray, np.ndarray]:
         diag = -alpha**2 / (s * (s + 2.0))
     k = np.arange(1.0, n + 1)
     s = 2.0 * k + alpha
-    # One rounding of an exact integer ratio: at alpha = 0 this is the Legendre k^2/(4k^2-1).
+    # One rounding of an exact integer ratio; at alpha = 0 the square is Legendre's k^2/(4k^2-1).
     off = np.sqrt((2.0 * k * (k + alpha)) ** 2 / (s * s * (s * s - 1.0)))
     jacobi = (diag, off)
     roots = np.linalg.eigvalsh(np.diag(diag) + np.diag(off[:-1], 1) + np.diag(off[:-1], -1))

@@ -197,6 +197,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     check_shots(args.shots)
     if (args.state_seed is None) == (args.basis is None):
         raise InputFormatError("provide exactly one of --state-seed or --basis")
+    if args.basis is not None and args.basis < 0:
+        raise InputFormatError(f"--basis must be non-negative, got {args.basis}")
     povm = load_povm(args.path)
     if args.state_seed is not None:
         state = haar_random_state(povm.d, args.state_seed)
@@ -232,12 +234,16 @@ def cmd_clone(args: argparse.Namespace) -> int:
         raise InputFormatError(f"need 1 <= N <= M, got N={args.N}, M={args.M}")
     if args.states < 1:
         raise InputFormatError(f"--states must be >= 1, got {args.states}")
+    # The top family is built first.  It has A >= d_M elements, so its
+    # construction cost A*d_M^2 bounds every clone's d_M^3: a run the guard
+    # refuses is refused before any state is drawn or cloned.
+    top = build_povm(args.d, args.M)
     states = [haar_random_state(args.d, args.seed + k) for k in range(args.states)]
     rows = []
     for m in range(args.N, args.M + 1):
-        outputs = [clone(state, args.N, m) for state in states]
-        povm_m = build_povm(args.d, m)
-        for idx, (state, out) in enumerate(zip(states, outputs)):
+        povm_m = top if m == args.M else build_povm(args.d, m)
+        for idx, state in enumerate(states):
+            out = clone(state, args.N, m)
             single = single_particle_fidelity(out, state)
             two_step = two_step_estimate(out, state, povm_m)
             rows.append(

@@ -5,10 +5,13 @@ d_N = C(N+d-1, d-1) and an orthonormal occupation-number basis labelled
 by tuples n = (n_1, ..., n_d) with sum N.  A product state
 |phi>^{tensor N} lies inside the subspace; its occupation coordinates
 are sqrt(N!/prod n_i!) * prod c_i^{n_i} where c are the amplitudes of
-|phi>.  Certification and the fidelity formulas all run on one
-primitive in these coordinates, frame_operator, and the cloner works in
-them too.  sym_isometry and symmetric_projector_full are the one bridge
-to the d^M full space, for callers that need dense operators there.
+|phi>.  sym_embed_batch forms them for a whole batch from power tables
+c_i^0, ..., c_i^N, gathered through the occupation table, so its numpy
+call count does not grow with d_N.  Certification and the fidelity
+formulas all run on one primitive in these coordinates,
+frame_operator, and the cloner works in them too.  sym_isometry and
+symmetric_projector_full are the one bridge to the d^M full space, for
+callers that need dense operators there.
 """
 
 from __future__ import annotations
@@ -96,8 +99,30 @@ def _embedding_coefficients(d: int, N: int) -> np.ndarray:
     return arr
 
 
+@lru_cache(maxsize=None)
+def _occupation_table(d: int, N: int) -> np.ndarray:
+    """occupation_basis(d, N) as a read-only d_N x d integer array."""
+    table = np.asarray(occupation_basis(d, N), dtype=np.intp)
+    table.setflags(write=False)
+    return table
+
+
 def sym_embed_batch(amplitudes: np.ndarray, N: int) -> np.ndarray:
     """Occupation-basis coordinates of |phi>^{tensor N} for many states.
+
+    Works on power tables: powers[p, i] holds a_i^p for every state and
+    is filled by doubling, powers[t+1 .. t+s] = powers[1 .. s] * powers[t],
+    so ceil(log2 N) slab products form every power.  Column k is the
+    product of a_i^{n_i} over the k-th row n of the occupation table,
+    taken in order i = 0, ..., d-1 by one gather of whole rows per
+    variable, then scaled once by sqrt(N!/prod n_i!) and copied out
+    transposed.  A batch thus costs about 2d + log2 N numpy calls
+    whatever d_N is, and holds the output, one gathered operand of its
+    size and the power tables.  numpy's complex ** takes a different
+    product tree below exponent 100 and exp(n log a) from there on, so
+    entries differ from the per-column formula sqrt(N!/prod n_i!)
+    prod_i a_i**n_i by a few ulps, and not at all on computational basis
+    states.
 
     Args:
         amplitudes: complex array of shape (batch, d), rows unit norm.
@@ -112,16 +137,20 @@ def sym_embed_batch(amplitudes: np.ndarray, N: int) -> np.ndarray:
     d = amps.shape[1]
     if N < 1:
         raise InputFormatError(f"need N >= 1, got N={N}")
-    basis = occupation_basis(d, N)
-    coeffs = _embedding_coefficients(d, N)
-    out = np.empty((amps.shape[0], len(basis)), dtype=np.complex128)
-    for k, n in enumerate(basis):
-        cols = np.ones(amps.shape[0], dtype=np.complex128)
-        for i, power in enumerate(n):
-            if power:
-                cols = cols * amps[:, i] ** power
-        out[:, k] = coeffs[k] * cols
-    return out
+    table = _occupation_table(d, N)
+    powers = np.empty((N + 1, d, amps.shape[0]), dtype=np.complex128)
+    powers[0] = 1.0
+    powers[1] = amps.T
+    top = 1
+    while top < N:
+        step = min(top, N - top)
+        np.multiply(powers[1 : step + 1], powers[top], out=powers[top + 1 : top + step + 1])
+        top += step
+    cols = powers[table[:, 0], 0]
+    for i in range(1, d):
+        cols *= powers[table[:, i], i]
+    cols *= _embedding_coefficients(d, N)[:, None]
+    return np.ascontiguousarray(cols.T)
 
 
 def sym_embed(state: PureState, N: int) -> np.ndarray:

@@ -75,6 +75,26 @@ def projector_bruteforce(d: int, n: int) -> np.ndarray:
     return basis.conj().T @ basis
 
 
+def sym_embed_per_column(amplitudes: np.ndarray, n: int) -> np.ndarray:
+    """Occupation coordinates of |phi>^{tensor n}, one basis column at a time.
+
+    Column k is sqrt(n!/prod n_i!) prod_i a_i**n_i for the k-th
+    occupation tuple, each power a binary ** and the factors multiplied
+    in order i = 0, ..., d-1: the embedding formula without power tables.
+    """
+    amps = np.asarray(amplitudes, dtype=np.complex128)
+    basis = occupations_lex_desc(amps.shape[1], n)
+    out = np.empty((amps.shape[0], len(basis)), dtype=np.complex128)
+    for k, occ in enumerate(basis):
+        coeff = math.sqrt(math.factorial(n) / math.prod(math.factorial(p) for p in occ))
+        cols = np.ones(amps.shape[0], dtype=np.complex128)
+        for i, power in enumerate(occ):
+            if power:
+                cols = cols * amps[:, i] ** power
+        out[:, k] = coeff * cols
+    return out
+
+
 def contraction_count_bruteforce(i: tuple[int, ...], j: tuple[int, ...]) -> int:
     """Number of permutations sigma with j[sigma[k]] == i[k] for all k."""
     if len(i) != len(j):

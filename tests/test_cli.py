@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -443,16 +444,53 @@ class TestClone:
         assert abs(top["single_particle"] - (eta + (1.0 - eta) / 2.0)) < 1e-12
 
     def test_build_guard_refuses_clone(self, capsys, monkeypatch):
-        # The M = 1 clone costs d_M^3 = 8 and is formed before the POVM is built.
+        # The M = 2 family is built first, and its construction cost
+        # refuses the run before the M = 1 clone (d_M^3 = 8) is formed.
         monkeypatch.setenv("POVMQUAD_BUILD_GUARD", "7")
         code, out, err = run(
             capsys,
             ["clone", "--d", "2", "--N", "1", "--M", "2", "--states", "1", "--seed", "1"],
         )
         assert code == EXIT_RESOURCE
-        assert "d_M^3" in err
+        assert "construction cost" in err
         assert "POVMQUAD_BUILD_GUARD" in err
         assert out == ""
+
+    def test_refused_top_family_draws_and_clones_nothing(self, capsys, monkeypatch):
+        # build_povm(2, 100) is over the default guard; every M below it is not.
+        import povmquad.cli
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("a refused run reached the states or the cloner")
+
+        monkeypatch.setattr(povmquad.cli, "haar_random_state", no_work)
+        monkeypatch.setattr(povmquad.cli, "clone", no_work)
+        code, out, err = run(
+            capsys,
+            ["clone", "--d", "2", "--N", "1", "--M", "100", "--states", "1", "--seed", "1"],
+        )
+        assert code == EXIT_RESOURCE
+        assert "POVMQUAD_BUILD_GUARD" in err
+        assert out == ""
+
+    def test_memory_does_not_grow_with_states(self, capsys):
+        # Each cloner output (28 x 28 complex at M = 6) is dropped once its
+        # row is written; only the rows themselves grow with --states.
+        def peak(states):
+            tracemalloc.start()
+            try:
+                code = main(["clone", "--d", "3", "--N", "1", "--M", "6",
+                             "--states", str(states), "--seed", "2", "--json"])
+                return code, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                capsys.readouterr()
+
+        peak(1)
+        few_code, few = peak(2)
+        many_code, many = peak(40)
+        assert few_code == many_code == EXIT_OK
+        assert many - few < 150_000
 
 
 class TestMoments:
@@ -572,9 +610,11 @@ class TestFlagsBeforeWork:
             ["simulate", "{path}", "--shots", "0", "--seed", "1", "--state-seed", "1"],
             ["simulate", "{path}", "--shots", "10", "--seed", "1"],
             ["simulate", "{path}", "--shots", "10", "--seed", "1", "--state-seed", "1", "--basis", "0"],
+            ["simulate", "{path}", "--shots", "10", "--seed", "1", "--basis", "-1"],
         ],
         ids=["fidelity-sweep-guarded", "fidelity-sweep-three", "fidelity-path",
-             "simulate-shots", "simulate-no-state", "simulate-two-states"],
+             "simulate-shots", "simulate-no-state", "simulate-two-states",
+             "simulate-negative-basis"],
     )
     def test_bad_flag_is_input_error_before_work(self, povm_path, capsys, monkeypatch, argv):
         import povmquad.cli

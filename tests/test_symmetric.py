@@ -1,6 +1,7 @@
 """Symmetric-subspace embedding against brute-force full-space algebra."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,12 @@ from povmquad import (
     symmetric_projector_full,
 )
 
-from _oracles import projector_bruteforce, sym_basis_bruteforce, tensor_power
+from _oracles import (
+    projector_bruteforce,
+    sym_basis_bruteforce,
+    sym_embed_per_column,
+    tensor_power,
+)
 
 RT2 = 1.0 / math.sqrt(2.0)
 
@@ -141,6 +147,47 @@ class TestSymEmbed:
 
 def seed_for(d, n):
     return 1000 * d + n
+
+
+# For each d, the first N whose POVM build the default guard refuses.
+GUARD_EDGE = {2: 100, 3: 12, 4: 6, 5: 4, 6: 4}
+
+
+class TestEmbeddingOracle:
+    @pytest.mark.parametrize("d", sorted(GUARD_EDGE))
+    def test_matches_per_column_formula(self, d):
+        # Repeated products against binary powers: a few ulps apart.  The
+        # oracle is the looser side at n = 100, where numpy's complex **
+        # leaves binary exponentiation for exp(n log a).
+        states = haar_random_states(d, 64, 7 + d)
+        for n in range(1, GUARD_EDGE[d] + 1):
+            got = sym_embed_batch(states, n)
+            want = sym_embed_per_column(states, n)
+            assert np.all(np.abs(got - want) <= 4 * (n + 1) * 2.0**-52 * np.abs(want)), (d, n)
+
+    @pytest.mark.parametrize("d", sorted(GUARD_EDGE))
+    def test_basis_states_match_exactly(self, d):
+        basis = np.eye(d, dtype=np.complex128)
+        for n in range(1, GUARD_EDGE[d] + 1):
+            assert np.array_equal(sym_embed_batch(basis, n), sym_embed_per_column(basis, n))
+
+    @pytest.mark.parametrize("d,n", sorted(GUARD_EDGE.items()))
+    def test_peak_memory_is_one_temporary_over_output(self, d, n):
+        # The output, one gathered operand of its size and the power
+        # tables, which are d(N+1)/d_N of the output: at most 2.5x the
+        # output for d >= 3.  At d = 2 the tables alone are twice it.
+        states = haar_random_states(d, 2048, 3)
+        sym_embed_batch(states[:8], n)
+        tracemalloc.start()
+        try:
+            out = sym_embed_batch(states, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tables = states.shape[0] * d * (n + 1) * 16
+        assert peak <= 2 * out.nbytes + tables + 65536
+        if d >= 3:
+            assert peak <= 2.5 * out.nbytes
 
 
 class TestOverlapFidelity:

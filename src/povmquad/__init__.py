@@ -64,7 +64,7 @@ from .symmetric import (
     symmetric_projector_full,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "ClonerOutput",

@@ -47,6 +47,9 @@ class Povm:
     provenance: dict = field(default_factory=dict)
     # max |G_N - I/d_N| of the frozen arrays, kept by check_optimality.
     _level_n_residual: float | None = field(default=None, init=False, repr=False, compare=False)
+    # sym_embed_batch(guesses, N) of the frozen guesses, kept by the cloner's
+    # two-step check, which applies the family to one cloner output per state.
+    _level_n_embedding: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.d < 2 or self.N < 1:

@@ -12,11 +12,20 @@ formulas all run on one primitive in these coordinates,
 frame_operator, and the cloner works in them too.  sym_isometry and
 symmetric_projector_full are the one bridge to the d^M full space, for
 callers that need dense operators there.
+
+Haar-random inputs come from two generators.  One state,
+haar_random_state, is drawn from the interpreter's own Mersenne
+Twister (random.Random), so a process that needs only a few single
+states, such as the cloner check, never loads numpy.random.  Batches
+(haar_random_states) and unitaries (haar_random_unitary) are drawn from
+numpy Generators.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import random
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -224,22 +233,60 @@ def symmetric_projector_full(d: int, M: int) -> np.ndarray:
     return iso @ iso.T
 
 
+def _check_seed(seed) -> int:
+    """seed as a plain int, or InputFormatError if it is not a non-negative integer.
+
+    Anything operator.index accepts counts as an integer except bool.
+    random.Random seeds by absolute value and numpy refuses negative
+    seeds with a bare ValueError, so a negative seed is refused here.
+    """
+    if isinstance(seed, bool):
+        raise InputFormatError(f"seed must be a non-negative integer, got {seed!r}")
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        raise InputFormatError(f"seed must be a non-negative integer, got {seed!r}") from None
+    if value < 0:
+        raise InputFormatError(f"seed must be non-negative, got {value}")
+    return int(value)
+
+
+def _generator(rng: np.random.Generator | int) -> np.random.Generator:
+    """rng itself, or a fresh numpy Generator from a validated integer seed."""
+    if isinstance(rng, np.random.Generator):
+        return rng
+    return np.random.default_rng(_check_seed(rng))
+
+
 def haar_random_states(d: int, count: int, rng: np.random.Generator | int) -> np.ndarray:
     """count rows of Haar-distributed unit vectors in C^d.
 
-    Each state is d i.i.d. standard complex Gaussians, normalised.
+    Each state is d i.i.d. standard complex Gaussians, normalised, drawn
+    from a numpy Generator (rng, or default_rng(rng) for an integer seed).
     """
     if d < 2 or count < 1:
         raise InputFormatError(f"need d >= 2 and count >= 1, got d={d}, count={count}")
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    gen = _generator(rng)
     z = gen.standard_normal((count, d)) + 1j * gen.standard_normal((count, d))
     z /= np.linalg.norm(z, axis=1, keepdims=True)
     return z
 
 
 def haar_random_state(d: int, seed: int) -> PureState:
-    """One Haar-distributed pure state, reproducible from the seed."""
-    return PureState(haar_random_states(d, 1, seed)[0])
+    """One Haar-distributed pure state, reproducible from the seed.
+
+    The 2d standard normals come from a fresh random.Random(seed), as
+    (Re c_1, Im c_1, ..., Re c_d, Im c_d), and are normalised.  This is a
+    different stream from haar_random_states(d, 1, seed), which draws from
+    numpy's PCG64; the state has the same distribution, and numpy.random
+    is never imported for it.
+    """
+    if d < 2:
+        raise InputFormatError(f"need d >= 2, got d={d}")
+    gen = random.Random(_check_seed(seed))
+    z = np.array([gen.gauss(0.0, 1.0) for _ in range(2 * d)]).view(np.complex128)
+    z /= np.linalg.norm(z)
+    return PureState(z)
 
 
 def haar_random_unitary(d: int, rng: np.random.Generator | int) -> np.ndarray:
@@ -250,7 +297,7 @@ def haar_random_unitary(d: int, rng: np.random.Generator | int) -> np.ndarray:
     """
     if d < 2:
         raise InputFormatError(f"need d >= 2, got d={d}")
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    gen = _generator(rng)
     z = (gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))) / math.sqrt(2.0)
     q, r = np.linalg.qr(z)
     phases = np.diagonal(r).copy()

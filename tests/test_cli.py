@@ -430,6 +430,25 @@ class TestClone:
         assert code == EXIT_OK
         assert sorted(calls) == [1, 1, 2, 2, 3, 3]
 
+    def test_each_family_embedded_once(self, capsys, monkeypatch):
+        import povmquad.cloner
+
+        levels = []
+        real_embed = povmquad.cloner.sym_embed_batch
+
+        def counting_embed(amplitudes, n):
+            levels.append(n)
+            return real_embed(amplitudes, n)
+
+        # The cloner's own embeddings: the M-copy family in the two-step check.
+        monkeypatch.setattr(povmquad.cloner, "sym_embed_batch", counting_embed)
+        code, _, _ = run(
+            capsys,
+            ["clone", "--d", "2", "--N", "1", "--M", "3", "--states", "3", "--seed", "1"],
+        )
+        assert code == EXIT_OK
+        assert sorted(levels) == [1, 2, 3]
+
     def test_thirteen_qubit_clones_fit_default_guards(self, capsys):
         # d^M = 8192 used to exceed the full-space guard; d_M^3 = 2744.
         code, out, _ = run(
@@ -683,6 +702,44 @@ class TestClosedStdout:
         assert proc.returncode == EXIT_INPUT
         assert len(proc.stderr.splitlines()) == 1
         assert "Traceback" not in proc.stderr
+
+
+class TestImports:
+    """Which commands load numpy.random, each probed in a fresh interpreter."""
+
+    PROBE = (
+        "import sys\n"
+        "from povmquad.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "sys.stdout.flush()\n"
+        "sys.stderr.write(f'numpy.random loaded: {\"numpy.random\" in sys.modules}')\n"
+        "sys.exit(code)\n"
+    )
+
+    def probe(self, argv):
+        src = Path(povmquad.__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+        proc = subprocess.run(
+            [sys.executable, "-c", self.PROBE, *argv],
+            capture_output=True, env=env, timeout=120, text=True,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        return proc.stderr.splitlines()[-1]
+
+    def test_single_state_commands_never_load_numpy_random(self, tmp_path):
+        path = str(tmp_path / "qubit2.json")
+        commands = [
+            ["build", "--d", "2", "--N", "2", "--out", path],
+            ["verify", path, "--level", "optimality"],
+            ["clone", "--d", "3", "--N", "1", "--M", "3", "--states", "2", "--seed", "1"],
+            ["moments", "--d", "2", "--max-len", "2"],
+        ]
+        for argv in commands:
+            assert self.probe(argv) == "numpy.random loaded: False", argv[0]
+        # Positive control: the Monte Carlo batch still draws from numpy.
+        fidelity = ["fidelity", path, "--samples", "100", "--seed", "1"]
+        assert self.probe(fidelity) == "numpy.random loaded: True"
 
 
 class TestParser:

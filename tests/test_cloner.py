@@ -10,6 +10,7 @@ from povmquad import (
     ClonerOutput,
     ConstructionError,
     InputFormatError,
+    Povm,
     PureState,
     ResourceLimitError,
     clone,
@@ -209,6 +210,17 @@ class TestTwoStepEstimate:
         state = haar_random_state(d, 23 + m)
         pipeline, _ = two_step_components(clone(state, n, m), state, povm_m)
         assert abs(pipeline - two_step_dense(state.amplitudes, n, povm_m)) < 1e-10
+
+    @pytest.mark.parametrize("d,n,m", [(2, 1, 3), (3, 1, 2), (3, 2, 4)])
+    def test_kept_embedding_gives_the_same_values(self, povm_for, d, n, m):
+        # One Povm reused over states (its embedding formed once) against a
+        # fresh copy per state (embedding formed per call): equal, not close.
+        shared = povm_for(d, m)
+        for seed in range(5):
+            state = haar_random_state(d, 300 + seed)
+            out = clone(state, n, m)
+            fresh = Povm(d=d, N=m, weights=shared.weights, guesses=shared.guesses)
+            assert two_step_components(out, state, shared) == two_step_components(out, state, fresh)
 
     def test_trivial_chain_is_pointwise_fidelity(self, povm_for):
         from povmquad import pointwise_fidelity

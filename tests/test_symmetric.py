@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from povmquad import (
     haar_random_state,
     haar_random_states,
     haar_random_unitary,
+    moment_value,
     occupation_basis,
     overlap,
     sym_dim,
@@ -294,6 +296,38 @@ class TestHaarSampling:
         s2 = haar_random_state(2, 7)
         assert np.array_equal(s1.amplitudes, s2.amplitudes)
 
+    def test_single_state_golden_amplitudes(self):
+        # random.Random(12345).gauss gives the same stream on Python 3.10 to
+        # 3.13, so a drift of the generator or of the draw order fails here.
+        golden = [
+            -0.11492570042213002 + 0.06639744507302758j,
+            0.3558860261567978 - 0.696230885488194j,
+            -0.4124993604601448 + 0.44814666211953086j,
+        ]
+        amps = haar_random_state(3, 12345).amplitudes
+        assert np.max(np.abs(amps - golden)) < 1e-15
+
+    @pytest.mark.parametrize("seed", [-1, -3, True, False, 1.5, 2.0, "3", None])
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda seed: haar_random_state(2, seed),
+            lambda seed: haar_random_states(2, 3, seed),
+            lambda seed: haar_random_unitary(2, seed),
+        ],
+        ids=["state", "states", "unitary"],
+    )
+    def test_bad_seed_is_input_error(self, draw, seed):
+        with pytest.raises(InputFormatError, match="seed"):
+            draw(seed)
+
+    def test_index_seeds_draw_as_their_int(self):
+        assert np.array_equal(
+            haar_random_state(3, np.int64(5)).amplitudes, haar_random_state(3, 5).amplitudes
+        )
+        assert np.array_equal(haar_random_states(3, 4, np.uint8(5)), haar_random_states(3, 4, 5))
+        assert np.array_equal(haar_random_unitary(3, np.int32(5)), haar_random_unitary(3, 5))
+
     def test_unitary_is_unitary_and_deterministic(self):
         u1 = haar_random_unitary(4, 11)
         u2 = haar_random_unitary(4, 11)
@@ -308,3 +342,54 @@ class TestHaarSampling:
         va, vb = sym_embed(a, 3), sym_embed(b, 3)
         wa, wb = sym_embed(ra, 3), sym_embed(rb, 3)
         assert abs(np.vdot(va, vb) - np.vdot(wa, wb)) < 1e-12
+
+
+# Monomials prod c_i prod conj(c_j), 1-based, as (i, j); unequal lengths
+# average to zero by phase invariance.
+SINGLE_STATE_MONOMIALS = [
+    ((1,), (1,)),
+    ((2,), (2,)),
+    ((1,), (2,)),
+    ((1, 1), (1, 1)),
+    ((1, 2), (1, 2)),
+    ((1, 1), (2, 2)),
+    ((1, 2), (1, 1)),
+    ((1, 2), ()),
+]
+
+
+class TestSingleStateMoments:
+    """haar_random_state over 4000 seeds against the exact moments.
+
+    The mean of each monomial X is compared with moment_value, separately
+    for its real and imaginary parts.  The standard error comes from exact
+    moments too: Var Re X = (E|X|^2 + Re E[X^2])/2 - (Re EX)^2 and
+    Var Im X = (E|X|^2 - Re E[X^2])/2, so the 5 sigma bound is fixed by the
+    oracle and not by the sample.
+    """
+
+    SEEDS = range(4000)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_moments_within_five_sigma(self, d):
+        amps = np.array([haar_random_state(d, seed).amplitudes for seed in self.SEEDS])
+        n = amps.shape[0]
+        for i, j in SINGLE_STATE_MONOMIALS:
+            i = tuple(min(k, d) for k in i)
+            j = tuple(min(k, d) for k in j)
+            x = np.prod(amps[:, [k - 1 for k in i]], axis=1) * np.prod(
+                amps[:, [k - 1 for k in j]].conj(), axis=1
+            )
+            mean = moment_value(d, i, j)
+            abs_sq = moment_value(d, i + j, j + i)
+            square = moment_value(d, i + i, j + j)
+            var_re = (abs_sq + square) / 2 - mean**2
+            var_im = (abs_sq - square) / 2
+            assert var_re >= 0 and var_im >= 0
+            for part, exact, var in (
+                (x.real, mean, var_re),
+                (x.imag, Fraction(0), var_im),
+            ):
+                # The 1e-12 covers rounding where the variance is 0 (Im |c_1|^2).
+                bound = 5.0 * math.sqrt(var / n) + 1e-12
+                assert abs(float(part.mean()) - float(exact)) <= bound, (i, j, exact)

@@ -41,7 +41,6 @@ from .povm import (
     save_povm,
 )
 from .quadrature import (
-    QuadratureRule,
     Rule1D,
     gauss_legendre,
     sphere_grid,
@@ -64,7 +63,7 @@ from .symmetric import (
     symmetric_projector_full,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "ClonerOutput",
@@ -74,7 +73,6 @@ __all__ = [
     "Povm",
     "PovmQuadError",
     "PureState",
-    "QuadratureRule",
     "ResourceLimitError",
     "Rule1D",
     "build_povm",

@@ -35,7 +35,15 @@ import numpy as np
 
 from .errors import InputFormatError
 from .povm import Povm
-from .symmetric import PureState, frame_operator, haar_random_states, sym_dim, sym_embed_batch
+from .symmetric import (
+    PureState,
+    _check_seed,
+    _generator,
+    frame_operator,
+    haar_random_states,
+    sym_dim,
+    sym_embed_batch,
+)
 
 MC_MIN_SAMPLES = 100
 _MC_BLOCK = 4096
@@ -90,12 +98,15 @@ def outcome_probs(povm: Povm, state: PureState) -> np.ndarray:
 
 
 def sample_outcomes(povm: Povm, state: PureState, shots: int, seed: int) -> np.ndarray:
-    """Multinomial outcome counts for `shots` measurements, shape (A,)."""
+    """Multinomial outcome counts for `shots` measurements, shape (A,).
+
+    Raises InputFormatError unless seed is a non-negative integer.
+    """
     check_shots(shots)
+    rng = _generator(seed)
     probs = outcome_probs(povm, state)
     probs = np.clip(probs, 0.0, None)
     probs = probs / probs.sum()
-    rng = np.random.default_rng(seed)
     return rng.multinomial(shots, probs)
 
 
@@ -147,12 +158,14 @@ def mean_fidelity_mc(povm: Povm, samples: int, seed: int) -> FidelityReport:
     Golub & LeVeque, so a constant integrand (a universal estimator)
     reports the spread of its rounding, not a cancellation residue.
     G_{N+1} is formed once per call; refused when its cost
-    A*d_{N+1}^2 exceeds the build guard.
+    A*d_{N+1}^2 exceeds the build guard.  Raises InputFormatError, before
+    any work, unless seed is a non-negative integer.
     """
     check_samples(samples)
+    root = np.random.SeedSequence(_check_seed(seed))
     frame = frame_operator(povm.guesses, povm.weights, povm.N + 1)
     n_blocks = (samples + _MC_BLOCK - 1) // _MC_BLOCK
-    seeds = np.random.SeedSequence(seed).spawn(n_blocks)
+    seeds = root.spawn(n_blocks)
     total = 0.0
     mean = 0.0
     m2 = 0.0
@@ -185,12 +198,13 @@ def majority_vote_fidelity_mc(N: int, samples: int, seed: int) -> FidelityReport
     d = 2 only.  Each of the N copies is measured separately in the
     computational basis and the guess is the basis state that won the
     vote (ties broken by a fair coin).  For N >= 2 this strategy is
-    strictly below the joint-measurement optimum (N+1)/(N+2).
+    strictly below the joint-measurement optimum (N+1)/(N+2).  Raises
+    InputFormatError unless seed is a non-negative integer.
     """
     if N < 1:
         raise InputFormatError(f"need N >= 1, got N={N}")
     check_samples(samples)
-    rng = np.random.default_rng(seed)
+    rng = _generator(seed)
     states = haar_random_states(2, samples, rng)
     p0 = np.abs(states[:, 0]) ** 2
     zeros = rng.binomial(N, p0)

@@ -6,91 +6,34 @@ single condition sum_a w_a rho_a^{tensor N} = S_N / d_N makes the set a
 POVM on the symmetric subspace and simultaneously an optimal estimator;
 when the same nodes satisfy the condition one level higher (N+1) the
 estimator is universal: its fidelity is the same constant for every
-input state.  Grids from sphere_grid satisfy the condition by
-construction and are certified numerically before a Povm is returned.
+input state.  A grid from sphere_grid satisfies the condition by
+construction: it is already the Povm, and build_povm certifies it in
+place before returning it.  The Povm record is defined in quadrature
+and re-exported here.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
 from .errors import ConstructionError, InputFormatError, exceeds
-from .quadrature import sphere_grid, verify_exactness
-from .symmetric import NORM_TOL, PureState, frame_residual, sym_dim
+from .quadrature import Povm, sphere_grid
+from .symmetric import frame_residual, sym_dim
 
 FORMAT_VERSION = "1"
 CERTIFICATION_TOL = 1e-10
 LOAD_COMPLETENESS_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class Povm:
-    """Weighted family of guess states defining an optimal-form POVM.
-
-    weights has shape (A,) with finite, strictly positive entries;
-    guesses has shape (A, d) with finite, unit-norm rows; both are
-    copied and frozen on construction.  Completeness
-    and optimality are not re-verified on construction (tests build
-    deliberately broken instances); build_povm and load_povm are the
-    certifying entry points.
-    """
-
-    d: int
-    N: int
-    weights: np.ndarray
-    guesses: np.ndarray
-    provenance: dict = field(default_factory=dict)
-    # max |G_N - I/d_N| of the frozen arrays, kept by check_optimality.
-    _level_n_residual: float | None = field(default=None, init=False, repr=False, compare=False)
-    # sym_embed_batch(guesses, N) of the frozen guesses, kept by the cloner's
-    # two-step check, which applies the family to one cloner output per state.
-    _level_n_embedding: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.d < 2 or self.N < 1:
-            raise InputFormatError(f"need d >= 2 and N >= 1, got d={self.d}, N={self.N}")
-        weights = np.array(self.weights, dtype=np.float64).reshape(-1)
-        guesses = np.array(self.guesses, dtype=np.complex128, order="C")
-        if guesses.ndim != 2 or guesses.shape != (weights.size, self.d):
-            raise InputFormatError("guesses must have shape (len(weights), d)")
-        if weights.size == 0:
-            raise InputFormatError("POVM must have at least one element")
-        if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(guesses.view(np.float64)))):
-            raise InputFormatError("weights and guess amplitudes must be finite")
-        if not np.all(weights > 0.0):
-            raise InputFormatError("all weights must be strictly positive")
-        norms = np.abs(np.linalg.norm(guesses, axis=1) - 1.0)
-        worst = float(np.max(norms))
-        if exceeds(worst, 10 * NORM_TOL):
-            raise InputFormatError(f"guess norm deviates from 1 by {worst:.3e}")
-        weights.setflags(write=False)
-        guesses.setflags(write=False)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "guesses", guesses)
-
-    @property
-    def n_outcomes(self) -> int:
-        return self.weights.size
-
-    def guess_state(self, a: int) -> PureState:
-        return PureState(self.guesses[a])
-
-    def elements(self) -> Iterator[tuple[float, PureState]]:
-        """(weight, guess state) pairs in outcome order."""
-        for a in range(self.n_outcomes):
-            yield float(self.weights[a]), self.guess_state(a)
-
-
 def check_optimality(povm: Povm) -> float:
     """Residual of sum_a w_a rho_a^{tensor N} = S_N/d_N at the POVM's N.
 
     A Povm's arrays are frozen copies, so G_N is formed once per
-    instance and the residual kept; build_povm keeps its certificate's.
+    instance and the residual kept; this is the only writer of that
+    cache, and build_povm's certificate is the value it keeps.
     """
     if povm._level_n_residual is None:
         residual = frame_residual(povm.guesses, povm.weights, povm.N)
@@ -119,28 +62,21 @@ def check_universality(povm: Povm) -> float:
 def build_povm(d: int, N: int, *, tol: float = CERTIFICATION_TOL) -> Povm:
     """Construct and certify the grid-based optimal POVM for (d, N).
 
-    Raises ResourceLimitError if the construction cost exceeds the
-    guard (checked by sphere_grid) and ConstructionError (carrying the
-    residual) if the built rule fails exactness certification at `tol`.
+    Returns the Povm that sphere_grid(d, N) forms, with certified_residual
+    and certification_tol added to its provenance.  Raises
+    ResourceLimitError if the construction cost exceeds the guard
+    (checked by sphere_grid) and ConstructionError (carrying the
+    residual) if the grid fails the optimality check at `tol`.
     """
-    rule = sphere_grid(d, N)
-    residual = verify_exactness(rule, N)
+    povm = sphere_grid(d, N)
+    residual = check_optimality(povm)
     if exceeds(residual, tol):
         raise ConstructionError(
             f"grid for d={d}, N={N} failed certification: residual {residual:.3e} > {tol:g}",
             residual,
         )
-    M, z = rule.lattice
-    provenance = {
-        "construction": "moduli-lattice",
-        "moduli_nodes": rule.moduli_nodes,
-        "lattice": {"M": M, "z": list(z)},
-        "certified_residual": f"{residual:.17g}",
-        "certification_tol": f"{tol:.17g}",
-    }
-    povm = Povm(d=d, N=N, weights=rule.weights, guesses=rule.states, provenance=provenance)
-    # The Povm holds the values of rule's arrays: G_N is the one just certified.
-    object.__setattr__(povm, "_level_n_residual", residual)
+    povm.provenance["certified_residual"] = f"{residual:.17g}"
+    povm.provenance["certification_tol"] = f"{tol:.17g}"
     return povm
 
 

@@ -26,19 +26,25 @@ degree 2n-1, so n = ceil((N+1)/2) nodes per coordinate suffice.
 
 A = n^{d-1} M, and every weight is positive.  Only phase-invariant
 moments are exact: the average of c_d, say, is positive on the grid.
+
+An exact grid is already the optimal POVM (see povm), so sphere_grid
+returns the Povm record itself, uncertified; povm.build_povm certifies
+that same object.  Povm lives here so that this module needs nothing
+from povm.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
+from typing import Iterator
 
 import numpy as np
 
 from .errors import ConstructionError, InputFormatError, exceeds
 from .limits import BUILD_GUARD_ENV, check_cost
-from .symmetric import frame_residual, occupation_basis, sym_dim
+from .symmetric import NORM_TOL, PureState, frame_residual, occupation_basis, sym_dim
 
 NEWTON_TOL = 1e-14
 
@@ -132,36 +138,61 @@ def gauss_legendre(n: int) -> Rule1D:
 
 
 @dataclass(frozen=True)
-class QuadratureRule:
-    """Weighted unit vectors of C^d, exact for the level-N_exact frame operator.
+class Povm:
+    """Weighted family of guess states defining an optimal-form POVM.
 
-    states has shape (A, d); weights, shape (A,), are positive and sum
-    to 1.  moduli_nodes is the Gauss node count per simplex coordinate
-    and lattice the phase lattice (M, z).
+    weights has shape (A,) with finite, strictly positive entries;
+    guesses has shape (A, d) with finite, unit-norm rows; both are
+    copied and frozen on construction.  Completeness
+    and optimality are not re-verified on construction (tests build
+    deliberately broken instances); build_povm and load_povm are the
+    certifying entry points.
     """
 
     d: int
-    N_exact: int
-    states: np.ndarray
+    N: int
     weights: np.ndarray
-    moduli_nodes: int
-    lattice: tuple[int, tuple[int, ...]]
+    guesses: np.ndarray
+    provenance: dict = field(default_factory=dict)
+    # max |G_N - I/d_N| of the frozen arrays, kept by check_optimality.
+    _level_n_residual: float | None = field(default=None, init=False, repr=False, compare=False)
+    # sym_embed_batch(guesses, N) of the frozen guesses, kept by the cloner's
+    # two-step check, which applies the family to one cloner output per state.
+    _level_n_embedding: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        states = np.asarray(self.states, dtype=np.complex128)
-        weights = np.asarray(self.weights, dtype=np.float64)
-        if states.ndim != 2 or states.shape[1] != self.d:
-            raise InputFormatError("states must have shape (A, d)")
-        if weights.shape != (states.shape[0],):
-            raise InputFormatError("weights must have shape (A,)")
-        states.setflags(write=False)
+        if self.d < 2 or self.N < 1:
+            raise InputFormatError(f"need d >= 2 and N >= 1, got d={self.d}, N={self.N}")
+        weights = np.array(self.weights, dtype=np.float64).reshape(-1)
+        guesses = np.array(self.guesses, dtype=np.complex128, order="C")
+        if guesses.ndim != 2 or guesses.shape != (weights.size, self.d):
+            raise InputFormatError("guesses must have shape (len(weights), d)")
+        if weights.size == 0:
+            raise InputFormatError("POVM must have at least one element")
+        if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(guesses.view(np.float64)))):
+            raise InputFormatError("weights and guess amplitudes must be finite")
+        if not np.all(weights > 0.0):
+            raise InputFormatError("all weights must be strictly positive")
+        norms = np.abs(np.linalg.norm(guesses, axis=1) - 1.0)
+        worst = float(np.max(norms))
+        if exceeds(worst, 10 * NORM_TOL):
+            raise InputFormatError(f"guess norm deviates from 1 by {worst:.3e}")
         weights.setflags(write=False)
-        object.__setattr__(self, "states", states)
+        guesses.setflags(write=False)
         object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "guesses", guesses)
 
     @property
-    def n_points(self) -> int:
-        return self.states.shape[0]
+    def n_outcomes(self) -> int:
+        return self.weights.size
+
+    def guess_state(self, a: int) -> PureState:
+        return PureState(self.guesses[a])
+
+    def elements(self) -> Iterator[tuple[float, PureState]]:
+        """(weight, guess state) pairs in outcome order."""
+        for a in range(self.n_outcomes):
+            yield float(self.weights[a]), self.guess_state(a)
 
 
 def _lattice_generator(projected: np.ndarray, M: int) -> tuple[int, ...] | None:
@@ -199,12 +230,15 @@ def _korobov_lattice(d: int, N: int, moduli_nodes: int) -> tuple[int, tuple[int,
     raise AssertionError(f"no Korobov lattice up to M = (N+1)^(d-1) for d={d}, N={N}")
 
 
-def sphere_grid(d: int, N: int) -> QuadratureRule:
-    """Moduli x phase-lattice quadrature exact for the level-N frame operator.
+def sphere_grid(d: int, N: int) -> Povm:
+    """Moduli x phase-lattice grid exact for the level-N frame operator.
 
-    Rows run moduli-major, lattice point fastest; the weights sum to 1.
-    Raises ResourceLimitError, before the grid is formed, at the first
-    lattice size M whose A*d_N^2 exceeds POVMQUAD_BUILD_GUARD.
+    Returns an uncertified Povm at level N whose provenance names the
+    construction: "moduli-lattice", the Gauss node count per simplex
+    coordinate and the phase lattice {"M": M, "z": [...]}.  Rows run
+    moduli-major, lattice point fastest; the weights sum to 1.  Raises
+    ResourceLimitError, before the grid is formed, at the first lattice
+    size M whose A*d_N^2 exceeds POVMQUAD_BUILD_GUARD.
     """
     if d < 2 or N < 1:
         raise InputFormatError(f"need d >= 2 and N >= 1, got d={d}, N={N}")
@@ -220,14 +254,19 @@ def sphere_grid(d: int, N: int) -> QuadratureRule:
     states = (np.sqrt(x)[:, None, :] * phases).reshape(-1, d)
     weights = np.repeat(reduce(np.multiply.outer, [w for _, w in rules]).ravel(), M)
     weights = weights / math.fsum(weights)
-    return QuadratureRule(d=d, N_exact=N, states=states, weights=weights, moduli_nodes=n, lattice=(M, z))
+    provenance = {
+        "construction": "moduli-lattice",
+        "moduli_nodes": n,
+        "lattice": {"M": M, "z": list(z)},
+    }
+    return Povm(d=d, N=N, weights=weights, guesses=states, provenance=provenance)
 
 
-def verify_exactness(rule: QuadratureRule, N: int) -> float:
-    """Max-modulus residual of the degree-2N moment identity.
+def verify_exactness(family: Povm, N: int) -> float:
+    """Max-modulus residual of the degree-2N moment identity at any level N.
 
-    The level-N frame operator sum_a w_a v_a v_a^dagger of an exact rule
-    equals identity/d_N: the weighted average of rho_a^{tensor N} matches
-    the uniform state average.  Returns max |G_N - I/d_N|.
+    The level-N frame operator sum_a w_a v_a v_a^dagger of an exact
+    family equals identity/d_N: the weighted average of rho_a^{tensor N}
+    matches the uniform state average.  Returns max |G_N - I/d_N|.
     """
-    return frame_residual(rule.states, rule.weights, N)
+    return frame_residual(family.guesses, family.weights, N)

@@ -352,9 +352,9 @@ def truncate_lattice(rule):
     deliberately broken node set whose weighted moments are visibly
     wrong.
     """
-    M = rule.lattice[0]
-    keep = np.arange(rule.n_points) % M < M / 2
-    return rule.states[keep], rule.weights[keep]
+    M = rule.provenance["lattice"]["M"]
+    keep = np.arange(rule.n_outcomes) % M < M / 2
+    return rule.guesses[keep], rule.weights[keep]
 
 
 def gram_residual_states(states: np.ndarray, weights: np.ndarray, n: int,

@@ -25,7 +25,7 @@ def povm_for():
 
 @pytest.fixture(scope="session")
 def rule_for():
-    """Memoised sphere_grid for tests that need the raw quadrature."""
+    """Memoised sphere_grid for tests that need the uncertified grid."""
     cache = {}
 
     def get(d: int, n: int):

@@ -173,9 +173,18 @@ class TestVerify:
 
     def test_verify_nan_residual_fails(self, povm_path, capsys, monkeypatch):
         import povmquad.cli
+        import povmquad.povm
 
-        # completeness is derived from the level-N optimality residual.
-        monkeypatch.setattr(povmquad.cli, "check_optimality", lambda povm: math.nan)
+        # The file passes the load gate; then the level-N residual that
+        # check_completeness scales reads NaN.
+        load = povmquad.cli.load_povm
+
+        def load_then_break(path):
+            povm = load(path)
+            monkeypatch.setattr(povmquad.povm, "check_optimality", lambda povm: math.nan)
+            return povm
+
+        monkeypatch.setattr(povmquad.cli, "load_povm", load_then_break)
         code, out, _ = run(capsys, ["verify", str(povm_path), "--level", "completeness"])
         assert code == EXIT_CERTIFICATION
         assert "[FAIL]" in out
@@ -196,20 +205,26 @@ class TestVerify:
             expected = {level: expected[level]}
         assert json.loads(out)["residuals"] == expected
 
-    def test_level_n_operator_formed_once(self, povm_path, capsys, monkeypatch):
-        import povmquad.povm
+    @pytest.mark.parametrize("command", ["build", "verify"])
+    def test_level_n_operator_formed_once(self, povm_path, tmp_path, capsys, monkeypatch, command):
+        import povmquad.symmetric
 
         levels = []
-        original = povmquad.povm.frame_residual
+        original = povmquad.symmetric.frame_operator
 
         def counting(amplitudes, weights, level):
             levels.append(level)
             return original(amplitudes, weights, level)
 
-        monkeypatch.setattr(povmquad.povm, "frame_residual", counting)
-        run(capsys, ["verify", str(povm_path), "--json"])
-        # The load-time completeness gate forms G_1, which the level-1
-        # checks reuse; then G_2 for universality.
+        monkeypatch.setattr(povmquad.symmetric, "frame_operator", counting)
+        if command == "build":
+            argv, expected = ["build", "--d", "2", "--N", "1", "--out", str(tmp_path / "b.json")], EXIT_OK
+        else:
+            # A minimal N = 1 grid is not universal, so verify exits 1.
+            argv, expected = ["verify", str(povm_path), "--json"], EXIT_CERTIFICATION
+        assert run(capsys, argv)[0] == expected
+        # build certifies G_1 and verify's load gate forms it; every
+        # level-1 check reuses it.  Then G_2 for universality.
         assert levels == [1, 2]
 
 

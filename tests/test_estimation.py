@@ -337,6 +337,35 @@ class TestMeanFidelity:
         assert mean + 5 * stderr < float(optimal_fidelity(1, 2))
 
 
+SEEDED_ENTRY_POINTS = {
+    "mean_fidelity_mc": lambda povm, seed: mean_fidelity_mc(povm, 100, seed),
+    "sample_outcomes": lambda povm, seed: sample_outcomes(
+        povm, PureState.basis_state(2, 0), 10, seed
+    ),
+    "majority_vote_fidelity_mc": lambda povm, seed: majority_vote_fidelity_mc(2, 100, seed),
+}
+
+
+class TestSeedValidation:
+    @pytest.mark.parametrize("seed", [-1, True, 1.5, "3"])
+    @pytest.mark.parametrize("entry", sorted(SEEDED_ENTRY_POINTS))
+    def test_bad_seed_is_input_error(self, povm_for, entry, seed):
+        with pytest.raises(InputFormatError, match="seed"):
+            SEEDED_ENTRY_POINTS[entry](povm_for(2, 1), seed)
+
+    @pytest.mark.parametrize("entry", sorted(SEEDED_ENTRY_POINTS))
+    def test_index_seed_draws_as_its_int(self, povm_for, entry):
+        def drawn(result):
+            # Counts, or a report's value and standard error.
+            if isinstance(result, np.ndarray):
+                return result
+            return np.array([result.value, result.stderr])
+
+        call = SEEDED_ENTRY_POINTS[entry]
+        first, second = call(povm_for(2, 1), np.int64(5)), call(povm_for(2, 1), 5)
+        assert np.array_equal(drawn(first), drawn(second))
+
+
 class TestMajorityBaseline:
     @pytest.mark.parametrize("n,analytic", [(2, 2 / 3), (3, 0.7), (4, 0.7)])
     def test_matches_analytic_value(self, n, analytic):

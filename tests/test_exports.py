@@ -1,9 +1,11 @@
-"""Names other code relies on: the package exports and the benchmark's layer hooks.
+"""Names other code relies on, and the package's import layers.
 
 The benchmark in perfbench/ wraps the functions listed in spans.py and
 its launcher hooks read some of their arguments by name.  Both files are
 parsed here, never imported or executed, so renaming a layer function or
 one of those parameters fails the test suite instead of the traced run.
+The package modules are parsed the same way, so an import cycle between
+them (a deferred import inside a function included) fails here too.
 """
 
 import ast
@@ -15,7 +17,9 @@ import pytest
 
 import povmquad
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+PACKAGE = ROOT / "src" / "povmquad"
 
 
 def _assigned_value(filename: str, name: str) -> ast.expr:
@@ -83,3 +87,66 @@ def test_every_export_is_an_attribute():
     namespace: dict = {}
     exec("from povmquad import *", namespace)
     assert set(povmquad.__all__) <= set(namespace)
+
+
+def _relative_imports(path: Path) -> set[str]:
+    """Sibling modules a package module imports, at any depth of its syntax tree."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                found.add(node.module.split(".")[0])
+            else:
+                found.update(alias.name for alias in node.names)
+    return found
+
+
+def _import_cycle(graph: dict[str, set[str]]) -> list[str] | None:
+    """One cycle of the graph as a closed path of modules, or None."""
+    state: dict[str, str] = {}
+    path: list[str] = []
+
+    def visit(module: str) -> list[str] | None:
+        state[module] = "open"
+        path.append(module)
+        for target in sorted(graph.get(module, ())):
+            if state.get(target) == "open":
+                return path[path.index(target):] + [target]
+            if target not in state:
+                cycle = visit(target)
+                if cycle:
+                    return cycle
+        state[module] = "done"
+        path.pop()
+        return None
+
+    for module in sorted(graph):
+        if module not in state:
+            cycle = visit(module)
+            if cycle:
+                return cycle
+    return None
+
+
+IMPORT_GRAPH = {
+    path.stem: _relative_imports(path) for path in sorted(PACKAGE.glob("*.py"))
+}
+
+
+def test_package_imports_have_no_cycle():
+    cycle = _import_cycle(IMPORT_GRAPH)
+    assert cycle is None, " -> ".join(cycle)
+
+
+def test_import_graph_reader_finds_edges(tmp_path):
+    # Guards the reader and the cycle search: quadrature builds on
+    # symmetric, povm on quadrature, a deferred import counts, and a
+    # three-module loop is found.
+    module = tmp_path / "deferred.py"
+    module.write_text("def f():\n    from .povm import Povm\n    from . import cli\n")
+    assert _relative_imports(module) == {"povm", "cli"}
+    assert {"symmetric", "limits", "errors"} <= IMPORT_GRAPH["quadrature"]
+    assert "quadrature" in IMPORT_GRAPH["povm"]
+    assert "povm" not in IMPORT_GRAPH["quadrature"]
+    assert _import_cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}}) == ["a", "b", "c", "a"]
+    assert _import_cycle({"a": {"b"}, "b": set()}) is None

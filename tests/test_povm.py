@@ -21,6 +21,7 @@ from povmquad import (
     mean_fidelity_exact,
     restrict_povm,
     save_povm,
+    sphere_grid,
     sym_dim,
     sym_embed,
 )
@@ -97,6 +98,21 @@ class TestBuild:
         assert prov["lattice"] == {"M": 7, "z": [1, 3]}
         assert "theta_counts" not in prov and "phi_count" not in prov
         assert float(prov["certified_residual"]) < 1e-10
+
+    @pytest.mark.parametrize("d,n", [(2, 1), (2, 4), (3, 2), (4, 2)])
+    def test_build_returns_the_grid_it_certified(self, d, n):
+        grid = sphere_grid(d, n)
+        assert isinstance(grid, Povm) and (grid.d, grid.N) == (d, n)
+        assert set(grid.provenance) == {"construction", "moduli_nodes", "lattice"}
+        povm = build_povm(d, n)
+        assert np.array_equal(povm.guesses, grid.guesses)
+        assert np.array_equal(povm.weights, grid.weights)
+        residual = check_optimality(grid)
+        assert povm.provenance == {
+            **grid.provenance,
+            "certified_residual": f"{residual:.17g}",
+            "certification_tol": "1e-10",
+        }
 
     def test_elements_are_rank_one_with_trace_dim_times_weight(self, povm_for):
         povm = povm_for(2, 2)

@@ -11,7 +11,6 @@ from povmquad import (
     ConstructionError,
     InputFormatError,
     PureState,
-    QuadratureRule,
     ResourceLimitError,
     build_povm,
     frame_residual,
@@ -41,6 +40,12 @@ BENCHMARK_FAMILIES = {(2, 1): 2, (2, 4): 15, (2, 8): 45, (3, 2): 28, (3, 3): 52,
 
 # Largest N whose grid fits the default POVMQUAD_BUILD_GUARD, per d.
 GUARD_LIMITS = {2: 99, 3: 11, 4: 5, 5: 3, 6: 3}
+
+
+def lattice_of(grid) -> tuple[int, tuple[int, ...]]:
+    """The phase lattice (M, z) that a grid's provenance records."""
+    lattice = grid.provenance["lattice"]
+    return lattice["M"], tuple(lattice["z"])
 
 
 class TestGaussLegendre:
@@ -179,14 +184,14 @@ class TestSphereGrid:
          *((d, n, a) for (d, n), a in BENCHMARK_FAMILIES.items())],
     )
     def test_node_counts(self, rule_for, d, n, total):
-        assert rule_for(d, n).n_points == total
+        assert rule_for(d, n).n_outcomes == total
 
     @pytest.mark.parametrize(
         "d,n,lattice",
         [(3, 4, (19, (1, 8))), (4, 2, (13, (1, 3, 9))), (3, 1, (3, (1, 2))), (2, 8, (9, (1,)))],
     )
     def test_lattices(self, rule_for, d, n, lattice):
-        assert rule_for(d, n).lattice == lattice
+        assert lattice_of(rule_for(d, n)) == lattice
 
     @pytest.mark.parametrize("d,n", ACCEPTANCE_PAIRS)
     def test_weights_positive_and_normalised(self, rule_for, d, n):
@@ -197,7 +202,7 @@ class TestSphereGrid:
     @pytest.mark.parametrize("d,n", ACCEPTANCE_PAIRS)
     def test_states_are_unit_vectors(self, rule_for, d, n):
         rule = rule_for(d, n)
-        assert np.max(np.abs(np.linalg.norm(rule.states, axis=1) - 1.0)) < 1e-12
+        assert np.max(np.abs(np.linalg.norm(rule.guesses, axis=1) - 1.0)) < 1e-12
 
     @pytest.mark.parametrize("d,n", ACCEPTANCE_PAIRS)
     def test_certified_exactness(self, rule_for, d, n):
@@ -217,11 +222,11 @@ class TestSphereGrid:
 
     def test_componentwise_moments_match_exact_values(self, rule_for):
         rule = rule_for(3, 2)
-        states = rule.states
+        states = rule.guesses
         for length in (1, 2):
             for i in itertools.product(range(3), repeat=length):
                 for j in itertools.product(range(3), repeat=length):
-                    vals = np.ones(rule.n_points, dtype=np.complex128)
+                    vals = np.ones(rule.n_outcomes, dtype=np.complex128)
                     for k in i:
                         vals = vals * states[:, k]
                     for k in j:
@@ -237,9 +242,10 @@ class TestSphereGrid:
         # The same grid assembled independently from scipy's Gauss-Jacobi
         # rules and the recorded lattice.
         rule = rule_for(d, n)
-        M, z = rule.lattice
-        states, weights = moduli_lattice_grid(d, (rule.moduli_nodes,) * (d - 1), M, z)
-        assert np.max(np.abs(states - rule.states)) < 1e-14
+        M, z = lattice_of(rule)
+        counts = (rule.provenance["moduli_nodes"],) * (d - 1)
+        states, weights = moduli_lattice_grid(d, counts, M, z)
+        assert np.max(np.abs(states - rule.guesses)) < 1e-14
         assert np.max(np.abs(weights - rule.weights)) < 1e-15
 
     def test_truncated_grid_fails(self, rule_for):
@@ -253,37 +259,38 @@ class TestSphereGrid:
         # theta_d = 0, so c_d is real and positive; the grid stays exact
         # at level n because G_n is phase invariant.
         rule = rule_for(d, n)
-        assert np.all(rule.states[:, -1].imag == 0.0)
-        assert np.all(rule.states[:, -1].real > 0.0)
+        assert np.all(rule.guesses[:, -1].imag == 0.0)
+        assert np.all(rule.guesses[:, -1].real > 0.0)
         assert verify_exactness(rule, n) < 1e-12
 
     def test_unbalanced_moments_are_not_reproduced(self, rule_for):
         # Deliberate narrowing: only phase-invariant moments are exact.
         # The sphere average of c_d is 0; on the grid it is positive.
         rule = rule_for(2, 1)
-        assert np.sum(rule.weights * rule.states[:, -1]).real > 0.1
+        assert np.sum(rule.weights * rule.guesses[:, -1]).real > 0.1
 
     @pytest.mark.parametrize("d,n", [*ACCEPTANCE_PAIRS, (3, 3)])
     def test_minimal_grid_has_no_coincidences(self, rule_for, d, n):
         # No two nodes of a default grid are the same ray, so no two
         # outcomes of a built POVM could be merged.
-        assert max_ray_overlap(rule_for(d, n).states) < 1.0 - 1e-12
+        assert max_ray_overlap(rule_for(d, n).guesses) < 1.0 - 1e-12
 
     def test_repeated_ray_is_detected(self, rule_for):
         # Negative control for the overlap oracle: one node repeated
         # with a global phase is the same ray.
-        states = rule_for(2, 2).states
+        states = rule_for(2, 2).guesses
         repeated = np.vstack([states, np.exp(0.7j) * states[3]])
         assert max_ray_overlap(repeated) > 1.0 - 1e-12
 
     @pytest.mark.parametrize("d,n", [*ACCEPTANCE_PAIRS, (3, 3), (3, 4), (4, 2)])
     def test_one_moduli_node_or_lattice_point_fewer_fails(self, rule_for, d, n):
         rule = rule_for(d, n)
-        M, z = rule.lattice
-        counts = (rule.moduli_nodes,) * (d - 1)
-        if rule.moduli_nodes > 1:
+        M, z = lattice_of(rule)
+        nodes = rule.provenance["moduli_nodes"]
+        counts = (nodes,) * (d - 1)
+        if nodes > 1:
             for j in range(d - 1):
-                short = counts[:j] + (rule.moduli_nodes - 1,) + counts[j + 1 :]
+                short = counts[:j] + (nodes - 1,) + counts[j + 1 :]
                 residual = frame_residual(*moduli_lattice_grid(d, short, M, z), n)
                 assert residual > 1e-3, f"coordinate {j + 1}: residual {residual:.3e}"
         for t in range(M):
@@ -303,7 +310,7 @@ class TestSphereGrid:
         with pytest.raises(ResourceLimitError, match="POVMQUAD_BUILD_GUARD"):
             sphere_grid(2, 1)
         monkeypatch.setenv("POVMQUAD_BUILD_GUARD", "8")
-        assert sphere_grid(2, 1).n_points == 2
+        assert sphere_grid(2, 1).n_outcomes == 2
 
     @pytest.mark.parametrize("d,n", [(5, 4), (6, 4)])
     def test_guard_bounds_the_lattice_search(self, monkeypatch, d, n):
@@ -349,7 +356,7 @@ class TestLatticeProperties:
     @given(family=families_within_guard)
     def test_lattice_separates_every_difference(self, family):
         d, n = family
-        M, z = sphere_grid(d, n).lattice
+        M, z = lattice_of(sphere_grid(d, n))
         assert n + 1 <= M <= (n + 1) ** (d - 1)
         assert len(z) == d - 1 and z[0] == 1
         tuples = occupation_tuples(d, n)
@@ -361,8 +368,8 @@ class TestLatticeProperties:
     @given(family=families_within_guard)
     def test_search_is_deterministic(self, family):
         first, second = sphere_grid(*family), sphere_grid(*family)
-        assert first.lattice == second.lattice
-        assert np.array_equal(first.states, second.states)
+        assert first.provenance == second.provenance
+        assert np.array_equal(first.guesses, second.guesses)
         assert np.array_equal(first.weights, second.weights)
 
     @settings(max_examples=10, deadline=None)
@@ -385,15 +392,3 @@ class TestRuleValidation:
 
         with pytest.raises(InputFormatError):
             Rule1D(np.array([0.0, 1.0]), np.array([1.0]), "test", 1)
-
-    def test_quadrature_rule_shape_checks(self):
-        with pytest.raises(InputFormatError):
-            QuadratureRule(
-                d=2, N_exact=1, states=np.zeros((3, 3)), weights=np.ones(3),
-                moduli_nodes=1, lattice=(3, (1,)),
-            )
-        with pytest.raises(InputFormatError):
-            QuadratureRule(
-                d=2, N_exact=1, states=np.zeros((3, 2)), weights=np.ones(2),
-                moduli_nodes=1, lattice=(3, (1,)),
-            )

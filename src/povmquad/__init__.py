@@ -41,7 +41,6 @@ from .povm import (
     save_povm,
 )
 from .quadrature import (
-    Rule1D,
     gauss_legendre,
     sphere_grid,
     verify_exactness,
@@ -63,7 +62,7 @@ from .symmetric import (
     symmetric_projector_full,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "ClonerOutput",
@@ -74,7 +73,6 @@ __all__ = [
     "PovmQuadError",
     "PureState",
     "ResourceLimitError",
-    "Rule1D",
     "build_povm",
     "check_completeness",
     "check_optimality",

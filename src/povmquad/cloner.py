@@ -40,7 +40,6 @@ from .symmetric import (
     occupation_basis,
     sym_dim,
     sym_embed,
-    sym_embed_batch,
 )
 
 VALIDATION_TOL = 1e-10
@@ -147,20 +146,6 @@ def single_particle_fidelity(output: ClonerOutput, state: PureState) -> float:
     return float(np.vdot(state.amplitudes, reduced @ state.amplitudes).real)
 
 
-def _level_n_embedding(povm: Povm) -> np.ndarray:
-    """sym_embed_batch(guesses, N) of the family, formed once per Povm.
-
-    A Povm's guesses are a frozen copy, so the embedding is kept on the
-    instance: a command that checks many states against one family
-    embeds it once.
-    """
-    if povm._level_n_embedding is None:
-        emb = sym_embed_batch(povm.guesses, povm.N)
-        emb.setflags(write=False)
-        object.__setattr__(povm, "_level_n_embedding", emb)
-    return povm._level_n_embedding
-
-
 def two_step_components(output: ClonerOutput, state: PureState, povm_m: Povm) -> tuple[float, float]:
     """Clone-then-estimate fidelity: pipeline on the clones and closed form.
 
@@ -168,7 +153,7 @@ def two_step_components(output: ClonerOutput, state: PureState, povm_m: Povm) ->
     |<phi_a|phi>|^2, the M-copy elements applied to the cloner output,
     with e_a = sym_embed(phi_a, M); the closed form is
     d_N sum_a w_a |<phi_a|phi>|^{2(N+1)}, the N-copy pointwise fidelity
-    of the same nodes.  The embedding of the M-copy family is formed on
+    of the same nodes.  povm_m keeps its embedding, so it is formed on
     the first call for povm_m and reused after.
     """
     if state.d != output.d:
@@ -178,7 +163,7 @@ def two_step_components(output: ClonerOutput, state: PureState, povm_m: Povm) ->
     if povm_m.N != output.M:
         raise InputFormatError(f"POVM is for {povm_m.N} copies, expected M={output.M}")
     guesses = povm_m.guesses
-    emb = _level_n_embedding(povm_m)
+    emb = povm_m._level_n_embedding
     born = ((emb.conj() @ output.density) * emb).sum(axis=1).real
     probs = sym_dim(state.d, output.M) * povm_m.weights * born
     state_fids = np.abs(guesses @ state.amplitudes.conj()) ** 2

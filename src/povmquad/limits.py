@@ -7,6 +7,7 @@ check_cost is the one place a guard is enforced.
 
 from __future__ import annotations
 
+import math
 import os
 
 from .errors import InputFormatError, ResourceLimitError
@@ -21,6 +22,11 @@ FULL_SPACE_GUARD_ENV = "POVMQUAD_FULL_SPACE_GUARD"
 BUILD_GUARD_ENV = "POVMQUAD_BUILD_GUARD"
 
 _DEFAULTS = {FULL_SPACE_GUARD_ENV: 4096, BUILD_GUARD_ENV: 50_000_000}
+
+# Longest cost a refusal prints digit by digit; a longer one is printed
+# by its order of magnitude, which also never meets the interpreter's
+# limit on int-to-str conversion.
+COST_DIGITS = 40
 
 
 def _read_guard(env_name: str) -> int:
@@ -40,6 +46,7 @@ def check_cost(what: str, cost: int, env_name: str) -> None:
     """Raise ResourceLimitError if cost exceeds the guard set by env_name."""
     guard = _read_guard(env_name)
     if cost > guard:
+        shown = cost if cost < 10**COST_DIGITS else f"about 10^{math.floor(math.log10(cost))}"
         raise ResourceLimitError(
-            f"{what} = {cost} exceeds guard {guard}; set {env_name} to raise it"
+            f"{what} = {shown} exceeds guard {guard}; set {env_name} to raise it"
         )

@@ -31,13 +31,9 @@ LOAD_COMPLETENESS_TOL = 1e-8
 def check_optimality(povm: Povm) -> float:
     """Residual of sum_a w_a rho_a^{tensor N} = S_N/d_N at the POVM's N.
 
-    A Povm's arrays are frozen copies, so G_N is formed once per
-    instance and the residual kept; this is the only writer of that
-    cache, and build_povm's certificate is the value it keeps.
+    G_N is formed once per instance: the Povm keeps the residual, and
+    build_povm's certificate is the value it keeps.
     """
-    if povm._level_n_residual is None:
-        residual = frame_residual(povm.guesses, povm.weights, povm.N)
-        object.__setattr__(povm, "_level_n_residual", residual)
     return povm._level_n_residual
 
 
@@ -144,12 +140,15 @@ def load_povm(path: str | Path) -> Povm:
     Rejects unknown format versions, d or N that are not JSON integers,
     everything Povm rejects (non-finite values, non-positive weights,
     non-unit guesses), weight sums away from 1, and completeness
-    residuals above 1e-8 (reported in the error message).  Missing
-    provenance maps to {"source": "unknown"}.
+    residuals above 1e-8 (reported in the error message), and text that
+    is not JSON or that the parser cannot hold (nesting too deep,
+    integers too long).  Missing provenance maps to {"source": "unknown"}.
     """
+    # A JSONDecodeError is a ValueError, and so is an integer too long to
+    # convert; nesting too deep for the parser raises RecursionError.
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise InputFormatError(f"cannot read POVM file {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputFormatError("POVM file must contain a JSON object")

@@ -30,47 +30,25 @@ moments are exact: the average of c_d, say, is positive on the grid.
 An exact grid is already the optimal POVM (see povm), so sphere_grid
 returns the Povm record itself, uncertified; povm.build_povm certifies
 that same object.  Povm lives here so that this module needs nothing
-from povm.
+from povm.  It is also the one owner of what is derived from its frozen
+arrays at level N: the residual max |G_N - I/d_N| that
+povm.check_optimality returns and the occupation embedding that the
+cloner's two-step check applies, each formed on first access and kept.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
-from typing import Iterator
+from functools import cached_property, reduce
 
 import numpy as np
 
 from .errors import ConstructionError, InputFormatError, exceeds
 from .limits import BUILD_GUARD_ENV, check_cost
-from .symmetric import NORM_TOL, PureState, frame_residual, occupation_basis, sym_dim
+from .symmetric import NORM_TOL, frame_residual, occupation_basis, sym_dim, sym_embed_batch
 
 NEWTON_TOL = 1e-14
-
-
-@dataclass(frozen=True)
-class Rule1D:
-    """One-dimensional quadrature rule with an exactness certificate.
-
-    degree semantics by kind: "gauss-legendre" is exact for polynomial
-    integrands on [-1, 1] up to the stated degree.
-    """
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    kind: str
-    degree: int
-
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=np.float64)
-        weights = np.asarray(self.weights, dtype=np.float64)
-        if nodes.shape != weights.shape or nodes.ndim != 1:
-            raise InputFormatError("nodes and weights must be equal-length 1-D arrays")
-        nodes.setflags(write=False)
-        weights.setflags(write=False)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
 
 
 def _recurrence(jacobi: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -129,12 +107,14 @@ def _gauss_jacobi(n: int, alpha: int) -> tuple[np.ndarray, np.ndarray]:
     return roots, weights
 
 
-def gauss_legendre(n: int) -> Rule1D:
-    """n-point Gauss-Legendre rule on [-1, 1], exact through degree 2n-1."""
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(nodes, weights) of the n-point Gauss-Legendre rule on [-1, 1].
+
+    Exact for polynomials of degree <= 2n-1.
+    """
     if n < 1:
         raise InputFormatError(f"need n >= 1, got n={n}")
-    nodes, weights = _gauss_jacobi(n, 0)
-    return Rule1D(nodes, weights, "gauss-legendre", 2 * n - 1)
+    return _gauss_jacobi(n, 0)
 
 
 @dataclass(frozen=True)
@@ -146,7 +126,10 @@ class Povm:
     copied and frozen on construction.  Completeness
     and optimality are not re-verified on construction (tests build
     deliberately broken instances); build_povm and load_povm are the
-    certifying entry points.
+    certifying entry points.  The level-N residual and embedding are
+    cached properties: formed on first access, then kept on the
+    instance.  The residual charges POVMQUAD_BUILD_GUARD before G_N is
+    formed, and a refused first access keeps nothing.
     """
 
     d: int
@@ -154,11 +137,6 @@ class Povm:
     weights: np.ndarray
     guesses: np.ndarray
     provenance: dict = field(default_factory=dict)
-    # max |G_N - I/d_N| of the frozen arrays, kept by check_optimality.
-    _level_n_residual: float | None = field(default=None, init=False, repr=False, compare=False)
-    # sym_embed_batch(guesses, N) of the frozen guesses, kept by the cloner's
-    # two-step check, which applies the family to one cloner output per state.
-    _level_n_embedding: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.d < 2 or self.N < 1:
@@ -186,13 +164,17 @@ class Povm:
     def n_outcomes(self) -> int:
         return self.weights.size
 
-    def guess_state(self, a: int) -> PureState:
-        return PureState(self.guesses[a])
+    @cached_property
+    def _level_n_residual(self) -> float:
+        """max |G_N - I/d_N|, read through povm.check_optimality."""
+        return frame_residual(self.guesses, self.weights, self.N)
 
-    def elements(self) -> Iterator[tuple[float, PureState]]:
-        """(weight, guess state) pairs in outcome order."""
-        for a in range(self.n_outcomes):
-            yield float(self.weights[a]), self.guess_state(a)
+    @cached_property
+    def _level_n_embedding(self) -> np.ndarray:
+        """Read-only sym_embed_batch(guesses, N), read by the cloner's two-step check."""
+        emb = sym_embed_batch(self.guesses, self.N)
+        emb.setflags(write=False)
+        return emb
 
 
 def _lattice_generator(projected: np.ndarray, M: int) -> tuple[int, ...] | None:
@@ -237,11 +219,19 @@ def sphere_grid(d: int, N: int) -> Povm:
     construction: "moduli-lattice", the Gauss node count per simplex
     coordinate and the phase lattice {"M": M, "z": [...]}.  Rows run
     moduli-major, lattice point fastest; the weights sum to 1.  Raises
-    ResourceLimitError, before the grid is formed, at the first lattice
-    size M whose A*d_N^2 exceeds POVMQUAD_BUILD_GUARD.
+    ResourceLimitError, before the grid is formed, when the lower bound
+    max(d, N+1)^3 or, at the first lattice size M that does, A*d_N^2
+    exceeds POVMQUAD_BUILD_GUARD.
     """
     if d < 2 or N < 1:
         raise InputFormatError(f"need d >= 2 and N >= 1, got d={d}, N={N}")
+    # A >= M >= d_N >= max(d, N+1) bounds A*d_N^2 from below before d_N,
+    # n^(d-1) or the search bound, each huge for a huge d, is formed.
+    check_cost(
+        f"construction cost lower bound max(d, N+1)^3 for d={d}, N={N}",
+        max(d, N + 1) ** 3,
+        BUILD_GUARD_ENV,
+    )
     n = (N + 2) // 2
     M, z = _korobov_lattice(d, N, n)
     # u_j = (1+x)/2 for the Gauss-Jacobi nodes x of (1-x)^(d-1-j).

@@ -59,6 +59,24 @@ class TestBuild:
         assert code == EXIT_RESOURCE
         assert "resource guard" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["build", "--d", "20000", "--N", "2", "--out", "x.json"],
+         ["clone", "--d", "20000", "--N", "1", "--M", "2", "--seed", "1"]],
+        ids=["build", "clone"],
+    )
+    def test_huge_d_refused_in_one_line(self, tmp_path, capsys, monkeypatch, argv):
+        # 2^(d-1) M d_N^2 has about 6000 digits; the lower bound
+        # max(d, N+1)^3 = 8e12 refuses the run first.
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, argv)
+        assert code == EXIT_RESOURCE
+        assert err.startswith("resource guard: construction cost lower bound")
+        assert "POVMQUAD_BUILD_GUARD" in err
+        assert err.count("\n") == 1
+        assert out == ""
+        assert not (tmp_path / "x.json").exists()
+
     def test_build_impossible_tolerance_exit_code(self, tmp_path, capsys):
         code, _, err = run(
             capsys,
@@ -258,6 +276,18 @@ class TestNonFiniteFile:
         assert out == ""
 
 
+class TestUnparsableFile:
+    @pytest.mark.parametrize("command", sorted(FILE_COMMANDS))
+    def test_deeply_nested_file_is_input_error(self, tmp_path, capsys, command):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        code, out, err = run(capsys, [command, str(path), *FILE_COMMANDS[command]])
+        assert code == EXIT_INPUT
+        assert err.startswith("input error: cannot read POVM file")
+        assert err.count("\n") == 1
+        assert out == ""
+
+
 class TestFidelity:
     def test_table_output(self, povm_path, capsys):
         code, out, _ = run(
@@ -446,17 +476,17 @@ class TestClone:
         assert sorted(calls) == [1, 1, 2, 2, 3, 3]
 
     def test_each_family_embedded_once(self, capsys, monkeypatch):
-        import povmquad.cloner
+        import povmquad.quadrature
 
         levels = []
-        real_embed = povmquad.cloner.sym_embed_batch
+        real_embed = povmquad.quadrature.sym_embed_batch
 
         def counting_embed(amplitudes, n):
             levels.append(n)
             return real_embed(amplitudes, n)
 
-        # The cloner's own embeddings: the M-copy family in the two-step check.
-        monkeypatch.setattr(povmquad.cloner, "sym_embed_batch", counting_embed)
+        # The embeddings a Povm keeps: the M-copy family in the two-step check.
+        monkeypatch.setattr(povmquad.quadrature, "sym_embed_batch", counting_embed)
         code, _, _ = run(
             capsys,
             ["clone", "--d", "2", "--N", "1", "--M", "3", "--states", "3", "--seed", "1"],

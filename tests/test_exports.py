@@ -5,7 +5,9 @@ its launcher hooks read some of their arguments by name.  Both files are
 parsed here, never imported or executed, so renaming a layer function or
 one of those parameters fails the test suite instead of the traced run.
 The package modules are parsed the same way, so an import cycle between
-them (a deferred import inside a function included) fails here too.
+them (a deferred import inside a function included) fails here too, and
+so does a write through object.__setattr__ outside a record's
+__post_init__.
 """
 
 import ast
@@ -150,3 +152,48 @@ def test_import_graph_reader_finds_edges(tmp_path):
     assert "povm" not in IMPORT_GRAPH["quadrature"]
     assert _import_cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}}) == ["a", "b", "c", "a"]
     assert _import_cycle({"a": {"b"}, "b": set()}) is None
+
+
+def _setattr_outside_post_init(source: str) -> list[int]:
+    """Lines where object.__setattr__ appears outside a __post_init__ body.
+
+    A frozen record sets its own fields while it is constructed; any
+    other write belongs to the record's own cached properties.
+    """
+    allowed: set[int] = set()
+    tree = ast.parse(source)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "__post_init__":
+            allowed.update(id(sub) for sub in ast.walk(node))
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr == "__setattr__"
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "object"
+        and id(node) not in allowed
+    )
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_object_setattr_only_in_post_init(path):
+    lines = _setattr_outside_post_init(path.read_text(encoding="utf-8"))
+    assert not lines, f"{path.name} writes through object.__setattr__ on lines {lines}"
+
+
+def test_setattr_reader_finds_writes():
+    # Guards the reader: a write in __post_init__ passes, one in a method,
+    # a nested function or at module level is found.
+    source = (
+        "class R:\n"
+        "    def __post_init__(self):\n"
+        "        object.__setattr__(self, 'a', 1)\n"
+        "    def keep(self):\n"
+        "        object.__setattr__(self, 'b', 2)\n"
+        "def cache(r):\n"
+        "    def inner():\n"
+        "        object.__setattr__(r, 'c', 3)\n"
+        "object.__setattr__(R(), 'd', 4)\n"
+    )
+    assert _setattr_outside_post_init(source) == [5, 8, 9]

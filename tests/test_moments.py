@@ -76,6 +76,13 @@ class TestMomentValue:
         assert isinstance(value, Fraction)
         assert value == expected
 
+    def test_huge_dimension_is_exact(self):
+        # (d-1)!/(d+l-1)! reduces to 1/(d (d+1) ... (d+l-1)), so d = 10^12
+        # costs as much as d = 2.
+        d = 10**12
+        assert moment_value(d, (1,), (1,)) == Fraction(1, d)
+        assert moment_value(d, (1, 2, 2), (2, 1, 2)) == Fraction(2, d * (d + 1) * (d + 2))
+
     def test_unequal_lengths_vanish(self):
         assert moment_value(2, (1,), (1, 1)) == Fraction(0)
         assert moment_value(3, (1, 2, 3), (1,)) == Fraction(0)

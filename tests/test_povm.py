@@ -17,6 +17,7 @@ from povmquad import (
     check_completeness,
     check_optimality,
     check_universality,
+    frame_residual,
     load_povm,
     mean_fidelity_exact,
     restrict_povm,
@@ -24,6 +25,7 @@ from povmquad import (
     sphere_grid,
     sym_dim,
     sym_embed,
+    sym_embed_batch,
 )
 
 from _oracles import ACCEPTANCE_PAIRS, polar_grid, povm_json_reference
@@ -62,6 +64,14 @@ def arbitrary_povms(draw):
         provenance=draw(provenances),
     )
 
+
+# Files the JSON parser itself refuses: not JSON, nested past the
+# recursion limit, and an integer past the int-to-str digit limit.
+GARBAGE_FILES = {
+    "not-json": "not json at all {{{",
+    "deep-nesting": "[" * 200_000 + "]" * 200_000,
+    "long-integer": '{"format_version": "1", "d": ' + "9" * 5000 + ', "N": 1, "elements": []}',
+}
 
 # (d, N built, N restricted to): built and restrict_povm families pass the
 # load-time completeness gate, so they can make the full round trip.
@@ -118,7 +128,7 @@ class TestBuild:
         povm = povm_for(2, 2)
         dim = sym_dim(2, 2)
         for a in (0, 3, 5):
-            vec = sym_embed(povm.guess_state(a), 2)
+            vec = sym_embed(PureState(povm.guesses[a]), 2)
             element = dim * povm.weights[a] * np.outer(vec, vec.conj())
             eigs = np.linalg.eigvalsh(element)
             assert eigs[0] > -1e-14
@@ -181,6 +191,21 @@ class TestResiduals:
             check_optimality(povm)
         with pytest.raises(ResourceLimitError):
             check_universality(built)
+
+    def test_level_n_data_kept_once_and_refusal_keeps_nothing(self, monkeypatch, povm_for):
+        built = povm_for(2, 3)
+        povm = Povm(d=2, N=3, weights=built.weights, guesses=built.guesses)
+        monkeypatch.setenv("POVMQUAD_BUILD_GUARD", "7")
+        with pytest.raises(ResourceLimitError):
+            check_optimality(povm)
+        assert "_level_n_residual" not in vars(povm)
+        monkeypatch.delenv("POVMQUAD_BUILD_GUARD")
+        residual = check_optimality(povm)
+        assert residual == frame_residual(povm.guesses, povm.weights, 3)
+        assert vars(povm)["_level_n_residual"] is residual
+        emb = povm._level_n_embedding
+        assert povm._level_n_embedding is emb and not emb.flags.writeable
+        assert np.array_equal(emb, sym_embed_batch(povm.guesses, 3))
 
 
 # (d, M) families that restrict_povm cuts down to every N <= M.
@@ -274,14 +299,6 @@ class TestValidation:
         guesses[1, 0] = bad
         with pytest.raises(InputFormatError):
             Povm(d=2, N=1, weights=np.array([0.5, 0.5]), guesses=guesses)
-
-    def test_elements_iterator(self, povm_for):
-        povm = povm_for(2, 1)
-        pairs = list(povm.elements())
-        assert len(pairs) == povm.n_outcomes
-        weight, state = pairs[0]
-        assert weight == float(povm.weights[0])
-        assert isinstance(state, PureState)
 
 
 class TestSaveLoad:
@@ -395,10 +412,11 @@ class TestSaveLoad:
         loaded = load_povm(path)
         assert loaded.provenance == {"source": "unknown"}
 
-    def test_rejects_garbage_file(self, tmp_path):
+    @pytest.mark.parametrize("text", GARBAGE_FILES.values(), ids=GARBAGE_FILES.keys())
+    def test_rejects_garbage_file(self, tmp_path, text):
         path = tmp_path / "junk.json"
-        path.write_text("not json at all {{{")
-        with pytest.raises(InputFormatError):
+        path.write_text(text)
+        with pytest.raises(InputFormatError, match="cannot read POVM file"):
             load_povm(path)
 
     def test_rejects_missing_file(self, tmp_path):

@@ -50,43 +50,43 @@ def lattice_of(grid) -> tuple[int, tuple[int, ...]]:
 
 class TestGaussLegendre:
     def test_one_point(self):
-        rule = gauss_legendre(1)
-        assert np.array_equal(rule.nodes, [0.0])
-        assert np.array_equal(rule.weights, [2.0])
+        nodes, weights = gauss_legendre(1)
+        assert np.array_equal(nodes, [0.0])
+        assert np.array_equal(weights, [2.0])
 
     def test_two_point(self):
-        rule = gauss_legendre(2)
-        assert np.allclose(rule.nodes, [-1 / math.sqrt(3), 1 / math.sqrt(3)], atol=1e-15)
-        assert np.allclose(rule.weights, [1.0, 1.0], atol=1e-15)
+        nodes, weights = gauss_legendre(2)
+        assert np.allclose(nodes, [-1 / math.sqrt(3), 1 / math.sqrt(3)], atol=1e-15)
+        assert np.allclose(weights, [1.0, 1.0], atol=1e-15)
 
     def test_three_point(self):
-        rule = gauss_legendre(3)
-        assert np.allclose(rule.nodes, [-math.sqrt(0.6), 0.0, math.sqrt(0.6)], atol=1e-15)
-        assert np.allclose(rule.weights, [5 / 9, 8 / 9, 5 / 9], atol=1e-15)
+        nodes, weights = gauss_legendre(3)
+        assert np.allclose(nodes, [-math.sqrt(0.6), 0.0, math.sqrt(0.6)], atol=1e-15)
+        assert np.allclose(weights, [5 / 9, 8 / 9, 5 / 9], atol=1e-15)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 12, 25, 51])
     def test_matches_reference_generator(self, n):
-        rule = gauss_legendre(n)
+        nodes, weights = gauss_legendre(n)
         ref_nodes, ref_weights = np.polynomial.legendre.leggauss(n)
-        assert np.max(np.abs(rule.nodes - ref_nodes)) < 1e-13
-        assert np.max(np.abs(rule.weights - ref_weights)) < 1e-12
+        assert np.max(np.abs(nodes - ref_nodes)) < 1e-13
+        assert np.max(np.abs(weights - ref_weights)) < 1e-12
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_exact_through_degree_2n_minus_1(self, n):
-        rule = gauss_legendre(n)
+        nodes, weights = gauss_legendre(n)
         for k in range(2 * n):
             exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
-            assert abs(np.sum(rule.weights * rule.nodes**k) - exact) < 1e-13
+            assert abs(np.sum(weights * nodes**k) - exact) < 1e-13
 
     def test_not_exact_at_degree_2n(self):
-        rule = gauss_legendre(2)
+        nodes, weights = gauss_legendre(2)
         # integral of x^4 is 2/5; the two-point rule gives 2/9.
-        assert abs(np.sum(rule.weights * rule.nodes**4) - 2.0 / 9.0) < 1e-14
+        assert abs(np.sum(weights * nodes**4) - 2.0 / 9.0) < 1e-14
 
     def test_node_antisymmetry_and_weight_sum(self):
-        rule = gauss_legendre(7)
-        assert np.max(np.abs(rule.nodes + rule.nodes[::-1])) == 0.0
-        assert abs(math.fsum(rule.weights) - 2.0) < 1e-14
+        nodes, weights = gauss_legendre(7)
+        assert np.max(np.abs(nodes + nodes[::-1])) == 0.0
+        assert abs(math.fsum(weights) - 2.0) < 1e-14
 
     def test_rejects_zero_points(self):
         with pytest.raises(InputFormatError):
@@ -334,6 +334,29 @@ class TestSphereGrid:
         assert tried == list(range(dim, dim + len(tried)))
         assert len(tried) <= 50_000_000 // (moduli ** (d - 1) * dim * dim)
 
+    def test_huge_d_refused_before_d_n_is_formed(self, monkeypatch):
+        # max(d, N+1)^3 = 10^27 is charged first; d_N, n^(d-1) and the
+        # search bound (N+1)^(d-1) are never formed for d = 10^9.
+        import povmquad.quadrature as quadrature
+
+        def no_dim(d, n):
+            raise AssertionError("d_N formed before the lower bound was charged")
+
+        monkeypatch.setattr(quadrature, "sym_dim", no_dim)
+        with pytest.raises(ResourceLimitError, match="lower bound") as info:
+            sphere_grid(10**9, 2)
+        assert f"= {10**27} exceeds guard 50000000" in str(info.value)
+
+    def test_long_cost_reported_by_order_of_magnitude(self):
+        from povmquad.limits import BUILD_GUARD_ENV, check_cost
+
+        with pytest.raises(ResourceLimitError) as info:
+            check_cost("cost", 3 * 10**5000, BUILD_GUARD_ENV)
+        assert str(info.value).startswith("cost = about 10^5000 exceeds guard 50000000;")
+        with pytest.raises(ResourceLimitError) as info:
+            check_cost("cost", 10**40 - 1, BUILD_GUARD_ENV)
+        assert str(info.value).startswith(f"cost = {10**40 - 1} exceeds")
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(InputFormatError):
             sphere_grid(1, 1)
@@ -385,10 +408,3 @@ class TestLatticeProperties:
         assert float(np.var(values)) <= 1e-20
         assert float(np.max(np.abs(values - target))) <= 1e-8
 
-
-class TestRuleValidation:
-    def test_rule1d_shape_mismatch(self):
-        from povmquad import Rule1D
-
-        with pytest.raises(InputFormatError):
-            Rule1D(np.array([0.0, 1.0]), np.array([1.0]), "test", 1)

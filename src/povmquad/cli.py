@@ -5,13 +5,17 @@ stochastic commands require an explicit --seed and produce byte
 identical output for identical arguments.  Exit codes: 0 success,
 1 certification failure, 2 input error (or output that cannot be
 written, a stdout closed by its reader included), 3 resource guard.
+
+Each command but moments forms its JSON payload, its text lines and,
+where it offers --csv, its table, and prints through the one writer
+_emit.  moments streams its rows as they are formed instead, so its
+memory stays flat in the table size.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import os
@@ -52,16 +56,32 @@ EXIT_INPUT = 2
 EXIT_RESOURCE = 3
 
 
-def _print_json(payload) -> None:
-    print(json.dumps(payload, sort_keys=True))
+def _emit(
+    args: argparse.Namespace,
+    payload: dict,
+    lines: list[str],
+    table: tuple[list[str], list[list]] | None = None,
+) -> None:
+    """Print a command's result: payload under --json, table under --csv, else lines.
+
+    table is (header, rows); its floats are written as their repr and
+    every other value as it is.
+    """
+    if args.json:
+        print(json.dumps(payload, sort_keys=True))
+    elif getattr(args, "csv", False):
+        header, rows = table
+        writer = csv.writer(sys.stdout, lineterminator="\r\n")
+        writer.writerow(header)
+        writer.writerows([repr(v) if isinstance(v, float) else v for v in row] for row in rows)
+    else:
+        for line in lines:
+            print(line)
 
 
-def _csv_out(header: list[str], rows: list[list]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    sys.stdout.write(buf.getvalue())
+def _table_lines(header: list[str], formats: list[str], rows: list[list]) -> list[str]:
+    """The header and each row formatted column by column, two spaces apart."""
+    return ["  ".join(header), *("  ".join(map(format, row, formats)) for row in rows)]
 
 
 def _check_tol(tol: float) -> None:
@@ -102,23 +122,22 @@ def cmd_build(args: argparse.Namespace) -> int:
     povm = build_povm(args.d, args.N, tol=args.tol)
     res = _residuals(povm)
     save_povm(povm, args.out)
-    if args.json:
-        _print_json(
-            {
-                "operation": "build",
-                "d": args.d,
-                "N": args.N,
-                "elements": povm.n_outcomes,
-                "out": str(args.out),
-                "residuals": res,
-                "weight_sum": float(np.sum(povm.weights)),
-            }
-        )
-    else:
-        print(f"built POVM d={args.d} N={args.N}: {povm.n_outcomes} elements -> {args.out}")
-        for name, value in res.items():
-            print(f"  {name} residual: {value:.3e}")
-        print(f"  weight sum: {float(np.sum(povm.weights))!r}")
+    weight_sum = float(np.sum(povm.weights))
+    payload = {
+        "operation": "build",
+        "d": args.d,
+        "N": args.N,
+        "elements": povm.n_outcomes,
+        "out": str(args.out),
+        "residuals": res,
+        "weight_sum": weight_sum,
+    }
+    lines = [
+        f"built POVM d={args.d} N={args.N}: {povm.n_outcomes} elements -> {args.out}",
+        *(f"  {name} residual: {value:.3e}" for name, value in res.items()),
+        f"  weight sum: {weight_sum!r}",
+    ]
+    _emit(args, payload, lines)
     return EXIT_OK
 
 
@@ -127,43 +146,36 @@ def cmd_verify(args: argparse.Namespace) -> int:
     povm = load_povm(args.path)
     results = _residuals(povm, args.level)
     failed = [name for name, value in results.items() if exceeds(value, args.tol)]
-    if args.json:
-        _print_json(
-            {
-                "operation": "verify",
-                "path": str(args.path),
-                "d": povm.d,
-                "N": povm.N,
-                "tol": args.tol,
-                "residuals": results,
-                "passed": not failed,
-            }
-        )
-    else:
-        print(f"POVM d={povm.d} N={povm.N}, {povm.n_outcomes} elements")
-        for name, value in results.items():
-            verdict = "FAIL" if name in failed else "PASS"
-            print(f"  {name} residual: {value:.3e}  [{verdict}]")
+    payload = {
+        "operation": "verify",
+        "path": str(args.path),
+        "d": povm.d,
+        "N": povm.N,
+        "tol": args.tol,
+        "residuals": results,
+        "passed": not failed,
+    }
+    lines = [
+        f"POVM d={povm.d} N={povm.N}, {povm.n_outcomes} elements",
+        *(
+            f"  {name} residual: {value:.3e}  [{'FAIL' if name in failed else 'PASS'}]"
+            for name, value in results.items()
+        ),
+    ]
+    _emit(args, payload, lines)
     return EXIT_OK if not failed else EXIT_CERTIFICATION
 
 
-def _fidelity_rows(povms: list[Povm], samples: int, seed: int) -> list[dict]:
-    rows = []
+def _fidelity_table(povms: list[Povm], samples: int, seed: int) -> list[list]:
+    """One row per family: d, N, analytic, mc_estimate, stderr, optimal."""
+    table = []
     for k, povm in enumerate(povms):
         exact = mean_fidelity_exact(povm)
         mc = mean_fidelity_mc(povm, samples, seed + k)
         best = optimal_fidelity(povm.N, povm.d)
-        rows.append(
-            {
-                "d": povm.d,
-                "N": povm.N,
-                "analytic": exact.value,
-                "mc_estimate": mc.value,
-                "stderr": mc.stderr,
-                "optimal": f"{best.numerator}/{best.denominator}",
-            }
-        )
-    return rows
+        optimal = f"{best.numerator}/{best.denominator}"
+        table.append([povm.d, povm.N, exact.value, mc.value, mc.stderr, optimal])
+    return table
 
 
 def cmd_fidelity(args: argparse.Namespace) -> int:
@@ -176,19 +188,15 @@ def cmd_fidelity(args: argparse.Namespace) -> int:
         if not args.path:
             raise InputFormatError("provide a POVM path or --sweep")
         povms = [load_povm(args.path)]
-    rows = _fidelity_rows(povms, args.samples, args.seed)
     header = ["d", "N", "analytic", "mc_estimate", "stderr", "optimal"]
-    if args.json:
-        _print_json({"operation": "fidelity", "samples": args.samples, "seed": args.seed, "rows": rows})
-    elif args.csv:
-        _csv_out(header, [[row[h] if h == "optimal" else repr(row[h]) if isinstance(row[h], float) else row[h] for h in header] for row in rows])
-    else:
-        print("  ".join(header))
-        for row in rows:
-            print(
-                f"{row['d']}  {row['N']}  {row['analytic']:.12f}  "
-                f"{row['mc_estimate']:.12f}  {row['stderr']:.3e}  {row['optimal']}"
-            )
+    table = _fidelity_table(povms, args.samples, args.seed)
+    rows = [dict(zip(header, row)) for row in table]
+    _emit(
+        args,
+        {"operation": "fidelity", "samples": args.samples, "seed": args.seed, "rows": rows},
+        _table_lines(header, ["", "", ".12f", ".12f", ".3e", ""], table),
+        (header, table),
+    )
     return EXIT_OK
 
 
@@ -218,13 +226,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "counts": counts.tolist(),
         "tv_distance": tv,
     }
-    if args.json:
-        _print_json(payload)
-    else:
-        print(f"simulated {args.shots} shots on POVM d={povm.d} N={povm.N}")
-        print(f"  state: {state_desc}")
-        print(f"  nonzero outcomes: {int(np.count_nonzero(counts))}/{povm.n_outcomes}")
-        print(f"  total-variation distance to exact: {tv:.6f}")
+    lines = [
+        f"simulated {args.shots} shots on POVM d={povm.d} N={povm.N}",
+        f"  state: {state_desc}",
+        f"  nonzero outcomes: {int(np.count_nonzero(counts))}/{povm.n_outcomes}",
+        f"  total-variation distance to exact: {tv:.6f}",
+    ]
+    _emit(args, payload, lines)
     return EXIT_OK
 
 
@@ -238,41 +246,21 @@ def cmd_clone(args: argparse.Namespace) -> int:
     # refuses is refused before any state is drawn or cloned.
     top = build_povm(args.d, args.M)
     states = [haar_random_state(args.d, args.seed + k) for k in range(args.states)]
-    rows = []
+    table = []
     for m in range(args.N, args.M + 1):
         povm_m = top if m == args.M else build_povm(args.d, m)
         for idx, state in enumerate(states):
             out = clone(state, args.N, m)
             single = single_particle_fidelity(out, state)
-            two_step = two_step_estimate(out, state, povm_m)
-            rows.append(
-                {
-                    "M": m,
-                    "state_index": idx,
-                    "single_particle": single,
-                    "two_step": two_step,
-                }
-            )
+            table.append([m, idx, single, two_step_estimate(out, state, povm_m)])
     header = ["M", "state_index", "single_particle", "two_step"]
-    if args.json:
-        _print_json(
-            {
-                "operation": "clone",
-                "d": args.d,
-                "N": args.N,
-                "seed": args.seed,
-                "rows": rows,
-            }
-        )
-    elif args.csv:
-        _csv_out(header, [[row["M"], row["state_index"], repr(row["single_particle"]), repr(row["two_step"])] for row in rows])
-    else:
-        print("  ".join(header))
-        for row in rows:
-            print(
-                f"{row['M']}  {row['state_index']}  "
-                f"{row['single_particle']:.12f}  {row['two_step']:.12f}"
-            )
+    rows = [dict(zip(header, row)) for row in table]
+    _emit(
+        args,
+        {"operation": "clone", "d": args.d, "N": args.N, "seed": args.seed, "rows": rows},
+        _table_lines(header, ["", "", ".12f", ".12f"], table),
+        (header, table),
+    )
     return EXIT_OK
 
 
@@ -285,7 +273,12 @@ def _parse_indices(raw: str) -> tuple[int, ...]:
 
 def _moment_row(d: int, i_tuple: tuple[int, ...], j_tuple: tuple[int, ...]) -> dict:
     value: Fraction = moment_value(d, i_tuple, j_tuple)
-    return {"i": list(i_tuple), "j": list(j_tuple), "value": f"{value.numerator}/{value.denominator}"}
+    try:
+        text = f"{value.numerator}/{value.denominator}"
+    except ValueError as exc:
+        # Past the interpreter's limit on int-to-str conversion.
+        raise InputFormatError("the exact moment for this --d has too many digits to print") from exc
+    return {"i": list(i_tuple), "j": list(j_tuple), "value": text}
 
 
 def cmd_moments(args: argparse.Namespace) -> int:

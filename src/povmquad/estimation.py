@@ -105,7 +105,6 @@ def sample_outcomes(povm: Povm, state: PureState, shots: int, seed: int) -> np.n
     check_shots(shots)
     rng = _generator(seed)
     probs = outcome_probs(povm, state)
-    probs = np.clip(probs, 0.0, None)
     probs = probs / probs.sum()
     return rng.multinomial(shots, probs)
 

@@ -89,10 +89,6 @@ def restrict_povm(povm: Povm, N: int) -> Povm:
     return Povm(d=povm.d, N=N, weights=povm.weights, guesses=povm.guesses, provenance=provenance)
 
 
-# Elements formatted by one %-pass each; bounds the file text held in memory.
-SAVE_BLOCK = 4096
-
-
 def save_povm(povm: Povm, path: str | Path) -> None:
     """Write the POVM as canonical JSON (sorted keys, 17-digit decimals).
 
@@ -101,8 +97,8 @@ def save_povm(povm: Povm, path: str | Path) -> None:
     those of json.dumps(doc, sort_keys=True, indent=2) on the document
     of per-element dicts; tests/_oracles.povm_json_reference is that
     writer and the tests pin this one to it byte for byte.  Every element
-    has the same indent-2 layout, so a block of elements is one repeated
-    template filled by a single %-format ("%.17g" and format(x, ".17g")
+    has the same indent-2 layout, so all elements are one repeated
+    template filled by a single %-pass ("%.17g" and format(x, ".17g")
     share CPython's float-to-string routine).  Raises InputFormatError if
     the file cannot be written.
     """
@@ -124,11 +120,7 @@ def save_povm(povm: Povm, path: str | Path) -> None:
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(head[:-2] + ',\n  "elements": [\n')
-            for start in range(0, povm.n_outcomes, SAVE_BLOCK):
-                rows = table[start : start + SAVE_BLOCK]
-                if start:
-                    fh.write(",\n")
-                fh.write(",\n".join([element] * len(rows)) % tuple(rows.ravel().tolist()))
+            fh.write(",\n".join([element] * povm.n_outcomes) % tuple(table.ravel().tolist()))
             fh.write("\n  ],\n" + tail[2:] + "\n")
     except OSError as exc:
         raise InputFormatError(f"cannot write POVM file {path}: {exc}") from exc

@@ -38,6 +38,7 @@ cloner's two-step check applies, each formed on first access and kept.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
@@ -46,7 +47,7 @@ import numpy as np
 
 from .errors import ConstructionError, InputFormatError, exceeds
 from .limits import BUILD_GUARD_ENV, check_cost
-from .symmetric import NORM_TOL, frame_residual, occupation_basis, sym_dim, sym_embed_batch
+from .symmetric import NORM_TOL, _occupation_table, frame_residual, sym_dim, sym_embed_batch
 
 NEWTON_TOL = 1e-14
 
@@ -194,22 +195,22 @@ def _lattice_generator(projected: np.ndarray, M: int) -> tuple[int, ...] | None:
 def _korobov_lattice(d: int, N: int, moduli_nodes: int) -> tuple[int, tuple[int, ...]]:
     """Smallest exact Korobov lattice (M, z), the first g for that M.
 
-    d_N distinct residues need M >= d_N, so the search starts there.  It
-    ends by M = (N+1)^(d-1) with g = N+1: then |k'.z| < M, and k'.z = 0
-    only for k' = 0 by uniqueness of balanced base-(N+1) digits.  Each M
-    is charged A*d_N^2 against POVMQUAD_BUILD_GUARD before it is tried.
+    d_N distinct residues need M >= d_N, so the search starts there.
+    Each M is charged A*d_N^2 against POVMQUAD_BUILD_GUARD before it is
+    tried, so the guard ends any search.  Without it the search would
+    still end by M = (N+1)^(d-1) with g = N+1: then |k'.z| < M, and
+    k'.z = 0 only for k' = 0 by uniqueness of balanced base-(N+1)
+    digits.  That bound is a theorem, not a check; a test pins it for
+    every (d, N) the default guard admits at d <= 4.
     """
     dim = sym_dim(d, N)
-    projected = None
-    for M in range(dim, (N + 1) ** (d - 1) + 1):
-        cost = moduli_nodes ** (d - 1) * M * dim * dim
+    moduli = moduli_nodes ** (d - 1)
+    for M in itertools.count(dim):
+        cost = moduli * M * dim * dim
         check_cost(f"construction cost A*d_N^2 for d={d}, N={N}, M={M}", cost, BUILD_GUARD_ENV)
-        if projected is None:
-            projected = np.array(occupation_basis(d, N), dtype=np.int64)[:, :-1]
-        z = _lattice_generator(projected, M)
+        z = _lattice_generator(_occupation_table(d, N)[:, :-1], M)
         if z is not None:
             return M, z
-    raise AssertionError(f"no Korobov lattice up to M = (N+1)^(d-1) for d={d}, N={N}")
 
 
 def sphere_grid(d: int, N: int) -> Povm:

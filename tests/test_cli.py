@@ -25,6 +25,10 @@ def povm_path(tmp_path):
     return path
 
 
+# The interpreter's limit on int-to-str conversion; 0 where there is none.
+INT_STR_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -286,6 +290,48 @@ class TestUnparsableFile:
         assert err.startswith("input error: cannot read POVM file")
         assert err.count("\n") == 1
         assert out == ""
+
+
+# Well-formed JSON that is not a POVM document.
+MALFORMED = {
+    "top-level-array": lambda doc: [doc],
+    "element-without-w": lambda doc: {**doc, "elements": [{"c": e["c"]} for e in doc["elements"]]},
+    "c-not-a-list": lambda doc: {**doc, "elements": [{**e, "c": 0.5} for e in doc["elements"]]},
+}
+
+
+class TestMalformedFile:
+    @pytest.mark.parametrize("damage", MALFORMED.values(), ids=MALFORMED.keys())
+    @pytest.mark.parametrize("command", sorted(FILE_COMMANDS))
+    def test_malformed_document_is_input_error(self, povm_path, capsys, command, damage):
+        bad = povm_path.with_name("bad.json")
+        bad.write_text(json.dumps(damage(json.loads(povm_path.read_text()))))
+        code, out, err = run(capsys, [command, str(bad), *FILE_COMMANDS[command]])
+        assert code == EXIT_INPUT
+        assert err.startswith("input error:")
+        assert err.count("\n") == 1
+        assert out == ""
+
+
+class TestGuardVariables:
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e9", "abc", "0", "-5"])
+    @pytest.mark.parametrize(
+        "variable,argv",
+        [
+            ("POVMQUAD_BUILD_GUARD", ["build", "--d", "2", "--N", "1", "--out", "x.json"]),
+            ("POVMQUAD_FULL_SPACE_GUARD", ["moments", "--d", "2", "--max-len", "1"]),
+        ],
+        ids=["build", "moments"],
+    )
+    def test_bad_value_is_input_error(self, tmp_path, capsys, monkeypatch, variable, argv, value):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv(variable, value)
+        code, out, err = run(capsys, argv)
+        assert code == EXIT_INPUT
+        assert err.startswith(f"input error: {variable} must be")
+        assert err.count("\n") == 1
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestFidelity:
@@ -636,6 +682,17 @@ class TestMoments:
         assert code == EXIT_INPUT
         assert out == ""
 
+    @pytest.mark.skipif(not INT_STR_DIGITS, reason="this interpreter prints integers of any length")
+    @pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+    def test_value_too_long_to_print_is_input_error(self, capsys, fmt):
+        # The denominator d(d+1) has more digits than an int may print.
+        d = "1" + "0" * (INT_STR_DIGITS // 2 + 100)
+        code, out, err = run(capsys, ["moments", "--d", d, "--i", "1,2", "--j", "2,1", *fmt])
+        assert code == EXIT_INPUT
+        assert err.startswith("input error:")
+        assert err.count("\n") == 1
+        assert out == ""
+
 
 class TestSeeds:
     @pytest.mark.parametrize(
@@ -675,10 +732,12 @@ class TestFlagsBeforeWork:
             ["simulate", "{path}", "--shots", "10", "--seed", "1"],
             ["simulate", "{path}", "--shots", "10", "--seed", "1", "--state-seed", "1", "--basis", "0"],
             ["simulate", "{path}", "--shots", "10", "--seed", "1", "--basis", "-1"],
+            ["fidelity", "--sweep", "--samples", "100", "--seed", "1"],
+            ["moments", "--d", "2"],
         ],
         ids=["fidelity-sweep-guarded", "fidelity-sweep-three", "fidelity-path",
              "simulate-shots", "simulate-no-state", "simulate-two-states",
-             "simulate-negative-basis"],
+             "simulate-negative-basis", "fidelity-sweep-no-lists", "moments-no-mode"],
     )
     def test_bad_flag_is_input_error_before_work(self, povm_path, capsys, monkeypatch, argv):
         import povmquad.cli

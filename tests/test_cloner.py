@@ -113,6 +113,21 @@ class TestCloneMap:
         with pytest.raises(InputFormatError):
             ClonerOutput(d=2, N=1, M=2, density=np.eye(4) / 4)
 
+    def test_output_rejects_more_inputs_than_clones(self):
+        with pytest.raises(InputFormatError):
+            ClonerOutput(d=2, N=3, M=2, density=np.eye(3) / 3)
+
+    @pytest.mark.parametrize(
+        "diagonal",
+        [[1.0, 0.5, 0.0], [1.5, -0.5, 0.0]],
+        ids=["trace", "negative-eigenvalue"],
+    )
+    def test_output_rejects_non_state(self, diagonal):
+        # Each diagonal is 0.5 away from a state, in trace or in its least eigenvalue.
+        with pytest.raises(ConstructionError) as info:
+            ClonerOutput(d=2, N=1, M=2, density=np.diag(diagonal).astype(np.complex128))
+        assert info.value.residual == pytest.approx(0.5)
+
 
 class TestDenseOracle:
     @settings(max_examples=40, deadline=None)
@@ -145,6 +160,10 @@ class TestSingleParticleFidelity:
         state = PureState.basis_state(2, 0)
         out = clone(state, 1, 2)
         assert abs(single_particle_fidelity(out, state) - 5.0 / 6.0) < 1e-12
+
+    def test_rejects_wrong_dimension(self):
+        with pytest.raises(InputFormatError):
+            single_particle_fidelity(clone(haar_random_state(2, 1), 1, 2), haar_random_state(3, 1))
 
     @pytest.mark.parametrize(
         "d,n,m,expected",

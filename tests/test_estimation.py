@@ -378,6 +378,10 @@ class TestMajorityBaseline:
         report = majority_vote_fidelity_mc(1, samples=40_000, seed=405)
         assert abs(report.value - 2.0 / 3.0) < 4 * report.stderr
 
+    def test_rejects_no_copies(self):
+        with pytest.raises(InputFormatError):
+            majority_vote_fidelity_mc(0, 100, 1)
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_strictly_below_joint_optimum(self, n):
         report = majority_vote_fidelity_mc(n, samples=40_000, seed=500 + n)

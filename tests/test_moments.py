@@ -112,6 +112,10 @@ class TestMomentValue:
         with pytest.raises(InputFormatError):
             moment_value(2, (1,), (3,))
 
+    def test_rejects_d_below_two(self):
+        with pytest.raises(InputFormatError):
+            moment_value(1, (1,), (1,))
+
     @pytest.mark.parametrize("d,length", [(2, 1), (2, 2), (3, 1), (3, 2)])
     def test_against_dense_integration(self, d, length):
         tensor = moment_tensor_numeric(d, length)

@@ -284,6 +284,10 @@ class TestValidation:
                 guesses=np.zeros((0, 2), dtype=np.complex128),
             )
 
+    def test_rejects_d_below_two(self):
+        with pytest.raises(InputFormatError):
+            Povm(d=1, N=1, weights=np.array([1.0]), guesses=np.array([[1.0]]))
+
     def test_rejects_shape_mismatch(self):
         with pytest.raises(InputFormatError):
             Povm(d=3, N=1, weights=np.array([1.0]), guesses=np.array([[1.0, 0.0]]))
@@ -447,15 +451,10 @@ class TestFileFormat:
 
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(povm=arbitrary_povms(), block=st.integers(1, 41))
-    def test_bytes_equal_reference_writer(self, tmp_path, monkeypatch, povm, block):
-        # Small blocks put block boundaries inside the 1..40 elements.
-        import povmquad.povm
-
+    @given(povm=arbitrary_povms())
+    def test_bytes_equal_reference_writer(self, tmp_path, povm):
         path = tmp_path / "povm.json"
-        with monkeypatch.context() as patch:
-            patch.setattr(povmquad.povm, "SAVE_BLOCK", block)
-            save_povm(povm, path)
+        save_povm(povm, path)
         assert path.read_bytes() == povm_json_reference(povm).encode("utf-8")
 
     @settings(max_examples=30, deadline=None,

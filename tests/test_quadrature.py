@@ -387,6 +387,20 @@ class TestLatticeProperties:
             k = [x - y for x, y in zip(a[:-1], b[:-1])]
             assert sum(kj * zj for kj, zj in zip(k, z)) % M != 0, (a, b)
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_search_ends_by_balanced_digit_bound(self, d):
+        # The search has no bound of its own: the guard ends it.  That it
+        # would end by M = (N+1)^(d-1) anyway is a theorem, pinned here for
+        # every N the default guard admits; the next N is refused.
+        from povmquad.quadrature import _korobov_lattice
+
+        for n in range(1, GUARD_LIMITS[d] + 1):
+            M, _ = _korobov_lattice(d, n, (n + 2) // 2)
+            assert sym_dim(d, n) <= M <= (n + 1) ** (d - 1)
+        n = GUARD_LIMITS[d] + 1
+        with pytest.raises(ResourceLimitError):
+            _korobov_lattice(d, n, (n + 2) // 2)
+
     @settings(max_examples=10, deadline=None)
     @given(family=families_within_guard)
     def test_search_is_deterministic(self, family):

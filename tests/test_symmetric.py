@@ -108,6 +108,24 @@ class TestOccupationBasis:
         assert list(occs) == sorted(occs, reverse=True)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: occupation_basis(0, 1),
+        lambda: sym_embed_batch(np.array([1.0, 0.0]), 1),
+        lambda: sym_isometry(1, 2),
+        lambda: haar_random_states(2, 0, 1),
+        lambda: haar_random_state(1, 1),
+        lambda: haar_random_unitary(1, 1),
+    ],
+    ids=["occupation-basis-d0", "embed-batch-1d", "isometry-d1", "haar-states-count0",
+         "haar-state-d1", "haar-unitary-d1"],
+)
+def test_rejects_bad_arguments(call):
+    with pytest.raises(InputFormatError):
+        call()
+
+
 class TestSymEmbed:
     def test_basis_state_two_copies(self):
         coords = sym_embed(PureState.basis_state(2, 0), 2)

@@ -62,7 +62,7 @@ from .symmetric import (
     symmetric_projector_full,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 __all__ = [
     "ClonerOutput",

@@ -17,17 +17,23 @@ Carlo estimator and the deliberately suboptimal per-copy baseline exist
 to check those closed forms from the operational side.
 
 The Monte Carlo kernel draws its states in blocks of _MC_BLOCK, one
-spawned generator per block, and evaluates each block in chunks of
-_MC_CHUNK rows, so its working set is a few _MC_CHUNK x d_{N+1} arrays
-whatever the sample count.  _MC_CHUNK is 256 rows: at 1024 those arrays
-set a fidelity command's peak about 0.5 MB higher on (3,4), and smaller
-chunks pay the fixed cost of the dozen numpy calls per chunk more often,
-which the small families feel first.
+after another from one random.Random(seed) stream, and evaluates each
+block in chunks of _MC_CHUNK rows, so its working set is a few
+_MC_CHUNK x d_{N+1} arrays whatever the sample count.  _MC_CHUNK is 256
+rows: at 1024 those arrays set a fidelity command's peak about 0.5 MB
+higher on (3,4), and smaller chunks pay the fixed cost of the dozen
+numpy calls per chunk more often, which the small families feel first.
+
+Shot counts are a chain of conditional binomials, count_a ~
+Binomial(shots - count_1 - ... - count_{a-1}, p_a / (p_a + ... + p_A)),
+each drawn exactly in O(1) expected uniforms by sampling.binomial, so
+a draw costs O(A) whatever the shot count.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,7 +44,7 @@ from .povm import Povm
 from .symmetric import (
     PureState,
     _check_seed,
-    _generator,
+    _uniforms,
     frame_operator,
     haar_random_states,
     sym_dim,
@@ -46,8 +52,11 @@ from .symmetric import (
 )
 
 MC_MIN_SAMPLES = 100
+# Counts are int64, as numpy's were.
+MAX_SHOTS = 2**63 - 1
 _MC_BLOCK = 4096
 _MC_CHUNK = 256
+_VOTE_UNIFORMS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -79,9 +88,9 @@ def check_samples(samples: int) -> None:
 
 
 def check_shots(shots: int) -> None:
-    """Refuse a measurement shot count below 1."""
-    if shots < 1:
-        raise InputFormatError(f"need shots >= 1, got {shots}")
+    """Refuse a measurement shot count below 1 or above MAX_SHOTS."""
+    if not 1 <= shots <= MAX_SHOTS:
+        raise InputFormatError(f"need 1 <= shots <= {MAX_SHOTS}, got {shots}")
 
 
 def _check_state(povm: Povm, state: PureState) -> None:
@@ -98,15 +107,36 @@ def outcome_probs(povm: Povm, state: PureState) -> np.ndarray:
 
 
 def sample_outcomes(povm: Povm, state: PureState, shots: int, seed: int) -> np.ndarray:
-    """Multinomial outcome counts for `shots` measurements, shape (A,).
+    """Multinomial outcome counts for `shots` measurements, shape (A,), int64.
 
-    Raises InputFormatError unless seed is a non-negative integer.
+    Outcome a gets a Binomial(shots left, p_a / sum_{b >= a} p_b) draw
+    from random.Random(seed), a = 1 .. A-1, and the last outcome the
+    rest; the chain stops once no shot is left.  Raises InputFormatError
+    unless seed is a non-negative integer.
     """
+    # Imported here, not with the module: commands that draw no shot
+    # counts then neither compile nor load the sampler.  Compiled at
+    # import, it raised a clone command's peak by ~0.07 MB when run
+    # without cached bytecode.
+    from .sampling import binomial
+
     check_shots(shots)
-    rng = _generator(seed)
+    stream = random.Random(_check_seed(seed))
     probs = outcome_probs(povm, state)
-    probs = probs / probs.sum()
-    return rng.multinomial(shots, probs)
+    probs = (probs / probs.sum()).tolist()
+    # tails[a] = p_a + ... + p_A, summed from the end, so small tails keep
+    # their relative precision and tails[a] >= p_a holds in floating point.
+    tails = np.cumsum(probs[::-1])[::-1].tolist()
+    counts = np.zeros(len(probs), dtype=np.int64)
+    left = shots
+    for a in range(len(probs) - 1):
+        if left == 0:
+            break
+        k = binomial(stream, left, probs[a] / tails[a])
+        counts[a] = k
+        left -= k
+    counts[-1] = left
+    return counts
 
 
 def _pointwise_batch(povm: Povm, frame: np.ndarray, states: np.ndarray) -> np.ndarray:
@@ -149,7 +179,7 @@ def mean_fidelity_mc(povm: Povm, samples: int, seed: int) -> FidelityReport:
     """Monte Carlo average of the pointwise fidelity over Haar states.
 
     Deterministic for fixed seed: states are drawn in blocks of
-    _MC_BLOCK, each from its own generator spawned from the seed, and
+    _MC_BLOCK, one after another from one random.Random(seed), and
     each block is evaluated in chunks of _MC_CHUNK rows into one array
     of the block's length.  The value is the block-order sum of the
     block sums over samples.  The standard error combines each block's
@@ -161,17 +191,16 @@ def mean_fidelity_mc(povm: Povm, samples: int, seed: int) -> FidelityReport:
     any work, unless seed is a non-negative integer.
     """
     check_samples(samples)
-    root = np.random.SeedSequence(_check_seed(seed))
+    stream = random.Random(_check_seed(seed))
     frame = frame_operator(povm.guesses, povm.weights, povm.N + 1)
     n_blocks = (samples + _MC_BLOCK - 1) // _MC_BLOCK
-    seeds = root.spawn(n_blocks)
     total = 0.0
     mean = 0.0
     m2 = 0.0
     done = 0
     for b in range(n_blocks):
         count = min(_MC_BLOCK, samples - done)
-        states = haar_random_states(povm.d, count, np.random.default_rng(seeds[b]))
+        states = haar_random_states(povm.d, count, stream)
         vals = np.empty(count)
         for lo in range(0, count, _MC_CHUNK):
             rows = slice(lo, lo + _MC_CHUNK)
@@ -197,20 +226,27 @@ def majority_vote_fidelity_mc(N: int, samples: int, seed: int) -> FidelityReport
     d = 2 only.  Each of the N copies is measured separately in the
     computational basis and the guess is the basis state that won the
     vote (ties broken by a fair coin).  For N >= 2 this strategy is
-    strictly below the joint-measurement optimum (N+1)/(N+2).  Raises
-    InputFormatError unless seed is a non-negative integer.
+    strictly below the joint-measurement optimum (N+1)/(N+2).
+
+    One random.Random(seed) stream gives the states, then N + 1
+    uniforms per state: the copies found in |0> are the first N at or
+    below p_0 = |c_0|^2, an exact Binomial(N, p_0), and the last one,
+    at or below 1/2, breaks a tie.  The uniforms are drawn for at most
+    _VOTE_UNIFORMS of them at a time.  Raises InputFormatError unless
+    seed is a non-negative integer.
     """
     if N < 1:
         raise InputFormatError(f"need N >= 1, got N={N}")
     check_samples(samples)
-    rng = _generator(seed)
-    states = haar_random_states(2, samples, rng)
-    p0 = np.abs(states[:, 0]) ** 2
-    zeros = rng.binomial(N, p0)
-    guess_zero = zeros * 2 > N
-    ties = zeros * 2 == N
-    if np.any(ties):
-        guess_zero = np.where(ties, rng.random(samples) < 0.5, guess_zero)
+    stream = random.Random(_check_seed(seed))
+    p0 = np.abs(haar_random_states(2, samples, stream)[:, 0]) ** 2
+    guess_zero = np.empty(samples, dtype=bool)
+    step = max(1, _VOTE_UNIFORMS // (N + 1))
+    for lo in range(0, samples, step):
+        rows = p0[lo : lo + step]
+        u = _uniforms(stream, rows.size * (N + 1)).reshape(rows.size, N + 1)
+        twice_zeros = 2 * np.count_nonzero(u[:, :N] <= rows[:, None], axis=1)
+        guess_zero[lo : lo + step] = (twice_zeros > N) | ((twice_zeros == N) & (u[:, N] <= 0.5))
     vals = np.where(guess_zero, p0, 1.0 - p0)
     mean = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / math.sqrt(samples))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import random
 from functools import lru_cache, reduce
 
 import numpy as np
@@ -402,8 +403,8 @@ def pointwise_fidelity_direct(guesses: np.ndarray, weights: np.ndarray, n: int,
 def mean_fidelity_mc_whole_block(povm, samples: int, seed: int, block: int) -> float:
     """The Monte Carlo fidelity kernel with each block evaluated whole.
 
-    The same draws as the package (one generator spawned from the seed
-    per block of `block` states) and the same per-row formula
+    The same draws as the package (blocks of `block` states, one after
+    another from one random.Random(seed)) and the same per-row formula
     d_N ((u* @ G_{N+1}) * u).sum(axis=1).real, formed out of place over
     the whole block, and the same block-order sum.
     """
@@ -411,11 +412,10 @@ def mean_fidelity_mc_whole_block(povm, samples: int, seed: int, block: int) -> f
 
     frame = frame_operator(povm.guesses, povm.weights, povm.N + 1)
     d_n = math.comb(povm.N + povm.d - 1, povm.d - 1)
-    seeds = np.random.SeedSequence(seed).spawn(-(-samples // block))
+    stream = random.Random(seed)
     total = 0.0
-    for b, block_seed in enumerate(seeds):
-        count = min(block, samples - b * block)
-        states = haar_random_states(povm.d, count, np.random.default_rng(block_seed))
+    for start in range(0, samples, block):
+        states = haar_random_states(povm.d, min(block, samples - start), stream)
         u = sym_embed_batch(states, povm.N + 1)
         vals = d_n * ((u.conj() @ frame) * u).sum(axis=1).real
         total += float(np.sum(vals))

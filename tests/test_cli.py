@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -446,6 +447,31 @@ class TestSimulate:
         assert out_a == out_b
 
 
+    def test_billion_shots_end_within_seconds(self, tmp_path, capsys):
+        # The counts are one binomial per outcome, so 10^9 shots on the
+        # 171-outcome (3,4) family cost about what 10^4 do.
+        path = str(tmp_path / "d3_N4.json")
+        assert main(["build", "--d", "3", "--N", "4", "--out", path]) == EXIT_OK
+        capsys.readouterr()
+        start = time.perf_counter()
+        code, out, _ = run(
+            capsys,
+            ["simulate", path, "--shots", "1000000000", "--seed", "1", "--state-seed", "2",
+             "--json"],
+        )
+        assert time.perf_counter() - start < 3.0
+        assert code == EXIT_OK
+        assert sum(json.loads(out)["counts"]) == 10**9
+
+    def test_shots_past_int64_are_input_errors(self, povm_path, capsys):
+        code, _, err = run(
+            capsys,
+            ["simulate", str(povm_path), "--shots", str(2**63), "--seed", "1", "--basis", "0"],
+        )
+        assert code == EXIT_INPUT
+        assert "shots" in err
+
+
 class TestClone:
     def test_csv_table(self, capsys):
         code, out, _ = run(
@@ -809,41 +835,67 @@ class TestClosedStdout:
 
 
 class TestImports:
-    """Which commands load numpy.random, each probed in a fresh interpreter."""
+    """No command loads numpy.random, each probed in a fresh interpreter.
 
+    numpy.random pulls in secrets, hashlib and OpenSSL's _hashlib; every
+    draw comes from random.Random instead, so none of the three may be
+    loaded once a command has finished.  The binomial sampler is loaded
+    by the one command that draws shot counts.
+    """
+
+    HEAVY = ("numpy.random", "secrets", "_hashlib", "povmquad.sampling")
     PROBE = (
         "import sys\n"
         "from povmquad.cli import main\n"
         "code = main(sys.argv[1:])\n"
         "sys.stdout.flush()\n"
-        "sys.stderr.write(f'numpy.random loaded: {\"numpy.random\" in sys.modules}')\n"
+        f"sys.stderr.write('loaded: ' + ' '.join(m for m in {HEAVY!r} if m in sys.modules))\n"
         "sys.exit(code)\n"
     )
 
-    def probe(self, argv):
+    def probe(self, argv, preload=""):
+        """(stdout, the heavy modules loaded) of one command in a fresh interpreter."""
         src = Path(povmquad.__file__).resolve().parent.parent
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
         proc = subprocess.run(
-            [sys.executable, "-c", self.PROBE, *argv],
+            [sys.executable, "-c", preload + self.PROBE, *argv],
             capture_output=True, env=env, timeout=120, text=True,
         )
         assert proc.returncode == EXIT_OK, proc.stderr
-        return proc.stderr.splitlines()[-1]
+        return proc.stdout, proc.stderr.splitlines()[-1]
 
-    def test_single_state_commands_never_load_numpy_random(self, tmp_path):
+    def test_no_command_loads_numpy_random(self, tmp_path):
         path = str(tmp_path / "qubit2.json")
         commands = [
             ["build", "--d", "2", "--N", "2", "--out", path],
             ["verify", path, "--level", "optimality"],
+            ["fidelity", path, "--samples", "100", "--seed", "1"],
+            ["simulate", path, "--shots", "100", "--seed", "1", "--state-seed", "2"],
             ["clone", "--d", "3", "--N", "1", "--M", "3", "--states", "2", "--seed", "1"],
             ["moments", "--d", "2", "--max-len", "2"],
         ]
         for argv in commands:
-            assert self.probe(argv) == "numpy.random loaded: False", argv[0]
-        # Positive control: the Monte Carlo batch still draws from numpy.
-        fidelity = ["fidelity", path, "--samples", "100", "--seed", "1"]
-        assert self.probe(fidelity) == "numpy.random loaded: True"
+            expected = "loaded: povmquad.sampling" if argv[0] == "simulate" else "loaded: "
+            assert self.probe(argv)[1] == expected, argv[0]
+
+    def test_probe_sees_a_loaded_module(self):
+        # Guards the probe: a run that loads numpy.random itself reports
+        # it and the two modules it pulls in.
+        argv = ["moments", "--d", "2", "--max-len", "1"]
+        loaded = self.probe(argv, preload="import numpy.random\n")[1]
+        assert loaded == "loaded: numpy.random secrets _hashlib"
+
+    def test_seeded_json_repeats_across_processes(self, tmp_path):
+        path = str(tmp_path / "qutrit2.json")
+        assert main(["build", "--d", "3", "--N", "2", "--out", path]) == EXIT_OK
+        commands = [
+            ["fidelity", path, "--samples", "5000", "--seed", "3", "--json"],
+            ["simulate", path, "--shots", "100000", "--seed", "4", "--state-seed", "5", "--json"],
+            ["clone", "--d", "3", "--N", "1", "--M", "3", "--states", "3", "--seed", "6", "--json"],
+        ]
+        for argv in commands:
+            assert self.probe(argv)[0] == self.probe(argv)[0], argv[0]
 
 
 class TestParser:

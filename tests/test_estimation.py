@@ -1,6 +1,7 @@
 """Estimation statistics: probabilities, sampling, and fidelity averages."""
 
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -28,7 +29,9 @@ from povmquad import (
     sym_dim,
 )
 
-from povmquad.estimation import _MC_BLOCK
+from povmquad import estimation, sampling
+from povmquad.estimation import MAX_SHOTS, _MC_BLOCK
+from povmquad.sampling import _log_binomial_ratio, binomial
 
 from _oracles import (
     ACCEPTANCE_PAIRS,
@@ -170,6 +173,117 @@ class TestSampling:
     def test_rejects_bad_shots(self, povm_for):
         with pytest.raises(InputFormatError):
             sample_outcomes(povm_for(2, 1), haar_random_state(2, 1), 0, seed=1)
+        with pytest.raises(InputFormatError, match="shots"):
+            sample_outcomes(povm_for(2, 1), haar_random_state(2, 1), MAX_SHOTS + 1, seed=1)
+
+    def test_golden_counts(self, povm_for):
+        # random.Random(2024) gives the same bits on every Python 3
+        # release, so a drift of the stream, of the conditional chain or of
+        # either binomial branch fails here.
+        povm = povm_for(3, 2)
+        counts = sample_outcomes(povm, PureState.basis_state(3, 1), 1000, seed=2024)
+        assert counts.dtype == np.int64
+        assert counts.tolist() == [
+            12, 16, 9, 14, 13, 7, 13, 133, 110, 131, 128, 107, 130, 106,
+            1, 3, 0, 1, 0, 1, 1, 5, 10, 11, 4, 9, 11, 14,
+        ]
+
+    @pytest.mark.parametrize("shots,draws", [(30, 2000), (1_000_000, 1)])
+    def test_many_outcome_counts_follow_outcome_probs(self, povm_for, shots, draws):
+        # 28 outcomes; small draws take the geometric branch, a large one
+        # the rejection branch.  Summed draws are one multinomial draw.
+        povm = povm_for(3, 2)
+        state = haar_random_state(3, 4_401)
+        counts = sum(sample_outcomes(povm, state, shots, seed=4_500 + k) for k in range(draws))
+        probs = outcome_probs(povm, state)
+        assert _pooled_chi_square_pvalue(counts, probs / probs.sum() * shots * draws) > 1e-3
+
+    def test_billion_shots_cost_stays_with_the_outcome_count(self, povm_for, monkeypatch):
+        # One binomial per outcome: the uniforms drawn do not grow with the
+        # shot count (numpy's multinomial was O(A) too).
+        povm = povm_for(3, 4)
+        state = haar_random_state(3, 8)
+        uniform = sampling._uniform
+        drawn = 0
+
+        def counting(stream):
+            nonlocal drawn
+            drawn += 1
+            return uniform(stream)
+
+        monkeypatch.setattr(sampling, "_uniform", counting)
+        for shots in (10**4, 10**9, MAX_SHOTS):
+            drawn = 0
+            counts = sample_outcomes(povm, state, shots, seed=3)
+            assert counts.sum() == shots
+            assert 0 < drawn <= 12 * povm.n_outcomes, shots
+
+
+def _pooled_chi_square_pvalue(counts, expected):
+    """Chi-square p-value with the cells expecting fewer than 5 pooled into one."""
+    big = expected >= 5.0
+    obs, exp = counts[big].astype(float), expected[big]
+    if not np.all(big):
+        obs = np.append(obs, counts[~big].sum())
+        exp = np.append(exp, expected[~big].sum())
+    return scipy.stats.chisquare(obs, exp * obs.sum() / exp.sum()).pvalue
+
+
+def _binomial_pmf(n, p):
+    """Exact Binomial(n, p) probabilities from math.comb, in floats."""
+    return np.array([math.comb(n, k) * p**k * (1.0 - p) ** (n - k) for k in range(n + 1)])
+
+
+class TestBinomialSampler:
+    @pytest.mark.parametrize(
+        "n,p",
+        [(2, 0.3), (20, 0.2), (30, 0.01), (40, 0.24), (60, 0.9),
+         (200, 0.3), (1000, 0.45), (120, 0.75)],
+        ids=["pair", "geometric", "geometric-rare", "geometric-edge", "geometric-mirrored",
+             "btrs", "btrs-wide", "btrs-mirrored"],
+    )
+    def test_chi_square_against_exact_pmf(self, n, p):
+        draws = 20_000
+        stream = random.Random(n * 1_000 + round(p * 100))
+        counts = np.bincount([binomial(stream, n, p) for _ in range(draws)], minlength=n + 1)
+        assert _pooled_chi_square_pvalue(counts, draws * _binomial_pmf(n, p)) > 1e-3
+
+    @pytest.mark.parametrize("n,p,value", [(0, 0.3, 0), (0, 1.0, 0), (17, 0.0, 0), (17, 1.0, 17)])
+    def test_certain_outcomes_draw_nothing(self, n, p, value):
+        stream = random.Random(1)
+        state = stream.getstate()
+        assert binomial(stream, n, p) == value
+        assert stream.getstate() == state
+
+    @pytest.mark.parametrize("n", [20, 150, 1000, 5000])
+    @pytest.mark.parametrize("p", [0.05, 0.3, 0.5])
+    def test_log_ratio_against_comb(self, n, p):
+        # The acceptance test's log f(k)/f(mode) against logs of exact
+        # binomial coefficients.
+        mode = math.floor((n + 1) * p)
+        lpq = math.log(p / (1.0 - p))
+        for k in range(max(0, mode - 80), min(n, mode + 80) + 1):
+            exact = math.log(math.comb(n, k)) - math.log(math.comb(n, mode)) + (k - mode) * lpq
+            assert abs(_log_binomial_ratio(n, k, mode, lpq) - exact) < 1e-9, k
+
+    @pytest.mark.parametrize("n", [10**15, MAX_SHOTS])
+    def test_huge_n_stays_normal(self, n):
+        # At these n the Binomial(n, 0.3) law is the normal one to ~1e-8,
+        # so the standardised draws follow N(0, 1).  The direct lgamma
+        # form of the acceptance test widens them by 18% at 1e15.  Every
+        # integer stays reachable: k taken from the float n p would be a
+        # multiple of 1024 at n = 2^63 - 1.
+        stream = random.Random(n % 1_000_003)
+        draws = [binomial(stream, n, 0.3) for _ in range(20_000)]
+        assert all(isinstance(k, int) and 0 <= k <= n for k in draws)
+        assert len({k % 1024 for k in draws}) > 1000
+        z = (np.array(draws, dtype=float) - n * 0.3) / math.sqrt(n * 0.3 * 0.7)
+        assert scipy.stats.kstest(z, "norm").pvalue > 1e-3
+
+    def test_single_trial_is_one_uniform(self):
+        a, b = random.Random(6), random.Random(6)
+        draws = [binomial(a, 1, 0.3) for _ in range(200)]
+        assert draws == [int(u <= 0.3) for u in (sampling._uniform(b) for _ in range(200))]
 
 
 class TestPointwiseFidelity:
@@ -211,13 +325,12 @@ def _direct_values(povm, samples, seed):
     """The direct-sum pointwise fidelity at the Monte Carlo kernel's states.
 
     The states are redrawn as the kernel draws them: fixed-size blocks,
-    one spawned seed each.
+    one after another from one random.Random(seed).
     """
-    seeds = np.random.SeedSequence(seed).spawn(-(-samples // _MC_BLOCK))
+    stream = random.Random(seed)
     states = np.concatenate([
-        haar_random_states(povm.d, min(_MC_BLOCK, samples - b * _MC_BLOCK),
-                           np.random.default_rng(block_seed))
-        for b, block_seed in enumerate(seeds)
+        haar_random_states(povm.d, min(_MC_BLOCK, samples - start), stream)
+        for start in range(0, samples, _MC_BLOCK)
     ])
     return pointwise_fidelity_direct(povm.guesses, povm.weights, povm.N, states)
 
@@ -347,6 +460,22 @@ SEEDED_ENTRY_POINTS = {
 
 
 class TestSeedValidation:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda povm, seed: haar_random_states(2, 3, seed),
+            lambda povm, seed: haar_random_unitary(2, seed),
+            *SEEDED_ENTRY_POINTS.values(),
+        ],
+        ids=["haar_random_states", "haar_random_unitary", *SEEDED_ENTRY_POINTS],
+    )
+    def test_numpy_generator_is_refused(self, povm_for, call):
+        # Every draw comes from random.Random: a numpy Generator is not a
+        # seed, and no stream is silently built from it.
+        generator = np.random.default_rng(0)
+        with pytest.raises(InputFormatError, match="seed"):
+            call(povm_for(2, 1), generator)
+
     @pytest.mark.parametrize("seed", [-1, True, 1.5, "3"])
     @pytest.mark.parametrize("entry", sorted(SEEDED_ENTRY_POINTS))
     def test_bad_seed_is_input_error(self, povm_for, entry, seed):
@@ -387,6 +516,13 @@ class TestMajorityBaseline:
         report = majority_vote_fidelity_mc(n, samples=40_000, seed=500 + n)
         gap = float(optimal_fidelity(n, 2)) - report.value
         assert gap > 3 * report.stderr
+
+    def test_vote_chunks_read_one_stream(self, monkeypatch):
+        # Chunking the vote uniforms is a memory bound, not a new draw.
+        whole = majority_vote_fidelity_mc(3, samples=1000, seed=12)
+        monkeypatch.setattr(estimation, "_VOTE_UNIFORMS", 7)
+        chunked = majority_vote_fidelity_mc(3, samples=1000, seed=12)
+        assert (chunked.value, chunked.stderr) == (whole.value, whole.stderr)
 
     def test_deterministic(self):
         a = majority_vote_fidelity_mc(2, samples=1000, seed=8)

@@ -197,3 +197,52 @@ def test_setattr_reader_finds_writes():
         "object.__setattr__(R(), 'd', 4)\n"
     )
     assert _setattr_outside_post_init(source) == [5, 8, 9]
+
+
+def _numpy_random_uses(source: str) -> list[int]:
+    """Lines that reach numpy.random: np.random / numpy.random or an import of it."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr == "random"
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("np", "numpy")
+        ):
+            lines.add(node.lineno)
+        elif isinstance(node, ast.Import) and any(
+            alias.name.startswith("numpy.random") for alias in node.names
+        ):
+            lines.add(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module and (
+            node.module.startswith("numpy.random")
+            or (node.module == "numpy" and any(a.name == "random" for a in node.names))
+        ):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_package_never_reaches_numpy_random(path):
+    # Every draw comes from random.Random; numpy.random would also load
+    # secrets, hashlib and OpenSSL in every command that touches it.
+    lines = _numpy_random_uses(path.read_text(encoding="utf-8"))
+    assert not lines, f"{path.name} reaches numpy.random on lines {lines}"
+
+
+def test_numpy_random_reader_finds_uses():
+    # Guards the reader: attribute chains, annotations and each import
+    # form are found; the stdlib random module and a .random attribute
+    # of anything else are not.
+    source = (
+        "import random\n"
+        "import numpy as np\n"
+        "rng = np.random.default_rng(1)\n"
+        "def f(g: np.random.Generator) -> float:\n"
+        "    return random.random() + g.random()\n"
+        "import numpy.random\n"
+        "from numpy import random as npr\n"
+        "from numpy.random import SeedSequence\n"
+        "x = numpy.random.rand()\n"
+    )
+    assert _numpy_random_uses(source) == [3, 4, 6, 7, 8, 9]

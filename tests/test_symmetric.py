@@ -1,11 +1,14 @@
 """Symmetric-subspace embedding against brute-force full-space algebra."""
 
+import itertools
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings, strategies as st
 
 from povmquad import (
@@ -26,6 +29,7 @@ from povmquad import (
     sym_isometry,
     symmetric_projector_full,
 )
+from povmquad.symmetric import NORM_TOL, _uniform, _uniforms
 
 from _oracles import (
     projector_bruteforce,
@@ -315,15 +319,38 @@ class TestHaarSampling:
         assert np.array_equal(s1.amplitudes, s2.amplitudes)
 
     def test_single_state_golden_amplitudes(self):
-        # random.Random(12345).gauss gives the same stream on Python 3.10 to
-        # 3.13, so a drift of the generator or of the draw order fails here.
+        # random.Random(12345).getrandbits gives the same bits on every
+        # Python 3 release, so a drift of the stream, of the draw order or
+        # of the polar map from uniforms to amplitudes fails here.
         golden = [
-            -0.11492570042213002 + 0.06639744507302758j,
-            0.3558860261567978 - 0.696230885488194j,
-            -0.4124993604601448 + 0.44814666211953086j,
+            0.40083383382375937 - 0.5158253915698927j,
+            0.47434396651267347 - 0.21674626797919522j,
+            -0.06963123980322208 + 0.5444508703891422j,
         ]
         amps = haar_random_state(3, 12345).amplitudes
         assert np.max(np.abs(amps - golden)) < 1e-15
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    @pytest.mark.parametrize("seed", [0, 1, 12345, 2**40 + 7])
+    def test_single_state_is_first_row_of_batch(self, d, seed):
+        assert np.array_equal(
+            haar_random_state(d, seed).amplitudes, haar_random_states(d, 1, seed)[0]
+        )
+
+    def test_blocks_read_one_stream(self):
+        # Consecutive draws from one stream equal one draw of all the rows,
+        # which is how the Monte Carlo kernel reads its blocks.
+        stream = random.Random(77)
+        blocks = [haar_random_states(3, count, stream) for count in (1, 5, 10)]
+        assert np.array_equal(np.concatenate(blocks), haar_random_states(3, 16, 77))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**128), d=st.integers(2, 6), count=st.integers(1, 40))
+    def test_any_seed_gives_unit_rows_and_repeats(self, seed, d, count):
+        rows = haar_random_states(d, count, seed)
+        norm_sq = np.sum(rows.real**2 + rows.imag**2, axis=1)
+        assert np.max(np.abs(norm_sq - 1.0)) <= NORM_TOL
+        assert np.array_equal(rows, haar_random_states(d, count, seed))
 
     @pytest.mark.parametrize("seed", [-1, -3, True, False, 1.5, 2.0, "3", None])
     @pytest.mark.parametrize(
@@ -352,6 +379,26 @@ class TestHaarSampling:
         assert np.array_equal(u1, u2)
         assert np.max(np.abs(u1 @ u1.conj().T - np.eye(4))) < 1e-12
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_unitary_entries_have_haar_moments(self, d):
+        # Weingarten values for U(d): E|U_11|^2 = 1/d, E|U_11|^4 =
+        # 2/(d(d+1)), E|U_11|^2 |U_22|^2 = 1/(d^2-1) and
+        # E U_11 U_22 conj(U_12 U_21) = -1/(d(d^2-1)), each within five
+        # sample standard errors over 10,000 unitaries from one stream.
+        stream = random.Random(8_200 + d)
+        u = np.array([haar_random_unitary(d, stream) for _ in range(10_000)])
+        a11, a22 = np.abs(u[:, 0, 0]) ** 2, np.abs(u[:, 1, 1]) ** 2
+        cross = u[:, 0, 0] * u[:, 1, 1] * np.conj(u[:, 0, 1] * u[:, 1, 0])
+        for values, exact in (
+            (a11, 1 / d),
+            (a11**2, 2 / (d * (d + 1))),
+            (a11 * a22, 1 / (d * d - 1)),
+            (cross.real, -1 / (d * (d * d - 1))),
+            (cross.imag, 0.0),
+        ):
+            stderr = values.std(ddof=1) / math.sqrt(values.size)
+            assert abs(values.mean() - exact) <= 5 * stderr, exact
+
     def test_unitary_rotation_preserves_embedding_overlap(self):
         u = haar_random_unitary(2, 3)
         a, b = haar_random_state(2, 21), haar_random_state(2, 22)
@@ -377,37 +424,109 @@ SINGLE_STATE_MONOMIALS = [
 
 
 class TestSingleStateMoments:
-    """haar_random_state over 4000 seeds against the exact moments.
-
-    The mean of each monomial X is compared with moment_value, separately
-    for its real and imaginary parts.  The standard error comes from exact
-    moments too: Var Re X = (E|X|^2 + Re E[X^2])/2 - (Re EX)^2 and
-    Var Im X = (E|X|^2 - Re E[X^2])/2, so the 5 sigma bound is fixed by the
-    oracle and not by the sample.
-    """
+    """haar_random_state over 4000 seeds against the exact moments."""
 
     SEEDS = range(4000)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_moments_within_five_sigma(self, d):
         amps = np.array([haar_random_state(d, seed).amplitudes for seed in self.SEEDS])
-        n = amps.shape[0]
-        for i, j in SINGLE_STATE_MONOMIALS:
-            i = tuple(min(k, d) for k in i)
-            j = tuple(min(k, d) for k in j)
-            x = np.prod(amps[:, [k - 1 for k in i]], axis=1) * np.prod(
-                amps[:, [k - 1 for k in j]].conj(), axis=1
-            )
-            mean = moment_value(d, i, j)
-            abs_sq = moment_value(d, i + j, j + i)
-            square = moment_value(d, i + i, j + j)
-            var_re = (abs_sq + square) / 2 - mean**2
-            var_im = (abs_sq - square) / 2
-            assert var_re >= 0 and var_im >= 0
-            for part, exact, var in (
-                (x.real, mean, var_re),
-                (x.imag, Fraction(0), var_im),
-            ):
-                # The 1e-12 covers rounding where the variance is 0 (Im |c_1|^2).
-                bound = 5.0 * math.sqrt(var / n) + 1e-12
-                assert abs(float(part.mean()) - float(exact)) <= bound, (i, j, exact)
+        monomials = [
+            (tuple(min(k, d) for k in i), tuple(min(k, d) for k in j))
+            for i, j in SINGLE_STATE_MONOMIALS
+        ]
+        _assert_monomial_means(amps, monomials)
+
+
+def _assert_monomial_means(amps, monomials):
+    """Each monomial's mean over the rows of amps within five sigma of moment_value.
+
+    A monomial X = prod c_i prod conj(c_j) is given as (i, j), 1-based.
+    Its real and imaginary parts are compared separately.  The standard
+    error comes from exact moments too: Var Re X = (E|X|^2 + Re E[X^2])/2
+    - (Re EX)^2 and Var Im X = (E|X|^2 - Re E[X^2])/2, so the bound is
+    fixed by the oracle and not by the sample.
+    """
+    n, d = amps.shape
+    for i, j in monomials:
+        x = np.prod(amps[:, [k - 1 for k in i]], axis=1) * np.prod(
+            amps[:, [k - 1 for k in j]].conj(), axis=1
+        )
+        mean = moment_value(d, i, j)
+        abs_sq = moment_value(d, i + j, j + i)
+        square = moment_value(d, i + i, j + j)
+        var_re = (abs_sq + square) / 2 - mean**2
+        var_im = (abs_sq - square) / 2
+        assert var_re >= 0 and var_im >= 0
+        for part, exact, var in (
+            (x.real, mean, var_re),
+            (x.imag, Fraction(0), var_im),
+        ):
+            # The 1e-12 covers rounding where the variance is 0 (Im |c_1|^2).
+            bound = 5.0 * math.sqrt(var / n) + 1e-12
+            assert abs(float(part.mean()) - float(exact)) <= bound, (i, j, exact)
+
+
+class _FixedWords(random.Random):
+    """A stream whose getrandbits repeats one 64-bit word."""
+
+    def __init__(self, word):
+        super().__init__(0)
+        self.word = word
+
+    def getrandbits(self, k):
+        return sum(self.word << (64 * j) for j in range(k // 64))
+
+
+class TestUniformStream:
+    def test_values_lie_on_the_grid_in_the_unit_interval(self):
+        u = _uniforms(random.Random(3), 100_000)
+        k = u * 2.0**53
+        assert np.array_equal(k, np.floor(k))
+        assert k.min() >= 1.0 and k.max() <= 2.0**53
+        assert 0.0 < u.min() and u.max() <= 1.0
+
+    @pytest.mark.parametrize(
+        "word,value",
+        [(2**64 - 1, 1.0), (0, 2.0**-53), (2**11 - 1, 2.0**-53), (2**11, 2 * 2.0**-53),
+         (2**63, 0.5 + 2.0**-53)],
+    )
+    def test_top_53_bits_set_the_value(self, word, value):
+        assert _uniforms(_FixedWords(word), 3).tolist() == [value] * 3
+        assert _uniform(_FixedWords(word)) == value
+
+    def test_scalar_draws_continue_the_same_stream(self):
+        a, b = random.Random(5), random.Random(5)
+        assert [_uniform(a) for _ in range(10)] == _uniforms(b, 10).tolist()
+        assert _uniforms(a, 3).tolist() == [_uniform(b) for _ in range(3)]
+
+    def test_first_values_are_a_shorter_draw(self):
+        assert np.array_equal(_uniforms(random.Random(8), 9)[:4], _uniforms(random.Random(8), 4))
+        assert _uniforms(random.Random(8), 0).shape == (0,)
+
+    def test_uniform_bins(self):
+        # 64 equal bins and the low bits' 64 residues, each against a
+        # flat distribution.
+        u = _uniforms(random.Random(2718), 200_000)
+        bins = np.bincount(np.minimum((u * 64).astype(int), 63), minlength=64)
+        assert scipy.stats.chisquare(bins).pvalue > 1e-3
+        low = np.bincount((u * 2.0**53).astype(np.int64) % 64, minlength=64)
+        assert scipy.stats.chisquare(low).pvalue > 1e-3
+
+
+class TestBatchMoments:
+    """Second and fourth moments of haar_random_states against the exact ones.
+
+    Every monomial prod c_i prod conj(c_j) with |i| = |j| = 1 or 2 is
+    averaged over 20,000 rows of one draw, as TestSingleStateMoments
+    averages single states.
+    """
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_moments_within_five_sigma(self, d):
+        amps = haar_random_states(d, 20_000, 6_100 + d)
+        monomials = []
+        for length in (1, 2):
+            tuples = itertools.combinations_with_replacement(range(1, d + 1), length)
+            monomials += itertools.product(list(tuples), repeat=2)
+        _assert_monomial_means(amps, monomials)

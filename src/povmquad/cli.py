@@ -10,17 +10,23 @@ Each command but moments forms its JSON payload, its text lines and,
 where it offers --csv, its table, and prints through the one writer
 _emit.  moments streams its rows as they are formed instead, so its
 memory stays flat in the table size.
+
+Every command loads what it runs and no more.  The layer modules
+quadrature, povm, symmetric, estimation and cloner are imported with
+this module, so a tracer that rebinds their functions in the modules
+`import povmquad.cli` has loaded reaches every call.  The rest is
+imported where it is used: moments (and with it fractions) by the
+moments command, fractions by optimal_fidelity in fidelity, csv by
+--csv, and the binomial sampler by simulate.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
 import sys
-from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -37,7 +43,6 @@ from .estimation import (
     sample_outcomes,
 )
 from .limits import FULL_SPACE_GUARD_ENV, check_cost
-from .moments import moment_value
 from .povm import (
     CERTIFICATION_TOL,
     Povm,
@@ -70,6 +75,8 @@ def _emit(
     if args.json:
         print(json.dumps(payload, sort_keys=True))
     elif getattr(args, "csv", False):
+        import csv
+
         header, rows = table
         writer = csv.writer(sys.stdout, lineterminator="\r\n")
         writer.writerow(header)
@@ -271,8 +278,8 @@ def _parse_indices(raw: str) -> tuple[int, ...]:
         raise InputFormatError(f"cannot parse index list {raw!r}") from exc
 
 
-def _moment_row(d: int, i_tuple: tuple[int, ...], j_tuple: tuple[int, ...]) -> dict:
-    value: Fraction = moment_value(d, i_tuple, j_tuple)
+def _moment_row(i_tuple: tuple[int, ...], j_tuple: tuple[int, ...], value) -> dict:
+    """One table row; value is the exact moment, a Fraction, written p/q."""
     try:
         text = f"{value.numerator}/{value.denominator}"
     except ValueError as exc:
@@ -284,8 +291,11 @@ def _moment_row(d: int, i_tuple: tuple[int, ...], j_tuple: tuple[int, ...]) -> d
 def cmd_moments(args: argparse.Namespace) -> int:
     if (args.i is None) != (args.j is None):
         raise InputFormatError("--i and --j must be given together")
+    from .moments import moment_value
+
     if args.i is not None:
-        rows = [_moment_row(args.d, _parse_indices(args.i), _parse_indices(args.j))]
+        i_tuple, j_tuple = _parse_indices(args.i), _parse_indices(args.j)
+        rows = [_moment_row(i_tuple, j_tuple, moment_value(args.d, i_tuple, j_tuple))]
     elif args.max_len is not None:
         if args.d < 2 or args.max_len < 1:
             raise InputFormatError(f"need --d >= 2 and --max-len >= 1, got {args.d} and {args.max_len}")
@@ -302,7 +312,7 @@ def cmd_moments(args: argparse.Namespace) -> int:
             )
         indices = range(1, args.d + 1)
         rows = (
-            _moment_row(args.d, i_tuple, j_tuple)
+            _moment_row(i_tuple, j_tuple, moment_value(args.d, i_tuple, j_tuple))
             for l in range(1, args.max_len + 1)
             for i_tuple, j_tuple in product(product(indices, repeat=l), repeat=2)
         )

@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -50,6 +50,9 @@ from .symmetric import (
     sym_dim,
     sym_embed_batch,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 MC_MIN_SAMPLES = 100
 # Counts are int64, as numpy's were.
@@ -76,6 +79,10 @@ class FidelityReport:
 
 def optimal_fidelity(N: int, d: int) -> Fraction:
     """Best achievable mean fidelity (N+1)/(N+d), exact."""
+    # Imported here: fractions loads decimal and numbers, which no
+    # command but fidelity and moments needs.
+    from fractions import Fraction
+
     if d < 2 or N < 1:
         raise InputFormatError(f"need d >= 2 and N >= 1, got d={d}, N={N}")
     return Fraction(N + 1, N + d)
@@ -163,16 +170,18 @@ def pointwise_fidelity(povm: Povm, state: PureState) -> float:
 def mean_fidelity_exact(povm: Povm) -> FidelityReport:
     """State-averaged fidelity (d_N/d_{N+1}) sum_a w_a.
 
-    The weight sum is accumulated in exact rational arithmetic over the
-    stored double-precision weights, so the only deviation from
-    (N+1)/(N+d) for a built POVM is the normalisation rounding of the
-    weights themselves (well below 1e-12).
+    The weight sum is exact: each stored double is num / 2^k, every
+    numerator is shifted onto the largest denominator 2^K and summed as
+    an integer, and the one division d_N * sum / (d_{N+1} * 2^K) rounds
+    the exact rational once (CPython's int / int is correctly rounded).
+    So the only deviation from (N+1)/(N+d) for a built POVM is the
+    normalisation rounding of the weights themselves (well below 1e-12).
     """
-    total = Fraction(0)
-    for w in povm.weights:
-        total += Fraction(float(w))
-    ratio = Fraction(sym_dim(povm.d, povm.N), sym_dim(povm.d, povm.N + 1))
-    return FidelityReport(value=float(ratio * total), stderr=0.0, method="analytic")
+    ratios = [w.as_integer_ratio() for w in povm.weights.tolist()]
+    top = max(den for _, den in ratios).bit_length()
+    total = sum(num << (top - den.bit_length()) for num, den in ratios)
+    value = sym_dim(povm.d, povm.N) * total / (sym_dim(povm.d, povm.N + 1) << (top - 1))
+    return FidelityReport(value=value, stderr=0.0, method="analytic")
 
 
 def mean_fidelity_mc(povm: Povm, samples: int, seed: int) -> FidelityReport:

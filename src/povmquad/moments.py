@@ -17,10 +17,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import InputFormatError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def _validate_indices(d: int, indices: Sequence[int], name: str) -> tuple[int, ...]:
@@ -51,6 +53,10 @@ def moment_value(d: int, i: Sequence[int], j: Sequence[int]) -> Fraction:
     Indices are 1-based in 1..d.  Unequal lengths of i and j are allowed
     and give exactly zero.
     """
+    # Imported here, as in estimation.optimal_fidelity: only the callers
+    # that need an exact rational load fractions and decimal.
+    from fractions import Fraction
+
     if d < 2:
         raise InputFormatError(f"need d >= 2, got d={d}")
     i = _validate_indices(d, i, "i")

@@ -126,12 +126,24 @@ def save_povm(povm: Povm, path: str | Path) -> None:
         raise InputFormatError(f"cannot write POVM file {path}: {exc}") from exc
 
 
+def _real(value) -> float:
+    """One weight or amplitude part: a decimal string or a JSON number.
+
+    float(false) is 0.0, so a JSON true or false is refused here, as it
+    is for d and N; load_povm reports the TypeError as InputFormatError.
+    """
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number or a decimal string, got {value!r}")
+    return float(value)
+
+
 def load_povm(path: str | Path) -> Povm:
     """Read a POVM file and re-verify its invariants.
 
     Rejects unknown format versions, d or N that are not JSON integers,
-    everything Povm rejects (non-finite values, non-positive weights,
-    non-unit guesses), weight sums away from 1, and completeness
+    a weight or amplitude part that is true or false, everything Povm
+    rejects (non-finite values, non-positive weights, non-unit guesses),
+    weight sums away from 1, and completeness
     residuals above 1e-8 (reported in the error message), and text that
     is not JSON or that the parser cannot hold (nesting too deep,
     integers too long).  Missing provenance maps to {"source": "unknown"}.
@@ -153,9 +165,9 @@ def load_povm(path: str | Path) -> Povm:
         raise InputFormatError(f"d and N must be JSON integers, got d={d!r}, N={N!r}")
     try:
         raw_elements = doc["elements"]
-        weights = np.array([float(e["w"]) for e in raw_elements], dtype=np.float64)
+        weights = np.array([_real(e["w"]) for e in raw_elements], dtype=np.float64)
         guesses = np.array(
-            [[complex(float(re), float(im)) for re, im in e["c"]] for e in raw_elements],
+            [[complex(_real(re), _real(im)) for re, im in e["c"]] for e in raw_elements],
             dtype=np.complex128,
         )
     except (KeyError, TypeError, ValueError) as exc:

@@ -13,6 +13,7 @@ import itertools
 import json
 import math
 import random
+from fractions import Fraction
 from functools import lru_cache, reduce
 
 import numpy as np
@@ -420,6 +421,20 @@ def mean_fidelity_mc_whole_block(povm, samples: int, seed: int, block: int) -> f
         vals = d_n * ((u.conj() @ frame) * u).sum(axis=1).real
         total += float(np.sum(vals))
     return total / samples
+
+
+def mean_fidelity_exact_fraction(povm) -> float:
+    """(d_N / d_{N+1}) sum_a w_a as one Fraction, rounded to a float once.
+
+    The weights are added one at a time as exact rationals, where the
+    package shifts integer numerators onto one power-of-two denominator.
+    """
+    d_n = math.comb(povm.N + povm.d - 1, povm.d - 1)
+    d_n1 = math.comb(povm.N + povm.d, povm.d - 1)
+    total = Fraction(0)
+    for w in povm.weights.tolist():
+        total += Fraction(w)
+    return float(Fraction(d_n, d_n1) * total)
 
 
 # ---------------------------------------------------------------------------

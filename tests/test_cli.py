@@ -298,6 +298,12 @@ MALFORMED = {
     "top-level-array": lambda doc: [doc],
     "element-without-w": lambda doc: {**doc, "elements": [{"c": e["c"]} for e in doc["elements"]]},
     "c-not-a-list": lambda doc: {**doc, "elements": [{**e, "c": 0.5} for e in doc["elements"]]},
+    # float(false) is 0.0: read as numbers, these parts would give a
+    # complete, optimal family.
+    "false-imaginary-parts": lambda doc: {
+        **doc,
+        "elements": [{**e, "c": [[re, False] for re, _ in e["c"]]} for e in doc["elements"]],
+    },
 }
 
 
@@ -835,56 +841,80 @@ class TestClosedStdout:
 
 
 class TestImports:
-    """No command loads numpy.random, each probed in a fresh interpreter.
+    """What each command loads, each probed in a fresh interpreter.
 
-    numpy.random pulls in secrets, hashlib and OpenSSL's _hashlib; every
-    draw comes from random.Random instead, so none of the three may be
-    loaded once a command has finished.  The binomial sampler is loaded
-    by the one command that draws shot counts.
+    No command loads numpy.random: it pulls in secrets, hashlib and
+    OpenSSL's _hashlib, and every draw comes from random.Random instead.
+    The binomial sampler is loaded by the one command that draws shot
+    counts.  Exact rationals (fractions, which loads decimal), csv and
+    the moments module are loaded only by the commands that use them.
     """
 
-    HEAVY = ("numpy.random", "secrets", "_hashlib", "povmquad.sampling")
-    PROBE = (
-        "import sys\n"
-        "from povmquad.cli import main\n"
-        "code = main(sys.argv[1:])\n"
-        "sys.stdout.flush()\n"
-        f"sys.stderr.write('loaded: ' + ' '.join(m for m in {HEAVY!r} if m in sys.modules))\n"
-        "sys.exit(code)\n"
+    WATCHED = (
+        "numpy.random", "secrets", "_hashlib", "povmquad.sampling",
+        "fractions", "decimal", "csv", "povmquad.moments",
+    )
+    LAYERS = tuple(
+        f"povmquad.{name}" for name in ("quadrature", "povm", "symmetric", "estimation", "cloner")
     )
 
-    def probe(self, argv, preload=""):
-        """(stdout, the heavy modules loaded) of one command in a fresh interpreter."""
+    def probe(self, argv, preload="", watch=WATCHED):
+        """(stdout, the watched modules loaded) of one command in a fresh interpreter.
+
+        With argv None the probe only imports povmquad.cli.
+        """
         src = Path(povmquad.__file__).resolve().parent.parent
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+        code = (
+            preload
+            + "import sys\n"
+            + "from povmquad.cli import main\n"
+            + ("code = main(sys.argv[1:])\n" if argv is not None else "code = 0\n")
+            + "sys.stdout.flush()\n"
+            + f"sys.stderr.write(' '.join(m for m in {tuple(watch)!r} if m in sys.modules))\n"
+            + "sys.exit(code)\n"
+        )
         proc = subprocess.run(
-            [sys.executable, "-c", preload + self.PROBE, *argv],
+            [sys.executable, "-c", code, *(argv or [])],
             capture_output=True, env=env, timeout=120, text=True,
         )
         assert proc.returncode == EXIT_OK, proc.stderr
-        return proc.stdout, proc.stderr.splitlines()[-1]
+        lines = proc.stderr.splitlines()
+        return proc.stdout, set(lines[-1].split()) if lines else set()
 
-    def test_no_command_loads_numpy_random(self, tmp_path):
+    def test_each_command_loads_only_what_it_runs(self, tmp_path):
         path = str(tmp_path / "qubit2.json")
+        clone = ["clone", "--d", "3", "--N", "1", "--M", "3", "--states", "2", "--seed", "1"]
         commands = [
-            ["build", "--d", "2", "--N", "2", "--out", path],
-            ["verify", path, "--level", "optimality"],
-            ["fidelity", path, "--samples", "100", "--seed", "1"],
-            ["simulate", path, "--shots", "100", "--seed", "1", "--state-seed", "2"],
-            ["clone", "--d", "3", "--N", "1", "--M", "3", "--states", "2", "--seed", "1"],
-            ["moments", "--d", "2", "--max-len", "2"],
+            (["build", "--d", "2", "--N", "2", "--out", path], set()),
+            (["verify", path, "--level", "optimality"], set()),
+            (["fidelity", path, "--samples", "100", "--seed", "1"], {"fractions", "decimal"}),
+            (
+                ["simulate", path, "--shots", "100", "--seed", "1", "--state-seed", "2"],
+                {"povmquad.sampling"},
+            ),
+            (clone, set()),
+            ([*clone, "--csv"], {"csv"}),
+            (["moments", "--d", "2", "--max-len", "2"], {"fractions", "decimal", "povmquad.moments"}),
         ]
-        for argv in commands:
-            expected = "loaded: povmquad.sampling" if argv[0] == "simulate" else "loaded: "
-            assert self.probe(argv)[1] == expected, argv[0]
+        for argv, expected in commands:
+            assert self.probe(argv)[1] == expected, argv
 
     def test_probe_sees_a_loaded_module(self):
-        # Guards the probe: a run that loads numpy.random itself reports
-        # it and the two modules it pulls in.
-        argv = ["moments", "--d", "2", "--max-len", "1"]
-        loaded = self.probe(argv, preload="import numpy.random\n")[1]
-        assert loaded == "loaded: numpy.random secrets _hashlib"
+        # Guards the probe: a command that loads none of the watched
+        # modules reports numpy.random, fractions and csv loaded before it,
+        # and the modules they pull in.
+        argv = ["clone", "--d", "2", "--N", "1", "--M", "2", "--states", "1", "--seed", "1"]
+        loaded = self.probe(argv, preload="import csv, fractions, numpy.random\n")[1]
+        assert loaded == {"numpy.random", "secrets", "_hashlib", "fractions", "decimal", "csv"}
+
+    def test_cli_import_loads_the_layers_and_nothing_deferred(self):
+        # perfbench/launcher.py rebinds the layer functions only in the
+        # povmquad modules that `import povmquad.cli` has loaded, so the
+        # five layer modules must be loaded by then or a traced run loses
+        # their spans; the deferred ones and the sampler must not be.
+        assert self.probe(None, watch=self.LAYERS + self.WATCHED)[1] == set(self.LAYERS)
 
     def test_seeded_json_repeats_across_processes(self, tmp_path):
         path = str(tmp_path / "qutrit2.json")

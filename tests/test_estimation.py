@@ -35,10 +35,15 @@ from povmquad.sampling import _log_binomial_ratio, binomial
 
 from _oracles import (
     ACCEPTANCE_PAIRS,
+    mean_fidelity_exact_fraction,
     mean_fidelity_mc_whole_block,
     pointwise_fidelity_direct,
     tensor_power,
 )
+from test_povm import weight_values
+
+# Every subnormal double, the smallest (2^-1074) included.
+SUBNORMAL_WEIGHTS = st.floats(5e-324, 2.0**-1022, exclude_max=True)
 
 
 class TestOptimalFidelity:
@@ -405,12 +410,41 @@ class TestFrameOperatorFidelity:
 
 
 class TestMeanFidelity:
-    @pytest.mark.parametrize("d,n", ACCEPTANCE_PAIRS)
+    @pytest.mark.parametrize("d,n", [*ACCEPTANCE_PAIRS, (3, 4), (4, 2), (3, 8), (2, 40)])
     def test_exact_average_hits_optimum(self, povm_for, d, n):
-        report = mean_fidelity_exact(povm_for(d, n))
+        povm = povm_for(d, n)
+        report = mean_fidelity_exact(povm)
         assert report.method == "analytic"
         assert report.stderr == 0.0
         assert abs(report.value - float(optimal_fidelity(n, d))) < 1e-12
+        assert report.value == mean_fidelity_exact_fraction(povm)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        d=st.integers(2, 4),
+        n=st.integers(1, 4),
+        weights=st.lists(st.one_of(weight_values, SUBNORMAL_WEIGHTS), min_size=1, max_size=60),
+    )
+    def test_exact_sum_equals_fraction_oracle(self, d, n, weights):
+        # Bit for bit: both round the same exact rational once.  Weights
+        # from 1e-300 down to the smallest subnormal stretch the common
+        # denominator to 2^1074.
+        guesses = np.zeros((len(weights), d), dtype=np.complex128)
+        guesses[:, 0] = 1.0
+        povm = Povm(d=d, N=n, weights=weights, guesses=guesses)
+        assert mean_fidelity_exact(povm).value == mean_fidelity_exact_fraction(povm)
+
+    def test_exact_sum_keeps_what_float_addition_drops(self):
+        # Each 2^-54 is half an ulp of 0.75, so float addition drops all
+        # four; exactly they add 2^-52, and (2/3)(0.75 + 2^-52) rounds to
+        # 0.5 + 2^-53.  The smallest subnormal changes nothing.
+        weights = [0.75, *[2.0**-54] * 4, 5e-324]
+        guesses = np.zeros((len(weights), 2), dtype=np.complex128)
+        guesses[:, 0] = 1.0
+        povm = Povm(d=2, N=1, weights=weights, guesses=guesses)
+        assert sum(weights) == 0.75
+        assert mean_fidelity_exact(povm).value == 0.5 + 2.0**-53
+        assert mean_fidelity_exact_fraction(povm) == 0.5 + 2.0**-53
 
     def test_monte_carlo_confirms_exact(self, povm_for):
         povm = povm_for(2, 1)

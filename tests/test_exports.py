@@ -7,12 +7,17 @@ one of those parameters fails the test suite instead of the traced run.
 The package modules are parsed the same way, so an import cycle between
 them (a deferred import inside a function included) fails here too, and
 so does a write through object.__setattr__ outside a record's
-__post_init__.
+__post_init__.  The lazy package root is checked against its export
+table: every name resolves to its module's object, and importing the
+root alone loads no submodule.
 """
 
 import ast
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -89,6 +94,47 @@ def test_every_export_is_an_attribute():
     namespace: dict = {}
     exec("from povmquad import *", namespace)
     assert set(povmquad.__all__) <= set(namespace)
+    assert all(namespace[name] is getattr(povmquad, name) for name in povmquad.__all__)
+
+
+def test_all_is_the_export_table():
+    assert povmquad.__all__ == list(povmquad._EXPORTS)
+    assert set(povmquad.__all__) <= set(dir(povmquad))
+    assert "__version__" in dir(povmquad)
+
+
+@pytest.mark.parametrize("name", sorted(povmquad._EXPORTS))
+def test_export_is_its_modules_object(name):
+    module = importlib.import_module(f"povmquad.{povmquad._EXPORTS[name]}")
+    assert getattr(povmquad, name) is getattr(module, name)
+    # Kept on the package, so the next access does not import again.
+    assert vars(povmquad)[name] is getattr(module, name)
+
+
+def test_unknown_attribute_names_itself():
+    with pytest.raises(AttributeError, match="no_such_export"):
+        povmquad.no_such_export
+
+
+def test_package_import_loads_no_submodule():
+    # A fresh interpreter: importing the package root alone imports none
+    # of its modules; each loads on the first access to one of its names.
+    probe = (
+        "import sys\n"
+        "import povmquad\n"
+        "before = sorted(m for m in sys.modules if m.startswith('povmquad.'))\n"
+        "povmquad.sym_dim\n"
+        "after = sorted(m for m in sys.modules if m.startswith('povmquad.'))\n"
+        "print(before, after)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, env=env, timeout=120, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    expected = ["povmquad.errors", "povmquad.limits", "povmquad.symmetric"]
+    assert proc.stdout.strip() == f"[] {expected}"
 
 
 def _relative_imports(path: Path) -> set[str]:

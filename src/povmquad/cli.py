@@ -248,6 +248,13 @@ def cmd_clone(args: argparse.Namespace) -> int:
         raise InputFormatError(f"need 1 <= N <= M, got N={args.N}, M={args.M}")
     if args.states < 1:
         raise InputFormatError(f"--states must be >= 1, got {args.states}")
+    # The table has one row per state and M; it is charged before any
+    # family is built or any state drawn, as the moments table is.
+    check_cost(
+        f"clone table rows states*(M-N+1) for states={args.states}, N={args.N}, M={args.M}",
+        args.states * (args.M - args.N + 1),
+        FULL_SPACE_GUARD_ENV,
+    )
     # The top family is built first.  It has A >= d_M elements, so its
     # construction cost A*d_M^2 bounds every clone's d_M^3: a run the guard
     # refuses is refused before any state is drawn or cloned.

@@ -16,13 +16,17 @@ optimal POVM with unit weight sum meets the optimum exactly.  The Monte
 Carlo estimator and the deliberately suboptimal per-copy baseline exist
 to check those closed forms from the operational side.
 
-The Monte Carlo kernel draws its states in blocks of _MC_BLOCK, one
-after another from one random.Random(seed) stream, and evaluates each
-block in chunks of _MC_CHUNK rows, so its working set is a few
-_MC_CHUNK x d_{N+1} arrays whatever the sample count.  _MC_CHUNK is 256
-rows: at 1024 those arrays set a fidelity command's peak about 0.5 MB
-higher on (3,4), and smaller chunks pay the fixed cost of the dozen
-numpy calls per chunk more often, which the small families feel first.
+The Monte Carlo kernel takes its states in blocks of _MC_BLOCK for the
+statistics and draws and evaluates them _MC_CHUNK rows at a time, one
+draw after another from one random.Random(seed) stream.  A draw of n
+states is the first n of any longer draw, so the values are those of
+one draw per block, and the working set is a few _MC_CHUNK x d_{N+1}
+arrays and one chunk's uniforms whatever the sample count; a whole
+block's getrandbits integer, bytes and uniforms (about 200 KB each at
+d = 3) set a fidelity command's peak when drawn at once.  _MC_CHUNK is
+256 rows: at 1024 the arrays set the peak of fidelity on (3,4) about
+0.5 MB higher, and smaller chunks pay the fixed cost of the dozen numpy
+calls per chunk more often, which the small families feel first.
 
 Shot counts are a chain of conditional binomials, count_a ~
 Binomial(shots - count_1 - ... - count_{a-1}, p_a / (p_a + ... + p_A)),
@@ -187,10 +191,10 @@ def mean_fidelity_exact(povm: Povm) -> FidelityReport:
 def mean_fidelity_mc(povm: Povm, samples: int, seed: int) -> FidelityReport:
     """Monte Carlo average of the pointwise fidelity over Haar states.
 
-    Deterministic for fixed seed: states are drawn in blocks of
-    _MC_BLOCK, one after another from one random.Random(seed), and
-    each block is evaluated in chunks of _MC_CHUNK rows into one array
-    of the block's length.  The value is the block-order sum of the
+    Deterministic for fixed seed: the states of each block of _MC_BLOCK
+    are drawn and evaluated _MC_CHUNK rows at a time, one draw after
+    another from one random.Random(seed), into one array of the block's
+    length.  The value is the block-order sum of the
     block sums over samples.  The standard error combines each block's
     mean and sum of squared deviations by the pairwise update of Chan,
     Golub & LeVeque, so a constant integrand (a universal estimator)
@@ -209,11 +213,11 @@ def mean_fidelity_mc(povm: Povm, samples: int, seed: int) -> FidelityReport:
     done = 0
     for b in range(n_blocks):
         count = min(_MC_BLOCK, samples - done)
-        states = haar_random_states(povm.d, count, stream)
         vals = np.empty(count)
         for lo in range(0, count, _MC_CHUNK):
-            rows = slice(lo, lo + _MC_CHUNK)
-            vals[rows] = _pointwise_batch(povm, frame, states[rows])
+            rows = min(_MC_CHUNK, count - lo)
+            states = haar_random_states(povm.d, rows, stream)
+            vals[lo : lo + rows] = _pointwise_batch(povm, frame, states)
         block_sum = float(np.sum(vals))
         total += block_sum
         block_mean = block_sum / count

@@ -13,7 +13,7 @@ import os
 from .errors import InputFormatError, ResourceLimitError
 
 # Largest full-space dimension d**M for dense tensor-product operators,
-# and largest row count of a moments table.
+# and largest row count of a moments or clone table.
 FULL_SPACE_GUARD_ENV = "POVMQUAD_FULL_SPACE_GUARD"
 
 # Largest A * d_level**2 work estimate for grid construction and for

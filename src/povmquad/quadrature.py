@@ -15,14 +15,21 @@ A rank-1 lattice theta_j = 2 pi t z_j / M, t = 0..M-1, averages
 e^{i k.theta} to 1 if k'.z = 0 (mod M) and to 0 otherwise.  The Korobov
 generator z = (1, g, g^2, ...) mod M is chosen with k'.z != 0 (mod M)
 for every n != m, so every off-diagonal entry sums to exactly 0,
-whatever its moduli part, and every diagonal phase part to 1.
+whatever its moduli part, and every diagonal phase part to 1.  The
+search tries M = d_N, d_N + 1, ... and, for each, g = 1, 2, ...; it
+tells a separating g by counting how often each residue n'.z occurs
+(one bincount per chunk of candidates), not by sorting.
 
 Moduli.  On the diagonal the moduli part is x^n, of degree N.  In
 collapsed (Duffy/Stroud) coordinates x_j = u_j prod_{i<j} (1-u_i),
 x_d = prod_{i<d} (1-u_i), the simplex measure is
 prod_j (1-u_j)^{d-1-j} du_j and x^n has degree <= N in each u_j.  The
 n-node Gauss-Jacobi rule for (1-u)^{d-1-j} on [0, 1] is exact through
-degree 2n-1, so n = ceil((N+1)/2) nodes per coordinate suffice.
+degree 2n-1, so n = ceil((N+1)/2) nodes per coordinate suffice.  Its
+nodes are the eigenvalues of the Golub-Welsch Jacobi matrix, found by
+Sturm-sequence bisection in Python floats (Barth, Martin & Wilkinson
+1967) and polished by one Newton step, so building a grid calls no
+LAPACK routine.
 
 A = n^{d-1} M, and every weight is positive.  Only phase-invariant
 moments are exact: the average of c_d, say, is positive on the grid.
@@ -50,6 +57,14 @@ from .limits import BUILD_GUARD_ENV, check_cost
 from .symmetric import NORM_TOL, _occupation_table, frame_residual, sym_dim, sym_embed_batch
 
 NEWTON_TOL = 1e-14
+# Sturm brackets are halved until their width is at most _BRACKET_TOL
+# times their larger end (4 ulps), or _BRACKET_FLOOR near 0, where a
+# relative width alone would bisect into the subnormals.
+_BRACKET_TOL = 2.0**-50
+_BRACKET_FLOOR = 2.0**-60
+_LEAST_PIVOT = 5e-324
+# Residue cells counted at once by the lattice search: candidates per chunk x M.
+_OCCUPANCY_CELLS = 1 << 16
 
 
 def _recurrence(jacobi: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -69,17 +84,70 @@ def _recurrence(jacobi: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> tuple[n
     return q, dq, squares
 
 
+def _sturm_count(rows: list[tuple[float, float]], x: float) -> int:
+    """Eigenvalues below x of the symmetric tridiagonal matrix with rows (a_k, b_k^2).
+
+    The count of negative pivots d_k = a_k - x - b_k^2/d_{k-1} of the
+    LDL^T factorisation of T - xI (Sylvester's law of inertia).  A zero
+    pivot is taken as the least positive float, the limit from above, so
+    the next pivot is -inf.
+    """
+    below = 0
+    pivot = 1.0
+    for a, b2 in rows:
+        pivot = a - x - b2 / pivot
+        if pivot < 0.0:
+            below += 1
+        elif pivot == 0.0:
+            pivot = _LEAST_PIVOT
+    return below
+
+
+def _bisect(rows: list[tuple[float, float]], lo: float, hi: float) -> list[float]:
+    """Lower ends of the Sturm brackets of the eigenvalues in (lo, hi), ascending.
+
+    Barth, Martin & Wilkinson: eigenvalue k lies above every x whose
+    Sturm count is <= k and below every x whose count is > k, and a count
+    c > k at x also bounds eigenvalue c-1, and so every one below it, by
+    x.  Each bracket is halved down to the width _BRACKET_TOL sets.
+    """
+    upper = [hi] * len(rows)
+    ends = []
+    for k in range(len(rows)):
+        hi = min(upper[k:])
+        while hi - lo > _BRACKET_FLOOR and hi - lo > _BRACKET_TOL * max(hi, -lo):
+            mid = 0.5 * (lo + hi)
+            below = _sturm_count(rows, mid)
+            if below > k:
+                hi = upper[below - 1] = mid
+            else:
+                lo = mid
+        ends.append(lo)
+    return ends
+
+
 def _gauss_jacobi(n: int, alpha: int) -> tuple[np.ndarray, np.ndarray]:
     """n-point Gauss rule on [-1, 1] for the weight (1-x)^alpha, alpha >= 0.
 
-    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix J
     (with s = 2k+alpha: diagonal -alpha^2/(s(s+2)), k = 0..n-1, and
-    off-diagonal 2k(k+alpha)/(s sqrt(s^2-1)), k = 1..n), polished by one
-    Newton step and, for alpha = 0, symmetrised.  The weights are
-    mu_0/sum_{k<n} q_k(x)^2, mu_0 = 2^(alpha+1)/(alpha+1).  Certified
-    fail-closed by the root residual |q_n/q_n'| (the Newton correction,
-    free of the scale of q_n) at the final nodes.  Exact for polynomials
-    of degree <= 2n-1.
+    off-diagonal 2k(k+alpha)/(s sqrt(s^2-1)), k = 1..n), found by Sturm
+    bisection in Python floats to brackets 4 ulps wide, polished by one
+    Newton step from each bracket's lower end and, for alpha = 0,
+    symmetrised.  The step's result moves at rounding level with its
+    start point; from the lower end, the rules of the seven benchmark
+    families equal bit for bit those started from LAPACK's eigenvalues
+    (tests/_oracles.py keeps that construction).  For
+    alpha = 0 the diagonal is zero, so J^2 splits into its even- and
+    odd-indexed rows, and the odd block, of size n//2, has the squares
+    of the positive nodes as its eigenvalues (the zero node of an odd n
+    lies in the even block); bisecting that block is a quarter of the
+    work.  The weights are mu_0/sum_{k<n} q_k(x)^2, mu_0 =
+    2^(alpha+1)/(alpha+1).  Certified fail-closed by the root residual
+    |q_n/q_n'| (the Newton correction, free of the scale of q_n) at the
+    final nodes, and by the nodes ascending strictly inside (-1, 1): n
+    distinct roots, one to each bracket.  Exact for polynomials of
+    degree <= 2n-1.
     """
     diag = np.zeros(n)
     if alpha:
@@ -90,7 +158,18 @@ def _gauss_jacobi(n: int, alpha: int) -> tuple[np.ndarray, np.ndarray]:
     # One rounding of an exact integer ratio; at alpha = 0 the square is Legendre's k^2/(4k^2-1).
     off = np.sqrt((2.0 * k * (k + alpha)) ** 2 / (s * s * (s * s - 1.0)))
     jacobi = (diag, off)
-    roots = np.linalg.eigvalsh(np.diag(diag) + np.diag(off[:-1], 1) + np.diag(off[:-1], -1))
+    # c2[j] = off_j^2 couples rows j and j+1 of J; the last row couples to none.
+    c2 = np.append(off[:-1] ** 2, 0.0)
+    if alpha:
+        rows = list(zip(diag.tolist(), [0.0, *c2[:-1].tolist()]))
+        roots = np.array(_bisect(rows, -1.0, 1.0))
+    else:
+        # Row 2i+1 of J^2: diagonal c2[2i] + c2[2i+1], coupled to row 2i+3 by off_{2i+1} off_{2i+2}.
+        pairs = c2[: n - n % 2].reshape(-1, 2)
+        couplings = pairs[:-1, 1] * pairs[1:, 0]
+        rows = list(zip(pairs.sum(axis=1).tolist(), [0.0, *couplings.tolist()]))
+        positive = np.sqrt(_bisect(rows, 0.0, 1.0))
+        roots = np.concatenate((-positive[::-1], np.zeros(n % 2), positive))
     p, dp, _ = _recurrence(jacobi, roots)
     roots = roots - p / dp
     if not alpha:
@@ -102,6 +181,8 @@ def _gauss_jacobi(n: int, alpha: int) -> tuple[np.ndarray, np.ndarray]:
         raise ConstructionError(
             f"Gauss root residual {residual:.3e} exceeds {NEWTON_TOL:g}", residual
         )
+    if not (-1.0 < roots[0] and roots[-1] < 1.0 and np.all(np.diff(roots) > 0.0)):
+        raise ConstructionError("Gauss nodes are not strictly ascending inside (-1, 1)")
     weights = 2.0 ** (alpha + 1) / (alpha + 1) / squares
     if not alpha:
         weights = 0.5 * (weights + weights[::-1])
@@ -152,7 +233,7 @@ class Povm:
             raise InputFormatError("weights and guess amplitudes must be finite")
         if not np.all(weights > 0.0):
             raise InputFormatError("all weights must be strictly positive")
-        norms = np.abs(np.linalg.norm(guesses, axis=1) - 1.0)
+        norms = np.abs(np.sqrt(np.sum((guesses.conj() * guesses).real, axis=1)) - 1.0)
         worst = float(np.max(norms))
         if exceeds(worst, 10 * NORM_TOL):
             raise InputFormatError(f"guess norm deviates from 1 by {worst:.3e}")
@@ -182,20 +263,31 @@ def _lattice_generator(projected: np.ndarray, M: int) -> tuple[int, ...] | None:
     """First Korobov z = (1, g, g^2, ...) mod M, g = 1..M-1, with the row.z distinct mod M.
 
     projected holds the occupation tuples without their last coordinate,
-    so distinct row.z is k'.z != 0 (mod M) for every difference.
+    so distinct row.z is k'.z != 0 (mod M) for every difference.  The
+    candidates g are tested a chunk of about _OCCUPANCY_CELLS / M at a
+    time: one bincount of residue + M * column counts how often each
+    residue occurs in each column, and a column separates when no count
+    exceeds 1.  The search stops at the first chunk holding one.
     """
-    z = np.ones((projected.shape[1], M - 1), dtype=np.int64)
-    for j in range(1, z.shape[0]):
-        z[j] = z[j - 1] * np.arange(1, M) % M
-    values = np.sort(projected @ z % M, axis=0)
-    separated = np.flatnonzero(np.all(np.diff(values, axis=0), axis=0))
-    return tuple(z[:, separated[0]].tolist()) if separated.size else None
+    chunk = max(1, _OCCUPANCY_CELLS // M)
+    for start in range(1, M, chunk):
+        g = np.arange(start, min(start + chunk, M))
+        z = np.ones((projected.shape[1], g.size), dtype=np.int64)
+        for j in range(1, z.shape[0]):
+            z[j] = z[j - 1] * g % M
+        cells = projected @ z % M + M * np.arange(g.size)
+        occupancy = np.bincount(cells.ravel(), minlength=M * g.size).reshape(g.size, M)
+        separated = np.flatnonzero(occupancy.max(axis=1) <= 1)
+        if separated.size:
+            return tuple(z[:, separated[0]].tolist())
+    return None
 
 
 def _korobov_lattice(d: int, N: int, moduli_nodes: int) -> tuple[int, tuple[int, ...]]:
     """Smallest exact Korobov lattice (M, z), the first g for that M.
 
-    d_N distinct residues need M >= d_N, so the search starts there.
+    d_N distinct residues need M >= d_N, so the search starts there, and
+    each M is tested by _lattice_generator's occupancy count, not a sort.
     Each M is charged A*d_N^2 against POVMQUAD_BUILD_GUARD before it is
     tried, so the guard ends any search.  Without it the search would
     still end by M = (N+1)^(d-1) with g = N+1: then |k'.z| < M, and

@@ -346,6 +346,53 @@ def moduli_lattice_grid(d: int, counts, M: int, z, drop=()):
     return np.array(states), weights / math.fsum(weights)
 
 
+def gauss_jacobi_eigvalsh(n: int, alpha: int):
+    """The Golub-Welsch rule of quadrature._gauss_jacobi, started from LAPACK's eigenvalues.
+
+    The construction before Sturm bisection: np.linalg.eigvalsh of the
+    dense Jacobi matrix, then the package's own Newton step,
+    symmetrisation at alpha = 0 and Christoffel weights.  Only the
+    eigenvalue solver differs, so the two agree to rounding level.
+    """
+    from povmquad.quadrature import _recurrence
+
+    diag = np.zeros(n)
+    if alpha:
+        s = 2.0 * np.arange(n) + alpha
+        diag = -alpha**2 / (s * (s + 2.0))
+    k = np.arange(1.0, n + 1)
+    s = 2.0 * k + alpha
+    off = np.sqrt((2.0 * k * (k + alpha)) ** 2 / (s * s * (s * s - 1.0)))
+    roots = np.linalg.eigvalsh(np.diag(diag) + np.diag(off[:-1], 1) + np.diag(off[:-1], -1))
+    p, dp, _ = _recurrence((diag, off), roots)
+    roots = roots - p / dp
+    if not alpha:
+        roots = 0.5 * (roots - roots[::-1])
+    _, _, squares = _recurrence((diag, off), roots)
+    weights = 2.0 ** (alpha + 1) / (alpha + 1) / squares
+    if not alpha:
+        weights = 0.5 * (weights + weights[::-1])
+    return roots, weights
+
+
+def korobov_lattice_sorted(d: int, n: int) -> tuple[int, tuple[int, ...]]:
+    """Smallest Korobov lattice (M, z) separating the occupation tuples of n, by sorting.
+
+    The search before the occupancy count, without a guard: M = d_n,
+    d_n + 1, ...; for each, every g = 1..M-1 at once, each column of
+    residues sorted and checked for repeats; the first g that has none.
+    """
+    projected = np.array(occupations_lex_desc(d, n), dtype=np.int64)[:, :-1]
+    for M in itertools.count(len(projected)):
+        z = np.ones((d - 1, M - 1), dtype=np.int64)
+        for j in range(1, d - 1):
+            z[j] = z[j - 1] * np.arange(1, M) % M
+        values = np.sort(projected @ z % M, axis=0)
+        separated = np.flatnonzero(np.all(np.diff(values, axis=0), axis=0))
+        if separated.size:
+            return M, tuple(z[:, separated[0]].tolist())
+
+
 def truncate_lattice(rule):
     """Keep only the lattice points t < M/2 of a sphere_grid rule.
 

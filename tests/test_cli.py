@@ -327,8 +327,9 @@ class TestGuardVariables:
         [
             ("POVMQUAD_BUILD_GUARD", ["build", "--d", "2", "--N", "1", "--out", "x.json"]),
             ("POVMQUAD_FULL_SPACE_GUARD", ["moments", "--d", "2", "--max-len", "1"]),
+            ("POVMQUAD_FULL_SPACE_GUARD", ["clone", "--d", "2", "--N", "1", "--M", "2", "--seed", "1"]),
         ],
-        ids=["build", "moments"],
+        ids=["build", "moments", "clone"],
     )
     def test_bad_value_is_input_error(self, tmp_path, capsys, monkeypatch, variable, argv, value):
         monkeypatch.chdir(tmp_path)
@@ -614,6 +615,44 @@ class TestClone:
         assert code == EXIT_RESOURCE
         assert "POVMQUAD_BUILD_GUARD" in err
         assert out == ""
+
+    def test_huge_states_refused_before_any_draw(self, capsys, monkeypatch):
+        # 10^12 states x (M - N + 1) = 2e12 table rows exceed the full-space
+        # guard.  A run that still reached the families or the draw fails
+        # here at once instead of growing the state list without bound.
+        import povmquad.cli
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("a refused run built a family or drew a state")
+
+        monkeypatch.setattr(povmquad.cli, "build_povm", no_work)
+        monkeypatch.setattr(povmquad.cli, "haar_random_state", no_work)
+        started = time.perf_counter()
+        code, out, err = run(
+            capsys,
+            ["clone", "--d", "2", "--N", "1", "--M", "2", "--seed", "0", "--states", str(10**12)],
+        )
+        assert time.perf_counter() - started < 1.0
+        assert code == EXIT_RESOURCE
+        assert err.startswith("resource guard: clone table rows states*(M-N+1)")
+        assert f"= {2 * 10**12} exceeds guard 4096" in err
+        assert "POVMQUAD_FULL_SPACE_GUARD" in err
+        assert err.count("\n") == 1
+        assert out == ""
+
+    @pytest.mark.parametrize("states,expected", [(2, EXIT_OK), (3, EXIT_RESOURCE)])
+    def test_table_rows_charged_exactly(self, capsys, monkeypatch, states, expected):
+        # N = 1, M = 2: two rows per state against a guard of 4.
+        monkeypatch.setenv("POVMQUAD_FULL_SPACE_GUARD", "4")
+        code, out, _ = run(
+            capsys,
+            ["clone", "--d", "2", "--N", "1", "--M", "2", "--seed", "0", "--states", str(states), "--json"],
+        )
+        assert code == expected
+        if expected == EXIT_OK:
+            assert len(json.loads(out)["rows"]) == 2 * states
+        else:
+            assert out == ""
 
     def test_memory_does_not_grow_with_states(self, capsys):
         # Each cloner output (28 x 28 complex at M = 6) is dropped once its

@@ -1,7 +1,9 @@
 """One-dimensional Gauss rules and the moduli x lattice grid, with negative controls."""
 
+import ast
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +30,9 @@ from povmquad import (
 
 from _oracles import (
     ACCEPTANCE_PAIRS,
+    gauss_jacobi_eigvalsh,
     gram_residual_states,
+    korobov_lattice_sorted,
     max_ray_overlap,
     moduli_lattice_grid,
     polar_grid,
@@ -177,6 +181,110 @@ class TestModuliRule:
         assert not info.value.residual <= quadrature.NEWTON_TOL
 
 
+def legendre_rows(n: int) -> list[tuple[float, float]]:
+    """Rows (a_k, b_k^2) of the n x n Legendre Jacobi matrix: zero diagonal, b_k^2 = k^2/(4k^2-1)."""
+    k = np.arange(1.0, n)
+    return list(zip([0.0] * n, [0.0, *(k * k / (4.0 * k * k - 1.0)).tolist()]))
+
+
+# The (n, alpha) moduli rules the benchmark families use.
+BENCHMARK_RULES = sorted({((n + 2) // 2, d - 1 - j) for d, n in BENCHMARK_FAMILIES for j in range(1, d)})
+
+
+class TestSturmBisection:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 50), alpha=st.integers(0, 10))
+    def test_nodes_ascend_inside_and_match_lapack(self, n, alpha):
+        from povmquad.quadrature import _gauss_jacobi
+
+        nodes, weights = _gauss_jacobi(n, alpha)
+        reference, _ = gauss_jacobi_eigvalsh(n, alpha)
+        assert np.all(np.diff(nodes) > 0.0)
+        assert -1.0 < nodes[0] and nodes[-1] < 1.0
+        assert np.max(np.abs(nodes - reference)) <= 2 * np.spacing(1.0)
+        mu_0 = 2.0 ** (alpha + 1) / (alpha + 1)
+        assert abs(math.fsum(weights) - mu_0) <= 1e-14 * mu_0
+
+    @pytest.mark.parametrize("n,alpha", BENCHMARK_RULES)
+    def test_benchmark_rules_equal_lapack_bit_for_bit(self, n, alpha):
+        # The Newton step's result moves at rounding level with its start
+        # point; started from the brackets' lower ends, these rules land
+        # where LAPACK's eigenvalues led.
+        from povmquad.quadrature import _gauss_jacobi
+
+        nodes, weights = _gauss_jacobi(n, alpha)
+        reference_nodes, reference_weights = gauss_jacobi_eigvalsh(n, alpha)
+        assert np.array_equal(nodes, reference_nodes)
+        assert np.array_equal(weights, reference_weights)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        diag=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=12),
+        couplings=st.lists(st.floats(0.05, 1.0), min_size=11, max_size=11),
+        x=st.floats(-3.0, 3.0),
+    )
+    def test_count_is_the_number_of_eigenvalues_below(self, diag, couplings, x):
+        from hypothesis import assume
+
+        from povmquad.quadrature import _sturm_count
+
+        n = len(diag)
+        off = np.array(couplings[: n - 1])
+        eigenvalues = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        assume(np.min(np.abs(eigenvalues - x)) > 1e-9)
+        rows = list(zip(diag, [0.0, *(off * off).tolist()]))
+        assert _sturm_count(rows, x) == np.count_nonzero(eigenvalues < x)
+
+    def test_zero_pivot_is_taken_from_above(self):
+        from povmquad.quadrature import _sturm_count
+
+        # [[0, 1], [1, 0]] at x = 0 and [[1, 1], [1, 1]] at x = 1: the first
+        # pivot is exactly 0, and one eigenvalue (-1, then 0) lies below x.
+        assert _sturm_count([(0.0, 0.0), (0.0, 1.0)], 0.0) == 1
+        assert _sturm_count([(1.0, 0.0), (1.0, 1.0)], 1.0) == 1
+
+    def test_node_at_zero_stops_at_the_floor(self, monkeypatch):
+        # The full Legendre matrix of odd n has an eigenvalue at exactly 0,
+        # where a width relative to the bracket alone would halve it into
+        # the subnormals, over a thousand counts for that one node.
+        import povmquad.quadrature as quadrature
+
+        n = 41
+        calls = []
+        original = quadrature._sturm_count
+
+        def counting(rows, x):
+            calls.append(x)
+            if len(calls) > 62 * n:
+                raise AssertionError("a bracket was halved past the floor")
+            return original(rows, x)
+
+        monkeypatch.setattr(quadrature, "_sturm_count", counting)
+        rows = legendre_rows(n)
+        ends = np.array(quadrature._bisect(rows, -1.0, 1.0))
+        off = np.sqrt([b2 for _, b2 in rows[1:]])
+        reference = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+        assert np.max(np.abs(ends - reference)) < 1e-15
+        assert -quadrature._BRACKET_FLOOR <= ends[n // 2] <= 0.0
+
+    @pytest.mark.parametrize("alpha", [0, 1])
+    def test_two_nodes_from_one_bracket_fail_closed(self, monkeypatch, alpha):
+        # Both first start points in one bracket: the Newton step takes them
+        # to the same root, the residual certificate passes, and only the
+        # ascending check, one root to each bracket, refuses the rule.
+        import povmquad.quadrature as quadrature
+
+        original = quadrature._bisect
+
+        def doubled(rows, lo, hi):
+            ends = original(rows, lo, hi)
+            return [ends[0], *ends[:-1]]
+
+        monkeypatch.setattr(quadrature, "_bisect", doubled)
+        with pytest.raises(ConstructionError, match="ascending"):
+            quadrature._gauss_jacobi(4, alpha)
+
+
 class TestSphereGrid:
     @pytest.mark.parametrize(
         "d,n,total",
@@ -304,6 +412,44 @@ class TestSphereGrid:
         assert frame_residual(*polar_grid(d, n), n) < 1e-12
         assert verify_exactness(rule_for(d, n), n) < 1e-12
 
+    def test_benchmark_grids_equal_the_lapack_and_sort_construction(self, monkeypatch):
+        # The grids, and so the files, of the benchmark families are those
+        # that LAPACK's eigenvalues and the sorted lattice search give.
+        import povmquad.quadrature as quadrature
+
+        grids = {family: sphere_grid(*family) for family in BENCHMARK_FAMILIES}
+        monkeypatch.setattr(quadrature, "_gauss_jacobi", gauss_jacobi_eigvalsh)
+        monkeypatch.setattr(quadrature, "_korobov_lattice", lambda d, n, _: korobov_lattice_sorted(d, n))
+        for (d, n), grid in grids.items():
+            reference = sphere_grid(d, n)
+            assert grid.provenance == reference.provenance
+            assert np.array_equal(grid.guesses, reference.guesses)
+            assert np.array_equal(grid.weights, reference.weights)
+
+    def test_benchmark_families_build_without_lapack_or_sort(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a LAPACK eigensolver or a sort was called")
+
+        for name in ("eigvalsh", "eigh", "eigvals", "eig"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        for name in ("sort", "argsort", "unique"):
+            monkeypatch.setattr(np, name, refuse)
+        for (d, n), elements in BENCHMARK_FAMILIES.items():
+            assert build_povm(d, n).n_outcomes == elements
+
+    def test_source_names_no_lapack_or_sort(self):
+        import povmquad.quadrature as quadrature
+
+        tree = ast.parse(Path(quadrature.__file__).read_text(encoding="utf-8"))
+        banned = {"linalg", "sort", "argsort", "lexsort", "unique", "partition", "argpartition"}
+        lines = [
+            node.lineno
+            for node in ast.walk(tree)
+            if (isinstance(node, ast.Attribute) and node.attr in banned)
+            or (isinstance(node, ast.Name) and node.id == "sorted")
+        ]
+        assert not lines, f"quadrature.py names LAPACK or a sort on lines {lines}"
+
     def test_guard_refuses_before_building(self, monkeypatch):
         # (2, 1): A * d_1^2 = 2 * 2^2 = 8.
         monkeypatch.setenv("POVMQUAD_BUILD_GUARD", "7")
@@ -400,6 +546,24 @@ class TestLatticeProperties:
         n = GUARD_LIMITS[d] + 1
         with pytest.raises(ResourceLimitError):
             _korobov_lattice(d, n, (n + 2) // 2)
+
+    @pytest.mark.parametrize("d", sorted(GUARD_LIMITS))
+    def test_search_equals_the_sorting_oracle(self, d):
+        # Every family the default guard admits at d <= 6.
+        from povmquad.quadrature import _korobov_lattice
+
+        for n in range(1, GUARD_LIMITS[d] + 1):
+            assert _korobov_lattice(d, n, (n + 2) // 2) == korobov_lattice_sorted(d, n), (d, n)
+
+    @pytest.mark.parametrize("cells", [1, 100, 1000])
+    @pytest.mark.parametrize("d,n", [(3, 4), (4, 3), (5, 2), (6, 2)])
+    def test_chunked_search_equals_the_sorting_oracle(self, monkeypatch, cells, d, n):
+        # Down to one candidate per chunk, the first separating g is found
+        # in the chunk that holds it, whatever the chunk boundaries.
+        import povmquad.quadrature as quadrature
+
+        monkeypatch.setattr(quadrature, "_OCCUPANCY_CELLS", cells)
+        assert quadrature._korobov_lattice(d, n, (n + 2) // 2) == korobov_lattice_sorted(d, n)
 
     @settings(max_examples=10, deadline=None)
     @given(family=families_within_guard)

@@ -16,7 +16,7 @@ a command or a caller first uses them.
 
 import importlib
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 # Public name -> the submodule that defines it.  __all__ is this table's keys.
 _EXPORTS = {
@@ -40,7 +40,6 @@ _EXPORTS = {
     "gauss_legendre": "quadrature",
     "haar_random_state": "symmetric",
     "haar_random_states": "symmetric",
-    "haar_random_unitary": "symmetric",
     "load_povm": "povm",
     "majority_vote_fidelity_mc": "estimation",
     "mean_fidelity_exact": "estimation",

@@ -244,6 +244,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_clone(args: argparse.Namespace) -> int:
+    if args.d < 2:
+        raise InputFormatError(f"--d must be >= 2, got {args.d}")
     if not 1 <= args.N <= args.M:
         raise InputFormatError(f"need 1 <= N <= M, got N={args.N}, M={args.M}")
     if args.states < 1:

@@ -313,22 +313,3 @@ def haar_random_states(d: int, count: int, seed_or_stream: random.Random | int) 
 def haar_random_state(d: int, seed: int) -> PureState:
     """One Haar-distributed pure state: haar_random_states(d, 1, seed)[0]."""
     return PureState(haar_random_states(d, 1, seed)[0])
-
-
-def haar_random_unitary(d: int, seed_or_stream: random.Random | int) -> np.ndarray:
-    """Haar-distributed d x d unitary via QR of a complex Gaussian matrix.
-
-    The columns of Z are d rows of haar_random_states: d complex normal
-    vectors, each divided by its norm.  Scaling column j of a Gaussian
-    matrix by c_j > 0 scales column j of R in Z = QR by c_j and leaves Q
-    and the phases of R's diagonal as they are, so the unit columns give
-    the Q of the Gaussian matrix itself.  Those diagonal phases are
-    divided out, so the distribution is exactly Haar rather than
-    QR-convention dependent.
-    """
-    if d < 2:
-        raise InputFormatError(f"need d >= 2, got d={d}")
-    q, r = np.linalg.qr(haar_random_states(d, d, seed_or_stream).T)
-    phases = np.diagonal(r).copy()
-    phases /= np.abs(phases)
-    return q * phases

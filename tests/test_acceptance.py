@@ -22,7 +22,6 @@ from povmquad import (
     clone,
     haar_random_state,
     haar_random_states,
-    haar_random_unitary,
     majority_vote_fidelity_mc,
     mean_fidelity_exact,
     mean_fidelity_mc,
@@ -42,6 +41,7 @@ from _oracles import (
     ACCEPTANCE_PAIRS,
     clone_dense,
     gram_residual_states,
+    haar_random_unitary,
     lift_to_full_space,
     moment_tensor_mc,
     moment_tensor_numeric,

@@ -11,8 +11,9 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 import povmquad
 from povmquad import check_completeness, check_optimality, check_universality, load_povm
@@ -517,6 +518,15 @@ class TestClone:
         )
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize("d", ["1", "0", "-3"])
+    def test_rejects_d_below_two_by_its_flag(self, capsys, d):
+        # Checked before the top family is built: build_povm(d, M) would
+        # report M as N ("got d=1, N=2").
+        code, out, err = run(capsys, ["clone", "--d", d, "--N", "1", "--M", "2", "--seed", "0"])
+        assert code == EXIT_INPUT
+        assert err == f"input error: --d must be >= 2, got {d}\n"
+        assert out == ""
+
     @pytest.mark.parametrize("states", ["0", "-2"])
     def test_rejects_non_positive_states_before_building(self, capsys, monkeypatch, states):
         import povmquad.cli
@@ -672,6 +682,72 @@ class TestClone:
         many_code, many = peak(40)
         assert few_code == many_code == EXIT_OK
         assert many - few < 150_000
+
+
+# The clone commands of the benchmark's clone workload (perfbench/run.py).
+BENCHMARK_CLONES = [
+    ["clone", "--d", "2", "--N", "1", "--M", "9", "--states", "1", "--seed", "1905", "--json"],
+    ["clone", "--d", "3", "--N", "1", "--M", "4", "--states", "5", "--seed", "1906", "--json"],
+]
+LAPACK_NAMES = ("eigvalsh", "eigh", "eigvals", "eig", "cholesky", "qr", "svd", "solve", "inv", "lstsq")
+
+
+class TestCloneWithoutLapack:
+    @pytest.mark.parametrize("argv", BENCHMARK_CLONES, ids=["d2-M9", "d3-M4"])
+    def test_benchmark_clones_run_no_lapack_routine(self, capsys, monkeypatch, argv):
+        code, expected, _ = run(capsys, argv)
+        assert code == EXIT_OK
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a LAPACK routine was called")
+
+        for name in LAPACK_NAMES:
+            monkeypatch.setattr(np.linalg, name, refuse)
+        with pytest.raises(AssertionError, match="LAPACK"):
+            np.linalg.eigvalsh(np.eye(2))
+        assert run(capsys, argv) == (EXIT_OK, expected, "")
+
+
+# Flag values at and around 0, negative and huge.  Small ones alone, so
+# that runs the guards admit are drawn too, or any of them.
+SMALL_FLAG_VALUES = st.integers(1, 4)
+CLONE_FLAG_VALUES = st.one_of(
+    st.integers(-3, 4),
+    st.sampled_from([10**6, 2**63, -(2**63), 10**30, -(10**30)]),
+    st.integers(-(2**70), 2**70),
+)
+
+
+CLONE_FLAGS = ("--d", "--N", "--M", "--states", "--seed")
+
+
+class TestCloneGrammar:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_any_flags_exit_cleanly(self, capsys, monkeypatch, data):
+        # Each flag once, or dropped, then up to three repeats, in any order.
+        values = data.draw(st.sampled_from([SMALL_FLAG_VALUES, SMALL_FLAG_VALUES, CLONE_FLAG_VALUES]))
+        pairs = [(flag, data.draw(values, label=flag)) for flag in CLONE_FLAGS
+                 if data.draw(st.integers(0, 19), label=f"keep {flag}")]
+        pairs += data.draw(st.lists(st.tuples(st.sampled_from(CLONE_FLAGS), values),
+                                    max_size=3), label="repeats")
+        pairs = data.draw(st.permutations(pairs), label="order")
+        fmt = data.draw(st.sampled_from([[], ["--json"], ["--csv"], ["--json", "--csv"]]))
+        argv = ["clone", *(token for flag, value in pairs for token in (flag, str(value))), *fmt]
+        # Small guards keep every admitted run small.
+        monkeypatch.setenv("POVMQUAD_BUILD_GUARD", "20000")
+        monkeypatch.setenv("POVMQUAD_FULL_SPACE_GUARD", "64")
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses the grammar
+            code = exc.code
+        out, err = capsys.readouterr()
+        event(f"exit {code}")
+        assert code in (EXIT_OK, EXIT_CERTIFICATION, EXIT_INPUT, EXIT_RESOURCE), argv
+        assert "Traceback" not in err, argv
+        if code != EXIT_OK:
+            assert out == "", argv
 
 
 class TestMoments:

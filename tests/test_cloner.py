@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from povmquad import (
     ClonerOutput,
@@ -15,17 +15,19 @@ from povmquad import (
     ResourceLimitError,
     clone,
     haar_random_state,
-    haar_random_unitary,
     optimal_fidelity,
     single_particle_fidelity,
     single_particle_reduced,
+    sym_dim,
     two_step_components,
     two_step_estimate,
 )
+from povmquad.cloner import VALIDATION_TOL, _positive_definite
 
 from _oracles import (
     clone_dense,
     compress_to_occupation,
+    haar_random_unitary,
     lift_to_full_space,
     projector_bruteforce,
     reduced_dense,
@@ -127,6 +129,97 @@ class TestCloneMap:
         with pytest.raises(ConstructionError) as info:
             ClonerOutput(d=2, N=1, M=2, density=np.diag(diagonal).astype(np.complex128))
         assert info.value.residual == pytest.approx(0.5)
+
+
+# (d, M) with d_M = 2, 6, 10, 15, 21, 45 and 70: one panel of the
+# factorisation, and two and three.
+PLANTED_SHAPES = [(2, 1), (3, 2), (2, 9), (3, 4), (6, 2), (3, 8), (2, 69)]
+NON_FINITE = [math.nan, math.inf, -math.inf, complex(0, math.inf), complex(1, math.nan),
+              complex(math.inf, -math.inf)]
+
+
+def planted_density(spectrum: np.ndarray, seed: int) -> np.ndarray:
+    """U diag(spectrum) U^dagger for an oracle Haar unitary U."""
+    u = haar_random_unitary(spectrum.size, seed)
+    return (u * spectrum) @ u.conj().T
+
+
+@st.composite
+def planted_states(draw):
+    """(d, M, spectrum, seed): unit trace, the least eigenvalue planted first.
+
+    The least eigenvalue is drawn anywhere in [-0.5, 1/d_M], or within
+    1e-12 ... 1e-8 of the -1e-10 threshold on either side; the others
+    share the remaining trace above it.
+    """
+    d, m = draw(st.sampled_from(PLANTED_SHAPES))
+    n = sym_dim(d, m)
+    least = draw(st.one_of(
+        st.floats(-0.5, 1.0 / n),
+        st.builds(lambda sign, exponent: -VALIDATION_TOL + sign * 10.0**exponent,
+                  st.sampled_from([-1.0, 1.0]), st.floats(-12.0, -8.0)),
+    ))
+    shares = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n - 1, max_size=n - 1)))
+    spectrum = np.concatenate([[least], least + (1.0 - n * least) * shares / shares.sum()])
+    return d, m, spectrum, draw(st.integers(0, 2**32 - 1))
+
+
+class TestPositivityCertificate:
+    """The LDL^H pivot certificate against LAPACK's eigvalsh, run only here."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(planted_states())
+    @example((2, 1, np.array([1.5, -0.5]), 0))
+    @example((3, 8, np.concatenate([[-2e-10], np.full(44, (1 + 2e-10) / 44)]), 1))
+    @example((3, 8, np.concatenate([[-5e-11], np.full(44, (1 + 5e-11) / 44)]), 1))
+    def test_decision_and_residual_match_eigvalsh(self, case):
+        d, m, spectrum, seed = case
+        density = planted_density(spectrum, seed)
+        least = float(np.linalg.eigvalsh(density)[0])
+        assume(abs(least + VALIDATION_TOL) >= 1e-12)
+        try:
+            ClonerOutput(d=d, N=1, M=m, density=density)
+        except ConstructionError as exc:
+            assert least < -VALIDATION_TOL
+            assert abs(exc.residual + least) <= 1e-12
+        else:
+            assert least >= -VALIDATION_TOL
+
+    @pytest.mark.parametrize("panel", [1, 2, 7, 32, 64])
+    def test_every_panel_width_decides_alike(self, monkeypatch, panel):
+        # 45 x 45: the columns split into panels that end mid-matrix, or not at all.
+        import povmquad.cloner as cloner
+
+        monkeypatch.setattr(cloner, "_PANEL", panel)
+        spectrum = np.linspace(-0.01, 0.05, 45)
+        density = planted_density(spectrum / spectrum.sum(), 3)
+        least = float(np.linalg.eigvalsh(density)[0])
+        for gap in (-1e-9, -1e-11, 1e-11, 1e-9):
+            assert _positive_definite(density, least + gap) == (gap < 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(PLANTED_SHAPES[:5]), st.integers(0, 2**32 - 1), st.data())
+    def test_non_finite_entry_fails_closed(self, shape, seed, data):
+        d, m = shape
+        n = sym_dim(d, m)
+        density = planted_density(np.full(n, 1.0 / n), seed)
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        density[i, j] = data.draw(st.sampled_from(NON_FINITE))
+        with pytest.raises(ConstructionError):
+            ClonerOutput(d=d, N=1, M=m, density=density)
+        # In what the certificate itself reads, the lower triangle and the
+        # real part of the diagonal, the entry reaches a pivot.
+        density[max(i, j), min(i, j)] = density[i, j]
+        assume(i != j or not math.isfinite(density[i, i].real))
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert not _positive_definite(density, -VALIDATION_TOL)
+
+    def test_residual_of_a_large_eigenvalue_is_relative(self):
+        # Trace 1, least eigenvalue -1e6: the bisection stops at a width
+        # relative to it instead of at an absolute width below its ulp.
+        with pytest.raises(ConstructionError) as info:
+            ClonerOutput(d=2, N=1, M=1, density=np.diag([1e6 + 1.0, -1e6]).astype(np.complex128))
+        assert info.value.residual == pytest.approx(1e6, rel=1e-12)
 
 
 class TestDenseOracle:

@@ -17,7 +17,6 @@ from povmquad import (
     PureState,
     haar_random_state,
     haar_random_states,
-    haar_random_unitary,
     majority_vote_fidelity_mc,
     mean_fidelity_exact,
     mean_fidelity_mc,
@@ -35,6 +34,7 @@ from povmquad.sampling import _log_binomial_ratio, binomial
 
 from _oracles import (
     ACCEPTANCE_PAIRS,
+    haar_random_unitary,
     mean_fidelity_exact_fraction,
     mean_fidelity_mc_whole_block,
     pointwise_fidelity_direct,

@@ -111,6 +111,12 @@ def test_export_is_its_modules_object(name):
     assert vars(povmquad)[name] is getattr(module, name)
 
 
+def test_unitary_sampler_left_the_package():
+    # The package runs no QR; haar_random_unitary lives in the test oracles.
+    assert "haar_random_unitary" not in povmquad._EXPORTS
+    assert not hasattr(importlib.import_module("povmquad.symmetric"), "haar_random_unitary")
+
+
 def test_unknown_attribute_names_itself():
     with pytest.raises(AttributeError, match="no_such_export"):
         povmquad.no_such_export

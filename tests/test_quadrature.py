@@ -449,6 +449,18 @@ class TestSphereGrid:
             or (isinstance(node, ast.Name) and node.id == "sorted")
         ]
         assert not lines, f"quadrature.py names LAPACK or a sort on lines {lines}"
+        # No module of the package names numpy.linalg at all.
+        package = Path(quadrature.__file__).parent
+        named = [
+            f"{path.name}:{node.lineno}"
+            for path in sorted(package.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if (isinstance(node, ast.Attribute) and node.attr == "linalg")
+            or (isinstance(node, ast.Name) and node.id == "linalg")
+            or (isinstance(node, (ast.Import, ast.ImportFrom))
+                and "linalg" in " ".join([getattr(node, "module", None) or "", *(a.name for a in node.names)]))
+        ]
+        assert not named, f"the package names linalg at {named}"
 
     def test_guard_refuses_before_building(self, monkeypatch):
         # (2, 1): A * d_1^2 = 2 * 2^2 = 8.

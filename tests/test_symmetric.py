@@ -19,7 +19,6 @@ from povmquad import (
     frame_operator,
     haar_random_state,
     haar_random_states,
-    haar_random_unitary,
     moment_value,
     occupation_basis,
     overlap,
@@ -32,6 +31,7 @@ from povmquad import (
 from povmquad.symmetric import NORM_TOL, _uniform, _uniforms
 
 from _oracles import (
+    haar_random_unitary,
     projector_bruteforce,
     sym_basis_bruteforce,
     sym_embed_per_column,

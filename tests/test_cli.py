@@ -750,6 +750,85 @@ class TestCloneGrammar:
             assert out == "", argv
 
 
+# --tol as nan, infinities, zeros of both signs, tiny and huge values.
+TOL_TEXTS = st.sampled_from(["nan", "inf", "-inf", "1e400", "-0.0", "0", "1e-300", "1e-10", "-1e-10", "1e308"])
+# fidelity --samples has no guard and a run's time grows with it (the
+# size-flag audit is open), so its draws stop at 1000.
+SAMPLE_COUNTS = st.one_of(
+    st.integers(-3, 4),
+    st.sampled_from([99, 100, 101, 1000, -(2**63), -(10**30)]),
+    st.integers(-(2**70), 1000),
+)
+
+
+def _grammar(command, ints, path, out):
+    """Flag -> strategy for its tokens, for one subcommand; "" is the positional.
+
+    ints draws every integer value; path is a stored family's file.
+    """
+    one = ints.map(lambda v: [str(v)])
+    tol = TOL_TEXTS.map(lambda v: [v])
+    file = st.sampled_from([[path], [path], [path + ".missing"], []])
+    indices = st.lists(ints, max_size=4).map(lambda v: [",".join(map(str, v))])
+    return {
+        "build": {"--d": one, "--N": one, "--tol": tol, "--out": st.just([out])},
+        "verify": {
+            "": file, "--tol": tol,
+            "--level": st.sampled_from(["all", "completeness", "optimality", "universality", "none"]).map(
+                lambda v: [v]),
+        },
+        "fidelity": {
+            "": file, "--sweep": st.just([]),
+            "--d": st.lists(ints, min_size=1, max_size=3).map(lambda v: [str(x) for x in v]),
+            "--N": st.lists(ints, min_size=1, max_size=3).map(lambda v: [str(x) for x in v]),
+            "--samples": SAMPLE_COUNTS.map(lambda v: [str(v)]), "--seed": one,
+        },
+        "simulate": {"": file, "--shots": one, "--seed": one, "--state-seed": one, "--basis": one},
+        "moments": {"--d": one, "--i": indices, "--j": indices, "--max-len": one},
+    }[command]
+
+
+FORMAT_FLAGS = {"fidelity": [[], ["--json"], ["--csv"], ["--json", "--csv"]]}
+
+
+class TestGrammar:
+    """TestCloneGrammar's property for the other five subcommands."""
+
+    @pytest.mark.parametrize("command", ["build", "verify", "fidelity", "simulate", "moments"])
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_any_flags_exit_cleanly(self, povm_path, tmp_path, capsys, monkeypatch, command, data):
+        ints = data.draw(st.sampled_from([SMALL_FLAG_VALUES, SMALL_FLAG_VALUES, CLONE_FLAG_VALUES]))
+        grammar = _grammar(command, ints, str(povm_path), str(tmp_path / "fuzz.json"))
+        # Each flag once, or dropped, then up to three repeats, in any order.
+        # A flag is dropped more often than in TestCloneGrammar, so that
+        # runs with one of two exclusive flags (simulate's state, fidelity's
+        # path or --sweep) are drawn too.
+        pairs = [(flag, data.draw(values, label=flag or "path")) for flag, values in grammar.items()
+                 if data.draw(st.integers(0, 3), label=f"keep {flag or 'path'}")]
+        flags = sorted(flag for flag in grammar if flag)
+        pairs += data.draw(st.lists(st.sampled_from(flags).flatmap(
+            lambda flag: st.tuples(st.just(flag), grammar[flag])), max_size=3), label="repeats")
+        pairs = data.draw(st.permutations(pairs), label="order")
+        fmt = data.draw(st.sampled_from(FORMAT_FLAGS.get(command, [[], ["--json"]])))
+        argv = [command, *(token for flag, tokens in pairs for token in ([flag] if flag else []) + tokens), *fmt]
+        # Small guards keep every admitted run small.
+        monkeypatch.setenv("POVMQUAD_BUILD_GUARD", "20000")
+        monkeypatch.setenv("POVMQUAD_FULL_SPACE_GUARD", "64")
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses the grammar
+            code = exc.code
+        out, err = capsys.readouterr()
+        event(f"exit {code}")
+        assert code in (EXIT_OK, EXIT_CERTIFICATION, EXIT_INPUT, EXIT_RESOURCE), argv
+        assert "Traceback" not in err, argv
+        # verify prints its report, failed levels marked, before it exits 1.
+        if code != EXIT_OK and not (command == "verify" and code == EXIT_CERTIFICATION):
+            assert out == "", argv
+
+
 class TestMoments:
     def test_single_pair(self, capsys):
         code, out, _ = run(
@@ -900,6 +979,26 @@ class TestFlagsBeforeWork:
         assert out == ""
 
 
+def python_process(args, stdout=subprocess.PIPE):
+    """`python ARGS` in a fresh process, its output as bytes.
+
+    The child imports povmquad from the tree under test.  PYTHONUNBUFFERED
+    is removed, so stdout is block-buffered, as from a shell, and output
+    is still pending when the process ends.
+    """
+    src = Path(povmquad.__file__).resolve().parent.parent
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    return subprocess.run(
+        [sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=120
+    )
+
+
+def cli_process(argv, stdout=subprocess.PIPE):
+    """`python -m povmquad.cli ARGV`, as python_process runs it."""
+    return python_process(["-m", "povmquad.cli", *argv], stdout)
+
+
 class _ClosedPipe(io.TextIOBase):
     """A stdout whose reader has gone: every write raises BrokenPipeError."""
 
@@ -937,22 +1036,170 @@ class TestClosedStdout:
         # The reader end is closed before the process starts, so its first
         # write, or the flush of a short output, meets a broken pipe.  Output
         # stays block-buffered, as from a shell, so data is still pending
-        # when the error is caught and again at interpreter exit.
+        # when the error is caught and again at process exit.
         read_fd, write_fd = os.pipe()
         os.close(read_fd)
-        src = Path(povmquad.__file__).resolve().parent.parent
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-        env["PYTHONPATH"] = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
         try:
-            proc = subprocess.run(
-                [sys.executable, "-m", "povmquad.cli", *argv],
-                stdout=write_fd, stderr=subprocess.PIPE, env=env, timeout=120, text=True,
-            )
+            proc = cli_process(argv, stdout=write_fd)
         finally:
             os.close(write_fd)
         assert proc.returncode == EXIT_INPUT
         assert len(proc.stderr.splitlines()) == 1
-        assert "Traceback" not in proc.stderr
+        assert b"Traceback" not in proc.stderr
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "{path}", "--json"],
+            ["build", "--d", "2", "--N", "2", "--out", "{out}", "--json"],
+            ["verify", "{path}"],
+            ["clone", "--d", "2", "--N", "1", "--M", "2", "--states", "300", "--seed", "1", "--csv"],
+            ["moments", "--d", "3", "--max-len", "3"],
+        ],
+        ids=["verify-short", "build-short", "verify-failed-short", "clone-long", "moments-long"],
+    )
+    def test_full_device_is_output_error(self, povm_path, tmp_path, argv):
+        # Every write to /dev/full fails with ENOSPC.  A short output fails
+        # at main's flush, a long one at a write once the buffer fills.
+        # verify-failed-short would be exit 1, a certification failure,
+        # had its report been written.
+        argv = [arg.format(path=povm_path, out=tmp_path / "out.json") for arg in argv]
+        with open("/dev/full", "wb") as full:
+            proc = cli_process(argv, stdout=full)
+        assert proc.returncode == EXIT_INPUT, proc.stderr
+        assert proc.stderr.decode().splitlines() == [
+            "output error: cannot write all output to stdout: [Errno 28] No space left on device"
+        ]
+
+
+# One invocation of each subcommand and of each exit path: exit 0 in each
+# output format, 1 (verify on the minimal d=2, N=1 grid, which is not
+# universal), 2 (a bad --tol, a missing file, an argparse usage error),
+# 3 (a build over a small guard) and --help.  {path} is that grid's file.
+PROCESS_CONTRACT = [
+    (["build", "--d", "2", "--N", "2", "--out", "{tmp}/b.json"], {}),
+    (["build", "--d", "3", "--N", "2", "--out", "{tmp}/b.json", "--json"], {}),
+    (["build", "--d", "3", "--N", "3", "--out", "{tmp}/b.json"], {"POVMQUAD_BUILD_GUARD": "1000"}),
+    (["build", "--d", "2"], {}),
+    (["verify", "{path}"], {}),
+    (["verify", "{path}", "--level", "optimality", "--json"], {}),
+    (["verify", "{path}", "--tol", "nan"], {}),
+    (["verify", "{tmp}/missing.json"], {}),
+    (["fidelity", "{path}", "--samples", "2000", "--seed", "3"], {}),
+    (["fidelity", "--sweep", "--d", "2", "3", "--N", "1", "2", "--samples", "500", "--seed", "3", "--csv"], {}),
+    (["simulate", "{path}", "--shots", "1000", "--seed", "4", "--state-seed", "5", "--json"], {}),
+    (["simulate", "{path}", "--shots", "1000", "--seed", "4", "--basis", "1"], {}),
+    (["clone", "--d", "2", "--N", "1", "--M", "3", "--states", "40", "--seed", "6", "--csv"], {}),
+    (["clone", "--d", "3", "--N", "1", "--M", "2", "--states", "2", "--seed", "6", "--json"], {}),
+    (["moments", "--d", "3", "--max-len", "3"], {}),
+    (["moments", "--d", "2", "--i", "1,2", "--j", "2,1", "--json"], {}),
+    (["moments", "--d", "2", "--max-len", "6"], {}),
+    (["--help"], {}),
+    (["clone", "--help"], {}),
+]
+
+
+class TestProcessExit:
+    """A process ends through process_main, skipping interpreter finalization."""
+
+    @pytest.mark.parametrize(
+        "argv,guards", PROCESS_CONTRACT, ids=[" ".join(argv[:2]) for argv, _ in PROCESS_CONTRACT]
+    )
+    def test_process_matches_main(self, povm_path, tmp_path, capsysbinary, monkeypatch, argv, guards):
+        argv = [arg.format(path=povm_path, tmp=tmp_path) for arg in argv]
+        # argparse wraps --help at the terminal width; pin it on both sides.
+        monkeypatch.setenv("COLUMNS", "80")
+        for name, value in guards.items():
+            monkeypatch.setenv(name, value)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: --help, or a usage error
+            code = exc.code
+        expected = capsysbinary.readouterr().out
+        proc = cli_process(argv)
+        assert proc.returncode == code, proc.stderr
+        assert proc.stdout == expected
+        assert b"Traceback" not in proc.stderr
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    @pytest.mark.parametrize(
+        "stand_in",
+        ["1 / 0", "sys.stdout.write('pending') and 0"],
+        ids=["main-raises", "final-flush-raises"],
+    )
+    def test_failure_around_main_is_never_exit_0(self, stand_in):
+        # process_main with main replaced: an exception from main, or from
+        # the flush of output main left pending, ends the process the
+        # interpreter's way, nonzero, never through os._exit(0).
+        code = f"import sys\nimport povmquad.cli as cli\ncli.main = lambda: {stand_in}\ncli.process_main()\n"
+        with open("/dev/full", "wb") as full:
+            proc = python_process(["-c", code], stdout=full)
+        assert proc.returncode not in (EXIT_OK, EXIT_INPUT)
+        assert b"Traceback" in proc.stderr
+
+    def test_process_file_equals_saved_family(self, tmp_path):
+        from povmquad import build_povm, save_povm
+
+        written, saved = tmp_path / "process.json", tmp_path / "saved.json"
+        proc = cli_process(["build", "--d", "3", "--N", "3", "--out", str(written)])
+        assert proc.returncode == EXIT_OK, proc.stderr
+        save_povm(build_povm(3, 3), saved)
+        assert written.read_bytes() == saved.read_bytes()
+        assert load_povm(written).n_outcomes == load_povm(saved).n_outcomes
+        assert main(["verify", str(written), "--level", "optimality"]) == EXIT_OK
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
+    def test_console_script_is_the_main_block_entry(self):
+        import ast
+        import importlib
+        import tomllib
+
+        import povmquad.cli
+
+        cli_file = Path(povmquad.cli.__file__)
+        pyproject = cli_file.parent.parent.parent / "pyproject.toml"
+        target = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]["povmquad"]
+        module, _, name = target.partition(":")
+        script = getattr(importlib.import_module(module), name)
+        blocks = [
+            node.body for node in ast.parse(cli_file.read_text(encoding="utf-8")).body
+            if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+        ]
+        assert len(blocks) == 1
+        (statement,) = blocks[0]
+        called = statement.value.func.id
+        assert not statement.value.args
+        assert getattr(povmquad.cli, called) is script is povmquad.cli.process_main
+
+
+def _benchmark_commands(families):
+    """The commands of the benchmark's three workloads (perfbench/run.py)."""
+    builds, queries = [], []
+    for d, n in ((2, 1), (2, 4), (2, 8), (3, 2), (3, 3), (3, 4), (4, 2)):
+        path = str(families / f"d{d}_N{n}.json")
+        builds.append(["build", "--d", str(d), "--N", str(n), "--out", path, "--json"])
+        queries.append(["verify", path, "--json"])
+        if (d, n) != (4, 2):
+            queries.append(["fidelity", path, "--samples", "20000", "--seed", str(7 * d + n), "--json"])
+        queries.append(["simulate", path, "--shots", "10000", "--seed", str(d), "--state-seed", str(n), "--json"])
+    return builds + queries + BENCHMARK_CLONES
+
+
+class TestWhatProcessExitSkips:
+    def test_benchmark_commands_leave_no_atexit_handler_or_thread(self, tmp_path):
+        # os._exit runs neither atexit handlers nor thread joins.  A command
+        # that registers a handler or leaves a thread would lose it in a
+        # process; this fails first, so the exit path is decided again.
+        import atexit
+        import threading
+
+        for argv in _benchmark_commands(tmp_path):
+            before = atexit._ncallbacks()
+            # The minimal grids are not universal: the benchmark's verify exits 1.
+            assert main(argv) == (EXIT_CERTIFICATION if argv[0] == "verify" else EXIT_OK), argv
+            assert atexit._ncallbacks() == before, argv
+            assert threading.active_count() == 1, argv
 
 
 class TestImports:

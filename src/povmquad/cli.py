@@ -9,15 +9,19 @@ written, a stdout closed by its reader included), 3 resource guard.
 Each command but moments forms its JSON payload, its text lines and,
 where it offers --csv, its table, and prints through the one writer
 _emit.  moments streams its rows as they are formed instead, so its
-memory stays flat in the table size.
+memory stays flat in the table size.  --help is flushed through the
+same error mapping, so buffered help that cannot be written is exit 2.
+fidelity charges --samples * d_(N+1)^2 per family to the build guard
+before it draws a state, and --sweep the sum before it builds a family.
 
 Every command loads what it runs and no more.  The layer modules
 quadrature, povm, symmetric, estimation and cloner are imported with
 this module, so a tracer that rebinds their functions in the modules
 `import povmquad.cli` has loaded reaches every call.  The rest is
 imported where it is used: moments (and with it fractions) by the
-moments command, fractions by optimal_fidelity in fidelity, csv by
---csv, and the binomial sampler by simulate.
+moments command, csv by --csv, and the binomial sampler by simulate.
+fidelity prints its exact optimum p/q from estimation's integer pair,
+so it loads neither fractions nor decimal.
 
 A process runs the CLI through process_main, which is both the
 `povmquad` console script and the `python -m povmquad.cli` entry.  It
@@ -47,11 +51,12 @@ import numpy as np
 from .cloner import clone, single_particle_fidelity, two_step_estimate
 from .errors import ConstructionError, InputFormatError, ResourceLimitError, exceeds
 from .estimation import (
+    _optimal_ratio,
+    check_sample_cost,
     check_samples,
     check_shots,
     mean_fidelity_exact,
     mean_fidelity_mc,
-    optimal_fidelity,
     outcome_probs,
     sample_outcomes,
 )
@@ -210,22 +215,25 @@ def _fidelity_table(povms: list[Povm], samples: int, seed: int) -> list[list]:
     for k, povm in enumerate(povms):
         exact = mean_fidelity_exact(povm)
         mc = mean_fidelity_mc(povm, samples, seed + k)
-        best = optimal_fidelity(povm.N, povm.d)
-        optimal = f"{best.numerator}/{best.denominator}"
+        optimal = "%d/%d" % _optimal_ratio(povm.N, povm.d)
         table.append([povm.d, povm.N, exact.value, mc.value, mc.stderr, optimal])
     return table
 
 
 def cmd_fidelity(args: argparse.Namespace) -> int:
     check_samples(args.samples)
+    # Charged before any state is drawn, and under --sweep before any family is built.
     if args.sweep:
         if not args.d or not args.N:
             raise InputFormatError("--sweep requires --d and --N lists")
-        povms = [build_povm(d, n) for d, n in product(args.d, args.N)]
+        families = list(product(args.d, args.N))
+        check_sample_cost(args.samples, families)
+        povms = [build_povm(d, n) for d, n in families]
     else:
         if not args.path:
             raise InputFormatError("provide a POVM path or --sweep")
         povms = [load_povm(args.path)]
+        check_sample_cost(args.samples, [(povms[0].d, povms[0].N)])
     header = ["d", "N", "analytic", "mc_estimate", "stderr", "optimal"]
     table = _fidelity_table(povms, args.samples, args.seed)
     rows = [dict(zip(header, row)) for row in table]
@@ -445,8 +453,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            # --help leaves its text buffered and exits 0: flushed here, a
+            # failed write of it is an output error like any other.
+            if exc.code == 0:
+                with _writing_stdout():
+                    sys.stdout.flush()
+            raise
         _check_seeds(args)
         code = args.func(args)
         with _writing_stdout():

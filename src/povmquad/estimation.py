@@ -9,7 +9,9 @@ mean estimation fidelity obeys the closed forms
     F_optimal(N, d) = (N+1) / (N+d)                        (optimum)
 
 with u the (N+1)-copy embedding of phi and G_{N+1} the family's frame
-operator (symmetric.frame_operator); expanded, F(phi) is
+operator (symmetric.frame_operator); the optimum is kept as the reduced
+integer pair ((N+1)/g, (N+d)/g), g = gcd(N+1, d-1), which the CLI prints
+as p/q and optimal_fidelity turns into a Fraction.  Expanded, F(phi) is
 d_N sum_a w_a |<phi_a|phi>|^{2(N+1)}.  G_{N+1} is formed once per call,
 so the per-state cost does not grow with the outcome count A.  An
 optimal POVM with unit weight sum meets the optimum exactly.  The Monte
@@ -44,6 +46,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import InputFormatError
+from .limits import BUILD_GUARD_ENV, check_cost
 from .povm import Povm
 from .symmetric import (
     PureState,
@@ -81,21 +84,57 @@ class FidelityReport:
     seed: int | None = None
 
 
-def optimal_fidelity(N: int, d: int) -> Fraction:
-    """Best achievable mean fidelity (N+1)/(N+d), exact."""
-    # Imported here: fractions loads decimal and numbers, which no
-    # command but fidelity and moments needs.
-    from fractions import Fraction
+def _optimal_ratio(N: int, d: int) -> tuple[int, int]:
+    """(N+1)/(N+d) in lowest terms, as the pair (numerator, denominator).
 
+    gcd(N+1, N+d) = gcd(N+1, d-1), so the pair is ((N+1)/g, (N+d)/g)
+    with g = gcd(N+1, d-1).  The fidelity command prints it as p/q from
+    these integers, so it loads neither fractions nor decimal.
+    """
     if d < 2 or N < 1:
         raise InputFormatError(f"need d >= 2 and N >= 1, got d={d}, N={N}")
-    return Fraction(N + 1, N + d)
+    g = math.gcd(N + 1, d - 1)
+    return (N + 1) // g, (N + d) // g
+
+
+def optimal_fidelity(N: int, d: int) -> Fraction:
+    """Best achievable mean fidelity (N+1)/(N+d), exact."""
+    # Imported here: fractions loads decimal and numbers, which only the
+    # moments command and library callers need.
+    from fractions import Fraction
+
+    return Fraction(*_optimal_ratio(N, d))
 
 
 def check_samples(samples: int) -> None:
     """Refuse a Monte Carlo sample count below MC_MIN_SAMPLES."""
     if samples < MC_MIN_SAMPLES:
         raise InputFormatError(f"need samples >= {MC_MIN_SAMPLES}, got {samples}")
+
+
+def check_sample_cost(samples: int, families: list[tuple[int, int]]) -> None:
+    """Charge samples * d_{N+1}^2, summed over the (d, N) families, to the build guard.
+
+    The Monte Carlo work of mean_fidelity_mc: each sample's pointwise
+    fidelity is a product with G_{N+1}, d_{N+1} square.  As d_{N+1} =
+    C(N+d, d-1) >= N+d, samples * (N+d)^2 is charged first, so d_{N+1}
+    is formed only for sizes the guard can admit.  Raises
+    InputFormatError unless every d >= 2 and N >= 1.
+    """
+    for d, n in families:
+        if d < 2 or n < 1:
+            raise InputFormatError(f"need d >= 2 and N >= 1, got d={d}, N={n}")
+    which = f"for samples={samples}, (d, N) in {families}"
+    check_cost(
+        f"Monte Carlo cost lower bound samples*(N+d)^2 {which}",
+        samples * sum((n + d) ** 2 for d, n in families),
+        BUILD_GUARD_ENV,
+    )
+    check_cost(
+        f"Monte Carlo cost samples*d_(N+1)^2 {which}",
+        samples * sum(sym_dim(d, n + 1) ** 2 for d, n in families),
+        BUILD_GUARD_ENV,
+    )
 
 
 def check_shots(shots: int) -> None:

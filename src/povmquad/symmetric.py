@@ -13,6 +13,10 @@ frame_operator, and the cloner works in them too.  sym_isometry and
 symmetric_projector_full are the one bridge to the d^M full space, for
 callers that need dense operators there.
 
+A PureState's squared norm is sum_i |c_i|^2 taken elementwise in numpy,
+the formula Povm applies to its rows, so checking a state calls no BLAS
+routine (np.vdot would call zdotc).
+
 Haar-random inputs come from one stream, the interpreter's own Mersenne
 Twister (random.Random(seed)), so no command loads numpy.random.  The
 stream is read through _uniforms, which turns one getrandbits(64 n)
@@ -57,7 +61,10 @@ class PureState:
             raise InputFormatError(f"state dimension must be >= 2, got {amps.size}")
         if not np.all(np.isfinite(amps.view(np.float64))):
             raise InputFormatError("state amplitudes must be finite")
-        norm_sq = float(np.vdot(amps, amps).real)
+        # The formula Povm uses for its rows; np.vdot would call BLAS zdotc.
+        # A part past 1e154 squares to inf, which is refused below.
+        with np.errstate(over="ignore"):
+            norm_sq = float(np.sum((amps.conj() * amps).real))
         if exceeds(abs(norm_sq - 1.0), NORM_TOL):
             raise InputFormatError(
                 f"state norm^2 deviates from 1 by {abs(norm_sq - 1.0):.3e} (tol {NORM_TOL:g})"

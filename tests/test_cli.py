@@ -305,6 +305,12 @@ MALFORMED = {
         **doc,
         "elements": [{**e, "c": [[re, False] for re, _ in e["c"]]} for e in doc["elements"]],
     },
+    # Finite parts whose squares or sum pass the largest double.
+    "huge-amplitude": lambda doc: {
+        **doc,
+        "elements": [{**e, "c": [["1.7e154", "0"], *e["c"][1:]]} for e in doc["elements"]],
+    },
+    "huge-weights": lambda doc: {**doc, "elements": [{**e, "w": "1.7e308"} for e in doc["elements"]]},
 }
 
 
@@ -391,18 +397,108 @@ class TestFidelity:
         code, _, err = run(capsys, ["fidelity", "--samples", "500", "--seed", "1"])
         assert code == EXIT_INPUT
 
-    def test_level_n_plus_one_frame_under_build_guard(self, povm_path, capsys, monkeypatch):
-        # Loading certifies G_1 (2 * 2^2 = 8); the fidelity needs G_2 (2 * 3^2 = 18).
-        monkeypatch.setenv("POVMQUAD_BUILD_GUARD", "10")
-        code, _, err = run(capsys, ["fidelity", str(povm_path), "--samples", "500", "--seed", "1"])
+    def test_level_n_plus_one_frame_under_build_guard(self, tmp_path, capsys, monkeypatch):
+        # The d=3, N=4 grid has A = 171 > 100 samples.  Loading certifies
+        # G_4 (171 * 15^2 = 38475) and 100 samples cost 100 * 21^2 = 44100,
+        # but the fidelity's G_5 costs 171 * 21^2 = 75411.
+        path = str(tmp_path / "qutrit4.json")
+        assert main(["build", "--d", "3", "--N", "4", "--out", path]) == EXIT_OK
+        monkeypatch.setenv("POVMQUAD_BUILD_GUARD", "50000")
+        code, _, err = run(capsys, ["fidelity", path, "--samples", "100", "--seed", "1"])
         assert code == EXIT_RESOURCE
+        assert "frame operator cost" in err
         assert "POVMQUAD_BUILD_GUARD" in err
+
+    def test_optimal_is_the_exact_fraction(self, capsys, monkeypatch):
+        # Every row's p/q against optimal_fidelity's Fraction, the families
+        # and their statistics stood in for, so (8, 60) needs no grid.
+        from types import SimpleNamespace
+
+        from povmquad import FidelityReport, optimal_fidelity
+
+        report = FidelityReport(value=0.5, stderr=0.0, method="stand-in")
+        monkeypatch.setattr(povmquad.cli, "build_povm", lambda d, n: SimpleNamespace(d=d, N=n))
+        monkeypatch.setattr(povmquad.cli, "mean_fidelity_exact", lambda povm: report)
+        monkeypatch.setattr(povmquad.cli, "mean_fidelity_mc", lambda povm, samples, seed: report)
+        monkeypatch.setenv("POVMQUAD_BUILD_GUARD", str(10**40))
+        d_values, n_values = range(2, 9), range(1, 61)
+        code, out, _ = run(capsys, [
+            "fidelity", "--sweep", "--d", *map(str, d_values), "--N", *map(str, n_values),
+            "--samples", "100", "--seed", "1", "--json",
+        ])
+        assert code == EXIT_OK
+        rows = json.loads(out)["rows"]
+        assert len(rows) == len(d_values) * len(n_values)
+        for row in rows:
+            assert row["optimal"] == str(optimal_fidelity(row["N"], row["d"])), row
 
     def test_deterministic_output(self, povm_path, capsys):
         argv = ["fidelity", str(povm_path), "--samples", "1000", "--seed", "6", "--json"]
         code_a, out_a, _ = run(capsys, argv)
         code_b, out_b, _ = run(capsys, argv)
         assert (code_a, out_a) == (code_b, out_b)
+
+
+class TestSampleGuard:
+    """fidelity charges samples * d_(N+1)^2 per family before it draws a state."""
+
+    @pytest.fixture()
+    def no_draws(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a state was drawn")
+
+        monkeypatch.setattr(povmquad.estimation, "haar_random_states", refuse)
+
+    def test_huge_sample_count_refused_at_once(self, povm_path, capsys, no_draws):
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["fidelity", str(povm_path), "--samples", str(10**12), "--seed", "1"])
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_RESOURCE
+        assert out == ""
+        assert err.startswith("resource guard: Monte Carlo cost")
+
+    def test_boundary_of_one_family(self, povm_path, capsys, monkeypatch):
+        # d=2, N=1: d_2 = 3, so 1000 samples cost 9000.
+        argv = ["fidelity", str(povm_path), "--samples", "1000", "--seed", "1"]
+        monkeypatch.setenv("POVMQUAD_BUILD_GUARD", "9000")
+        assert run(capsys, argv)[0] == EXIT_OK
+        monkeypatch.setenv("POVMQUAD_BUILD_GUARD", "8999")
+        with monkeypatch.context() as patch:
+            patch.setattr(povmquad.estimation, "haar_random_states", None)
+            code, out, err = run(capsys, argv)
+        assert code == EXIT_RESOURCE
+        assert out == ""
+        # At d = 2, d_(N+1) = N+d: the lower bound is the cost itself.
+        assert "= 9000 exceeds guard 8999" in err
+
+    def test_sweep_charges_the_sum_before_any_build(self, capsys, monkeypatch):
+        # d_(N+1)^2 over (2,1), (2,2), (3,1), (3,2) is 9 + 16 + 36 + 100 = 161.
+        argv = ["fidelity", "--sweep", "--d", "2", "3", "--N", "1", "2", "--samples", "100", "--seed", "1"]
+        monkeypatch.setenv("POVMQUAD_BUILD_GUARD", "16100")
+        assert run(capsys, argv)[0] == EXIT_OK
+        monkeypatch.setenv("POVMQUAD_BUILD_GUARD", "16099")
+        monkeypatch.setattr(povmquad.cli, "build_povm", None)
+        code, out, err = run(capsys, argv)
+        assert code == EXIT_RESOURCE
+        assert out == ""
+        assert "samples*d_(N+1)^2 for samples=100" in err and "= 16100 exceeds guard 16099" in err
+
+    def test_huge_sweep_refused_before_any_build(self, capsys, monkeypatch, no_draws):
+        monkeypatch.setattr(povmquad.cli, "build_povm", None)
+        for d, n in [("2", "1"), (str(10**30), "2"), ("3", str(10**30))]:
+            code, out, err = run(capsys, [
+                "fidelity", "--sweep", "--d", d, "--N", n, "--samples", str(10**12), "--seed", "1",
+            ])
+            assert code == EXIT_RESOURCE, err
+            assert out == ""
+
+    def test_sweep_refuses_a_bad_family_before_any_build(self, capsys, monkeypatch):
+        monkeypatch.setattr(povmquad.cli, "build_povm", None)
+        code, out, err = run(capsys, [
+            "fidelity", "--sweep", "--d", "2", "1", "--N", "1", "--samples", "100", "--seed", "1",
+        ])
+        assert code == EXIT_INPUT
+        assert err == "input error: need d >= 2 and N >= 1, got d=1, N=1\n"
 
 
 class TestSimulate:
@@ -752,12 +848,13 @@ class TestCloneGrammar:
 
 # --tol as nan, infinities, zeros of both signs, tiny and huge values.
 TOL_TEXTS = st.sampled_from(["nan", "inf", "-inf", "1e400", "-0.0", "0", "1e-300", "1e-10", "-1e-10", "1e308"])
-# fidelity --samples has no guard and a run's time grows with it (the
-# size-flag audit is open), so its draws stop at 1000.
+# fidelity charges samples * d_(N+1)^2 to the build guard, so a huge
+# count is refused before any state is drawn.
 SAMPLE_COUNTS = st.one_of(
     st.integers(-3, 4),
-    st.sampled_from([99, 100, 101, 1000, -(2**63), -(10**30)]),
-    st.integers(-(2**70), 1000),
+    st.sampled_from([99, 100, 101, 1000, 10**12, 2**63, -(2**63), 10**30, -(10**30)]),
+    st.integers(100, 3000),
+    st.integers(-(2**70), 2**70),
 )
 
 
@@ -827,6 +924,83 @@ class TestGrammar:
         # verify prints its report, failed levels marked, before it exits 1.
         if code != EXIT_OK and not (command == "verify" and code == EXIT_CERTIFICATION):
             assert out == "", argv
+
+
+def _node_paths(node, path=()):
+    """The path (keys and indices) of every node of a JSON document, the root first."""
+    yield path
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _node_paths(child, (*path, key))
+
+
+# Values whose text is spliced into the file as it is: JSON numbers past
+# a double's range, the non-standard tokens json accepts, deep nesting.
+RAW_VALUES = ["1e999", "-1e999", "NaN", "Infinity", "-Infinity", "[" * 5000 + "]" * 5000,
+              "[" * 50 + "]" * 50, "{}" , "[]"]
+MUTANT_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-(2**70), 2**70), st.floats(),
+    st.sampled_from(["nan", "inf", "-inf", "1e999", "-0", "", "0.5", "true", "1"]),
+    st.text(max_size=4), st.lists(st.integers(-2, 2), max_size=3),
+    st.dictionaries(st.sampled_from(["c", "w", "d", "N"]), st.integers(-2, 2), max_size=2),
+    st.sampled_from(range(len(RAW_VALUES))).map(lambda k: f"@raw{k}@"),
+)
+MUTATED_FILE_COMMANDS = {
+    "verify": [],
+    "fidelity": ["--samples", "100", "--seed", "1"],
+    "simulate": ["--shots", "10", "--seed", "1", "--state-seed", "1"],
+}
+
+
+class TestMutatedFile:
+    """TestGrammar's property over POVM files mutated from a valid one."""
+
+    @pytest.fixture(scope="class")
+    def valid_doc(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("valid") / "qubit2.json"
+        assert main(["build", "--d", "2", "--N", "2", "--out", str(path)]) == EXIT_OK
+        return path.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("command", sorted(MUTATED_FILE_COMMANDS))
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_any_mutation_exits_cleanly(self, valid_doc, tmp_path, capsys, monkeypatch, command, data):
+        capsys.readouterr()
+        doc = json.loads(valid_doc)
+        for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+            paths = list(_node_paths(doc))
+            path = data.draw(st.sampled_from(paths), label="path")
+            value = data.draw(MUTANT_VALUES, label="value")
+            if not path:
+                doc = value
+                continue
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            if data.draw(st.booleans(), label="drop"):
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
+        text = json.dumps(doc, sort_keys=True, indent=data.draw(st.sampled_from([None, 2])))
+        for k, raw in enumerate(RAW_VALUES):
+            text = text.replace(f'"@raw{k}@"', raw)
+        if data.draw(st.booleans(), label="truncate"):
+            text = text[: data.draw(st.integers(0, len(text)), label="length")]
+        mutated = tmp_path / "mutated.json"
+        mutated.write_text(text, encoding="utf-8")
+        # Small guards keep every admitted run small.
+        monkeypatch.setenv("POVMQUAD_BUILD_GUARD", "20000")
+        monkeypatch.setenv("POVMQUAD_FULL_SPACE_GUARD", "64")
+        argv = [command, str(mutated), *MUTATED_FILE_COMMANDS[command]]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        event(f"exit {code}")
+        assert code in (EXIT_OK, EXIT_CERTIFICATION, EXIT_INPUT, EXIT_RESOURCE), text
+        assert "Traceback" not in err, text
+        # verify prints its report, failed levels marked, before it exits 1.
+        if code != EXIT_OK and not (command == "verify" and code == EXIT_CERTIFICATION):
+            assert out == "", text
 
 
 class TestMoments:
@@ -1048,6 +1222,27 @@ class TestClosedStdout:
         assert b"Traceback" not in proc.stderr
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    @pytest.mark.parametrize("argv", [["--help"], ["fidelity", "--help"]], ids=["top", "subcommand"])
+    def test_help_to_full_device_is_output_error(self, argv):
+        # The help is still buffered when argparse exits 0; main's flush of
+        # it fails, where the interpreter's exit-time flush printed
+        # "Exception ignored" and exited 120.
+        with open("/dev/full", "wb") as full:
+            proc = cli_process(argv, stdout=full)
+        assert proc.returncode == EXIT_INPUT, proc.stderr
+        assert proc.stderr.decode().splitlines() == [
+            "output error: cannot write all output to stdout: [Errno 28] No space left on device"
+        ]
+
+    @pytest.mark.parametrize("buffering", [[], ["-u"]], ids=["buffered", "unbuffered"])
+    def test_help_to_a_pipe_exits_0(self, buffering):
+        proc = python_process([*buffering, "-m", "povmquad.cli", "fidelity", "--help"])
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout.startswith(b"usage: povmquad fidelity ")
+        assert b"--samples SAMPLES" in proc.stdout
+        assert proc.stderr == b""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
     @pytest.mark.parametrize(
         "argv",
         [
@@ -1208,8 +1403,9 @@ class TestImports:
     No command loads numpy.random: it pulls in secrets, hashlib and
     OpenSSL's _hashlib, and every draw comes from random.Random instead.
     The binomial sampler is loaded by the one command that draws shot
-    counts.  Exact rationals (fractions, which loads decimal), csv and
-    the moments module are loaded only by the commands that use them.
+    counts.  Exact rationals (fractions, which loads decimal) and the
+    moments module are loaded only by moments, and csv only by --csv:
+    fidelity prints its optimum p/q from integers.
     """
 
     WATCHED = (
@@ -1251,7 +1447,7 @@ class TestImports:
         commands = [
             (["build", "--d", "2", "--N", "2", "--out", path], set()),
             (["verify", path, "--level", "optimality"], set()),
-            (["fidelity", path, "--samples", "100", "--seed", "1"], {"fractions", "decimal"}),
+            (["fidelity", path, "--samples", "100", "--seed", "1"], set()),
             (
                 ["simulate", path, "--shots", "100", "--seed", "1", "--state-seed", "2"],
                 {"povmquad.sampling"},

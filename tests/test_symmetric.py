@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from povmquad import (
     InputFormatError,
@@ -58,6 +58,52 @@ class TestPureState:
     def test_rejects_d_below_two(self):
         with pytest.raises(InputFormatError):
             PureState(np.array([1.0]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        parts=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=12).filter(
+            lambda v: len(v) % 2 == 0 and max(map(abs, v)) > 1e-3
+        ),
+        offset=st.one_of(
+            st.floats(-3e-12, 3e-12),
+            st.sampled_from([-1e-12, 1e-12]).flatmap(lambda t: st.floats(t - 2e-15, t + 2e-15)),
+            st.floats(-0.5, 0.5),
+        ),
+    )
+    def test_accepts_exactly_as_the_vdot_norm(self, parts, offset):
+        # Squared norm scaled to about 1 + offset.  Kept 1e-15 away from
+        # the bounds 1 +- NORM_TOL, a margin far above the rounding of
+        # either sum, the exact squared norm decides for both formulas.
+        amps = np.array(parts[0::2]) + 1j * np.array(parts[1::2])
+        amps *= math.sqrt(1.0 + offset) / np.linalg.norm(amps)
+        exact = sum(Fraction(x) ** 2 for x in amps.view(np.float64).tolist())
+        gap = abs(exact - 1) - Fraction(NORM_TOL)
+        assume(abs(gap) >= Fraction(1e-15))
+        vdot_accepts = abs(float(np.vdot(amps, amps).real) - 1.0) <= NORM_TOL
+        assert vdot_accepts == (gap <= 0)
+        try:
+            PureState(amps)
+        except InputFormatError:
+            assert not vdot_accepts
+        else:
+            assert vdot_accepts
+
+    @pytest.mark.parametrize("part", [1.7e154, 1e300, -1.7e308])
+    def test_rejects_huge_finite_amplitudes(self, part):
+        # The squared norm overflows to inf: refused, with no overflow warning.
+        with pytest.raises(InputFormatError, match="norm"):
+            PureState(np.array([part, 0.5j]))
+
+    def test_norm_calls_no_blas_dot(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.vdot called")
+
+        monkeypatch.setattr(np, "vdot", refuse)
+        PureState(np.array([RT2, RT2 * 1j]))
+        PureState.basis_state(3, 2)
+        haar_random_state(4, 7)
+        with pytest.raises(InputFormatError):
+            PureState(np.array([1.0, 1.0]))
 
     def test_amplitudes_frozen(self):
         state = PureState.basis_state(2, 0)

@@ -9,10 +9,12 @@ written, a stdout closed by its reader included), 3 resource guard.
 Each command but moments forms its JSON payload, its text lines and,
 where it offers --csv, its table, and prints through the one writer
 _emit.  moments streams its rows as they are formed instead, so its
-memory stays flat in the table size.  --help is flushed through the
-same error mapping, so buffered help that cannot be written is exit 2.
-fidelity charges --samples * d_(N+1)^2 per family to the build guard
-before it draws a state, and --sweep the sum before it builds a family.
+memory stays flat in the table size.  --help is written and flushed
+through the same error mapping, so help that cannot be written is exit
+2 whether stdout is buffered or not.  fidelity charges its Monte Carlo
+work (estimation.check_sample_cost, per chunk of samples) to the build
+guard before it draws a state, and --sweep the sum over its families
+before it builds one.
 
 Every command loads what it runs and no more.  The layer modules
 quadrature, povm, symmetric, estimation and cloner are imported with
@@ -94,6 +96,24 @@ def _writing_stdout():
         yield
     except OSError as exc:
         raise _StdoutError(str(exc)) from exc
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that writes its stdout output (--help) through _writing_stdout.
+
+    argparse's own _print_message drops an OSError from the write.  Here
+    the text is written and flushed inside the mapping, so help that
+    cannot be written is an output error whether stdout is buffered or
+    not.  add_subparsers makes its subparsers of this class too.
+    """
+
+    def _print_message(self, message, file=None):
+        if message and file is sys.stdout:
+            with _writing_stdout():
+                file.write(message)
+                file.flush()
+        else:
+            super()._print_message(message, file)
 
 
 def _emit(
@@ -383,7 +403,7 @@ def cmd_moments(args: argparse.Namespace) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="povmquad",
         description="Finite optimal POVMs for pure-state estimation",
     )
@@ -454,15 +474,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        try:
-            args = parser.parse_args(argv)
-        except SystemExit as exc:
-            # --help leaves its text buffered and exits 0: flushed here, a
-            # failed write of it is an output error like any other.
-            if exc.code == 0:
-                with _writing_stdout():
-                    sys.stdout.flush()
-            raise
+        args = parser.parse_args(argv)
         _check_seeds(args)
         code = args.func(args)
         with _writing_stdout():

@@ -66,6 +66,13 @@ MC_MIN_SAMPLES = 100
 MAX_SHOTS = 2**63 - 1
 _MC_BLOCK = 4096
 _MC_CHUNK = 256
+# A sample's draw and embedding, in entries of its G_{N+1} product:
+# about 0.5 us against about 0.5 ns per entry on one core.
+_MC_SAMPLE_OVERHEAD = 1024
+# Samples per charged unit: the smallest power of two at which the
+# default build guard admits 20,000 samples on every family whose
+# G_{N+1} it admits; (44,1), with d_2 = 990, is the tightest.
+_MC_SAMPLES_PER_CHARGE = 512
 _VOTE_UNIFORMS = 1 << 16
 
 
@@ -113,26 +120,33 @@ def check_samples(samples: int) -> None:
 
 
 def check_sample_cost(samples: int, families: list[tuple[int, int]]) -> None:
-    """Charge samples * d_{N+1}^2, summed over the (d, N) families, to the build guard.
+    """Charge units * (d_{N+1}^2 + _MC_SAMPLE_OVERHEAD), summed over the (d, N) families.
 
-    The Monte Carlo work of mean_fidelity_mc: each sample's pointwise
-    fidelity is a product with G_{N+1}, d_{N+1} square.  As d_{N+1} =
-    C(N+d, d-1) >= N+d, samples * (N+d)^2 is charged first, so d_{N+1}
-    is formed only for sizes the guard can admit.  Raises
-    InputFormatError unless every d >= 2 and N >= 1.
+    units = ceil(samples / _MC_SAMPLES_PER_CHARGE).  mean_fidelity_mc
+    spends about 0.5 ns per entry of its product with G_{N+1} (d_{N+1}^2
+    entries per sample) and about _MC_SAMPLE_OVERHEAD entries' worth per
+    sample on its draw and embedding.  A build's charge bounds work
+    whose memory grows with it; the kernel's memory is flat in the
+    sample count, so only its time is bounded, and the charge counts
+    units of samples, not samples.  At the default guard the largest
+    admitted sample count runs for about 10-20 s on one core.  As
+    d_{N+1} = C(N+d, d-1) >= N+d, (N+d)^2 stands in for d_{N+1}^2 in a
+    first charge, so d_{N+1} is formed only for sizes the guard can
+    admit.  Raises InputFormatError unless every d >= 2 and N >= 1.
     """
     for d, n in families:
         if d < 2 or n < 1:
             raise InputFormatError(f"need d >= 2 and N >= 1, got d={d}, N={n}")
+    units = -(-samples // _MC_SAMPLES_PER_CHARGE)
     which = f"for samples={samples}, (d, N) in {families}"
     check_cost(
-        f"Monte Carlo cost lower bound samples*(N+d)^2 {which}",
-        samples * sum((n + d) ** 2 for d, n in families),
+        f"Monte Carlo cost lower bound units*((N+d)^2+{_MC_SAMPLE_OVERHEAD}) {which}",
+        units * sum((n + d) ** 2 + _MC_SAMPLE_OVERHEAD for d, n in families),
         BUILD_GUARD_ENV,
     )
     check_cost(
-        f"Monte Carlo cost samples*d_(N+1)^2 {which}",
-        samples * sum(sym_dim(d, n + 1) ** 2 for d, n in families),
+        f"Monte Carlo cost units*(d_(N+1)^2+{_MC_SAMPLE_OVERHEAD}) {which}",
+        units * sum(sym_dim(d, n + 1) ** 2 + _MC_SAMPLE_OVERHEAD for d, n in families),
         BUILD_GUARD_ENV,
     )
 

@@ -175,10 +175,9 @@ def load_povm(path: str | Path) -> Povm:
     provenance = doc.get("provenance")
     if not isinstance(provenance, dict) or not provenance:
         provenance = {"source": "unknown"}
-    # Parts past 1e154 square, and weights near the largest double sum,
-    # to inf, which Povm's norm check and the weight-sum check refuse.
+    povm = Povm(d=d, N=N, weights=weights, guesses=guesses, provenance=provenance)
+    # Weights near the largest double sum to inf, which is refused below.
     with np.errstate(over="ignore"):
-        povm = Povm(d=d, N=N, weights=weights, guesses=guesses, provenance=provenance)
         weight_sum = float(np.sum(povm.weights))
     if exceeds(abs(weight_sum - 1.0), 1e-8):
         raise InputFormatError(f"weights sum to {weight_sum!r}, expected 1")

@@ -233,7 +233,9 @@ class Povm:
             raise InputFormatError("weights and guess amplitudes must be finite")
         if not np.all(weights > 0.0):
             raise InputFormatError("all weights must be strictly positive")
-        norms = np.abs(np.sqrt(np.sum((guesses.conj() * guesses).real, axis=1)) - 1.0)
+        # A part past 1e154 squares to inf, which the check below refuses.
+        with np.errstate(over="ignore"):
+            norms = np.abs(np.sqrt(np.sum((guesses.conj() * guesses).real, axis=1)) - 1.0)
         worst = float(np.max(norms))
         if exceeds(worst, 10 * NORM_TOL):
             raise InputFormatError(f"guess norm deviates from 1 by {worst:.3e}")

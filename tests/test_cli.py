@@ -398,9 +398,9 @@ class TestFidelity:
         assert code == EXIT_INPUT
 
     def test_level_n_plus_one_frame_under_build_guard(self, tmp_path, capsys, monkeypatch):
-        # The d=3, N=4 grid has A = 171 > 100 samples.  Loading certifies
-        # G_4 (171 * 15^2 = 38475) and 100 samples cost 100 * 21^2 = 44100,
-        # but the fidelity's G_5 costs 171 * 21^2 = 75411.
+        # Loading the d=3, N=4 grid (A = 171) certifies G_4 (171 * 15^2 =
+        # 38475) and one unit of samples costs 21^2 + 1024 = 1465, but
+        # the fidelity's G_5 costs 171 * 21^2 = 75411.
         path = str(tmp_path / "qutrit4.json")
         assert main(["build", "--d", "3", "--N", "4", "--out", path]) == EXIT_OK
         monkeypatch.setenv("POVMQUAD_BUILD_GUARD", "50000")
@@ -440,7 +440,7 @@ class TestFidelity:
 
 
 class TestSampleGuard:
-    """fidelity charges samples * d_(N+1)^2 per family before it draws a state."""
+    """fidelity charges its Monte Carlo work per family before it draws a state."""
 
     @pytest.fixture()
     def no_draws(self, monkeypatch):
@@ -457,31 +457,64 @@ class TestSampleGuard:
         assert out == ""
         assert err.startswith("resource guard: Monte Carlo cost")
 
-    def test_boundary_of_one_family(self, povm_path, capsys, monkeypatch):
-        # d=2, N=1: d_2 = 3, so 1000 samples cost 9000.
-        argv = ["fidelity", str(povm_path), "--samples", "1000", "--seed", "1"]
-        monkeypatch.setenv("POVMQUAD_BUILD_GUARD", "9000")
+    @pytest.mark.parametrize("samples", [513, 1024])
+    def test_boundary_of_one_family(self, povm_path, capsys, monkeypatch, samples):
+        # d=2, N=1: d_2 = 3, and 513..1024 samples are 2 units of 512,
+        # costing 2 * (3^2 + 1024) = 2066.
+        argv = ["fidelity", str(povm_path), "--samples", str(samples), "--seed", "1"]
+        monkeypatch.setenv("POVMQUAD_BUILD_GUARD", "2066")
         assert run(capsys, argv)[0] == EXIT_OK
-        monkeypatch.setenv("POVMQUAD_BUILD_GUARD", "8999")
+        monkeypatch.setenv("POVMQUAD_BUILD_GUARD", "2065")
         with monkeypatch.context() as patch:
             patch.setattr(povmquad.estimation, "haar_random_states", None)
             code, out, err = run(capsys, argv)
         assert code == EXIT_RESOURCE
         assert out == ""
         # At d = 2, d_(N+1) = N+d: the lower bound is the cost itself.
-        assert "= 9000 exceeds guard 8999" in err
+        assert "= 2066 exceeds guard 2065" in err
+
+    def test_one_more_unit_is_charged(self, povm_path, capsys, monkeypatch):
+        monkeypatch.setenv("POVMQUAD_BUILD_GUARD", "2066")
+        monkeypatch.setattr(povmquad.estimation, "haar_random_states", None)
+        code, _, err = run(capsys, ["fidelity", str(povm_path), "--samples", "1025", "--seed", "1"])
+        assert code == EXIT_RESOURCE
+        assert "= 3099 exceeds guard 2066" in err
 
     def test_sweep_charges_the_sum_before_any_build(self, capsys, monkeypatch):
-        # d_(N+1)^2 over (2,1), (2,2), (3,1), (3,2) is 9 + 16 + 36 + 100 = 161.
+        # d_(N+1)^2 over (2,1), (2,2), (3,1), (3,2) is 9 + 16 + 36 + 100 =
+        # 161; 100 samples are one unit, so the sweep costs 161 + 4 * 1024.
         argv = ["fidelity", "--sweep", "--d", "2", "3", "--N", "1", "2", "--samples", "100", "--seed", "1"]
-        monkeypatch.setenv("POVMQUAD_BUILD_GUARD", "16100")
+        monkeypatch.setenv("POVMQUAD_BUILD_GUARD", "4257")
         assert run(capsys, argv)[0] == EXIT_OK
-        monkeypatch.setenv("POVMQUAD_BUILD_GUARD", "16099")
+        monkeypatch.setenv("POVMQUAD_BUILD_GUARD", "4256")
         monkeypatch.setattr(povmquad.cli, "build_povm", None)
         code, out, err = run(capsys, argv)
         assert code == EXIT_RESOURCE
         assert out == ""
-        assert "samples*d_(N+1)^2 for samples=100" in err and "= 16100 exceeds guard 16099" in err
+        assert "units*(d_(N+1)^2+1024) for samples=100" in err and "= 4257 exceeds guard 4256" in err
+
+    def test_default_guard_admits_documented_samples_wherever_g_n_plus_one_fits(self, monkeypatch):
+        # Every family whose fidelity frame G_(N+1) the default guard could
+        # admit, by the lower bound A >= n^(d-1) * d_N of sphere_grid's
+        # outcome count (n = N//2 + 1 Gauss nodes per coordinate, a lattice
+        # of at least d_N points), runs the README's 20,000 samples.  No
+        # family is built; (44,1) is the tightest.
+        from povmquad.estimation import check_sample_cost
+        from povmquad.limits import _DEFAULTS, BUILD_GUARD_ENV
+        from povmquad.symmetric import sym_dim
+
+        monkeypatch.delenv(BUILD_GUARD_ENV, raising=False)
+        guard = _DEFAULTS[BUILD_GUARD_ENV]
+        admitted = []
+        for d in range(2, 64):
+            for n in range(1, 512):
+                if (n // 2 + 1) ** (d - 1) * sym_dim(d, n) * sym_dim(d, n + 1) ** 2 > guard:
+                    break
+                admitted.append((d, n))
+        assert {(4, 4), (3, 8), (5, 3), (6, 2), (2, 49)} <= set(admitted)
+        assert max(d for d, _ in admitted) < 63 and max(n for _, n in admitted) < 511
+        for family in admitted:
+            check_sample_cost(20000, [family])
 
     def test_huge_sweep_refused_before_any_build(self, capsys, monkeypatch, no_draws):
         monkeypatch.setattr(povmquad.cli, "build_povm", None)
@@ -1222,13 +1255,15 @@ class TestClosedStdout:
         assert b"Traceback" not in proc.stderr
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    @pytest.mark.parametrize("buffering", [[], ["-u"]], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize("argv", [["--help"], ["fidelity", "--help"]], ids=["top", "subcommand"])
-    def test_help_to_full_device_is_output_error(self, argv):
-        # The help is still buffered when argparse exits 0; main's flush of
-        # it fails, where the interpreter's exit-time flush printed
-        # "Exception ignored" and exited 120.
+    def test_help_to_full_device_is_output_error(self, argv, buffering):
+        # Buffered, the interpreter's exit-time flush printed "Exception
+        # ignored" and exited 120; unbuffered, argparse dropped the failed
+        # write and exited 0.  The parser now writes and flushes its help
+        # inside the stdout error mapping.
         with open("/dev/full", "wb") as full:
-            proc = cli_process(argv, stdout=full)
+            proc = python_process([*buffering, "-m", "povmquad.cli", *argv], stdout=full)
         assert proc.returncode == EXIT_INPUT, proc.stderr
         assert proc.stderr.decode().splitlines() == [
             "output error: cannot write all output to stdout: [Errno 28] No space left on device"

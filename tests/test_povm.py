@@ -297,6 +297,14 @@ class TestValidation:
         with pytest.raises(InputFormatError):
             Povm(d=2, N=1, weights=np.array([0.5, bad]), guesses=np.eye(2))
 
+    @pytest.mark.parametrize("part", [1.7e154, 1e300, complex(0.0, -1.7e308)])
+    def test_rejects_huge_finite_guess(self, part):
+        # The squared norm overflows to inf: refused, with no overflow warning.
+        guesses = np.eye(2, dtype=np.complex128)
+        guesses[1, 0] = part
+        with pytest.raises(InputFormatError, match="guess norm"):
+            Povm(d=2, N=1, weights=np.array([0.5, 0.5]), guesses=guesses)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
     def test_rejects_non_finite_guess(self, bad):
         guesses = np.eye(2, dtype=np.complex128)

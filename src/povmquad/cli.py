@@ -12,7 +12,7 @@ _emit.  moments streams its rows as they are formed instead, so its
 memory stays flat in the table size.  --help is written and flushed
 through the same error mapping, so help that cannot be written is exit
 2 whether stdout is buffered or not.  fidelity charges its Monte Carlo
-work (estimation.check_sample_cost, per chunk of samples) to the build
+work (estimation.check_sample_cost, per 512 samples) to the build
 guard before it draws a state, and --sweep the sum over its families
 before it builds one.
 

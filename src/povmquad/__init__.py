@@ -9,14 +9,14 @@ of every public name; the first access to a name (attribute, from-import
 or star-import) imports that module and keeps the name here (PEP 562).
 So `import povmquad.cli` loads only what the command line needs: the
 layer modules quadrature, povm, symmetric, estimation and cloner with
-their helpers errors and limits, but neither moments nor sampling, nor
-the fractions and csv modules of the standard library.  Those load when
+their helper errors, but neither moments nor sampling, nor the
+fractions and csv modules of the standard library.  Those load when
 a command or a caller first uses them.
 """
 
 import importlib
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 # Public name -> the submodule that defines it.  __all__ is this table's keys.
 _EXPORTS = {

@@ -9,12 +9,12 @@ written, a stdout closed by its reader included), 3 resource guard.
 Each command but moments forms its JSON payload, its text lines and,
 where it offers --csv, its table, and prints through the one writer
 _emit.  moments streams its rows as they are formed instead, so its
-memory stays flat in the table size.  --help is written and flushed
-through the same error mapping, so help that cannot be written is exit
-2 whether stdout is buffered or not.  fidelity charges its Monte Carlo
-work (estimation.check_sample_cost, per 512 samples) to the build
-guard before it draws a state, and --sweep the sum over its families
-before it builds one.
+memory stays flat in the table size.  The parser writes and flushes
+--help itself, so help that cannot be written is exit 2 whether stdout
+is buffered or not.  fidelity charges its Monte Carlo work
+(estimation.check_sample_cost, per 512 samples) to the build guard
+before it draws a state, and --sweep the sum over its families before
+it builds one.
 
 Every command loads what it runs and no more.  The layer modules
 quadrature, povm, symmetric, estimation and cloner are imported with
@@ -33,8 +33,11 @@ numpy's import-time heap, about 30 ms of a 0.25 s command) is skipped.
 Every file a command writes is closed before main returns, and no
 command registers an atexit handler or starts a thread, so nothing else
 is skipped.  A failed write or flush of stdout, whatever its cause, is
-an output error, exit 2; if main raises, or the final flush does, the
-interpreter exits the usual way.
+an output error, exit 2: commands and --help write stdout plainly, and
+main's one `except OSError` maps the failure, because every file a
+command reads or writes maps its own OSError to an input error where it
+is opened.  If main raises, or the final flush does, the interpreter
+exits the usual way.
 """
 
 from __future__ import annotations
@@ -44,14 +47,20 @@ import json
 import math
 import os
 import sys
-from contextlib import contextmanager
 from itertools import product
 from typing import NoReturn
 
 import numpy as np
 
 from .cloner import clone, single_particle_fidelity, two_step_estimate
-from .errors import ConstructionError, InputFormatError, ResourceLimitError, exceeds
+from .errors import (
+    FULL_SPACE_GUARD_ENV,
+    ConstructionError,
+    InputFormatError,
+    ResourceLimitError,
+    check_cost,
+    exceeds,
+)
 from .estimation import (
     _optimal_ratio,
     check_sample_cost,
@@ -62,7 +71,6 @@ from .estimation import (
     outcome_probs,
     sample_outcomes,
 )
-from .limits import FULL_SPACE_GUARD_ENV, check_cost
 from .povm import (
     CERTIFICATION_TOL,
     Povm,
@@ -81,37 +89,20 @@ EXIT_INPUT = 2
 EXIT_RESOURCE = 3
 
 
-class _StdoutError(Exception):
-    """A write to stdout, or its flush, failed: a reader gone, a device full."""
-
-
-@contextmanager
-def _writing_stdout():
-    """Turn an OSError raised inside the block into a _StdoutError.
-
-    Only blocks that write or flush stdout and touch no file use it, so
-    an OSError from a file a command reads or writes keeps its mapping.
-    """
-    try:
-        yield
-    except OSError as exc:
-        raise _StdoutError(str(exc)) from exc
-
-
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser that writes its stdout output (--help) through _writing_stdout.
+    """An ArgumentParser that lets a failed write of its stdout output (--help) raise.
 
     argparse's own _print_message drops an OSError from the write.  Here
-    the text is written and flushed inside the mapping, so help that
-    cannot be written is an output error whether stdout is buffered or
-    not.  add_subparsers makes its subparsers of this class too.
+    the text is written and flushed, and the OSError reaches main, so
+    help that cannot be written is an output error whether stdout is
+    buffered or not.  add_subparsers makes its subparsers of this class
+    too.
     """
 
     def _print_message(self, message, file=None):
         if message and file is sys.stdout:
-            with _writing_stdout():
-                file.write(message)
-                file.flush()
+            file.write(message)
+            file.flush()
         else:
             super()._print_message(message, file)
 
@@ -127,19 +118,18 @@ def _emit(
     table is (header, rows); its floats are written as their repr and
     every other value as it is.
     """
-    with _writing_stdout():
-        if args.json:
-            print(json.dumps(payload, sort_keys=True))
-        elif getattr(args, "csv", False):
-            import csv
+    if args.json:
+        print(json.dumps(payload, sort_keys=True))
+    elif getattr(args, "csv", False):
+        import csv
 
-            header, rows = table
-            writer = csv.writer(sys.stdout, lineterminator="\r\n")
-            writer.writerow(header)
-            writer.writerows([repr(v) if isinstance(v, float) else v for v in row] for row in rows)
-        else:
-            for line in lines:
-                print(line)
+        header, rows = table
+        writer = csv.writer(sys.stdout, lineterminator="\r\n")
+        writer.writerow(header)
+        writer.writerows([repr(v) if isinstance(v, float) else v for v in row] for row in rows)
+    else:
+        for line in lines:
+            print(line)
 
 
 def _table_lines(header: list[str], formats: list[str], rows: list[list]) -> list[str]:
@@ -387,18 +377,17 @@ def cmd_moments(args: argparse.Namespace) -> int:
     else:
         raise InputFormatError("provide --i/--j or --max-len")
     # Rows are written as they are formed, so memory stays flat in the table size.
-    with _writing_stdout():
-        if args.json:
-            head = json.dumps({"d": args.d, "operation": "moments", "rows": []}, sort_keys=True)
-            sys.stdout.write(head[:-2])
-            for k, row in enumerate(rows):
-                sys.stdout.write((", " if k else "") + json.dumps(row, sort_keys=True))
-            sys.stdout.write("]}\n")
-        else:
-            for row in rows:
-                i_txt = ",".join(str(k) for k in row["i"])
-                j_txt = ",".join(str(k) for k in row["j"])
-                print(f"<c_({i_txt}) c*_({j_txt})> = {row['value']}")
+    if args.json:
+        head = json.dumps({"d": args.d, "operation": "moments", "rows": []}, sort_keys=True)
+        sys.stdout.write(head[:-2])
+        for k, row in enumerate(rows):
+            sys.stdout.write((", " if k else "") + json.dumps(row, sort_keys=True))
+        sys.stdout.write("]}\n")
+    else:
+        for row in rows:
+            i_txt = ",".join(str(k) for k in row["i"])
+            j_txt = ",".join(str(k) for k in row["j"])
+            print(f"<c_({i_txt}) c*_({j_txt})> = {row['value']}")
     return EXIT_OK
 
 
@@ -477,8 +466,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         _check_seeds(args)
         code = args.func(args)
-        with _writing_stdout():
-            sys.stdout.flush()
+        sys.stdout.flush()
         return code
     except InputFormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)
@@ -489,9 +477,10 @@ def main(argv: list[str] | None = None) -> int:
     except ConstructionError as exc:
         print(f"certification failure: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATION
-    except _StdoutError as exc:
-        # Send whatever is still buffered to devnull, so the flush at
-        # process exit cannot raise again.
+    except OSError as exc:
+        # From stdout: each file a command opens maps its own OSError.  Send
+        # whatever is still buffered to devnull, so the flush at process
+        # exit cannot raise again.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)

@@ -35,8 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConstructionError, InputFormatError, exceeds
-from .limits import BUILD_GUARD_ENV, check_cost
+from .errors import BUILD_GUARD_ENV, ConstructionError, InputFormatError, check_cost, exceeds
 from .povm import Povm
 from .symmetric import (
     PureState,

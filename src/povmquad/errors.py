@@ -1,11 +1,34 @@
-"""Exception types and the fail-closed tolerance test shared across the package.
+"""Exception types, the fail-closed tolerance test and the resource guards.
 
-The command line interface maps these onto stable exit codes:
+The command line interface maps the exceptions onto stable exit codes:
 construction/certification failures -> 1, malformed inputs -> 2,
 resource-guard refusals -> 3.
+
+Both resource guards can be raised or lowered through environment
+variables so batch jobs can opt into bigger computations without code
+changes; check_cost is the one place a guard is enforced.
 """
 
 from __future__ import annotations
+
+import math
+import os
+
+# Largest full-space dimension d**M for dense tensor-product operators,
+# and largest row count of a moments or clone table.
+FULL_SPACE_GUARD_ENV = "POVMQUAD_FULL_SPACE_GUARD"
+
+# Largest A * d_level**2 work estimate for grid construction and for
+# every frame operator (certification and Monte Carlo fidelity alike),
+# and largest d_M**3 for a cloner output.
+BUILD_GUARD_ENV = "POVMQUAD_BUILD_GUARD"
+
+_DEFAULTS = {FULL_SPACE_GUARD_ENV: 4096, BUILD_GUARD_ENV: 50_000_000}
+
+# Longest cost a refusal prints digit by digit; a longer one is printed
+# by its order of magnitude, which also never meets the interpreter's
+# limit on int-to-str conversion.
+COST_DIGITS = 40
 
 
 class PovmQuadError(Exception):
@@ -37,3 +60,26 @@ def exceeds(value: float, tol: float) -> bool:
     Every certification and validation tolerance test goes through here.
     """
     return not value <= tol
+
+
+def _read_guard(env_name: str) -> int:
+    raw = os.environ.get(env_name)
+    if raw is None:
+        return _DEFAULTS[env_name]
+    try:
+        value = int(raw)
+    except ValueError as exc:
+        raise InputFormatError(f"{env_name} must be an integer, got {raw!r}") from exc
+    if value < 1:
+        raise InputFormatError(f"{env_name} must be positive, got {value}")
+    return value
+
+
+def check_cost(what: str, cost: int, env_name: str) -> None:
+    """Raise ResourceLimitError if cost exceeds the guard set by env_name."""
+    guard = _read_guard(env_name)
+    if cost > guard:
+        shown = cost if cost < 10**COST_DIGITS else f"about 10^{math.floor(math.log10(cost))}"
+        raise ResourceLimitError(
+            f"{what} = {shown} exceeds guard {guard}; set {env_name} to raise it"
+        )

@@ -45,8 +45,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import InputFormatError
-from .limits import BUILD_GUARD_ENV, check_cost
+from .errors import BUILD_GUARD_ENV, InputFormatError, check_cost
 from .povm import Povm
 from .symmetric import (
     PureState,

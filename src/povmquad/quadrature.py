@@ -48,12 +48,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 
-from .errors import ConstructionError, InputFormatError, exceeds
-from .limits import BUILD_GUARD_ENV, check_cost
+from .errors import BUILD_GUARD_ENV, ConstructionError, InputFormatError, check_cost, exceeds
 from .symmetric import NORM_TOL, _occupation_table, frame_residual, sym_dim, sym_embed_batch
 
 NEWTON_TOL = 1e-14
@@ -329,15 +328,24 @@ def sphere_grid(d: int, N: int) -> Povm:
     )
     n = (N + 2) // 2
     M, z = _korobov_lattice(d, N, n)
-    # u_j = (1+x)/2 for the Gauss-Jacobi nodes x of (1-x)^(d-1-j).
-    rules = [_gauss_jacobi(n, d - 1 - j) for j in range(1, d)]
-    u = np.stack(np.meshgrid(*(0.5 * (1.0 + x) for x, _ in rules), indexing="ij"), axis=-1)
-    u = u.reshape(-1, d - 1)
-    ones = np.ones((u.shape[0], 1))
-    x = np.hstack([u, ones]) * np.hstack([ones, np.cumprod(1.0 - u, axis=1)])
+    # One simplex coordinate at a time, the new one fastest: x_j = u_j * rest
+    # and rest *= 1 - u_j, for u_j = (1+t)/2 at the Gauss-Jacobi nodes t of
+    # (1-t)^(d-1-j); x_d is the rest.  Each rule's weights are scaled by the
+    # power of two that brings their sum into [1/2, 1), so their product
+    # stays finite at any d (the rule masses 2^(a+1)/(a+1) multiply to inf
+    # from d = 51) and no bit of a normalised weight changes.
+    x = np.empty((1, 0))
+    rest = weights = np.ones(1)
+    for j in range(1, d):
+        nodes, w = _gauss_jacobi(n, d - 1 - j)
+        u = 0.5 * (1.0 + nodes)
+        x = np.column_stack([np.repeat(x, n, axis=0), np.outer(rest, u).ravel()])
+        rest = np.outer(rest, 1.0 - u).ravel()
+        weights = np.outer(weights, np.ldexp(w, -math.frexp(math.fsum(w))[1])).ravel()
+    x = np.column_stack([x, rest])
     phases = np.exp(2j * np.pi * (np.outer(np.arange(M), (*z, 0)) % M) / M)
     states = (np.sqrt(x)[:, None, :] * phases).reshape(-1, d)
-    weights = np.repeat(reduce(np.multiply.outer, [w for _, w in rules]).ravel(), M)
+    weights = np.repeat(weights, M)
     weights = weights / math.fsum(weights)
     provenance = {
         "construction": "moduli-lattice",

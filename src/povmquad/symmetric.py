@@ -38,8 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InputFormatError, exceeds
-from .limits import BUILD_GUARD_ENV, FULL_SPACE_GUARD_ENV, check_cost
+from .errors import BUILD_GUARD_ENV, FULL_SPACE_GUARD_ENV, InputFormatError, check_cost, exceeds
 
 # Normalisation slack accepted on state amplitudes.
 NORM_TOL = 1e-12

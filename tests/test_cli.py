@@ -130,6 +130,17 @@ class TestBuild:
         assert "--dedupe" in capsys.readouterr().err
         assert not (tmp_path / "x.json").exists()
 
+    @pytest.mark.parametrize("d", [34, 44])
+    def test_build_past_32_coordinates(self, tmp_path, capsys, d):
+        # numpy's meshgrid stops at 32 dimensions; the grid is formed one
+        # coordinate at a time, so d >= 34 builds and verifies.
+        path = tmp_path / "povm.json"
+        code, out, err = run(capsys, ["build", "--d", str(d), "--N", "1", "--out", str(path)])
+        assert code == EXIT_OK, err
+        code, out, err = run(capsys, ["verify", str(path), "--level", "optimality"])
+        assert code == EXIT_OK, err
+        assert "[PASS]" in out
+
     def test_unwritable_out_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "missing_dir" / "x.json"
         code, out, err = run(capsys, ["build", "--d", "2", "--N", "1", "--out", str(path)])
@@ -187,6 +198,7 @@ class TestVerify:
     def test_verify_missing_file(self, tmp_path, capsys):
         code, _, err = run(capsys, ["verify", str(tmp_path / "nope.json")])
         assert code == EXIT_INPUT
+        assert err.startswith("input error: cannot read POVM file")
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
     def test_verify_rejects_bad_tolerance(self, povm_path, capsys, tol):
@@ -500,7 +512,7 @@ class TestSampleGuard:
         # of at least d_N points), runs the README's 20,000 samples.  No
         # family is built; (44,1) is the tightest.
         from povmquad.estimation import check_sample_cost
-        from povmquad.limits import _DEFAULTS, BUILD_GUARD_ENV
+        from povmquad.errors import _DEFAULTS, BUILD_GUARD_ENV
         from povmquad.symmetric import sym_dim
 
         monkeypatch.delenv(BUILD_GUARD_ENV, raising=False)
@@ -1286,8 +1298,22 @@ class TestClosedStdout:
             ["verify", "{path}"],
             ["clone", "--d", "2", "--N", "1", "--M", "2", "--states", "300", "--seed", "1", "--csv"],
             ["moments", "--d", "3", "--max-len", "3"],
+            ["fidelity", "{path}", "--samples", "100", "--seed", "1", "--json"],
+            ["fidelity", "{path}", "--samples", "100", "--seed", "1", "--csv"],
+            ["simulate", "{path}", "--shots", "10", "--seed", "1", "--state-seed", "1"],
+            ["moments", "--d", "3", "--max-len", "3", "--json"],
         ],
-        ids=["verify-short", "build-short", "verify-failed-short", "clone-long", "moments-long"],
+        ids=[
+            "verify-short",
+            "build-short",
+            "verify-failed-short",
+            "clone-long",
+            "moments-long",
+            "fidelity-json-short",
+            "fidelity-csv-short",
+            "simulate-short",
+            "moments-json-long",
+        ],
     )
     def test_full_device_is_output_error(self, povm_path, tmp_path, argv):
         # Every write to /dev/full fails with ENOSPC.  A short output fails

@@ -139,7 +139,7 @@ def test_package_import_loads_no_submodule():
         [sys.executable, "-c", probe], capture_output=True, env=env, timeout=120, text=True
     )
     assert proc.returncode == 0, proc.stderr
-    expected = ["povmquad.errors", "povmquad.limits", "povmquad.symmetric"]
+    expected = ["povmquad.errors", "povmquad.symmetric"]
     assert proc.stdout.strip() == f"[] {expected}"
 
 
@@ -199,7 +199,7 @@ def test_import_graph_reader_finds_edges(tmp_path):
     module = tmp_path / "deferred.py"
     module.write_text("def f():\n    from .povm import Povm\n    from . import cli\n")
     assert _relative_imports(module) == {"povm", "cli"}
-    assert {"symmetric", "limits", "errors"} <= IMPORT_GRAPH["quadrature"]
+    assert {"symmetric", "errors"} <= IMPORT_GRAPH["quadrature"]
     assert "quadrature" in IMPORT_GRAPH["povm"]
     assert "povm" not in IMPORT_GRAPH["quadrature"]
     assert _import_cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}}) == ["a", "b", "c", "a"]

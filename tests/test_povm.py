@@ -92,6 +92,17 @@ class TestBuild:
         assert check_optimality(povm) < 1e-10
         assert np.all(povm.weights > 0.0)
 
+    @pytest.mark.parametrize("d", [51, 70, 200])
+    def test_one_copy_past_the_weight_overflow(self, d):
+        # The rule masses 2^(a+1)/(a+1) multiply to inf from d = 51.  At
+        # N = 1 each moduli rule has one node, so the grid is the phase
+        # lattice on |c_i|^2 = 1/d with equal weights.
+        povm = build_povm(d, 1)
+        assert np.all(np.isfinite(povm.weights)) and np.all(povm.weights > 0.0)
+        assert check_optimality(povm) < 1e-10
+        assert np.allclose(povm.weights, 1.0 / povm.n_outcomes, rtol=1e-14, atol=0.0)
+        assert np.allclose(np.abs(povm.guesses) ** 2, 1.0 / d, rtol=1e-13, atol=0.0)
+
     def test_completeness_is_dim_times_optimality(self, povm_for):
         # Both residuals measure the same Gram deviation, one against
         # I/d_N and one against I.

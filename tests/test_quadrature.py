@@ -345,10 +345,11 @@ class TestSphereGrid:
                     )
                     assert abs(got - exact) < 1e-10
 
-    @pytest.mark.parametrize("d,n", [*ACCEPTANCE_PAIRS, (3, 3), (3, 4), (4, 2)])
+    @pytest.mark.parametrize("d,n", [*ACCEPTANCE_PAIRS, (3, 3), (3, 4), (4, 2), (34, 1), (44, 1)])
     def test_grid_matches_its_definition(self, rule_for, d, n):
         # The same grid assembled independently from scipy's Gauss-Jacobi
-        # rules and the recorded lattice.
+        # rules and the recorded lattice.  d >= 34 is past the 32 arrays
+        # numpy's meshgrid takes, one per simplex coordinate.
         rule = rule_for(d, n)
         M, z = lattice_of(rule)
         counts = (rule.provenance["moduli_nodes"],) * (d - 1)
@@ -506,7 +507,7 @@ class TestSphereGrid:
         assert f"= {10**27} exceeds guard 50000000" in str(info.value)
 
     def test_long_cost_reported_by_order_of_magnitude(self):
-        from povmquad.limits import BUILD_GUARD_ENV, check_cost
+        from povmquad.errors import BUILD_GUARD_ENV, check_cost
 
         with pytest.raises(ResourceLimitError) as info:
             check_cost("cost", 3 * 10**5000, BUILD_GUARD_ENV)

@@ -26,6 +26,8 @@ also the universality statement in operational form.
 Every output is certified positive semidefinite within -1e-10 by the
 pivots of an LDL^H factorisation of sigma + 1e-10 I, formed by numpy
 row updates and matrix products: no command runs a LAPACK routine.
+A failure reports the least eigenvalue, to a 4-ulp bracket, from the
+bisection that finds the Gauss nodes, with these pivots as its count.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ import numpy as np
 
 from .errors import BUILD_GUARD_ENV, ConstructionError, InputFormatError, check_cost, exceeds
 from .povm import Povm
+from .quadrature import _bisect
 from .symmetric import (
     PureState,
     _embedding_coefficients,
@@ -49,7 +52,6 @@ VALIDATION_TOL = 1e-10
 TWO_STEP_AGREEMENT_TOL = 1e-8
 # Columns eliminated one by one before a matrix product updates the rest.
 _PANEL = 32
-_BISECT_TOL = 1e-13
 
 
 def _positive_definite(matrix: np.ndarray, shift: float) -> bool:
@@ -73,28 +75,14 @@ def _positive_definite(matrix: np.ndarray, shift: float) -> bool:
     return True
 
 
-def _least_eigenvalue(matrix: np.ndarray, hi: float) -> float:
-    """The least eigenvalue, at most hi, by bisection on _positive_definite.
-
-    It starts below minus the largest absolute row sum, a lower bound.
-    """
-    lo = -1.0 - float(np.abs(matrix).sum(axis=1).max())
-    while hi - lo > _BISECT_TOL * max(1.0, -lo):
-        mid = 0.5 * (lo + hi)
-        if _positive_definite(matrix, mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 @dataclass(frozen=True)
 class ClonerOutput:
     """Joint state of the M clones as a d_M x d_M density matrix.
 
     Rows and columns follow occupation_basis(d, M).  Construction
     validates finiteness, Hermiticity, unit trace, positive
-    semidefiniteness (within -1e-10), and the input bookkeeping.
+    semidefiniteness (within -1e-10; a failure reports the least
+    eigenvalue, bisected to 4 ulps), and the input bookkeeping.
     """
 
     d: int
@@ -120,7 +108,10 @@ class ClonerOutput:
         if exceeds(trace_err, VALIDATION_TOL):
             raise ConstructionError(f"cloner output trace deviates by {trace_err:.3e}", trace_err)
         if not _positive_definite(density, -VALIDATION_TOL):
-            least = _least_eigenvalue(density, -VALIDATION_TOL)
+            lo = -1.0 - float(np.abs(density).sum(axis=1).max())  # below every eigenvalue
+            least = _bisect(
+                lambda x: int(not _positive_definite(density, x)), 1, lo, -VALIDATION_TOL
+            )[0]
             raise ConstructionError(f"cloner output has eigenvalue {least:.3e}", -least)
         density.setflags(write=False)
         object.__setattr__(self, "density", density)

@@ -49,6 +49,7 @@ from .errors import BUILD_GUARD_ENV, InputFormatError, check_cost
 from .povm import Povm
 from .symmetric import (
     PureState,
+    _check_family,
     _check_seed,
     _uniforms,
     frame_operator,
@@ -97,8 +98,7 @@ def _optimal_ratio(N: int, d: int) -> tuple[int, int]:
     with g = gcd(N+1, d-1).  The fidelity command prints it as p/q from
     these integers, so it loads neither fractions nor decimal.
     """
-    if d < 2 or N < 1:
-        raise InputFormatError(f"need d >= 2 and N >= 1, got d={d}, N={N}")
+    d, N = _check_family(d, N)
     g = math.gcd(N + 1, d - 1)
     return (N + 1) // g, (N + d) // g
 
@@ -133,9 +133,7 @@ def check_sample_cost(samples: int, families: list[tuple[int, int]]) -> None:
     first charge, so d_{N+1} is formed only for sizes the guard can
     admit.  Raises InputFormatError unless every d >= 2 and N >= 1.
     """
-    for d, n in families:
-        if d < 2 or n < 1:
-            raise InputFormatError(f"need d >= 2 and N >= 1, got d={d}, N={n}")
+    families = [_check_family(d, n) for d, n in families]
     units = -(-samples // _MC_SAMPLES_PER_CHARGE)
     which = f"for samples={samples}, (d, N) in {families}"
     check_cost(

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConstructionError, InputFormatError, exceeds
 from .quadrature import Povm, sphere_grid
-from .symmetric import frame_residual, sym_dim
+from .symmetric import _check_family, frame_residual, sym_dim
 
 FORMAT_VERSION = "1"
 CERTIFICATION_TOL = 1e-10
@@ -82,7 +82,8 @@ def restrict_povm(povm: Povm, N: int) -> Povm:
     A rule exact at degree 2M is exact at every lower degree, so the
     restriction stays optimal; for N < M it is universal as well.
     """
-    if not 1 <= N <= povm.N:
+    _, N = _check_family(povm.d, N)
+    if N > povm.N:
         raise InputFormatError(f"need 1 <= N <= {povm.N}, got N={N}")
     provenance = dict(povm.provenance)
     provenance["restricted_from"] = povm.N

@@ -47,13 +47,15 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from .errors import BUILD_GUARD_ENV, ConstructionError, InputFormatError, check_cost, exceeds
-from .symmetric import NORM_TOL, _occupation_table, frame_residual, sym_dim, sym_embed_batch
+from .symmetric import NORM_TOL, _check_family, _occupation_table, frame_residual, sym_dim
+from .symmetric import sym_embed_batch
 
 NEWTON_TOL = 1e-14
 # Sturm brackets are halved until their width is at most _BRACKET_TOL
@@ -102,21 +104,22 @@ def _sturm_count(rows: list[tuple[float, float]], x: float) -> int:
     return below
 
 
-def _bisect(rows: list[tuple[float, float]], lo: float, hi: float) -> list[float]:
-    """Lower ends of the Sturm brackets of the eigenvalues in (lo, hi), ascending.
+def _bisect(count: Callable[[float], int], n: int, lo: float, hi: float) -> list[float]:
+    """Lower ends of the brackets of the n least eigenvalues in (lo, hi), ascending.
 
+    count(x) is the number of eigenvalues below x, a Sturm count, say.
     Barth, Martin & Wilkinson: eigenvalue k lies above every x whose
-    Sturm count is <= k and below every x whose count is > k, and a count
+    count is <= k and below every x whose count is > k, and a count
     c > k at x also bounds eigenvalue c-1, and so every one below it, by
     x.  Each bracket is halved down to the width _BRACKET_TOL sets.
     """
-    upper = [hi] * len(rows)
+    upper = [hi] * n
     ends = []
-    for k in range(len(rows)):
+    for k in range(n):
         hi = min(upper[k:])
         while hi - lo > _BRACKET_FLOOR and hi - lo > _BRACKET_TOL * max(hi, -lo):
             mid = 0.5 * (lo + hi)
-            below = _sturm_count(rows, mid)
+            below = count(mid)
             if below > k:
                 hi = upper[below - 1] = mid
             else:
@@ -132,17 +135,18 @@ def _gauss_jacobi(n: int, alpha: int) -> tuple[np.ndarray, np.ndarray]:
     (with s = 2k+alpha: diagonal -alpha^2/(s(s+2)), k = 0..n-1, and
     off-diagonal 2k(k+alpha)/(s sqrt(s^2-1)), k = 1..n), found by Sturm
     bisection in Python floats to brackets 4 ulps wide, polished by one
-    Newton step from each bracket's lower end and, for alpha = 0,
-    symmetrised.  The step's result moves at rounding level with its
-    start point; from the lower end, the rules of the seven benchmark
-    families equal bit for bit those started from LAPACK's eigenvalues
-    (tests/_oracles.py keeps that construction).  For
-    alpha = 0 the diagonal is zero, so J^2 splits into its even- and
-    odd-indexed rows, and the odd block, of size n//2, has the squares
-    of the positive nodes as its eigenvalues (the zero node of an odd n
-    lies in the even block); bisecting that block is a quarter of the
-    work.  The weights are mu_0/sum_{k<n} q_k(x)^2, mu_0 =
-    2^(alpha+1)/(alpha+1).  Certified fail-closed by the root residual
+    Newton step from each bracket's lower end.  The step's result moves
+    at rounding level with its start point; from the lower end, the
+    rules of the seven benchmark families equal bit for bit those
+    started from LAPACK's eigenvalues (tests/_oracles.py keeps that
+    construction).  For alpha = 0 the diagonal is zero, so J^2 splits
+    into its even- and odd-indexed rows, and the odd block, of size
+    n//2, has the squares of the positive nodes as its eigenvalues (the
+    zero node of an odd n lies in the even block); bisecting that block
+    is a quarter of the work.  A zero diagonal also makes negation exact,
+    q_k(-x) = (-1)^k q_k(x) bit for bit, so from mirrored start points
+    the nodes and weights are exactly symmetric.  The weights are
+    mu_0/sum_{k<n} q_k(x)^2, mu_0 = 2^(alpha+1)/(alpha+1).  Certified fail-closed by the root residual
     |q_n/q_n'| (the Newton correction, free of the scale of q_n) at the
     final nodes, and by the nodes ascending strictly inside (-1, 1): n
     distinct roots, one to each bracket.  Exact for polynomials of
@@ -161,19 +165,16 @@ def _gauss_jacobi(n: int, alpha: int) -> tuple[np.ndarray, np.ndarray]:
     c2 = np.append(off[:-1] ** 2, 0.0)
     if alpha:
         rows = list(zip(diag.tolist(), [0.0, *c2[:-1].tolist()]))
-        roots = np.array(_bisect(rows, -1.0, 1.0))
+        roots = np.array(_bisect(partial(_sturm_count, rows), n, -1.0, 1.0))
     else:
         # Row 2i+1 of J^2: diagonal c2[2i] + c2[2i+1], coupled to row 2i+3 by off_{2i+1} off_{2i+2}.
         pairs = c2[: n - n % 2].reshape(-1, 2)
         couplings = pairs[:-1, 1] * pairs[1:, 0]
         rows = list(zip(pairs.sum(axis=1).tolist(), [0.0, *couplings.tolist()]))
-        positive = np.sqrt(_bisect(rows, 0.0, 1.0))
+        positive = np.sqrt(_bisect(partial(_sturm_count, rows), len(rows), 0.0, 1.0))
         roots = np.concatenate((-positive[::-1], np.zeros(n % 2), positive))
     p, dp, _ = _recurrence(jacobi, roots)
     roots = roots - p / dp
-    if not alpha:
-        # Ascending nodes with the exact symmetry x_k = -x_{n+1-k}.
-        roots = 0.5 * (roots - roots[::-1])
     p, dp, squares = _recurrence(jacobi, roots)
     residual = float(np.max(np.abs(p / dp)))
     if exceeds(residual, NEWTON_TOL):
@@ -183,8 +184,6 @@ def _gauss_jacobi(n: int, alpha: int) -> tuple[np.ndarray, np.ndarray]:
     if not (-1.0 < roots[0] and roots[-1] < 1.0 and np.all(np.diff(roots) > 0.0)):
         raise ConstructionError("Gauss nodes are not strictly ascending inside (-1, 1)")
     weights = 2.0 ** (alpha + 1) / (alpha + 1) / squares
-    if not alpha:
-        weights = 0.5 * (weights + weights[::-1])
     return roots, weights
 
 
@@ -220,8 +219,9 @@ class Povm:
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.d < 2 or self.N < 1:
-            raise InputFormatError(f"need d >= 2 and N >= 1, got d={self.d}, N={self.N}")
+        d, N = _check_family(self.d, self.N)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "N", N)
         weights = np.array(self.weights, dtype=np.float64).reshape(-1)
         guesses = np.array(self.guesses, dtype=np.complex128, order="C")
         if guesses.ndim != 2 or guesses.shape != (weights.size, self.d):
@@ -317,8 +317,7 @@ def sphere_grid(d: int, N: int) -> Povm:
     max(d, N+1)^3 or, at the first lattice size M that does, A*d_N^2
     exceeds POVMQUAD_BUILD_GUARD.
     """
-    if d < 2 or N < 1:
-        raise InputFormatError(f"need d >= 2 and N >= 1, got d={d}, N={N}")
+    d, N = _check_family(d, N)
     # A >= M >= d_N >= max(d, N+1) bounds A*d_N^2 from below before d_N,
     # n^(d-1) or the search bound, each huge for a huge d, is formed.
     check_cost(

@@ -260,6 +260,16 @@ def _check_seed(seed) -> int:
     return int(value)
 
 
+def _check_family(d, N) -> tuple[int, int]:
+    """(d, N) as plain ints, or InputFormatError unless integers as for a seed, d >= 2, N >= 1."""
+    if any(isinstance(v, bool) or not hasattr(type(v), "__index__") for v in (d, N)):
+        raise InputFormatError(f"d and N must be integers, got d={d!r}, N={N!r}")
+    d, N = operator.index(d), operator.index(N)
+    if d < 2 or N < 1:
+        raise InputFormatError(f"need d >= 2 and N >= 1, got d={d}, N={N}")
+    return d, N
+
+
 def _stream(seed_or_stream: random.Random | int) -> random.Random:
     """seed_or_stream itself, or a fresh random.Random from a validated integer seed."""
     if isinstance(seed_or_stream, random.Random):

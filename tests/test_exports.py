@@ -103,6 +103,16 @@ def test_all_is_the_export_table():
     assert "__version__" in dir(povmquad)
 
 
+def test_version_is_declared_only_in_the_package():
+    # pyproject.toml reads the version from povmquad.__version__, so a
+    # release edits one line.
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    project = text.split("\n[project]\n", 1)[1].split("\n[", 1)[0]
+    assert not [line for line in project.splitlines() if line.split("=")[0].strip() == "version"]
+    assert 'dynamic = ["version"]' in project.splitlines()
+    assert 'version = {attr = "povmquad.__version__"}' in text.splitlines()
+
+
 @pytest.mark.parametrize("name", sorted(povmquad._EXPORTS))
 def test_export_is_its_modules_object(name):
     module = importlib.import_module(f"povmquad.{povmquad._EXPORTS[name]}")

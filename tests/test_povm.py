@@ -299,6 +299,19 @@ class TestValidation:
         with pytest.raises(InputFormatError):
             Povm(d=1, N=1, weights=np.array([1.0]), guesses=np.array([[1.0]]))
 
+    @pytest.mark.parametrize("bad", [True, 3.0, "3"], ids=["bool", "float", "str"])
+    def test_rejects_d_or_n_that_is_not_an_integer(self, povm_for, bad):
+        # Each once reached a file that load_povm refuses, or a bare TypeError.
+        povm = povm_for(2, 3)
+        with pytest.raises(InputFormatError, match="must be integers"):
+            build_povm(2, bad)
+        with pytest.raises(InputFormatError, match="must be integers"):
+            build_povm(bad, 1)
+        with pytest.raises(InputFormatError, match="must be integers"):
+            Povm(d=2, N=bad, weights=povm.weights, guesses=povm.guesses)
+        with pytest.raises(InputFormatError, match="must be integers"):
+            restrict_povm(povm, bad)
+
     def test_rejects_shape_mismatch(self):
         with pytest.raises(InputFormatError):
             Povm(d=3, N=1, weights=np.array([1.0]), guesses=np.array([[1.0, 0.0]]))
@@ -336,6 +349,18 @@ class TestSaveLoad:
         assert loaded.provenance == {
             str(k): v for k, v in povm.provenance.items()
         }
+
+    def test_numpy_integer_family_round_trips_as_plain_ints(self, tmp_path):
+        plain, numpy_ints = tmp_path / "plain.json", tmp_path / "int64.json"
+        save_povm(build_povm(2, 3), plain)
+        povm = build_povm(np.int64(2), np.int64(3))
+        assert type(povm.d) is int and type(povm.N) is int
+        save_povm(povm, numpy_ints)
+        assert numpy_ints.read_bytes() == plain.read_bytes()
+        save_povm(load_povm(numpy_ints), numpy_ints)
+        assert numpy_ints.read_bytes() == plain.read_bytes()
+        restricted = restrict_povm(povm, np.int64(1))
+        assert type(restricted.N) is int and restricted.N == 1
 
     def test_save_load_save_is_byte_identical(self, povm_for, tmp_path):
         povm = povm_for(3, 1)

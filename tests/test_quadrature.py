@@ -3,6 +3,7 @@
 import ast
 import itertools
 import math
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -92,15 +93,25 @@ class TestGaussLegendre:
         assert np.max(np.abs(nodes + nodes[::-1])) == 0.0
         assert abs(math.fsum(weights) - 2.0) < 1e-14
 
+    @pytest.mark.parametrize("n", range(1, 51))
+    def test_rule_is_exactly_symmetric(self, n):
+        # Mirrored start points and a zero diagonal give mirrored nodes and
+        # equal weights bit for bit.
+        from povmquad.quadrature import _gauss_jacobi
+
+        nodes, weights = _gauss_jacobi(n, 0)
+        assert np.array_equal(nodes, -nodes[::-1])
+        assert np.array_equal(weights, weights[::-1])
+
     def test_rejects_zero_points(self):
         with pytest.raises(InputFormatError):
             gauss_legendre(0)
 
     @pytest.mark.parametrize("offset", [1e-6, math.nan])
     def test_root_residual_certificate_fails_closed(self, monkeypatch, offset):
-        # q_n off by offset * q_n': the symmetrised nodes stay at the true
-        # roots, so the root residual reads the offset, far above
-        # NEWTON_TOL, and a NaN residual must fail too.
+        # q_n off by offset * q_n': the Newton step moves each node by
+        # about the offset, where the shifted q_n/q_n' reads about
+        # offset^2, far above NEWTON_TOL; a NaN residual must fail too.
         import povmquad.quadrature as quadrature
 
         original = quadrature._recurrence
@@ -261,7 +272,7 @@ class TestSturmBisection:
 
         monkeypatch.setattr(quadrature, "_sturm_count", counting)
         rows = legendre_rows(n)
-        ends = np.array(quadrature._bisect(rows, -1.0, 1.0))
+        ends = np.array(quadrature._bisect(partial(quadrature._sturm_count, rows), n, -1.0, 1.0))
         off = np.sqrt([b2 for _, b2 in rows[1:]])
         reference = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
         assert np.max(np.abs(ends - reference)) < 1e-15
@@ -276,8 +287,8 @@ class TestSturmBisection:
 
         original = quadrature._bisect
 
-        def doubled(rows, lo, hi):
-            ends = original(rows, lo, hi)
+        def doubled(count, n, lo, hi):
+            ends = original(count, n, lo, hi)
             return [ends[0], *ends[:-1]]
 
         monkeypatch.setattr(quadrature, "_bisect", doubled)

@@ -59,6 +59,7 @@ from .errors import (
     InputFormatError,
     ResourceLimitError,
     check_cost,
+    check_int,
     exceeds,
 )
 from .estimation import (
@@ -145,8 +146,8 @@ def _check_tol(tol: float) -> None:
 def _check_seeds(args: argparse.Namespace) -> None:
     for flag in ("seed", "state_seed"):
         value = getattr(args, flag, None)
-        if value is not None and value < 0:
-            raise InputFormatError(f"--{flag.replace('_', '-')} must be non-negative, got {value}")
+        if value is not None:
+            check_int(f"--{flag.replace('_', '-')}", value, 0)
 
 
 def _residual_checks() -> dict:
@@ -232,6 +233,8 @@ def _fidelity_table(povms: list[Povm], samples: int, seed: int) -> list[list]:
 
 def cmd_fidelity(args: argparse.Namespace) -> int:
     check_samples(args.samples)
+    if bool(args.path) == args.sweep:
+        raise InputFormatError("provide exactly one of a POVM path or --sweep")
     # Charged before any state is drawn, and under --sweep before any family is built.
     if args.sweep:
         if not args.d or not args.N:
@@ -240,8 +243,8 @@ def cmd_fidelity(args: argparse.Namespace) -> int:
         check_sample_cost(args.samples, families)
         povms = [build_povm(d, n) for d, n in families]
     else:
-        if not args.path:
-            raise InputFormatError("provide a POVM path or --sweep")
+        if args.d is not None or args.N is not None:
+            raise InputFormatError("--d and --N require --sweep; a POVM file has its own d and N")
         povms = [load_povm(args.path)]
         check_sample_cost(args.samples, [(povms[0].d, povms[0].N)])
     header = ["d", "N", "analytic", "mc_estimate", "stderr", "optimal"]
@@ -260,8 +263,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     check_shots(args.shots)
     if (args.state_seed is None) == (args.basis is None):
         raise InputFormatError("provide exactly one of --state-seed or --basis")
-    if args.basis is not None and args.basis < 0:
-        raise InputFormatError(f"--basis must be non-negative, got {args.basis}")
+    if args.basis is not None:
+        check_int("--basis", args.basis, 0)
     povm = load_povm(args.path)
     if args.state_seed is not None:
         state = haar_random_state(povm.d, args.state_seed)
@@ -293,12 +296,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_clone(args: argparse.Namespace) -> int:
-    if args.d < 2:
-        raise InputFormatError(f"--d must be >= 2, got {args.d}")
-    if not 1 <= args.N <= args.M:
-        raise InputFormatError(f"need 1 <= N <= M, got N={args.N}, M={args.M}")
-    if args.states < 1:
-        raise InputFormatError(f"--states must be >= 1, got {args.states}")
+    check_int("--d", args.d, 2)
+    check_int("--M", args.M, 1)
+    check_int("--N", args.N, 1, args.M)
+    check_int("--states", args.states, 1)
     # The table has one row per state and M; it is charged before any
     # family is built or any state drawn, as the moments table is.
     check_cost(
@@ -349,14 +350,16 @@ def _moment_row(i_tuple: tuple[int, ...], j_tuple: tuple[int, ...], value) -> di
 def cmd_moments(args: argparse.Namespace) -> int:
     if (args.i is None) != (args.j is None):
         raise InputFormatError("--i and --j must be given together")
+    if args.i is not None and args.max_len is not None:
+        raise InputFormatError("provide --i/--j or --max-len, not both")
     from .moments import moment_value
 
     if args.i is not None:
         i_tuple, j_tuple = _parse_indices(args.i), _parse_indices(args.j)
         rows = [_moment_row(i_tuple, j_tuple, moment_value(args.d, i_tuple, j_tuple))]
     elif args.max_len is not None:
-        if args.d < 2 or args.max_len < 1:
-            raise InputFormatError(f"need --d >= 2 and --max-len >= 1, got {args.d} and {args.max_len}")
+        check_int("--d", args.d, 2)
+        check_int("--max-len", args.max_len, 1)
         # Length l lists the d^l x d^l moment matrix, so the table has
         # sum_l d^(2l) rows.  The running total is checked one length at a
         # time before any row is formed, so a huge max_len is never summed.

@@ -38,6 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BUILD_GUARD_ENV, ConstructionError, InputFormatError, check_cost, exceeds
+from .errors import check_int
 from .povm import Povm
 from .quadrature import _bisect
 from .symmetric import (
@@ -91,10 +92,9 @@ class ClonerOutput:
     density: np.ndarray
 
     def __post_init__(self):
-        if self.d < 2 or not 1 <= self.N <= self.M:
-            raise InputFormatError(
-                f"need d >= 2 and 1 <= N <= M, got d={self.d}, N={self.N}, M={self.M}"
-            )
+        object.__setattr__(self, "d", check_int("d", self.d, 2))
+        object.__setattr__(self, "M", check_int("M", self.M, 1))
+        object.__setattr__(self, "N", check_int("N", self.N, 1, self.M))
         dim = sym_dim(self.d, self.M)
         density = np.asarray(self.density, dtype=np.complex128)
         if density.shape != (dim, dim):
@@ -142,8 +142,8 @@ def clone(state: PureState, N: int, M: int) -> ClonerOutput:
     Refused when d_M^3, which bounds both the d_{M-N} d_M^2 product and
     the positivity check, exceeds the build guard.
     """
-    if not 1 <= N <= M:
-        raise InputFormatError(f"need 1 <= N <= M, got N={N}, M={M}")
+    M = check_int("M", M, 1)
+    N = check_int("N", N, 1, M)
     d = state.d
     dim = sym_dim(d, M)
     check_cost(f"cloner output cost d_M^3 for d={d}, M={M}", dim**3, BUILD_GUARD_ENV)

@@ -1,8 +1,12 @@
-"""Exception types, the fail-closed tolerance test and the resource guards.
+"""Exception types, the integer check, the tolerance test and the resource guards.
 
 The command line interface maps the exceptions onto stable exit codes:
 construction/certification failures -> 1, malformed inputs -> 2,
 resource-guard refusals -> 3.
+
+check_int is the one test of a count (a dimension, a copy number, a
+sample or shot count, a seed, an index): every such argument the
+package or the CLI checks goes through it.
 
 Both resource guards can be raised or lowered through environment
 variables so batch jobs can opt into bigger computations without code
@@ -12,6 +16,7 @@ changes; check_cost is the one place a guard is enforced.
 from __future__ import annotations
 
 import math
+import operator
 import os
 
 # Largest full-space dimension d**M for dense tensor-product operators,
@@ -60,6 +65,24 @@ def exceeds(value: float, tol: float) -> bool:
     Every certification and validation tolerance test goes through here.
     """
     return not value <= tol
+
+
+def check_int(name: str, value, lo: int, hi: int | None = None) -> int:
+    """value as a plain int, or InputFormatError unless it is an integer in [lo, hi].
+
+    An integer is a value whose type has __index__ (int, numpy integers)
+    other than a bool; a float, even 2.0, a string or None is not.  hi
+    None means no upper bound.
+    """
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise InputFormatError(f"{name} must be an integer, got {value!r}")
+    value = operator.index(value)
+    if hi is None:
+        if value < lo:
+            raise InputFormatError(f"need {name} >= {lo}, got {value}")
+    elif not lo <= value <= hi:
+        raise InputFormatError(f"need {lo} <= {name} <= {hi}, got {value}")
+    return value
 
 
 def _read_guard(env_name: str) -> int:

@@ -45,12 +45,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import BUILD_GUARD_ENV, InputFormatError, check_cost
+from .errors import BUILD_GUARD_ENV, InputFormatError, check_cost, check_int
 from .povm import Povm
 from .symmetric import (
     PureState,
     _check_family,
-    _check_seed,
     _uniforms,
     frame_operator,
     haar_random_states,
@@ -112,10 +111,9 @@ def optimal_fidelity(N: int, d: int) -> Fraction:
     return Fraction(*_optimal_ratio(N, d))
 
 
-def check_samples(samples: int) -> None:
-    """Refuse a Monte Carlo sample count below MC_MIN_SAMPLES."""
-    if samples < MC_MIN_SAMPLES:
-        raise InputFormatError(f"need samples >= {MC_MIN_SAMPLES}, got {samples}")
+def check_samples(samples: int) -> int:
+    """samples as a plain int; refused unless an integer >= MC_MIN_SAMPLES."""
+    return check_int("samples", samples, MC_MIN_SAMPLES)
 
 
 def check_sample_cost(samples: int, families: list[tuple[int, int]]) -> None:
@@ -131,8 +129,10 @@ def check_sample_cost(samples: int, families: list[tuple[int, int]]) -> None:
     admitted sample count runs for about 10-20 s on one core.  As
     d_{N+1} = C(N+d, d-1) >= N+d, (N+d)^2 stands in for d_{N+1}^2 in a
     first charge, so d_{N+1} is formed only for sizes the guard can
-    admit.  Raises InputFormatError unless every d >= 2 and N >= 1.
+    admit.  Raises InputFormatError unless check_samples passes samples
+    and every d >= 2 and N >= 1.
     """
+    samples = check_samples(samples)
     families = [_check_family(d, n) for d, n in families]
     units = -(-samples // _MC_SAMPLES_PER_CHARGE)
     which = f"for samples={samples}, (d, N) in {families}"
@@ -148,10 +148,9 @@ def check_sample_cost(samples: int, families: list[tuple[int, int]]) -> None:
     )
 
 
-def check_shots(shots: int) -> None:
-    """Refuse a measurement shot count below 1 or above MAX_SHOTS."""
-    if not 1 <= shots <= MAX_SHOTS:
-        raise InputFormatError(f"need 1 <= shots <= {MAX_SHOTS}, got {shots}")
+def check_shots(shots: int) -> int:
+    """shots as a plain int; refused unless an integer in [1, MAX_SHOTS]."""
+    return check_int("shots", shots, 1, MAX_SHOTS)
 
 
 def _check_state(povm: Povm, state: PureState) -> None:
@@ -181,8 +180,8 @@ def sample_outcomes(povm: Povm, state: PureState, shots: int, seed: int) -> np.n
     # without cached bytecode.
     from .sampling import binomial
 
-    check_shots(shots)
-    stream = random.Random(_check_seed(seed))
+    shots = check_shots(shots)
+    stream = random.Random(check_int("seed", seed, 0))
     probs = outcome_probs(povm, state)
     probs = (probs / probs.sum()).tolist()
     # tails[a] = p_a + ... + p_A, summed from the end, so small tails keep
@@ -253,8 +252,9 @@ def mean_fidelity_mc(povm: Povm, samples: int, seed: int) -> FidelityReport:
     A*d_{N+1}^2 exceeds the build guard.  Raises InputFormatError, before
     any work, unless seed is a non-negative integer.
     """
-    check_samples(samples)
-    stream = random.Random(_check_seed(seed))
+    samples = check_samples(samples)
+    seed = check_int("seed", seed, 0)
+    stream = random.Random(seed)
     frame = frame_operator(povm.guesses, povm.weights, povm.N + 1)
     n_blocks = (samples + _MC_BLOCK - 1) // _MC_BLOCK
     total = 0.0
@@ -298,10 +298,10 @@ def majority_vote_fidelity_mc(N: int, samples: int, seed: int) -> FidelityReport
     _VOTE_UNIFORMS of them at a time.  Raises InputFormatError unless
     seed is a non-negative integer.
     """
-    if N < 1:
-        raise InputFormatError(f"need N >= 1, got N={N}")
-    check_samples(samples)
-    stream = random.Random(_check_seed(seed))
+    N = check_int("N", N, 1)
+    samples = check_samples(samples)
+    seed = check_int("seed", seed, 0)
+    stream = random.Random(seed)
     p0 = np.abs(haar_random_states(2, samples, stream)[:, 0]) ** 2
     guess_zero = np.empty(samples, dtype=bool)
     step = max(1, _VOTE_UNIFORMS // (N + 1))

@@ -19,18 +19,10 @@ import math
 from collections import Counter
 from typing import TYPE_CHECKING, Sequence
 
-from .errors import InputFormatError
+from .errors import check_int
 
 if TYPE_CHECKING:
     from fractions import Fraction
-
-
-def _validate_indices(d: int, indices: Sequence[int], name: str) -> tuple[int, ...]:
-    out = tuple(int(k) for k in indices)
-    for k in out:
-        if not 1 <= k <= d:
-            raise InputFormatError(f"{name} entry {k} outside 1..{d}")
-    return out
 
 
 def contraction_count(i: Sequence[int], j: Sequence[int]) -> int:
@@ -50,17 +42,16 @@ def contraction_count(i: Sequence[int], j: Sequence[int]) -> int:
 def moment_value(d: int, i: Sequence[int], j: Sequence[int]) -> Fraction:
     """Exact moment <c_{i_1}..c_{i_l} conj(c_{j_1})..conj(c_{j_l})>.
 
-    Indices are 1-based in 1..d.  Unequal lengths of i and j are allowed
-    and give exactly zero.
+    d is an integer >= 2 and every index an integer in 1..d.  Unequal
+    lengths of i and j are allowed and give exactly zero.
     """
     # Imported here, as in estimation.optimal_fidelity: only the callers
     # that need an exact rational load fractions and decimal.
     from fractions import Fraction
 
-    if d < 2:
-        raise InputFormatError(f"need d >= 2, got d={d}")
-    i = _validate_indices(d, i, "i")
-    j = _validate_indices(d, j, "j")
+    d = check_int("d", d, 2)
+    i = tuple(check_int("i entry", k, 1, d) for k in i)
+    j = tuple(check_int("j entry", k, 1, d) for k in j)
     if len(i) != len(j):
         return Fraction(0)
     l = len(i)

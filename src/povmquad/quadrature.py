@@ -54,6 +54,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .errors import BUILD_GUARD_ENV, ConstructionError, InputFormatError, check_cost, exceeds
+from .errors import check_int
 from .symmetric import NORM_TOL, _check_family, _occupation_table, frame_residual, sym_dim
 from .symmetric import sym_embed_batch
 
@@ -146,11 +147,11 @@ def _gauss_jacobi(n: int, alpha: int) -> tuple[np.ndarray, np.ndarray]:
     is a quarter of the work.  A zero diagonal also makes negation exact,
     q_k(-x) = (-1)^k q_k(x) bit for bit, so from mirrored start points
     the nodes and weights are exactly symmetric.  The weights are
-    mu_0/sum_{k<n} q_k(x)^2, mu_0 = 2^(alpha+1)/(alpha+1).  Certified fail-closed by the root residual
-    |q_n/q_n'| (the Newton correction, free of the scale of q_n) at the
-    final nodes, and by the nodes ascending strictly inside (-1, 1): n
-    distinct roots, one to each bracket.  Exact for polynomials of
-    degree <= 2n-1.
+    mu_0/sum_{k<n} q_k(x)^2, mu_0 = 2^(alpha+1)/(alpha+1).  Certified
+    fail-closed by the root residual |q_n/q_n'| (the Newton correction,
+    free of the scale of q_n) at the final nodes, and by the nodes
+    ascending strictly inside (-1, 1): n distinct roots, one to each
+    bracket.  Exact for polynomials of degree <= 2n-1.
     """
     diag = np.zeros(n)
     if alpha:
@@ -192,9 +193,7 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 
     Exact for polynomials of degree <= 2n-1.
     """
-    if n < 1:
-        raise InputFormatError(f"need n >= 1, got n={n}")
-    return _gauss_jacobi(n, 0)
+    return _gauss_jacobi(check_int("n", n, 1), 0)
 
 
 @dataclass(frozen=True)

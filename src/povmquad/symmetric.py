@@ -31,14 +31,14 @@ grid: the moduli x_i = |c_i|^2 are uniform on the simplex.
 from __future__ import annotations
 
 import math
-import operator
 import random
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import BUILD_GUARD_ENV, FULL_SPACE_GUARD_ENV, InputFormatError, check_cost, exceeds
+from .errors import BUILD_GUARD_ENV, FULL_SPACE_GUARD_ENV, InputFormatError, check_cost
+from .errors import check_int, exceeds
 
 # Normalisation slack accepted on state amplitudes.
 NORM_TOL = 1e-12
@@ -77,9 +77,9 @@ class PureState:
 
     @classmethod
     def basis_state(cls, d: int, index: int) -> "PureState":
-        """Computational basis vector |index> in C^d."""
-        if not 0 <= index < d:
-            raise InputFormatError(f"basis index {index} outside [0, {d})")
+        """Computational basis vector |index> in C^d, 0 <= index <= d-1."""
+        d = check_int("d", d, 2)
+        index = check_int("index", index, 0, d - 1)
         amps = np.zeros(d, dtype=np.complex128)
         amps[index] = 1.0
         return cls(amps)
@@ -87,16 +87,16 @@ class PureState:
 
 def sym_dim(d: int, N: int) -> int:
     """Dimension C(N+d-1, d-1) of the symmetric subspace."""
-    if d < 1 or N < 0:
-        raise InputFormatError(f"need d >= 1 and N >= 0, got d={d}, N={N}")
+    d, N = check_int("d", d, 1), check_int("N", N, 0)
     return math.comb(N + d - 1, d - 1)
 
 
-@lru_cache(maxsize=None)
+# typed: 2.0 and True hash and compare as 2 and 1, so an untyped cache
+# would answer them from an integer call's entry without the check.
+@lru_cache(maxsize=None, typed=True)
 def occupation_basis(d: int, N: int) -> tuple[tuple[int, ...], ...]:
     """Occupation tuples (n_1, ..., n_d), sum N, lexicographically descending."""
-    if d < 1 or N < 0:
-        raise InputFormatError(f"need d >= 1 and N >= 0, got d={d}, N={N}")
+    d, N = check_int("d", d, 1), check_int("N", N, 0)
     if d == 1:
         return ((N,),)
     out = []
@@ -153,8 +153,7 @@ def sym_embed_batch(amplitudes: np.ndarray, N: int) -> np.ndarray:
     if amps.ndim != 2:
         raise InputFormatError("amplitudes must have shape (batch, d)")
     d = amps.shape[1]
-    if N < 1:
-        raise InputFormatError(f"need N >= 1, got N={N}")
+    N = check_int("N", N, 1)
     table = _occupation_table(d, N)
     powers = np.empty((N + 1, d, amps.shape[0]), dtype=np.complex128)
     powers[0] = 1.0
@@ -223,8 +222,7 @@ def sym_isometry(d: int, M: int) -> np.ndarray:
     symmetric projector and V sym_embed(phi, M) = |phi>^{tensor M}.
     Refused when d^M exceeds the full-space guard.
     """
-    if d < 2 or M < 1:
-        raise InputFormatError(f"need d >= 2 and M >= 1, got d={d}, M={M}")
+    d, M = check_int("d", d, 2), check_int("M", M, 1)
     dim = d**M
     check_cost("full-space dimension d^M", dim, FULL_SPACE_GUARD_ENV)
     digits = np.arange(dim)[:, None] // d ** np.arange(M - 1, -1, -1) % d
@@ -242,39 +240,20 @@ def symmetric_projector_full(d: int, M: int) -> np.ndarray:
     return iso @ iso.T
 
 
-def _check_seed(seed) -> int:
-    """seed as a plain int, or InputFormatError if it is not a non-negative integer.
-
-    Anything operator.index accepts counts as an integer except bool.
-    random.Random seeds by absolute value, so a negative seed is refused
-    here rather than drawing the stream of its absolute value.
-    """
-    if isinstance(seed, bool):
-        raise InputFormatError(f"seed must be a non-negative integer, got {seed!r}")
-    try:
-        value = operator.index(seed)
-    except TypeError:
-        raise InputFormatError(f"seed must be a non-negative integer, got {seed!r}") from None
-    if value < 0:
-        raise InputFormatError(f"seed must be non-negative, got {value}")
-    return int(value)
-
-
 def _check_family(d, N) -> tuple[int, int]:
-    """(d, N) as plain ints, or InputFormatError unless integers as for a seed, d >= 2, N >= 1."""
-    if any(isinstance(v, bool) or not hasattr(type(v), "__index__") for v in (d, N)):
-        raise InputFormatError(f"d and N must be integers, got d={d!r}, N={N!r}")
-    d, N = operator.index(d), operator.index(N)
-    if d < 2 or N < 1:
-        raise InputFormatError(f"need d >= 2 and N >= 1, got d={d}, N={N}")
-    return d, N
+    """(d, N) as plain ints, or InputFormatError unless integers d >= 2, N >= 1."""
+    return check_int("d", d, 2), check_int("N", N, 1)
 
 
 def _stream(seed_or_stream: random.Random | int) -> random.Random:
-    """seed_or_stream itself, or a fresh random.Random from a validated integer seed."""
+    """seed_or_stream itself, or a fresh random.Random from an integer seed >= 0.
+
+    random.Random seeds by absolute value, so a negative seed is refused
+    rather than drawing the stream of its absolute value.
+    """
     if isinstance(seed_or_stream, random.Random):
         return seed_or_stream
-    return random.Random(_check_seed(seed_or_stream))
+    return random.Random(check_int("seed", seed_or_stream, 0))
 
 
 # Spacing of the uniforms' grid: they take the values k * 2**-53, k = 1..2**53.
@@ -314,8 +293,7 @@ def haar_random_states(d: int, count: int, seed_or_stream: random.Random | int) 
     the square root.  count rows drawn at once equal the same rows
     drawn in consecutive blocks.
     """
-    if d < 2 or count < 1:
-        raise InputFormatError(f"need d >= 2 and count >= 1, got d={d}, count={count}")
+    d, count = check_int("d", d, 2), check_int("count", count, 1)
     u = _uniforms(_stream(seed_or_stream), 2 * count * d).reshape(count, 2, d)
     moduli = np.log(u[:, 0])
     moduli /= moduli.sum(axis=1, keepdims=True)

@@ -409,6 +409,28 @@ class TestFidelity:
         code, _, err = run(capsys, ["fidelity", "--samples", "500", "--seed", "1"])
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["/nonexistent.json", "--sweep", "--d", "2", "--N", "1"],
+             "provide exactly one of a POVM path or --sweep"),
+            (["PATH", "--d", "2", "--N", "1"],
+             "--d and --N require --sweep; a POVM file has its own d and N"),
+            (["PATH", "--N", "1", "2"],
+             "--d and --N require --sweep; a POVM file has its own d and N"),
+        ],
+        ids=["path-and-sweep", "path-and-d", "path-and-n"],
+    )
+    def test_conflicting_flags_refused_before_any_work(
+        self, povm_path, capsys, monkeypatch, argv, message
+    ):
+        # Each once exited 0 and ignored one of the flags.
+        for name in ("check_sample_cost", "load_povm", "build_povm"):
+            monkeypatch.setattr(povmquad.cli, name, None)
+        argv = [str(povm_path) if a == "PATH" else a for a in argv]
+        code, out, err = run(capsys, ["fidelity", *argv, "--samples", "100", "--seed", "1"])
+        assert (code, out, err) == (EXIT_INPUT, "", f"input error: {message}\n")
+
     def test_level_n_plus_one_frame_under_build_guard(self, tmp_path, capsys, monkeypatch):
         # Loading the d=3, N=4 grid (A = 171) certifies G_4 (171 * 15^2 =
         # 38475) and one unit of samples costs 21^2 + 1024 = 1465, but
@@ -543,7 +565,7 @@ class TestSampleGuard:
             "fidelity", "--sweep", "--d", "2", "1", "--N", "1", "--samples", "100", "--seed", "1",
         ])
         assert code == EXIT_INPUT
-        assert err == "input error: need d >= 2 and N >= 1, got d=1, N=1\n"
+        assert err == "input error: need d >= 2, got 1\n"
 
 
 class TestSimulate:
@@ -665,7 +687,7 @@ class TestClone:
         # report M as N ("got d=1, N=2").
         code, out, err = run(capsys, ["clone", "--d", d, "--N", "1", "--M", "2", "--seed", "0"])
         assert code == EXIT_INPUT
-        assert err == f"input error: --d must be >= 2, got {d}\n"
+        assert err == f"input error: need --d >= 2, got {d}\n"
         assert out == ""
 
     @pytest.mark.parametrize("states", ["0", "-2"])
@@ -1078,9 +1100,19 @@ class TestMoments:
         code, _, err = run(capsys, ["moments", "--d", "2", "--i", "1"])
         assert code == EXIT_INPUT
 
+    def test_index_lists_and_max_len_conflict(self, capsys, monkeypatch):
+        # Once exited 0 and ignored --max-len.
+        monkeypatch.setattr(povmquad.cli, "check_cost", None)
+        code, out, err = run(
+            capsys, ["moments", "--d", "2", "--i", "1", "--j", "1", "--max-len", "3"]
+        )
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == "input error: provide --i/--j or --max-len, not both\n"
+
     def test_rejects_out_of_range_index(self, capsys):
         code, _, err = run(capsys, ["moments", "--d", "2", "--i", "0", "--j", "1"])
         assert code == EXIT_INPUT
+        assert err == "input error: need 1 <= i entry <= 2, got 0\n"
 
     def test_rejects_unparseable_index(self, capsys):
         code, _, err = run(capsys, ["moments", "--d", "2", "--i", "a", "--j", "1"])

@@ -7,7 +7,9 @@ one of those parameters fails the test suite instead of the traced run.
 The package modules are parsed the same way, so an import cycle between
 them (a deferred import inside a function included) fails here too, and
 so does a write through object.__setattr__ outside a record's
-__post_init__.  The lazy package root is checked against its export
+__post_init__, and an imported name the module never uses (no linter
+is a test dependency, so this is the package's unused-import check).
+The lazy package root is checked against its export
 table: every name resolves to its module's object, and importing the
 root alone loads no submodule.
 """
@@ -308,3 +310,70 @@ def test_numpy_random_reader_finds_uses():
         "x = numpy.random.rand()\n"
     )
     assert _numpy_random_uses(source) == [3, 4, 6, 7, 8, 9]
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names an import binds that the module never reads, `from __future__` aside.
+
+    A read anywhere counts, so does a name inside a string annotation;
+    an import under TYPE_CHECKING is judged like any other, and annotations
+    are syntax even where they are never evaluated.
+    """
+    tree = ast.parse(source)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            annotations.append(node.returns)
+            annotations += [
+                arg.annotation
+                for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+                if arg is not None
+            ]
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for annotation in filter(None, annotations):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                expr = ast.parse(node.value, mode="eval")
+                read.update(n.id for n in ast.walk(expr) if isinstance(n, ast.Name))
+    return sorted(f"{name} (line {line})" for name, line in bound.items() if name not in read)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_package_imports_are_used(path):
+    unused = _unused_imports(path.read_text(encoding="utf-8"))
+    assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def test_unused_import_reader_finds_names():
+    # Guards the reader: a name read in code, in an annotation, in a
+    # string annotation or only under TYPE_CHECKING is used; an alias is
+    # judged by the name it binds, and `import a.b` binds a.
+    source = (
+        "from __future__ import annotations\n"
+        "import math\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "from typing import TYPE_CHECKING, Sequence\n"
+        "from .errors import check_int, exceeds, InputFormatError as IFE\n"
+        "if TYPE_CHECKING:\n"
+        "    from fractions import Fraction\n"
+        "    from decimal import Decimal\n"
+        "def f(x: Sequence[int]) -> Fraction:\n"
+        "    return check_int('x', x, 0)\n"
+        "def g(y: 'Decimal') -> None:\n"
+        "    return np.asarray(y)\n"
+    )
+    assert _unused_imports(source) == [
+        "IFE (line 6)", "exceeds (line 6)", "math (line 2)", "os (line 3)"
+    ]

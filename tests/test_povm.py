@@ -303,14 +303,16 @@ class TestValidation:
     def test_rejects_d_or_n_that_is_not_an_integer(self, povm_for, bad):
         # Each once reached a file that load_povm refuses, or a bare TypeError.
         povm = povm_for(2, 3)
-        with pytest.raises(InputFormatError, match="must be integers"):
-            build_povm(2, bad)
-        with pytest.raises(InputFormatError, match="must be integers"):
-            build_povm(bad, 1)
-        with pytest.raises(InputFormatError, match="must be integers"):
-            Povm(d=2, N=bad, weights=povm.weights, guesses=povm.guesses)
-        with pytest.raises(InputFormatError, match="must be integers"):
-            restrict_povm(povm, bad)
+        calls = [
+            ("N", lambda: build_povm(2, bad)),
+            ("d", lambda: build_povm(bad, 1)),
+            ("N", lambda: Povm(d=2, N=bad, weights=povm.weights, guesses=povm.guesses)),
+            ("N", lambda: restrict_povm(povm, bad)),
+        ]
+        for name, call in calls:
+            with pytest.raises(InputFormatError) as info:
+                call()
+            assert str(info.value) == f"{name} must be an integer, got {bad!r}"
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(InputFormatError):

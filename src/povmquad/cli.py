@@ -270,6 +270,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         state = haar_random_state(povm.d, args.state_seed)
         state_desc = {"kind": "haar", "seed": args.state_seed}
     else:
+        check_int("--basis", args.basis, 0, povm.d - 1)
         state = PureState.basis_state(povm.d, args.basis)
         state_desc = {"kind": "basis", "index": args.basis}
     counts = sample_outcomes(povm, state, args.shots, args.seed)
@@ -330,11 +331,16 @@ def cmd_clone(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _parse_indices(raw: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in raw.split(",") if tok.strip() != "")
-    except ValueError as exc:
-        raise InputFormatError(f"cannot parse index list {raw!r}") from exc
+def _parse_indices(flag: str, raw: str) -> tuple[int, ...]:
+    """The comma-separated indices of --i or --j; empty entries are skipped.
+
+    Each entry is ASCII digits only: int() would also take 1_0, +1,
+    surrounding spaces and non-ASCII digits.
+    """
+    tokens = [tok for tok in raw.split(",") if tok]
+    if not all(tok.isascii() and tok.isdigit() for tok in tokens):
+        raise InputFormatError(f"{flag} must be comma-separated digits 0-9, got {raw!r}")
+    return tuple(int(tok) for tok in tokens)
 
 
 def _moment_row(i_tuple: tuple[int, ...], j_tuple: tuple[int, ...], value) -> dict:
@@ -352,13 +358,13 @@ def cmd_moments(args: argparse.Namespace) -> int:
         raise InputFormatError("--i and --j must be given together")
     if args.i is not None and args.max_len is not None:
         raise InputFormatError("provide --i/--j or --max-len, not both")
+    check_int("--d", args.d, 2)
     from .moments import moment_value
 
     if args.i is not None:
-        i_tuple, j_tuple = _parse_indices(args.i), _parse_indices(args.j)
+        i_tuple, j_tuple = _parse_indices("--i", args.i), _parse_indices("--j", args.j)
         rows = [_moment_row(i_tuple, j_tuple, moment_value(args.d, i_tuple, j_tuple))]
     elif args.max_len is not None:
-        check_int("--d", args.d, 2)
         check_int("--max-len", args.max_len, 1)
         # Length l lists the d^l x d^l moment matrix, so the table has
         # sum_l d^(2l) rows.  The running total is checked one length at a

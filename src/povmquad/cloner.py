@@ -32,7 +32,6 @@ bisection that finds the Gauss nodes, with these pivots as its count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -44,6 +43,7 @@ from .quadrature import _bisect
 from .symmetric import (
     PureState,
     _embedding_coefficients,
+    _Record,
     occupation_basis,
     sym_dim,
     sym_embed,
@@ -76,8 +76,7 @@ def _positive_definite(matrix: np.ndarray, shift: float) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class ClonerOutput:
+class ClonerOutput(_Record):
     """Joint state of the M clones as a d_M x d_M density matrix.
 
     Rows and columns follow occupation_basis(d, M).  Construction
@@ -86,17 +85,14 @@ class ClonerOutput:
     eigenvalue, bisected to 4 ulps), and the input bookkeeping.
     """
 
-    d: int
-    N: int
-    M: int
-    density: np.ndarray
+    _fields = ("d", "N", "M", "density")
 
-    def __post_init__(self):
-        object.__setattr__(self, "d", check_int("d", self.d, 2))
-        object.__setattr__(self, "M", check_int("M", self.M, 1))
-        object.__setattr__(self, "N", check_int("N", self.N, 1, self.M))
-        dim = sym_dim(self.d, self.M)
-        density = np.asarray(self.density, dtype=np.complex128)
+    def __init__(self, d: int, N: int, M: int, density: np.ndarray):
+        d = check_int("d", d, 2)
+        M = check_int("M", M, 1)
+        N = check_int("N", N, 1, M)
+        dim = sym_dim(d, M)
+        density = np.asarray(density, dtype=np.complex128)
         if density.shape != (dim, dim):
             raise InputFormatError(f"density must have shape ({dim}, {dim})")
         if not np.isfinite(density).all():
@@ -114,7 +110,8 @@ class ClonerOutput:
             )[0]
             raise ConstructionError(f"cloner output has eigenvalue {least:.3e}", -least)
         density.setflags(write=False)
-        object.__setattr__(self, "density", density)
+        for name, value in zip(self._fields, (d, N, M, density)):
+            object.__setattr__(self, name, value)
 
 
 @lru_cache(maxsize=None)

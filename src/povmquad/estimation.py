@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -50,6 +49,7 @@ from .povm import Povm
 from .symmetric import (
     PureState,
     _check_family,
+    _Record,
     _uniforms,
     frame_operator,
     haar_random_states,
@@ -75,19 +75,36 @@ _MC_SAMPLES_PER_CHARGE = 512
 _VOTE_UNIFORMS = 1 << 16
 
 
-@dataclass(frozen=True)
-class FidelityReport:
+class FidelityReport(_Record):
     """A fidelity value with its statistical and provenance context.
 
     stderr is 0 for analytic methods; samples/seed are None unless the
-    value came from Monte Carlo.
+    value came from Monte Carlo.  Reports compare and hash field by field.
     """
 
-    value: float
-    stderr: float
-    method: str
-    samples: int | None = None
-    seed: int | None = None
+    _fields = ("value", "stderr", "method", "samples", "seed")
+
+    def __init__(
+        self,
+        value: float,
+        stderr: float,
+        method: str,
+        samples: int | None = None,
+        seed: int | None = None,
+    ):
+        for name, arg in zip(self._fields, (value, stderr, method, samples, seed)):
+            object.__setattr__(self, name, arg)
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 def _optimal_ratio(N: int, d: int) -> tuple[int, int]:

@@ -37,10 +37,12 @@ moments are exact: the average of c_d, say, is positive on the grid.
 An exact grid is already the optimal POVM (see povm), so sphere_grid
 returns the Povm record itself, uncertified; povm.build_povm certifies
 that same object.  Povm lives here so that this module needs nothing
-from povm.  It is also the one owner of what is derived from its frozen
+from povm.  It is a frozen record (symmetric._Record) that compares by
+identity.  It is also the one owner of what is derived from its frozen
 arrays at level N: the residual max |G_N - I/d_N| that
 povm.check_optimality returns and the occupation embedding that the
-cloner's two-step check applies, each formed on first access and kept.
+cloner's two-step check applies, each formed on first access and kept
+in the instance __dict__.
 """
 
 from __future__ import annotations
@@ -48,15 +50,14 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from functools import cached_property, partial
 
 import numpy as np
 
 from .errors import BUILD_GUARD_ENV, ConstructionError, InputFormatError, check_cost, exceeds
 from .errors import check_int
-from .symmetric import NORM_TOL, _check_family, _occupation_table, frame_residual, sym_dim
-from .symmetric import sym_embed_batch
+from .symmetric import NORM_TOL, _check_family, _occupation_table, _Record, frame_residual
+from .symmetric import sym_dim, sym_embed_batch
 
 NEWTON_TOL = 1e-14
 # Sturm brackets are halved until their width is at most _BRACKET_TOL
@@ -196,34 +197,34 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _gauss_jacobi(check_int("n", n, 1), 0)
 
 
-@dataclass(frozen=True)
-class Povm:
+class Povm(_Record):
     """Weighted family of guess states defining an optimal-form POVM.
 
     weights has shape (A,) with finite, strictly positive entries;
     guesses has shape (A, d) with finite, unit-norm rows; both are
-    copied and frozen on construction.  Completeness
-    and optimality are not re-verified on construction (tests build
-    deliberately broken instances); build_povm and load_povm are the
-    certifying entry points.  The level-N residual and embedding are
-    cached properties: formed on first access, then kept on the
-    instance.  The residual charges POVMQUAD_BUILD_GUARD before G_N is
-    formed, and a refused first access keeps nothing.
+    copied and frozen on construction; provenance defaults to a fresh
+    dict.  Completeness and optimality are not re-verified on
+    construction (tests build deliberately broken instances); build_povm
+    and load_povm are the certifying entry points.  The level-N residual
+    and embedding are cached properties: formed on first access, then
+    kept on the instance.  The residual charges POVMQUAD_BUILD_GUARD
+    before G_N is formed, and a refused first access keeps nothing.
     """
 
-    d: int
-    N: int
-    weights: np.ndarray
-    guesses: np.ndarray
-    provenance: dict = field(default_factory=dict)
+    _fields = ("d", "N", "weights", "guesses", "provenance")
 
-    def __post_init__(self):
-        d, N = _check_family(self.d, self.N)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "N", N)
-        weights = np.array(self.weights, dtype=np.float64).reshape(-1)
-        guesses = np.array(self.guesses, dtype=np.complex128, order="C")
-        if guesses.ndim != 2 or guesses.shape != (weights.size, self.d):
+    def __init__(
+        self,
+        d: int,
+        N: int,
+        weights: np.ndarray,
+        guesses: np.ndarray,
+        provenance: dict | None = None,
+    ):
+        d, N = _check_family(d, N)
+        weights = np.array(weights, dtype=np.float64).reshape(-1)
+        guesses = np.array(guesses, dtype=np.complex128, order="C")
+        if guesses.ndim != 2 or guesses.shape != (weights.size, d):
             raise InputFormatError("guesses must have shape (len(weights), d)")
         if weights.size == 0:
             raise InputFormatError("POVM must have at least one element")
@@ -239,8 +240,9 @@ class Povm:
             raise InputFormatError(f"guess norm deviates from 1 by {worst:.3e}")
         weights.setflags(write=False)
         guesses.setflags(write=False)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "guesses", guesses)
+        provenance = {} if provenance is None else provenance
+        for name, value in zip(self._fields, (d, N, weights, guesses, provenance)):
+            object.__setattr__(self, name, value)
 
     @property
     def n_outcomes(self) -> int:

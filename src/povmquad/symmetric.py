@@ -15,7 +15,12 @@ callers that need dense operators there.
 
 A PureState's squared norm is sum_i |c_i|^2 taken elementwise in numpy,
 the formula Povm applies to its rows, so checking a state calls no BLAS
-routine (np.vdot would call zdotc).
+routine (np.vdot would call zdotc).  PureState and the package's other
+records (quadrature.Povm, estimation.FidelityReport,
+cloner.ClonerOutput) are plain classes on _Record, frozen after their
+__init__.  The standard library's record decorator would import two
+more modules (it and copy) and compile about twenty generated methods
+when these modules load, in every command.
 
 Haar-random inputs come from one stream, the interpreter's own Mersenne
 Twister (random.Random(seed)), so no command loads numpy.random.  The
@@ -32,7 +37,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -44,18 +48,39 @@ from .errors import check_int, exceeds
 NORM_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class PureState:
+class _Record:
+    """Base of the package's frozen records.
+
+    A record sets its fields once, through object.__setattr__ in its
+    __init__; afterwards setting or deleting any attribute raises
+    AttributeError.  The repr lists _fields in order.  Equality and hash
+    are by identity unless a record defines its own.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class PureState(_Record):
     """Unit vector of complex amplitudes in C^d, d >= 2.
 
     Amplitudes are copied and frozen on construction; the squared norm
     must equal 1 within NORM_TOL.
     """
 
-    amplitudes: np.ndarray
+    _fields = ("amplitudes",)
 
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=np.complex128).reshape(-1).copy()
+    def __init__(self, amplitudes: np.ndarray):
+        amps = np.asarray(amplitudes, dtype=np.complex128).reshape(-1).copy()
         if amps.size < 2:
             raise InputFormatError(f"state dimension must be >= 2, got {amps.size}")
         if not np.all(np.isfinite(amps.view(np.float64))):

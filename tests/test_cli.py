@@ -610,6 +610,15 @@ class TestSimulate:
         )
         assert code == EXIT_INPUT
 
+    def test_basis_above_d_names_the_flag(self, povm_path, capsys):
+        # Once named the library argument: need 0 <= index <= 1, got 5.
+        code, out, err = run(
+            capsys,
+            ["simulate", str(povm_path), "--shots", "10", "--seed", "1", "--basis", "5"],
+        )
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == "input error: need 0 <= --basis <= 1, got 5\n"
+
     def test_deterministic_output(self, povm_path, capsys):
         argv = ["simulate", str(povm_path), "--shots", "2000", "--seed", "9",
                 "--state-seed", "4", "--json"]
@@ -1118,6 +1127,38 @@ class TestMoments:
         code, _, err = run(capsys, ["moments", "--d", "2", "--i", "a", "--j", "1"])
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize("mode", [["--i", "1", "--j", "1"], ["--max-len", "1"], []])
+    def test_rejects_d_below_two_by_its_flag(self, capsys, mode):
+        # With --i/--j this once named the library argument: need d >= 2.
+        code, out, err = run(capsys, ["moments", "--d", "1", *mode])
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == "input error: need --d >= 2, got 1\n"
+
+    @pytest.mark.parametrize(
+        "token", ["1_0", "+10", " 10", "10 ", "\u0661\u0660", "a", "1.0", "-1", "1,,x", " "]
+    )
+    @pytest.mark.parametrize("flag", ["--i", "--j"])
+    def test_index_entries_are_ascii_digits(self, capsys, flag, token):
+        # int() takes 1_0, +10, spaces and Arabic-Indic digits; each exited 0.
+        other = "--j" if flag == "--i" else "--i"
+        code, out, err = run(capsys, ["moments", "--d", "20", f"{flag}={token}", other, "10"])
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == f"input error: {flag} must be comma-separated digits 0-9, got {token!r}\n"
+
+    @pytest.mark.parametrize(
+        "i, j, line",
+        [
+            ("1,2", "2,1", "<c_(1,2) c*_(2,1)> = 1/6"),
+            ("1,", "1", "<c_(1) c*_(1)> = 1/2"),
+            ("1,,2", "2,1", "<c_(1,2) c*_(2,1)> = 1/6"),
+            ("", "", "<c_() c*_()> = 1/1"),
+            ("01", "1", "<c_(1) c*_(1)> = 1/2"),
+        ],
+    )
+    def test_index_lists_that_parse(self, capsys, i, j, line):
+        code, out, _ = run(capsys, ["moments", "--d", "2", f"--i={i}", f"--j={j}"])
+        assert (code, out) == (EXIT_OK, line + "\n")
+
     def test_readme_table_fits_default_guard(self, capsys):
         code, out, _ = run(capsys, ["moments", "--d", "3", "--max-len", "2", "--json"])
         assert code == EXIT_OK
@@ -1498,12 +1539,13 @@ class TestImports:
     The binomial sampler is loaded by the one command that draws shot
     counts.  Exact rationals (fractions, which loads decimal) and the
     moments module are loaded only by moments, and csv only by --csv:
-    fidelity prints its optimum p/q from integers.
+    fidelity prints its optimum p/q from integers.  No command loads
+    dataclasses or copy: the package's records are plain classes.
     """
 
     WATCHED = (
         "numpy.random", "secrets", "_hashlib", "povmquad.sampling",
-        "fractions", "decimal", "csv", "povmquad.moments",
+        "fractions", "decimal", "csv", "povmquad.moments", "dataclasses", "copy",
     )
     LAYERS = tuple(
         f"povmquad.{name}" for name in ("quadrature", "povm", "symmetric", "estimation", "cloner")

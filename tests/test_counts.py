@@ -7,7 +7,6 @@ argument, and a numpy integer gives a result bit-identical to the plain
 int, plain ints stored included.
 """
 
-import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -106,9 +105,9 @@ def assert_same(a, b):
     if isinstance(a, np.ndarray):
         assert a.dtype == b.dtype and a.shape == b.shape
         assert a.tobytes() == b.tobytes()
-    elif dataclasses.is_dataclass(a):
-        for f in dataclasses.fields(a):
-            assert_same(getattr(a, f.name), getattr(b, f.name))
+    elif hasattr(a, "_fields"):
+        for name in a._fields:
+            assert_same(getattr(a, name), getattr(b, name))
     elif isinstance(a, (tuple, list)):
         assert len(a) == len(b)
         for x, y in zip(a, b):

@@ -331,14 +331,36 @@ def cmd_clone(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _is_digits(text: str) -> bool:
+    """True iff text is one or more ASCII digits 0-9.
+
+    int() would also take 1_0, +1, surrounding spaces and non-ASCII
+    digits, so every integer the CLI reads passes this check first.
+    """
+    return text.isascii() and text.isdigit()
+
+
+def _int_arg(text: str) -> int:
+    """The parser type of every integer flag: ASCII digits, optionally after one '-'.
+
+    A negative value parses, so the command's range check names the
+    flag and its bound.
+    """
+    if _is_digits(text[1:] if text.startswith("-") else text):
+        try:
+            return int(text)
+        except ValueError:  # past the interpreter's limit on str-to-int digits
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _parse_indices(flag: str, raw: str) -> tuple[int, ...]:
     """The comma-separated indices of --i or --j; empty entries are skipped.
 
-    Each entry is ASCII digits only: int() would also take 1_0, +1,
-    surrounding spaces and non-ASCII digits.
+    Each entry is ASCII digits only (_is_digits).
     """
     tokens = [tok for tok in raw.split(",") if tok]
-    if not all(tok.isascii() and tok.isdigit() for tok in tokens):
+    if not all(map(_is_digits, tokens)):
         raise InputFormatError(f"{flag} must be comma-separated digits 0-9, got {raw!r}")
     return tuple(int(tok) for tok in tokens)
 
@@ -408,8 +430,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_build = sub.add_parser("build", help="construct and certify a POVM")
-    p_build.add_argument("--d", type=int, required=True)
-    p_build.add_argument("--N", type=int, required=True)
+    p_build.add_argument("--d", type=_int_arg, required=True)
+    p_build.add_argument("--N", type=_int_arg, required=True)
     p_build.add_argument("--out", required=True)
     p_build.add_argument("--tol", type=float, default=CERTIFICATION_TOL)
     p_build.add_argument("--json", action="store_true")
@@ -429,10 +451,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fid = sub.add_parser("fidelity", help="analytic and Monte Carlo mean fidelity")
     p_fid.add_argument("path", nargs="?")
     p_fid.add_argument("--sweep", action="store_true")
-    p_fid.add_argument("--d", type=int, nargs="+")
-    p_fid.add_argument("--N", type=int, nargs="+")
-    p_fid.add_argument("--samples", type=int, required=True)
-    p_fid.add_argument("--seed", type=int, required=True)
+    p_fid.add_argument("--d", type=_int_arg, nargs="+")
+    p_fid.add_argument("--N", type=_int_arg, nargs="+")
+    p_fid.add_argument("--samples", type=_int_arg, required=True)
+    p_fid.add_argument("--seed", type=_int_arg, required=True)
     fmt = p_fid.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true")
     fmt.add_argument("--csv", action="store_true")
@@ -440,29 +462,29 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="sample measurement outcomes")
     p_sim.add_argument("path")
-    p_sim.add_argument("--shots", type=int, required=True)
-    p_sim.add_argument("--seed", type=int, required=True)
-    p_sim.add_argument("--state-seed", type=int, dest="state_seed")
-    p_sim.add_argument("--basis", type=int)
+    p_sim.add_argument("--shots", type=_int_arg, required=True)
+    p_sim.add_argument("--seed", type=_int_arg, required=True)
+    p_sim.add_argument("--state-seed", type=_int_arg, dest="state_seed")
+    p_sim.add_argument("--basis", type=_int_arg)
     p_sim.add_argument("--json", action="store_true")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_clone = sub.add_parser("clone", help="optimal cloning and clone-then-estimate")
-    p_clone.add_argument("--d", type=int, required=True)
-    p_clone.add_argument("--N", type=int, required=True)
-    p_clone.add_argument("--M", type=int, required=True)
-    p_clone.add_argument("--states", type=int, default=5)
-    p_clone.add_argument("--seed", type=int, required=True)
+    p_clone.add_argument("--d", type=_int_arg, required=True)
+    p_clone.add_argument("--N", type=_int_arg, required=True)
+    p_clone.add_argument("--M", type=_int_arg, required=True)
+    p_clone.add_argument("--states", type=_int_arg, default=5)
+    p_clone.add_argument("--seed", type=_int_arg, required=True)
     fmt = p_clone.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true")
     fmt.add_argument("--csv", action="store_true")
     p_clone.set_defaults(func=cmd_clone)
 
     p_mom = sub.add_parser("moments", help="exact amplitude moments as p/q")
-    p_mom.add_argument("--d", type=int, required=True)
+    p_mom.add_argument("--d", type=_int_arg, required=True)
     p_mom.add_argument("--i")
     p_mom.add_argument("--j")
-    p_mom.add_argument("--max-len", type=int, dest="max_len")
+    p_mom.add_argument("--max-len", type=_int_arg, dest="max_len")
     p_mom.add_argument("--json", action="store_true")
     p_mom.set_defaults(func=cmd_moments)
 

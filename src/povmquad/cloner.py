@@ -21,7 +21,12 @@ The output is permutation symmetric, so every clone has the same
 reduced state rho_ij = <a_j^dagger a_i>/M.  Feeding the M clones to the
 optimal M-copy estimator ("measure the clones instead of the
 originals") reproduces exactly the N-copy optimum (N+1)/(N+d), which is
-also the universality statement in operational form.
+also the universality statement in operational form.  The reduced
+state, its fidelity and the sums of clone-then-estimate are each an
+elementwise product and a sum: @ multiplies only matrices (zgemm, which
+every frame operator loads), so cloning calls no BLAS level-1 or
+level-2 routine and no einsum, each of which would fault in its own
+pages on first call.
 
 Every output is certified positive semidefinite within -1e-10 by the
 pivots of an LDL^H factorisation of sigma + 1e-10 I, formed by numpy
@@ -44,6 +49,7 @@ from .symmetric import (
     PureState,
     _embedding_coefficients,
     _Record,
+    _squared_overlaps,
     occupation_basis,
     sym_dim,
     sym_embed,
@@ -167,15 +173,16 @@ def single_particle_reduced(output: ClonerOutput) -> np.ndarray:
     raised = _sum_index(d, 1, M)
     lift = np.sqrt(np.asarray(occupation_basis(d, M - 1), dtype=np.float64) + 1.0)
     block = output.density[raised[:, :, None], raised[:, None, :]]
-    return np.einsum("qi,qj,qij->ij", lift, lift, block) / M
+    return (lift[:, :, None] * lift[:, None, :] * block).sum(axis=0) / M
 
 
 def single_particle_fidelity(output: ClonerOutput, state: PureState) -> float:
     """Fidelity <phi| reduced |phi> of one clone against the source state."""
     if state.d != output.d:
         raise InputFormatError(f"state dimension {state.d} != cloner dimension {output.d}")
+    amps = state.amplitudes
     reduced = single_particle_reduced(output)
-    return float(np.vdot(state.amplitudes, reduced @ state.amplitudes).real)
+    return float((amps.conj()[:, None] * reduced * amps).sum().real)
 
 
 def two_step_components(output: ClonerOutput, state: PureState, povm_m: Povm) -> tuple[float, float]:
@@ -194,14 +201,13 @@ def two_step_components(output: ClonerOutput, state: PureState, povm_m: Povm) ->
         raise InputFormatError(f"state dimension {state.d} != POVM dimension {povm_m.d}")
     if povm_m.N != output.M:
         raise InputFormatError(f"POVM is for {povm_m.N} copies, expected M={output.M}")
-    guesses = povm_m.guesses
     emb = povm_m._level_n_embedding
     born = ((emb.conj() @ output.density) * emb).sum(axis=1).real
     probs = sym_dim(state.d, output.M) * povm_m.weights * born
-    state_fids = np.abs(guesses @ state.amplitudes.conj()) ** 2
-    pipeline = float(probs @ state_fids)
+    state_fids = _squared_overlaps(povm_m.guesses, state)
+    pipeline = float((probs * state_fids).sum())
     closed = float(
-        sym_dim(state.d, output.N) * (povm_m.weights @ state_fids ** (output.N + 1))
+        sym_dim(state.d, output.N) * (povm_m.weights * state_fids ** (output.N + 1)).sum()
     )
     return pipeline, closed
 

@@ -50,6 +50,7 @@ from .symmetric import (
     PureState,
     _check_family,
     _Record,
+    _squared_overlaps,
     _uniforms,
     frame_operator,
     haar_random_states,
@@ -179,8 +180,7 @@ def outcome_probs(povm: Povm, state: PureState) -> np.ndarray:
     """Born probabilities p_a = d_N w_a |<phi_a|phi>|^{2N}, shape (A,)."""
     _check_state(povm, state)
     d_n = sym_dim(povm.d, povm.N)
-    overlaps = np.abs(povm.guesses @ state.amplitudes.conj()) ** 2
-    return d_n * povm.weights * overlaps**povm.N
+    return d_n * povm.weights * _squared_overlaps(povm.guesses, state) ** povm.N
 
 
 def sample_outcomes(povm: Povm, state: PureState, shots: int, seed: int) -> np.ndarray:

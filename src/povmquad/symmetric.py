@@ -14,8 +14,12 @@ symmetric_projector_full are the one bridge to the d^M full space, for
 callers that need dense operators there.
 
 A PureState's squared norm is sum_i |c_i|^2 taken elementwise in numpy,
-the formula Povm applies to its rows, so checking a state calls no BLAS
-routine (np.vdot would call zdotc).  PureState and the package's other
+the formula Povm applies to its rows, and overlap and _squared_overlaps
+form <a|b> = sum_i conj(a_i) b_i the same way: a product and a sum, so
+no state-sized contraction calls a BLAS level-1 or level-2 routine
+(np.vdot would call zdotc, a matrix times a vector zgemv).  Each such
+routine's first call faults in its own pages of the library, which a
+command's peak memory counts.  PureState and the package's other
 records (quadrature.Povm, estimation.FidelityReport,
 cloner.ClonerOutput) are plain classes on _Record, frozen after their
 __init__.  The standard library's record decorator would import two
@@ -204,7 +208,12 @@ def overlap(a: PureState, b: PureState) -> complex:
     """Inner product <a|b>."""
     if a.d != b.d:
         raise InputFormatError(f"dimension mismatch: {a.d} vs {b.d}")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
+    return complex((a.amplitudes.conj() * b.amplitudes).sum())
+
+
+def _squared_overlaps(rows: np.ndarray, state: PureState) -> np.ndarray:
+    """|<phi_a|state>|^2 for each row phi_a of rows (shape (A, d)), shape (A,)."""
+    return np.abs((rows * state.amplitudes.conj()).sum(axis=1)) ** 2
 
 
 def fidelity(a: PureState, b: PureState) -> float:

@@ -170,6 +170,63 @@ def lift_to_full_space(sigma: np.ndarray, d: int, m: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# The package's vector contractions in numpy's BLAS and einsum forms
+#
+# The package forms each of these as an elementwise product and a sum,
+# so that no command runs a BLAS level-1 or level-2 routine.
+
+
+def overlap_vdot(a: np.ndarray, b: np.ndarray) -> complex:
+    """<a|b> by BLAS zdotc."""
+    return complex(np.vdot(a, b))
+
+
+def squared_overlaps_matvec(rows: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """|<phi_a|phi>|^2 for each row phi_a, by one matrix-vector product."""
+    return np.abs(np.asarray(rows) @ np.conj(amps)) ** 2
+
+
+def single_particle_reduced_einsum(density: np.ndarray, d: int, m: int) -> np.ndarray:
+    """rho_ij = (1/m) sum_q sqrt((q_i+1)(q_j+1)) sigma[q+e_i, q+e_j] by one einsum.
+
+    q runs over the occupations of m-1 copies; the rows and columns of
+    density follow the lexicographically descending occupations of m.
+    """
+    position = {occ: k for k, occ in enumerate(occupations_lex_desc(d, m))}
+    lower = occupations_lex_desc(d, m - 1)
+    raised = np.array(
+        [[position[tuple(q[k] + (k == i) for k in range(d))] for i in range(d)] for q in lower]
+    )
+    lift = np.sqrt(np.array(lower, dtype=np.float64) + 1.0)
+    block = density[raised[:, :, None], raised[:, None, :]]
+    return np.einsum("qi,qj,qij->ij", lift, lift, block) / m
+
+
+def single_particle_fidelity_vdot(reduced: np.ndarray, amps: np.ndarray) -> float:
+    """<phi| reduced |phi> by a matrix-vector product and zdotc."""
+    return float(np.vdot(amps, reduced @ amps).real)
+
+
+def two_step_components_matvec(density: np.ndarray, amps: np.ndarray, n: int,
+                               povm_m) -> tuple[float, float]:
+    """(pipeline, closed form) of clone-then-estimate by matrix-vector and vector products.
+
+    pipeline = sum_a d_m w_a e_a^dagger sigma e_a |<phi_a|phi>|^2 and
+    closed = d_n sum_a w_a |<phi_a|phi>|^{2(n+1)}, e_a the m-copy
+    occupation coordinates of the element phi_a.
+    """
+    from povmquad import sym_embed_batch
+
+    d, m = povm_m.d, povm_m.N
+    emb = sym_embed_batch(povm_m.guesses, m)
+    born = np.array([np.vdot(e, density @ e).real for e in emb])
+    fids = squared_overlaps_matvec(povm_m.guesses, amps)
+    pipeline = math.comb(m + d - 1, d - 1) * float((povm_m.weights * born) @ fids)
+    closed = math.comb(n + d - 1, d - 1) * float(povm_m.weights @ fids ** (n + 1))
+    return pipeline, closed
+
+
+# ---------------------------------------------------------------------------
 # Haar unitaries by LAPACK QR
 
 

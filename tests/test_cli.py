@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, formats, and determinism."""
 
+import argparse
 import csv
 import io
 import json
@@ -17,7 +18,15 @@ from hypothesis import HealthCheck, event, given, settings, strategies as st
 
 import povmquad
 from povmquad import check_completeness, check_optimality, check_universality, load_povm
-from povmquad.cli import EXIT_CERTIFICATION, EXIT_INPUT, EXIT_OK, EXIT_RESOURCE, main
+from povmquad.cli import (
+    EXIT_CERTIFICATION,
+    EXIT_INPUT,
+    EXIT_OK,
+    EXIT_RESOURCE,
+    _build_parser,
+    _int_arg,
+    main,
+)
 
 
 @pytest.fixture()
@@ -878,6 +887,88 @@ class TestCloneWithoutLapack:
         with pytest.raises(AssertionError, match="LAPACK"):
             np.linalg.eigvalsh(np.eye(2))
         assert run(capsys, argv) == (EXIT_OK, expected, "")
+
+
+VECTOR_PRODUCTS = ("vdot", "dot", "inner", "einsum")
+
+
+class TestNoVectorProducts:
+    def test_benchmark_commands_run_no_vector_product(self, tmp_path, capsys, monkeypatch):
+        # build, verify, fidelity, simulate and clone as the benchmark runs
+        # them, first as they are, then with numpy's vector products
+        # refused: each command's output is the same.
+        commands = _benchmark_commands(tmp_path)
+        expected = [run(capsys, argv) for argv in commands]
+        assert {code for code, _, _ in expected} <= {EXIT_OK, EXIT_CERTIFICATION}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a numpy vector product was called")
+
+        for name in VECTOR_PRODUCTS:
+            monkeypatch.setattr(np, name, refuse)
+        with pytest.raises(AssertionError, match="vector product"):
+            np.einsum("i,i", np.ones(2), np.ones(2))
+        for argv, before in zip(commands, expected):
+            assert run(capsys, argv) == before, argv
+
+
+# Every integer flag, by subcommand, with arguments that parse around it.
+INTEGER_FLAGS = {
+    "build": (["--d", "--N"], ["--d", "2", "--N", "1", "--out", "x.json"]),
+    "fidelity": (["--d", "--N", "--samples", "--seed"],
+                 ["--sweep", "--d", "2", "--N", "1", "--samples", "100", "--seed", "1"]),
+    "simulate": (["--shots", "--seed", "--state-seed", "--basis"],
+                 ["x.json", "--shots", "10", "--seed", "1", "--state-seed", "1", "--basis", "0"]),
+    "clone": (["--d", "--N", "--M", "--states", "--seed"],
+              ["--d", "2", "--N", "1", "--M", "2", "--states", "1", "--seed", "1"]),
+    "moments": (["--d", "--max-len"], ["--d", "2", "--max-len", "1"]),
+}
+# Each one int() takes: a digit separator, a plus sign, a space, an
+# Arabic-Indic three and a fullwidth two.
+LOOSE_INTEGERS = ["1_0", "+2", " 2", "\u0663", "\uff12"]
+
+
+class TestIntegerFlags:
+    @pytest.mark.parametrize("token", LOOSE_INTEGERS, ids=ascii)
+    @pytest.mark.parametrize(
+        "command,flag",
+        [(command, flag) for command, (flags, _) in INTEGER_FLAGS.items() for flag in flags],
+    )
+    def test_loose_integer_exits_2_naming_the_flag(self, tmp_path, capsys, monkeypatch,
+                                                   command, flag, token):
+        monkeypatch.chdir(tmp_path)
+        base = INTEGER_FLAGS[command][1]
+        argv = [command, *base]
+        argv[argv.index(flag) + 1] = token
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == EXIT_INPUT
+        assert err.endswith(f"error: argument {flag}: invalid int value: {token!r}\n")
+        assert out == ""
+        assert not (tmp_path / "x.json").exists()
+
+    def test_table_covers_every_integer_flag(self):
+        # Every flag the parser reads as an integer, and no other, is in
+        # the table, and none is read by int() itself.
+        parser = _build_parser()
+        commands = parser._subparsers._group_actions[0].choices
+        found = {
+            name: sorted(flag for action in sub._actions if action.type is _int_arg
+                         for flag in action.option_strings)
+            for name, sub in commands.items()
+        }
+        assert not [a for sub in commands.values() for a in sub._actions if a.type is int]
+        assert found == {name: sorted(INTEGER_FLAGS.get(name, ([], []))[0]) for name in commands}
+
+    @pytest.mark.parametrize("token,value", [("0", 0), ("007", 7), ("-3", -3), ("-0", 0)])
+    def test_ascii_digits_parse(self, token, value):
+        assert _int_arg(token) == value
+
+    @pytest.mark.parametrize("token", ["", "-", "--2", "2-", "2.0", "0x10", "1e3", "-+2", "2 "])
+    def test_other_tokens_refused(self, token):
+        with pytest.raises(argparse.ArgumentTypeError, match="invalid int value"):
+            _int_arg(token)
 
 
 # Flag values at and around 0, negative and huge.  Small ones alone, so

@@ -7,7 +7,8 @@ one of those parameters fails the test suite instead of the traced run.
 The package modules are parsed the same way, so an import cycle between
 them (a deferred import inside a function included) fails here too, and
 so does a write through object.__setattr__ outside a record's
-__init__, and an imported name the module never uses (no linter
+__init__, a numpy vector product (vdot, dot, inner, einsum, tensordot),
+and an imported name the module never uses (no linter
 is a test dependency, so this is the package's unused-import check).
 The lazy package root is checked against its export
 table: every name resolves to its module's object, and importing the
@@ -312,6 +313,50 @@ def test_numpy_random_reader_finds_uses():
         "x = numpy.random.rand()\n"
     )
     assert _numpy_random_uses(source) == [3, 4, 6, 7, 8, 9]
+
+
+# numpy's vector products: vdot, dot and inner run BLAS level-1 or
+# level-2 routines on vectors, tensordot calls dot, and einsum may too.
+VECTOR_PRODUCTS = frozenset({"vdot", "dot", "inner", "einsum", "tensordot"})
+
+
+def _vector_product_names(source: str) -> list[int]:
+    """Lines that name a numpy vector product: an attribute, a bare name or an import."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if (
+            (isinstance(node, ast.Attribute) and node.attr in VECTOR_PRODUCTS)
+            or (isinstance(node, ast.Name) and node.id in VECTOR_PRODUCTS)
+            or (isinstance(node, ast.ImportFrom)
+                and any(alias.name in VECTOR_PRODUCTS for alias in node.names))
+        ):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_package_names_no_vector_product(path):
+    # Every vector contraction is an elementwise product and a sum, so no
+    # module names numpy's vector products (tests/test_cli.py::
+    # TestNoVectorProducts runs the benchmark's commands with these names
+    # refused).  A matrix-vector @ is not a name and is not seen here.
+    lines = _vector_product_names(path.read_text(encoding="utf-8"))
+    assert not lines, f"{path.name} names a numpy vector product on lines {lines}"
+
+
+def test_vector_product_reader_finds_names():
+    # Guards the reader: a numpy attribute, an array method, an imported
+    # name and a call of it are found; names only in text are not.
+    source = (
+        '"""np.vdot is named in this docstring."""\n'
+        "import numpy as np\n"
+        "x = np.vdot(a, b)  # np.dot in a comment\n"
+        "y = a.dot(b)\n"
+        "from numpy import einsum, sum\n"
+        "z = einsum('i,i', a, b) + np.inner(a, b)\n"
+        "w = np.sum(a * b.conj())\n"
+    )
+    assert _vector_product_names(source) == [3, 4, 5, 6]
 
 
 def _unused_imports(source: str) -> list[str]:

@@ -14,7 +14,14 @@ memory stays flat in the table size.  The parser writes and flushes
 is buffered or not.  fidelity charges its Monte Carlo work
 (estimation.check_sample_cost, per 512 samples) to the build guard
 before it draws a state, and --sweep the sum over its families before
-it builds one.
+it builds one; --sweep then builds each family just before its row and
+drops it after, so it holds one family at a time, and a later family's
+refusal can come after earlier rows' Monte Carlo.  clone builds and
+certifies one family, the M-copy one, and measures the clones of every
+level m with its restriction to m copies (povm.restrict_povm), which is
+universal for m < M.  --tol is an ASCII decimal literal, and every
+integer flag and guard variable ASCII digits (errors._parse_int), so
+neither reads 1_0, +1, spaces or non-ASCII digits.
 
 Every command loads what it runs and no more.  The layer modules
 quadrature, povm, symmetric, estimation and cloner are imported with
@@ -46,6 +53,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from itertools import product
 from typing import NoReturn
@@ -58,6 +66,8 @@ from .errors import (
     ConstructionError,
     InputFormatError,
     ResourceLimitError,
+    _is_digits,
+    _parse_int,
     check_cost,
     check_int,
     exceeds,
@@ -80,6 +90,7 @@ from .povm import (
     check_optimality,
     check_universality,
     load_povm,
+    restrict_povm,
     save_povm,
 )
 from .symmetric import PureState, haar_random_state
@@ -138,9 +149,17 @@ def _table_lines(header: list[str], formats: list[str], rows: list[list]) -> lis
     return ["  ".join(header), *("  ".join(map(format, row, formats)) for row in rows)]
 
 
-def _check_tol(tol: float) -> None:
+# An ASCII decimal literal with an optional exponent.  float() would also
+# take 1_0, surrounding spaces, non-ASCII digits, nan and inf.
+_DECIMAL = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+
+
+def _tol(text: str) -> float:
+    """The value of --tol: a finite, non-negative ASCII decimal literal."""
+    tol = float(text) if _DECIMAL.fullmatch(text) else math.nan
     if not (math.isfinite(tol) and tol >= 0.0):
-        raise InputFormatError(f"--tol must be finite and non-negative, got {tol!r}")
+        raise InputFormatError(f"--tol must be a finite non-negative decimal number, got {text!r}")
+    return tol
 
 
 def _check_seeds(args: argparse.Namespace) -> None:
@@ -172,8 +191,7 @@ def _residuals(povm: Povm, level: str = "all") -> dict[str, float]:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    _check_tol(args.tol)
-    povm = build_povm(args.d, args.N, tol=args.tol)
+    povm = build_povm(args.d, args.N, tol=_tol(args.tol))
     res = _residuals(povm)
     save_povm(povm, args.out)
     weight_sum = float(np.sum(povm.weights))
@@ -196,16 +214,16 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    _check_tol(args.tol)
+    tol = _tol(args.tol)
     povm = load_povm(args.path)
     results = _residuals(povm, args.level)
-    failed = [name for name, value in results.items() if exceeds(value, args.tol)]
+    failed = [name for name, value in results.items() if exceeds(value, tol)]
     payload = {
         "operation": "verify",
         "path": str(args.path),
         "d": povm.d,
         "N": povm.N,
-        "tol": args.tol,
+        "tol": tol,
         "residuals": results,
         "passed": not failed,
     }
@@ -220,15 +238,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if not failed else EXIT_CERTIFICATION
 
 
-def _fidelity_table(povms: list[Povm], samples: int, seed: int) -> list[list]:
-    """One row per family: d, N, analytic, mc_estimate, stderr, optimal."""
-    table = []
-    for k, povm in enumerate(povms):
-        exact = mean_fidelity_exact(povm)
-        mc = mean_fidelity_mc(povm, samples, seed + k)
-        optimal = "%d/%d" % _optimal_ratio(povm.N, povm.d)
-        table.append([povm.d, povm.N, exact.value, mc.value, mc.stderr, optimal])
-    return table
+def _fidelity_row(povm: Povm, samples: int, seed: int) -> list:
+    """One family's row: d, N, analytic, mc_estimate, stderr, optimal."""
+    exact = mean_fidelity_exact(povm)
+    mc = mean_fidelity_mc(povm, samples, seed)
+    optimal = "%d/%d" % _optimal_ratio(povm.N, povm.d)
+    return [povm.d, povm.N, exact.value, mc.value, mc.stderr, optimal]
 
 
 def cmd_fidelity(args: argparse.Namespace) -> int:
@@ -241,14 +256,18 @@ def cmd_fidelity(args: argparse.Namespace) -> int:
             raise InputFormatError("--sweep requires --d and --N lists")
         families = list(product(args.d, args.N))
         check_sample_cost(args.samples, families)
-        povms = [build_povm(d, n) for d, n in families]
+        # Each family is built just before its row and dropped after it.
+        table = [
+            _fidelity_row(build_povm(d, n), args.samples, args.seed + k)
+            for k, (d, n) in enumerate(families)
+        ]
     else:
         if args.d is not None or args.N is not None:
             raise InputFormatError("--d and --N require --sweep; a POVM file has its own d and N")
-        povms = [load_povm(args.path)]
-        check_sample_cost(args.samples, [(povms[0].d, povms[0].N)])
+        povm = load_povm(args.path)
+        check_sample_cost(args.samples, [(povm.d, povm.N)])
+        table = [_fidelity_row(povm, args.samples, args.seed)]
     header = ["d", "N", "analytic", "mc_estimate", "stderr", "optimal"]
-    table = _fidelity_table(povms, args.samples, args.seed)
     rows = [dict(zip(header, row)) for row in table]
     _emit(
         args,
@@ -308,14 +327,17 @@ def cmd_clone(args: argparse.Namespace) -> int:
         args.states * (args.M - args.N + 1),
         FULL_SPACE_GUARD_ENV,
     )
-    # The top family is built first.  It has A >= d_M elements, so its
-    # construction cost A*d_M^2 bounds every clone's d_M^3: a run the guard
-    # refuses is refused before any state is drawn or cloned.
+    # The top family is the only one built and certified; every level m
+    # measures the clones with its restriction to m copies, which is
+    # universal for m < M.  It has A >= d_M elements, so its construction
+    # cost A*d_M^2 bounds every clone's d_M^3 and every level's two-step
+    # work A*d_m^2: a run the guard refuses is refused before any state is
+    # drawn or cloned.
     top = build_povm(args.d, args.M)
     states = [haar_random_state(args.d, args.seed + k) for k in range(args.states)]
     table = []
     for m in range(args.N, args.M + 1):
-        povm_m = top if m == args.M else build_povm(args.d, m)
+        povm_m = restrict_povm(top, m)
         for idx, state in enumerate(states):
             out = clone(state, args.N, m)
             single = single_particle_fidelity(out, state)
@@ -331,27 +353,16 @@ def cmd_clone(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _is_digits(text: str) -> bool:
-    """True iff text is one or more ASCII digits 0-9.
-
-    int() would also take 1_0, +1, surrounding spaces and non-ASCII
-    digits, so every integer the CLI reads passes this check first.
-    """
-    return text.isascii() and text.isdigit()
-
-
 def _int_arg(text: str) -> int:
-    """The parser type of every integer flag: ASCII digits, optionally after one '-'.
+    """The parser type of every integer flag: errors._parse_int's grammar.
 
-    A negative value parses, so the command's range check names the
-    flag and its bound.
+    ASCII digits, optionally after one '-'.  A negative value parses, so
+    the command's range check names the flag and its bound.
     """
-    if _is_digits(text[1:] if text.startswith("-") else text):
-        try:
-            return int(text)
-        except ValueError:  # past the interpreter's limit on str-to-int digits
-            pass
-    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    value = _parse_int(text)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return value
 
 
 def _parse_indices(flag: str, raw: str) -> tuple[int, ...]:
@@ -433,7 +444,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--d", type=_int_arg, required=True)
     p_build.add_argument("--N", type=_int_arg, required=True)
     p_build.add_argument("--out", required=True)
-    p_build.add_argument("--tol", type=float, default=CERTIFICATION_TOL)
+    p_build.add_argument("--tol", default=repr(CERTIFICATION_TOL))
     p_build.add_argument("--json", action="store_true")
     p_build.set_defaults(func=cmd_build)
 
@@ -444,7 +455,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["all", *_residual_checks()],
         default="all",
     )
-    p_verify.add_argument("--tol", type=float, default=CERTIFICATION_TOL)
+    p_verify.add_argument("--tol", default=repr(CERTIFICATION_TOL))
     p_verify.add_argument("--json", action="store_true")
     p_verify.set_defaults(func=cmd_verify)
 

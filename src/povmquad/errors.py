@@ -6,7 +6,9 @@ resource-guard refusals -> 3.
 
 check_int is the one test of a count (a dimension, a copy number, a
 sample or shot count, a seed, an index): every such argument the
-package or the CLI checks goes through it.
+package or the CLI checks goes through it.  _parse_int is the one
+grammar of an integer read from text, a CLI flag or a guard variable:
+ASCII digits, optionally after one '-'.
 
 Both resource guards can be raised or lowered through environment
 variables so batch jobs can opt into bigger computations without code
@@ -85,14 +87,38 @@ def check_int(name: str, value, lo: int, hi: int | None = None) -> int:
     return value
 
 
+def _is_digits(text: str) -> bool:
+    """True iff text is one or more ASCII digits 0-9.
+
+    int() would also take 1_0, +1, surrounding spaces and non-ASCII
+    digits, so every integer the package reads from text passes this
+    check first.
+    """
+    return text.isascii() and text.isdigit()
+
+
+def _parse_int(text: str) -> int | None:
+    """text as an int if it is ASCII digits, optionally after one '-'; else None.
+
+    The rule of every integer the CLI reads from a flag or a guard
+    variable.  A negative value parses, so the caller's range check
+    names the value and its bound.
+    """
+    if _is_digits(text[1:] if text.startswith("-") else text):
+        try:
+            return int(text)
+        except ValueError:  # past the interpreter's limit on str-to-int digits
+            pass
+    return None
+
+
 def _read_guard(env_name: str) -> int:
     raw = os.environ.get(env_name)
     if raw is None:
         return _DEFAULTS[env_name]
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise InputFormatError(f"{env_name} must be an integer, got {raw!r}") from exc
+    value = _parse_int(raw)
+    if value is None:
+        raise InputFormatError(f"{env_name} must be an integer, got {raw!r}")
     if value < 1:
         raise InputFormatError(f"{env_name} must be positive, got {value}")
     return value

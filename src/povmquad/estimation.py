@@ -18,17 +18,19 @@ optimal POVM with unit weight sum meets the optimum exactly.  The Monte
 Carlo estimator and the deliberately suboptimal per-copy baseline exist
 to check those closed forms from the operational side.
 
-The Monte Carlo kernel takes its states in blocks of _MC_BLOCK for the
-statistics and draws and evaluates them _MC_CHUNK rows at a time, one
-draw after another from one random.Random(seed) stream.  A draw of n
-states is the first n of any longer draw, so the values are those of
-one draw per block, and the working set is a few _MC_CHUNK x d_{N+1}
-arrays and one chunk's uniforms whatever the sample count; a whole
-block's getrandbits integer, bytes and uniforms (about 200 KB each at
-d = 3) set a fidelity command's peak when drawn at once.  _MC_CHUNK is
-256 rows: at 1024 the arrays set the peak of fidelity on (3,4) about
-0.5 MB higher, and smaller chunks pay the fixed cost of the dozen numpy
-calls per chunk more often, which the small families feel first.
+Both Monte Carlo estimators, mean_fidelity_mc and the majority-vote
+baseline, run on one loop, _mc_mean: it takes the samples in blocks of
+_MC_BLOCK for the statistics and asks for their values _MC_CHUNK rows
+(or fewer) at a time, each chunk drawn after the one before from one
+random.Random(seed) stream.  A draw of n rows is the first n of any
+longer draw, so the values are those of one draw per block, and the
+working set is a few chunk-sized arrays and one chunk's uniforms
+whatever the sample count; a whole block's getrandbits integer, bytes
+and uniforms (about 200 KB each at d = 3) set a fidelity command's peak
+when drawn at once.  _MC_CHUNK is 256 rows: at 1024 the arrays set the
+peak of fidelity on (3,4) about 0.5 MB higher, and smaller chunks pay
+the fixed cost of the dozen numpy calls per chunk more often, which the
+small families feel first.
 
 Shot counts are a chain of conditional binomials, count_a ~
 Binomial(shots - count_1 - ... - count_{a-1}, p_a / (p_a + ... + p_A)),
@@ -49,6 +51,7 @@ from .povm import Povm
 from .symmetric import (
     PureState,
     _check_family,
+    _haar_rows,
     _Record,
     _squared_overlaps,
     _uniforms,
@@ -254,37 +257,27 @@ def mean_fidelity_exact(povm: Povm) -> FidelityReport:
     return FidelityReport(value=value, stderr=0.0, method="analytic")
 
 
-def mean_fidelity_mc(povm: Povm, samples: int, seed: int) -> FidelityReport:
-    """Monte Carlo average of the pointwise fidelity over Haar states.
+def _mc_mean(samples: int, values_of, chunk: int = _MC_CHUNK) -> tuple[float, float]:
+    """Mean and standard error of samples values, values_of(rows) giving the next rows.
 
-    Deterministic for fixed seed: the states of each block of _MC_BLOCK
-    are drawn and evaluated _MC_CHUNK rows at a time, one draw after
-    another from one random.Random(seed), into one array of the block's
-    length.  The value is the block-order sum of the
-    block sums over samples.  The standard error combines each block's
-    mean and sum of squared deviations by the pairwise update of Chan,
-    Golub & LeVeque, so a constant integrand (a universal estimator)
-    reports the spread of its rounding, not a cancellation residue.
-    G_{N+1} is formed once per call; refused when its cost
-    A*d_{N+1}^2 exceeds the build guard.  Raises InputFormatError, before
-    any work, unless seed is a non-negative integer.
+    The values are taken in blocks of _MC_BLOCK, each filled chunk rows
+    at a time into one array of the block's length.  The mean is the
+    block-order sum of the block sums over samples.  The standard error
+    combines each block's mean and sum of squared deviations by the
+    pairwise update of Chan, Golub & LeVeque, so a constant integrand (a
+    universal estimator) reports the spread of its rounding, not a
+    cancellation residue.
     """
-    samples = check_samples(samples)
-    seed = check_int("seed", seed, 0)
-    stream = random.Random(seed)
-    frame = frame_operator(povm.guesses, povm.weights, povm.N + 1)
-    n_blocks = (samples + _MC_BLOCK - 1) // _MC_BLOCK
     total = 0.0
     mean = 0.0
     m2 = 0.0
     done = 0
-    for b in range(n_blocks):
+    while done < samples:
         count = min(_MC_BLOCK, samples - done)
         vals = np.empty(count)
-        for lo in range(0, count, _MC_CHUNK):
-            rows = min(_MC_CHUNK, count - lo)
-            states = haar_random_states(povm.d, rows, stream)
-            vals[lo : lo + rows] = _pointwise_batch(povm, frame, states)
+        for lo in range(0, count, chunk):
+            rows = min(chunk, count - lo)
+            vals[lo : lo + rows] = values_of(rows)
         block_sum = float(np.sum(vals))
         total += block_sum
         block_mean = block_sum / count
@@ -294,9 +287,29 @@ def mean_fidelity_mc(povm: Povm, samples: int, seed: int) -> FidelityReport:
         mean += delta * count / merged
         m2 += block_m2 + delta * delta * done * count / merged
         done = merged
-    stderr = math.sqrt(m2 / (samples - 1) / samples)
+    return total / samples, math.sqrt(m2 / (samples - 1) / samples)
+
+
+def mean_fidelity_mc(povm: Povm, samples: int, seed: int) -> FidelityReport:
+    """Monte Carlo average of the pointwise fidelity over Haar states.
+
+    Deterministic for fixed seed: _mc_mean takes the states _MC_CHUNK
+    rows at a time, one draw after another from one random.Random(seed).
+    G_{N+1} is formed once per call; refused when its cost
+    A*d_{N+1}^2 exceeds the build guard.  Raises InputFormatError, before
+    any work, unless seed is a non-negative integer.
+    """
+    samples = check_samples(samples)
+    seed = check_int("seed", seed, 0)
+    stream = random.Random(seed)
+    frame = frame_operator(povm.guesses, povm.weights, povm.N + 1)
+
+    def values_of(rows: int) -> np.ndarray:
+        return _pointwise_batch(povm, frame, haar_random_states(povm.d, rows, stream))
+
+    value, stderr = _mc_mean(samples, values_of)
     return FidelityReport(
-        value=total / samples, stderr=stderr, method="monte-carlo", samples=samples, seed=seed
+        value=value, stderr=stderr, method="monte-carlo", samples=samples, seed=seed
     )
 
 
@@ -308,28 +321,29 @@ def majority_vote_fidelity_mc(N: int, samples: int, seed: int) -> FidelityReport
     vote (ties broken by a fair coin).  For N >= 2 this strategy is
     strictly below the joint-measurement optimum (N+1)/(N+2).
 
-    One random.Random(seed) stream gives the states, then N + 1
-    uniforms per state: the copies found in |0> are the first N at or
-    below p_0 = |c_0|^2, an exact Binomial(N, p_0), and the last one,
-    at or below 1/2, breaks a tie.  The uniforms are drawn for at most
-    _VOTE_UNIFORMS of them at a time.  Raises InputFormatError unless
-    seed is a non-negative integer.
+    One random.Random(seed) stream gives N + 5 uniforms per sample, read
+    as one row: 4 for the state (symmetric._haar_rows), then N for the
+    copies, of which those found in |0> are the ones at or below
+    p_0 = |c_0|^2, an exact Binomial(N, p_0), and the last one, at or
+    below 1/2, breaks a tie.  _mc_mean takes the samples in chunks of at
+    most _VOTE_UNIFORMS uniforms (and at most _MC_CHUNK rows), so the
+    working set is flat in the sample count.  Raises InputFormatError
+    unless seed is a non-negative integer.
     """
     N = check_int("N", N, 1)
     samples = check_samples(samples)
     seed = check_int("seed", seed, 0)
     stream = random.Random(seed)
-    p0 = np.abs(haar_random_states(2, samples, stream)[:, 0]) ** 2
-    guess_zero = np.empty(samples, dtype=bool)
-    step = max(1, _VOTE_UNIFORMS // (N + 1))
-    for lo in range(0, samples, step):
-        rows = p0[lo : lo + step]
-        u = _uniforms(stream, rows.size * (N + 1)).reshape(rows.size, N + 1)
-        twice_zeros = 2 * np.count_nonzero(u[:, :N] <= rows[:, None], axis=1)
-        guess_zero[lo : lo + step] = (twice_zeros > N) | ((twice_zeros == N) & (u[:, N] <= 0.5))
-    vals = np.where(guess_zero, p0, 1.0 - p0)
-    mean = float(np.mean(vals))
-    stderr = float(np.std(vals, ddof=1) / math.sqrt(samples))
+    width = N + 5
+
+    def values_of(rows: int) -> np.ndarray:
+        u = _uniforms(stream, rows * width).reshape(rows, width)
+        p0 = np.abs(_haar_rows(u[:, :4].reshape(rows, 2, 2))[:, 0]) ** 2
+        twice_zeros = 2 * np.count_nonzero(u[:, 4 : 4 + N] <= p0[:, None], axis=1)
+        guess_zero = (twice_zeros > N) | ((twice_zeros == N) & (u[:, 4 + N] <= 0.5))
+        return np.where(guess_zero, p0, 1.0 - p0)
+
+    value, stderr = _mc_mean(samples, values_of, max(1, min(_MC_CHUNK, _VOTE_UNIFORMS // width)))
     return FidelityReport(
-        value=mean, stderr=stderr, method="majority-vote-mc", samples=samples, seed=seed
+        value=value, stderr=stderr, method="majority-vote-mc", samples=samples, seed=seed
     )

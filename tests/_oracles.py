@@ -553,6 +553,25 @@ def mean_fidelity_mc_whole_block(povm, samples: int, seed: int, block: int) -> f
     return total / samples
 
 
+def majority_vote_values(n: int, samples: int, seed: int) -> np.ndarray:
+    """Each sample's fidelity under the per-copy majority vote, drawn whole.
+
+    Sample k reads uniforms k(n+5) .. k(n+5)+n+4 of one random.Random(seed)
+    stream: two Exp(1) moduli -log u and two phases give p_0 =
+    E_0 / (E_0 + E_1), then n copies, each found in |0> when its uniform
+    is at most p_0, then one tie coin.  The guess is |0> when more than
+    half the copies, or half and the coin at most 1/2, say so.
+    """
+    from povmquad.symmetric import _uniforms
+
+    u = _uniforms(random.Random(seed), samples * (n + 5)).reshape(samples, n + 5)
+    exp = -np.log(u[:, :2])
+    p0 = exp[:, 0] / exp.sum(axis=1)
+    zeros = np.sum(u[:, 4 : 4 + n] <= p0[:, None], axis=1)
+    guess_zero = (2 * zeros > n) | ((2 * zeros == n) & (u[:, 4 + n] <= 0.5))
+    return np.where(guess_zero, p0, 1.0 - p0)
+
+
 def mean_fidelity_exact_fraction(povm) -> float:
     """(d_N / d_{N+1}) sum_a w_a as one Fraction, rounded to a float once.
 

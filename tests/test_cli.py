@@ -370,6 +370,86 @@ class TestGuardVariables:
         assert list(tmp_path.iterdir()) == []
 
 
+# Each is read as 10 by int(); the guard variables read ASCII digits only.
+LOOSE_GUARD_VALUES = ["1_0", " 10 ", "+10", "\u0661\u0660"]
+
+
+class TestGuardVariableGrammar:
+    @pytest.mark.parametrize("value", LOOSE_GUARD_VALUES, ids=["underscore", "spaces", "plus", "arabic-indic"])
+    @pytest.mark.parametrize(
+        "variable,argv",
+        [
+            ("POVMQUAD_BUILD_GUARD", ["build", "--d", "2", "--N", "1", "--out", "x.json"]),
+            ("POVMQUAD_FULL_SPACE_GUARD", ["moments", "--d", "2", "--max-len", "1"]),
+        ],
+        ids=["build", "full-space"],
+    )
+    def test_loose_integer_is_input_error(self, tmp_path, capsys, monkeypatch, variable, argv, value):
+        # Read as 10, each admitted the run: (2,1) costs A*d_N^2 = 8 and
+        # the one-length moment table has 4 rows.
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv(variable, value)
+        code, out, err = run(capsys, argv)
+        assert code == EXIT_INPUT
+        assert err == f"input error: {variable} must be an integer, got {value!r}\n"
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_negative_value_names_its_bound(self, monkeypatch):
+        # The integer-flag rule reads one leading '-', so the range check
+        # names the bound.
+        from povmquad.errors import FULL_SPACE_GUARD_ENV, InputFormatError, _read_guard
+
+        monkeypatch.setenv(FULL_SPACE_GUARD_ENV, "-5")
+        with pytest.raises(InputFormatError, match="must be positive, got -5"):
+            _read_guard(FULL_SPACE_GUARD_ENV)
+
+
+# float() reads the first eight; none is an ASCII decimal literal, the one form of a --tol.
+LOOSE_TOLS = ["1_0", " 1e-3", "1e-3 ", "\u0661", "\uff11", "1e-1_0", "nan", "Infinity",
+              "0x1p-3", "1e", ".", "+", "", "1e-3e2"]
+
+
+class TestTolGrammar:
+    @pytest.mark.parametrize("tol", LOOSE_TOLS)
+    def test_build_refuses_loose_float_text(self, tmp_path, capsys, tol):
+        out_path = tmp_path / "x.json"
+        code, out, err = run(capsys, ["build", "--d", "2", "--N", "1", "--out", str(out_path), "--tol", tol])
+        assert code == EXIT_INPUT
+        assert err == f"input error: --tol must be a finite non-negative decimal number, got {tol!r}\n"
+        assert out == ""
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("tol", LOOSE_TOLS)
+    def test_verify_refuses_loose_float_text(self, tmp_path, capsys, tol):
+        # (3,4) is not universal: its level-5 residual, 5.6e-03, passed a
+        # --tol of 1_0, read as 10.
+        path = str(tmp_path / "d3_N4.json")
+        assert main(["build", "--d", "3", "--N", "4", "--out", path]) == EXIT_OK
+        capsys.readouterr()
+        code, out, err = run(capsys, ["verify", path, "--tol", tol])
+        assert code == EXIT_INPUT
+        assert "--tol" in err and err.count("\n") == 1
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "tol,value",
+        [("1e-3", 1e-3), ("0.5", 0.5), (".5", 0.5), ("5.", 5.0), ("+1E-10", 1e-10), ("0", 0.0),
+         ("-0.0", 0.0), ("007e-1", 0.7)],
+    )
+    def test_decimal_literals_are_read(self, povm_path, capsys, tol, value):
+        code, out, _ = run(capsys, ["verify", str(povm_path), "--level", "optimality", "--tol", tol, "--json"])
+        assert code in (EXIT_OK, EXIT_CERTIFICATION)
+        assert json.loads(out)["tol"] == value
+
+    def test_default_is_the_certification_tolerance(self, povm_path, capsys):
+        from povmquad.povm import CERTIFICATION_TOL
+
+        code, out, _ = run(capsys, ["verify", str(povm_path), "--level", "optimality", "--json"])
+        assert code == EXIT_OK
+        assert json.loads(out)["tol"] == CERTIFICATION_TOL
+
+
 class TestFidelity:
     def test_table_output(self, povm_path, capsys):
         code, out, _ = run(
@@ -575,6 +655,51 @@ class TestSampleGuard:
         ])
         assert code == EXIT_INPUT
         assert err == "input error: need d >= 2, got 1\n"
+
+    def test_sweep_holds_one_family_at_a_time(self, capsys, monkeypatch):
+        # Each family is built just before its row's Monte Carlo and dropped
+        # after the row, so none outlives its row.
+        import weakref
+
+        built, starts = [], []
+        real_build, real_mc = povmquad.cli.build_povm, povmquad.cli.mean_fidelity_mc
+
+        def tracked_build(d, n):
+            povm = real_build(d, n)
+            built.append(weakref.ref(povm))
+            return povm
+
+        def checked_mc(povm, samples, seed):
+            starts.append([ref() is not None for ref in built])
+            return real_mc(povm, samples, seed)
+
+        monkeypatch.setattr(povmquad.cli, "build_povm", tracked_build)
+        monkeypatch.setattr(povmquad.cli, "mean_fidelity_mc", checked_mc)
+        code, out, _ = run(capsys, [
+            "fidelity", "--sweep", "--d", "2", "3", "--N", "1", "2", "3", "--samples", "100", "--seed", "1",
+        ])
+        assert code == EXIT_OK
+        assert starts == [[False] * k + [True] for k in range(6)]
+        assert [ref() for ref in built] == [None] * 6
+
+    @pytest.mark.parametrize("last,rows_run", [("99", [(2, 1), (2, 99)]), ("100", [(2, 1)])])
+    def test_later_refusal_follows_earlier_rows(self, capsys, monkeypatch, last, rows_run):
+        # The default guard admits the (2,99) grid but not its G_100, and
+        # refuses the (2,100) grid itself.  Either refusal comes after the
+        # (2,1) row's Monte Carlo, and the command exits 3 with nothing written.
+        rows = []
+        real_mc = povmquad.cli.mean_fidelity_mc
+        monkeypatch.setattr(
+            povmquad.cli, "mean_fidelity_mc",
+            lambda povm, samples, seed: rows.append((povm.d, povm.N)) or real_mc(povm, samples, seed),
+        )
+        code, out, err = run(capsys, [
+            "fidelity", "--sweep", "--d", "2", "--N", "1", last, "--samples", "100", "--seed", "1",
+        ])
+        assert code == EXIT_RESOURCE
+        assert out == ""
+        assert "POVMQUAD_BUILD_GUARD" in err
+        assert rows == rows_run
 
 
 class TestSimulate:
@@ -864,12 +989,46 @@ class TestClone:
         assert few_code == many_code == EXIT_OK
         assert many - few < 150_000
 
+    def test_only_the_top_family_is_built(self, capsys, monkeypatch):
+        # Every level measures with a restriction of the one certified
+        # family; up to version 0.14.0 it built one grid per level, nine here.
+        import povmquad.povm
+
+        grids, builds = [], []
+        real_grid, real_build = povmquad.povm.sphere_grid, povmquad.cli.build_povm
+        monkeypatch.setattr(povmquad.povm, "sphere_grid", lambda d, n: grids.append((d, n)) or real_grid(d, n))
+        monkeypatch.setattr(povmquad.cli, "build_povm", lambda d, n: builds.append((d, n)) or real_build(d, n))
+        code, out, _ = run(capsys, ["clone", "--d", "2", "--N", "1", "--M", "9", "--states", "1", "--seed", "1905"])
+        assert code == EXIT_OK
+        assert grids == builds == [(2, 9)]
+
 
 # The clone commands of the benchmark's clone workload (perfbench/run.py).
 BENCHMARK_CLONES = [
     ["clone", "--d", "2", "--N", "1", "--M", "9", "--states", "1", "--seed", "1905", "--json"],
     ["clone", "--d", "3", "--N", "1", "--M", "4", "--states", "5", "--seed", "1906", "--json"],
 ]
+class TestBenchmarkClones:
+    @pytest.mark.parametrize("argv", BENCHMARK_CLONES, ids=["d2-M9", "d3-M4"])
+    def test_every_level_reaches_the_optimum(self, capsys, argv):
+        # The restricted top family is universal below M, so the m = N row
+        # reads (N+1)/(N+d) too; single_particle is the cloner's own value.
+        from povmquad import clone, haar_random_state, single_particle_fidelity
+
+        code, out, _ = run(capsys, argv)
+        assert code == EXIT_OK
+        flags = dict(zip(argv[1::2], argv[2::2]))
+        d, n, m_top, seed = (int(flags[k]) for k in ("--d", "--N", "--M", "--seed"))
+        rows = json.loads(out)["rows"]
+        assert [(row["M"], row["state_index"]) for row in rows] == [
+            (m, k) for m in range(n, m_top + 1) for k in range(int(flags["--states"]))
+        ]
+        for row in rows:
+            assert abs(row["two_step"] - (n + 1) / (n + d)) <= 1e-8, row
+            state = haar_random_state(d, seed + row["state_index"])
+            assert row["single_particle"] == single_particle_fidelity(clone(state, n, row["M"]), state)
+
+
 LAPACK_NAMES = ("eigvalsh", "eigh", "eigvals", "eig", "cholesky", "qr", "svd", "solve", "inv", "lstsq")
 
 

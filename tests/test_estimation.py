@@ -35,6 +35,7 @@ from povmquad.sampling import _log_binomial_ratio, binomial
 from _oracles import (
     ACCEPTANCE_PAIRS,
     haar_random_unitary,
+    majority_vote_values,
     mean_fidelity_exact_fraction,
     mean_fidelity_mc_whole_block,
     pointwise_fidelity_direct,
@@ -557,6 +558,31 @@ class TestMajorityBaseline:
         monkeypatch.setattr(estimation, "_VOTE_UNIFORMS", 7)
         chunked = majority_vote_fidelity_mc(3, samples=1000, seed=12)
         assert (chunked.value, chunked.stderr) == (whole.value, whole.stderr)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("samples", [100, _MC_BLOCK + 300])
+    def test_rows_match_whole_draw_oracle(self, n, samples):
+        # Each sample reads its state's 4 uniforms and its N + 1 vote
+        # uniforms as one row of one stream.
+        vals = majority_vote_values(n, samples, 77)
+        report = majority_vote_fidelity_mc(n, samples, 77)
+        assert report.value == pytest.approx(vals.mean(), rel=1e-14, abs=0)
+        assert report.stderr == pytest.approx(vals.std(ddof=1) / math.sqrt(samples), rel=1e-9, abs=0)
+
+    def test_memory_flat_in_samples(self):
+        # Up to version 0.14.0 whole-sample arrays of states, votes and values set the
+        # process peak: 41, 151 and 487 MB for 1e5, 1e6 and 4e6 samples.
+        def peak(samples):
+            tracemalloc.start()
+            try:
+                majority_vote_fidelity_mc(3, samples, seed=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(100)
+        few, many = peak(2 * _MC_BLOCK), peak(50 * _MC_BLOCK)
+        assert many - few < 50_000
 
     def test_deterministic(self):
         a = majority_vote_fidelity_mc(2, samples=1000, seed=8)

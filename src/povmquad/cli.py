@@ -162,6 +162,22 @@ def _tol(text: str) -> float:
     return tol
 
 
+def _attach_tol(argv: list[str]) -> list[str]:
+    """argv with each `--tol X` written `--tol=X` where X begins with one '-'.
+
+    argparse takes such an X (-inf, -1e-5, -nan; not -0.5, which it reads
+    as a negative number) for an option and reports --tol without its
+    argument.  Attached, X reaches _tol's check.  Nothing after `--` is
+    touched.
+    """
+    args = list(argv)
+    end = args.index("--") if "--" in args else len(args)
+    for i in reversed(range(end - 1)):
+        if args[i] == "--tol" and args[i + 1].startswith("-") and not args[i + 1].startswith("--"):
+            args[i : i + 2] = [f"--tol={args[i + 1]}"]
+    return args
+
+
 def _check_seeds(args: argparse.Namespace) -> None:
     for flag in ("seed", "state_seed"):
         value = getattr(args, flag, None)
@@ -505,7 +521,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_tol(sys.argv[1:] if argv is None else argv))
         _check_seeds(args)
         code = args.func(args)
         sys.stdout.flush()

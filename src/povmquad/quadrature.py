@@ -16,9 +16,18 @@ e^{i k.theta} to 1 if k'.z = 0 (mod M) and to 0 otherwise.  The Korobov
 generator z = (1, g, g^2, ...) mod M is chosen with k'.z != 0 (mod M)
 for every n != m, so every off-diagonal entry sums to exactly 0,
 whatever its moduli part, and every diagonal phase part to 1.  The
-search tries M = d_N, d_N + 1, ... and, for each, g = 1, 2, ...; it
-tells a separating g by counting how often each residue n'.z occurs
-(one bincount per chunk of candidates), not by sorting.
+search tries M = d_N, d_N + 1, ... and, for each, g = 1, 2, ..., in
+Python integers.  The rows that share a tail (n_2, ..., n_{d-1}) have
+n_1 = 0, 1, ..., so their residues n'.z are consecutive from the
+tail's; each tail's residue is formed once per g, the residues taken
+are the bits of one Python integer, and g stops at its first repeat.
+A g prime to M separates exactly when its inverse does, so the inverse
+of a g that fails is not tried.
+The phase index t z_j mod M is formed in Python integers too and
+passed to np.exp as float64.  So building a grid runs no numpy integer
+loop: numpy's int64 multiply, remainder, matmul and bincount kernels
+would otherwise be paged into every build and clone for the lattice
+alone.
 
 Moduli.  On the diagonal the moduli part is x^n, of degree N.  In
 collapsed (Duffy/Stroud) coordinates x_j = u_j prod_{i<j} (1-u_i),
@@ -51,12 +60,13 @@ import itertools
 import math
 from collections.abc import Callable
 from functools import cached_property, partial
+from operator import itemgetter
 
 import numpy as np
 
 from .errors import BUILD_GUARD_ENV, ConstructionError, InputFormatError, check_cost, exceeds
 from .errors import check_int
-from .symmetric import NORM_TOL, _check_family, _occupation_table, _Record, frame_residual
+from .symmetric import NORM_TOL, _check_family, _Record, frame_residual, occupation_basis
 from .symmetric import sym_dim, sym_embed_batch
 
 NEWTON_TOL = 1e-14
@@ -66,8 +76,6 @@ NEWTON_TOL = 1e-14
 _BRACKET_TOL = 2.0**-50
 _BRACKET_FLOOR = 2.0**-60
 _LEAST_PIVOT = 5e-324
-# Residue cells counted at once by the lattice search: candidates per chunk x M.
-_OCCUPANCY_CELLS = 1 << 16
 
 
 def _recurrence(jacobi: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -261,27 +269,42 @@ class Povm(_Record):
         return emb
 
 
-def _lattice_generator(projected: np.ndarray, M: int) -> tuple[int, ...] | None:
+def _lattice_generator(runs: list[tuple[Callable, int]], d: int, M: int) -> tuple[int, ...] | None:
     """First Korobov z = (1, g, g^2, ...) mod M, g = 1..M-1, with the row.z distinct mod M.
 
-    projected holds the occupation tuples without their last coordinate,
-    so distinct row.z is k'.z != 0 (mod M) for every difference.  The
-    candidates g are tested a chunk of about _OCCUPANCY_CELLS / M at a
-    time: one bincount of residue + M * column counts how often each
-    residue occurs in each column, and a column separates when no count
-    exceeds 1.  The search stops at the first chunk holding one.
+    runs holds one (pick, mask) pair per tail (n_2, ..., n_{d-1}) of the
+    occupation tuples, from _korobov_lattice.  The rows sharing a tail
+    have n_1 = 0, 1, ..., so their residues are consecutive from the
+    tail's sum(pick(z)), and the run of them is mask, as many low bits
+    as rows, shifted there and folded mod M.  One Python integer holds
+    the residues taken as bits, and g stops at the first run that meets
+    them.  A g prime to M separates exactly when its inverse h does:
+    h^(d-2) n'.z(g) = rev(n').z(h), and reversing the projected tuples
+    n' (those of sum <= N) permutes them.  So a g that fails refutes h,
+    and a refuted h is not tried.
     """
-    chunk = max(1, _OCCUPANCY_CELLS // M)
-    for start in range(1, M, chunk):
-        g = np.arange(start, min(start + chunk, M))
-        z = np.ones((projected.shape[1], g.size), dtype=np.int64)
-        for j in range(1, z.shape[0]):
-            z[j] = z[j - 1] * g % M
-        cells = projected @ z % M + M * np.arange(g.size)
-        occupancy = np.bincount(cells.ravel(), minlength=M * g.size).reshape(g.size, M)
-        separated = np.flatnonzero(occupancy.max(axis=1) <= 1)
-        if separated.size:
-            return tuple(z[:, separated[0]].tolist())
+    full = (1 << M) - 1
+    # Column j holds g^j mod M for every g = 0..M-1; the last, theta_d's, is 0.
+    columns = [[1] * M]
+    for _ in range(d - 2):
+        columns.append([power * g % M for g, power in enumerate(columns[-1])])
+    columns.append([0] * M)
+    refuted = {0}  # 0 is no generator
+    for g, z in enumerate(zip(*columns)):
+        if g in refuted:
+            continue
+        taken = 0
+        for pick, mask in runs:
+            run = mask << (sum(pick(z)) % M)
+            if run > full:
+                run = (run & full) | (run >> M)
+            if taken & run:
+                break
+            taken |= run
+        else:
+            return z[:-1]
+        if math.gcd(g, M) == 1:
+            refuted.add(pow(g, -1, M))
     return None
 
 
@@ -289,8 +312,13 @@ def _korobov_lattice(d: int, N: int, moduli_nodes: int) -> tuple[int, tuple[int,
     """Smallest exact Korobov lattice (M, z), the first g for that M.
 
     d_N distinct residues need M >= d_N, so the search starts there, and
-    each M is tested by _lattice_generator's occupancy count, not a sort.
-    Each M is charged A*d_N^2 against POVMQUAD_BUILD_GUARD before it is
+    each M is tested by _lattice_generator in Python integers, so no
+    numpy integer kernel is paged in for the search.  The rows of
+    occupation_basis(d, N) are grouped once by their tail
+    (n_2, ..., n_{d-1}), and each tail's residue is formed once per g:
+    an itemgetter picks z_j n_j times for each j of the tail, and twice
+    the zero entry of theta_d, so that it always returns a tuple.  Each
+    M is charged A*d_N^2 against POVMQUAD_BUILD_GUARD before it is
     tried, so the guard ends any search.  Without it the search would
     still end by M = (N+1)^(d-1) with g = N+1: then |k'.z| < M, and
     k'.z = 0 only for k' = 0 by uniqueness of balanced base-(N+1)
@@ -299,10 +327,15 @@ def _korobov_lattice(d: int, N: int, moduli_nodes: int) -> tuple[int, tuple[int,
     """
     dim = sym_dim(d, N)
     moduli = moduli_nodes ** (d - 1)
+    counts: dict[tuple[int, ...], int] = {}
+    for row in occupation_basis(d, N):
+        tail = tuple(j for j in range(1, d - 1) for _ in range(row[j]))
+        counts[tail] = counts.get(tail, 0) + 1
+    runs = [(itemgetter(d - 1, d - 1, *tail), (1 << count) - 1) for tail, count in counts.items()]
     for M in itertools.count(dim):
         cost = moduli * M * dim * dim
         check_cost(f"construction cost A*d_N^2 for d={d}, N={N}, M={M}", cost, BUILD_GUARD_ENV)
-        z = _lattice_generator(_occupation_table(d, N)[:, :-1], M)
+        z = _lattice_generator(runs, d, M)
         if z is not None:
             return M, z
 
@@ -343,7 +376,9 @@ def sphere_grid(d: int, N: int) -> Povm:
         rest = np.outer(rest, 1.0 - u).ravel()
         weights = np.outer(weights, np.ldexp(w, -math.frexp(math.fsum(w))[1])).ravel()
     x = np.column_stack([x, rest])
-    phases = np.exp(2j * np.pi * (np.outer(np.arange(M), (*z, 0)) % M) / M)
+    # The phase index t*z_j mod M in Python integers, as float64.
+    index = np.array([[t * zj % M for zj in (*z, 0)] for t in range(M)], dtype=np.float64)
+    phases = np.exp(2j * np.pi * index / M)
     states = (np.sqrt(x)[:, None, :] * phases).reshape(-1, d)
     weights = np.repeat(weights, M)
     weights = weights / math.fsum(weights)

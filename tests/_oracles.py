@@ -461,7 +461,7 @@ def gauss_jacobi_eigvalsh(n: int, alpha: int):
 def korobov_lattice_sorted(d: int, n: int) -> tuple[int, tuple[int, ...]]:
     """Smallest Korobov lattice (M, z) separating the occupation tuples of n, by sorting.
 
-    The search before the occupancy count, without a guard: M = d_n,
+    The first search, by sorting and without a guard: M = d_n,
     d_n + 1, ...; for each, every g = 1..M-1 at once, each column of
     residues sorted and checked for repeats; the first g that has none.
     """
@@ -474,6 +474,16 @@ def korobov_lattice_sorted(d: int, n: int) -> tuple[int, tuple[int, ...]]:
         separated = np.flatnonzero(np.all(np.diff(values, axis=0), axis=0))
         if separated.size:
             return M, tuple(z[:, separated[0]].tolist())
+
+
+def lattice_phase_index(M: int, z) -> np.ndarray:
+    """The phase index t*z_j mod M of a rank-1 lattice, as an int64 array.
+
+    Row t = 0..M-1, column j = 1..d; the last column, theta_d's, is 0.
+    The numpy integer formula sphere_grid used before it formed the
+    index in Python integers.
+    """
+    return np.outer(np.arange(M), (*z, 0)) % M
 
 
 def truncate_lattice(rule):

@@ -409,6 +409,9 @@ class TestGuardVariableGrammar:
 LOOSE_TOLS = ["1_0", " 1e-3", "1e-3 ", "\u0661", "\uff11", "1e-1_0", "nan", "Infinity",
               "0x1p-3", "1e", ".", "+", "", "1e-3e2"]
 
+# --tol values that begin with '-': all refused by _tol, none by argparse.
+DASH_TOLS = ["-inf", "-1e-5", "-nan", "-0.5", "-Infinity", "-1_0", "-", "-x"]
+
 
 class TestTolGrammar:
     @pytest.mark.parametrize("tol", LOOSE_TOLS)
@@ -441,6 +444,28 @@ class TestTolGrammar:
         code, out, _ = run(capsys, ["verify", str(povm_path), "--level", "optimality", "--tol", tol, "--json"])
         assert code in (EXIT_OK, EXIT_CERTIFICATION)
         assert json.loads(out)["tol"] == value
+
+    @pytest.mark.parametrize("attached", [False, True], ids=["spaced", "attached"])
+    @pytest.mark.parametrize("tol", DASH_TOLS)
+    @pytest.mark.parametrize("command", ["build", "verify"])
+    def test_dash_values_reach_the_check(self, tmp_path, povm_path, capsys, command, tol, attached):
+        # `--tol -inf` used to end in argparse's "expected one argument".
+        out_path = tmp_path / "x.json"
+        argv = {"build": ["build", "--d", "2", "--N", "1", "--out", str(out_path)], "verify": ["verify", str(povm_path)]}
+        flag = [f"--tol={tol}"] if attached else ["--tol", tol]
+        code, out, err = run(capsys, [*argv[command], *flag])
+        assert code == EXIT_INPUT
+        assert err == f"input error: --tol must be a finite non-negative decimal number, got {tol!r}\n"
+        assert out == ""
+        assert not out_path.exists()
+
+    def test_dash_value_after_double_dash_is_left_alone(self, capsys):
+        # After `--` every word is positional: verify's path is `--tol`
+        # and -inf is one argument too many.
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "--", "--tol", "-inf"])
+        assert info.value.code == EXIT_INPUT
+        assert "unrecognized arguments: -inf" in capsys.readouterr().err
 
     def test_default_is_the_certification_tolerance(self, povm_path, capsys):
         from povmquad.povm import CERTIFICATION_TOL

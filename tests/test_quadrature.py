@@ -34,6 +34,7 @@ from _oracles import (
     gauss_jacobi_eigvalsh,
     gram_residual_states,
     korobov_lattice_sorted,
+    lattice_phase_index,
     max_ray_overlap,
     moduli_lattice_grid,
     polar_grid,
@@ -492,9 +493,9 @@ class TestSphereGrid:
         tried = []
         original = quadrature._lattice_generator
 
-        def recording(projected, M):
+        def recording(runs, d, M):
             tried.append(M)
-            return original(projected, M)
+            return original(runs, d, M)
 
         monkeypatch.setattr(quadrature, "_lattice_generator", recording)
         with pytest.raises(ResourceLimitError, match="POVMQUAD_BUILD_GUARD"):
@@ -579,15 +580,52 @@ class TestLatticeProperties:
         for n in range(1, GUARD_LIMITS[d] + 1):
             assert _korobov_lattice(d, n, (n + 2) // 2) == korobov_lattice_sorted(d, n), (d, n)
 
-    @pytest.mark.parametrize("cells", [1, 100, 1000])
-    @pytest.mark.parametrize("d,n", [(3, 4), (4, 3), (5, 2), (6, 2)])
-    def test_chunked_search_equals_the_sorting_oracle(self, monkeypatch, cells, d, n):
-        # Down to one candidate per chunk, the first separating g is found
-        # in the chunk that holds it, whatever the chunk boundaries.
+    @pytest.mark.parametrize("d,n", [(3, 2), (3, 4), (4, 2), (5, 2)])
+    def test_a_generator_separates_as_its_inverse_does(self, d, n):
+        # The search skips the inverse of every g prime to M that fails.
+        projected = [occ[:-1] for occ in occupation_tuples(d, n)]
+
+        def separates(g, M):
+            residues = {sum(a * pow(g, j, M) for j, a in enumerate(row)) % M for row in projected}
+            return len(residues) == len(projected)
+
+        seen = set()
+        for M in range(sym_dim(d, n), sym_dim(d, n) + 12):
+            for g in range(1, M):
+                if math.gcd(g, M) == 1:
+                    seen.add(separates(g, M))
+                    assert separates(g, M) == separates(pow(g, -1, M), M), (M, g)
+        assert seen == {False, True}
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_phase_table_equals_the_integer_formula(self, d):
+        # Every family the default guard admits at d <= 4.  Lattice point 0
+        # has phase 1, so row 0 is sqrt(x) at the first moduli node, and
+        # rows 0..M-1 are it times the phase table, bit for bit.
+        for n in range(1, GUARD_LIMITS[d] + 1):
+            grid = sphere_grid(d, n)
+            M, z = lattice_of(grid)
+            first = grid.guesses[:M]
+            assert np.all(first[0].imag == 0.0)
+            expected = first[0].real * np.exp(2j * np.pi * lattice_phase_index(M, z) / M)
+            assert np.array_equal(first, expected), (d, n)
+
+    def test_lattice_search_names_no_numpy(self):
+        # The search runs in Python integers: no numpy integer kernel is
+        # paged in for it.
         import povmquad.quadrature as quadrature
 
-        monkeypatch.setattr(quadrature, "_OCCUPANCY_CELLS", cells)
-        assert quadrature._korobov_lattice(d, n, (n + 2) // 2) == korobov_lattice_sorted(d, n)
+        tree = ast.parse(Path(quadrature.__file__).read_text(encoding="utf-8"))
+        search = {"_lattice_generator", "_korobov_lattice"}
+        functions = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name in search]
+        assert {node.name for node in functions} == search
+        lines = [
+            node.lineno
+            for function in functions
+            for node in ast.walk(function)
+            if isinstance(node, ast.Name) and node.id in {"np", "numpy"}
+        ]
+        assert not lines, f"the lattice search names numpy on lines {lines}"
 
     @settings(max_examples=10, deadline=None)
     @given(family=families_within_guard)

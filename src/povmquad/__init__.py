@@ -16,7 +16,7 @@ a command or a caller first uses them.
 
 import importlib
 
-__version__ = "0.16.0"
+__version__ = "0.17.0"
 
 # Public name -> the submodule that defines it.  __all__ is this table's keys.
 _EXPORTS = {
@@ -41,7 +41,7 @@ _EXPORTS = {
     "haar_random_state": "symmetric",
     "haar_random_states": "symmetric",
     "load_povm": "povm",
-    "majority_vote_fidelity_mc": "estimation",
+    "majority_vote_fidelity": "estimation",
     "mean_fidelity_exact": "estimation",
     "mean_fidelity_mc": "estimation",
     "moment_value": "moments",

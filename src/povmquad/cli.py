@@ -108,8 +108,12 @@ class _Parser(argparse.ArgumentParser):
     the text is written and flushed, and the OSError reaches main, so
     help that cannot be written is an output error whether stdout is
     buffered or not.  add_subparsers makes its subparsers of this class
-    too.
+    too.  None takes an abbreviated flag (`--to` for --tol), so a flag is
+    read only by its full name or as --name=value.
     """
+
+    def __init__(self, *args, allow_abbrev=False, **kwargs):
+        super().__init__(*args, allow_abbrev=allow_abbrev, **kwargs)
 
     def _print_message(self, message, file=None):
         if message and file is sys.stdout:

@@ -15,22 +15,22 @@ as p/q and optimal_fidelity turns into a Fraction.  Expanded, F(phi) is
 d_N sum_a w_a |<phi_a|phi>|^{2(N+1)}.  G_{N+1} is formed once per call,
 so the per-state cost does not grow with the outcome count A.  An
 optimal POVM with unit weight sum meets the optimum exactly.  The Monte
-Carlo estimator and the deliberately suboptimal per-copy baseline exist
-to check those closed forms from the operational side.
+Carlo estimator checks those closed forms from the operational side.
+The per-copy majority-vote baseline on qubits, the deliberately
+suboptimal strategy the optimum is compared with, is kept as its exact
+value (majority_vote_fidelity).
 
-Both Monte Carlo estimators, mean_fidelity_mc and the majority-vote
-baseline, run on one loop, _mc_mean: it takes the samples in blocks of
-_MC_BLOCK for the statistics and asks for their values _MC_CHUNK rows
-(or fewer) at a time, each chunk drawn after the one before from one
-random.Random(seed) stream.  A draw of n rows is the first n of any
-longer draw, so the values are those of one draw per block, and the
-working set is a few chunk-sized arrays and one chunk's uniforms
-whatever the sample count; a whole block's getrandbits integer, bytes
-and uniforms (about 200 KB each at d = 3) set a fidelity command's peak
-when drawn at once.  _MC_CHUNK is 256 rows: at 1024 the arrays set the
-peak of fidelity on (3,4) about 0.5 MB higher, and smaller chunks pay
-the fixed cost of the dozen numpy calls per chunk more often, which the
-small families feel first.
+mean_fidelity_mc takes the samples in blocks of _MC_BLOCK for the
+statistics and draws their states _MC_CHUNK rows (or fewer) at a time,
+each chunk after the one before from one random.Random(seed) stream.  A
+draw of n rows is the first n of any longer draw, so the values are
+those of one draw per block, and the working set is a few chunk-sized
+arrays and one chunk's uniforms whatever the sample count; a whole
+block's getrandbits integer, bytes and uniforms (about 200 KB each at
+d = 3) set a fidelity command's peak when drawn at once.  _MC_CHUNK is
+256 rows: at 1024 the arrays set the peak of fidelity on (3,4) about
+0.5 MB higher, and smaller chunks pay the fixed cost of the dozen numpy
+calls per chunk more often, which the small families feel first.
 
 Shot counts are a chain of conditional binomials, count_a ~
 Binomial(shots - count_1 - ... - count_{a-1}, p_a / (p_a + ... + p_A)),
@@ -51,10 +51,8 @@ from .povm import Povm
 from .symmetric import (
     PureState,
     _check_family,
-    _haar_rows,
     _Record,
     _squared_overlaps,
-    _uniforms,
     frame_operator,
     haar_random_states,
     sym_dim,
@@ -76,7 +74,6 @@ _MC_SAMPLE_OVERHEAD = 1024
 # default build guard admits 20,000 samples on every family whose
 # G_{N+1} it admits; (44,1), with d_2 = 990, is the tightest.
 _MC_SAMPLES_PER_CHARGE = 512
-_VOTE_UNIFORMS = 1 << 16
 
 
 class FidelityReport(_Record):
@@ -257,17 +254,23 @@ def mean_fidelity_exact(povm: Povm) -> FidelityReport:
     return FidelityReport(value=value, stderr=0.0, method="analytic")
 
 
-def _mc_mean(samples: int, values_of, chunk: int = _MC_CHUNK) -> tuple[float, float]:
-    """Mean and standard error of samples values, values_of(rows) giving the next rows.
+def mean_fidelity_mc(povm: Povm, samples: int, seed: int) -> FidelityReport:
+    """Monte Carlo average of the pointwise fidelity over Haar states.
 
-    The values are taken in blocks of _MC_BLOCK, each filled chunk rows
-    at a time into one array of the block's length.  The mean is the
-    block-order sum of the block sums over samples.  The standard error
-    combines each block's mean and sum of squared deviations by the
-    pairwise update of Chan, Golub & LeVeque, so a constant integrand (a
-    universal estimator) reports the spread of its rounding, not a
-    cancellation residue.
+    Deterministic for fixed seed, drawn as the module docstring
+    describes.  The mean is the block-order sum of the block sums over
+    samples.  The standard error combines each block's mean and sum of
+    squared deviations by the pairwise update of Chan, Golub & LeVeque,
+    so a constant integrand (a universal estimator) reports the spread
+    of its rounding, not a cancellation residue.
+    G_{N+1} is formed once per call; refused when its cost A*d_{N+1}^2
+    exceeds the build guard.  Raises InputFormatError, before any work,
+    unless seed is a non-negative integer.
     """
+    samples = check_samples(samples)
+    seed = check_int("seed", seed, 0)
+    stream = random.Random(seed)
+    frame = frame_operator(povm.guesses, povm.weights, povm.N + 1)
     total = 0.0
     mean = 0.0
     m2 = 0.0
@@ -275,9 +278,10 @@ def _mc_mean(samples: int, values_of, chunk: int = _MC_CHUNK) -> tuple[float, fl
     while done < samples:
         count = min(_MC_BLOCK, samples - done)
         vals = np.empty(count)
-        for lo in range(0, count, chunk):
-            rows = min(chunk, count - lo)
-            vals[lo : lo + rows] = values_of(rows)
+        for lo in range(0, count, _MC_CHUNK):
+            rows = min(_MC_CHUNK, count - lo)
+            # No local: a chunk's states are freed before the next draw.
+            vals[lo : lo + rows] = _pointwise_batch(povm, frame, haar_random_states(povm.d, rows, stream))
         block_sum = float(np.sum(vals))
         total += block_sum
         block_mean = block_sum / count
@@ -287,63 +291,26 @@ def _mc_mean(samples: int, values_of, chunk: int = _MC_CHUNK) -> tuple[float, fl
         mean += delta * count / merged
         m2 += block_m2 + delta * delta * done * count / merged
         done = merged
-    return total / samples, math.sqrt(m2 / (samples - 1) / samples)
-
-
-def mean_fidelity_mc(povm: Povm, samples: int, seed: int) -> FidelityReport:
-    """Monte Carlo average of the pointwise fidelity over Haar states.
-
-    Deterministic for fixed seed: _mc_mean takes the states _MC_CHUNK
-    rows at a time, one draw after another from one random.Random(seed).
-    G_{N+1} is formed once per call; refused when its cost
-    A*d_{N+1}^2 exceeds the build guard.  Raises InputFormatError, before
-    any work, unless seed is a non-negative integer.
-    """
-    samples = check_samples(samples)
-    seed = check_int("seed", seed, 0)
-    stream = random.Random(seed)
-    frame = frame_operator(povm.guesses, povm.weights, povm.N + 1)
-
-    def values_of(rows: int) -> np.ndarray:
-        return _pointwise_batch(povm, frame, haar_random_states(povm.d, rows, stream))
-
-    value, stderr = _mc_mean(samples, values_of)
     return FidelityReport(
-        value=value, stderr=stderr, method="monte-carlo", samples=samples, seed=seed
+        value=total / samples,
+        stderr=math.sqrt(m2 / (samples - 1) / samples),
+        method="monte-carlo",
+        samples=samples,
+        seed=seed,
     )
 
 
-def majority_vote_fidelity_mc(N: int, samples: int, seed: int) -> FidelityReport:
-    """Suboptimal baseline: per-copy basis measurements, majority guess.
+def majority_vote_fidelity(N: int) -> Fraction:
+    """Mean fidelity of the per-copy majority vote on qubits, exact.
 
-    d = 2 only.  Each of the N copies is measured separately in the
-    computational basis and the guess is the basis state that won the
-    vote (ties broken by a fair coin).  For N >= 2 this strategy is
-    strictly below the joint-measurement optimum (N+1)/(N+2).
-
-    One random.Random(seed) stream gives N + 5 uniforms per sample, read
-    as one row: 4 for the state (symmetric._haar_rows), then N for the
-    copies, of which those found in |0> are the ones at or below
-    p_0 = |c_0|^2, an exact Binomial(N, p_0), and the last one, at or
-    below 1/2, breaks a tie.  _mc_mean takes the samples in chunks of at
-    most _VOTE_UNIFORMS uniforms (and at most _MC_CHUNK rows), so the
-    working set is flat in the sample count.  Raises InputFormatError
-    unless seed is a non-negative integer.
+    Each of the N copies is measured separately in the computational
+    basis, and the guess is the basis state that won the vote, a fair
+    coin breaking a tie.  For a Haar state p_0 = |c_0|^2 is uniform on
+    [0, 1], so Beta integrals over the vote counts sum to
+    (3m+1) / (2(2m+1)) with m = ceil(N/2): 2/3 at N = 1, the optimum
+    (N+1)/(N+2), and strictly below it for every N >= 2.
     """
-    N = check_int("N", N, 1)
-    samples = check_samples(samples)
-    seed = check_int("seed", seed, 0)
-    stream = random.Random(seed)
-    width = N + 5
+    from fractions import Fraction
 
-    def values_of(rows: int) -> np.ndarray:
-        u = _uniforms(stream, rows * width).reshape(rows, width)
-        p0 = np.abs(_haar_rows(u[:, :4].reshape(rows, 2, 2))[:, 0]) ** 2
-        twice_zeros = 2 * np.count_nonzero(u[:, 4 : 4 + N] <= p0[:, None], axis=1)
-        guess_zero = (twice_zeros > N) | ((twice_zeros == N) & (u[:, 4 + N] <= 0.5))
-        return np.where(guess_zero, p0, 1.0 - p0)
-
-    value, stderr = _mc_mean(samples, values_of, max(1, min(_MC_CHUNK, _VOTE_UNIFORMS // width)))
-    return FidelityReport(
-        value=value, stderr=stderr, method="majority-vote-mc", samples=samples, seed=seed
-    )
+    m = (check_int("N", N, 1) + 1) // 2
+    return Fraction(3 * m + 1, 2 * (2 * m + 1))

@@ -34,10 +34,7 @@ call into n doubles on (0, 1], each with 53 random bits.  A state takes
 theta_i = u, and c_i = sqrt(E_i / sum_j E_j) e^{2 pi i theta_i}.  These
 are d standard complex normals, normalised, so the state is exactly
 Haar distributed, and it comes in the moduli x phase coordinates of the
-grid: the moduli x_i = |c_i|^2 are uniform on the simplex.  The draw
-and the transform are separate (_uniforms, _haar_rows), so a caller
-that reads more uniforms per row, as the majority-vote baseline does,
-forms its states from its own rows.
+grid: the moduli x_i = |c_i|^2 are uniform on the simplex.
 """
 
 from __future__ import annotations
@@ -318,14 +315,18 @@ def _uniform(stream: random.Random) -> float:
     return ((stream.getrandbits(64) >> 11) + 1) * _UNIFORM_STEP
 
 
-def _haar_rows(u: np.ndarray) -> np.ndarray:
-    """Haar-distributed unit vectors from uniforms u of shape (count, 2, d).
+def haar_random_states(d: int, count: int, seed_or_stream: random.Random | int) -> np.ndarray:
+    """count rows of Haar-distributed unit vectors in C^d.
 
-    Row r takes E_i = -log u[r, 0, i], which is Exp(1), so
-    sqrt(E_i) e^{2 pi i theta_i} with theta_i = u[r, 1, i] is a standard
-    complex normal.  The row's norm squared is sum_j E_j, so it is
-    divided out of E before the square root.
+    seed_or_stream is a non-negative integer seed, for a fresh
+    random.Random, or a random.Random whose stream continues.  Row r
+    reads the uniforms 2dr .. 2dr+2d-1 of one _uniforms draw, first d
+    for the moduli E_i = -log u_i, then d for the phases, as the module
+    docstring describes.  count rows drawn at once equal the same rows
+    drawn in consecutive blocks.
     """
+    d, count = check_int("d", d, 2), check_int("count", count, 1)
+    u = _uniforms(_stream(seed_or_stream), 2 * count * d).reshape(count, 2, d)
     moduli = np.log(u[:, 0])
     moduli /= moduli.sum(axis=1, keepdims=True)
     np.sqrt(moduli, out=moduli)
@@ -333,19 +334,6 @@ def _haar_rows(u: np.ndarray) -> np.ndarray:
     # quadrature: separate cos and sin loops, or an in-place product,
     # raised a clone command's peak by ~0.06 MB.
     return moduli * np.exp(2j * math.pi * u[:, 1])
-
-
-def haar_random_states(d: int, count: int, seed_or_stream: random.Random | int) -> np.ndarray:
-    """count rows of Haar-distributed unit vectors in C^d.
-
-    seed_or_stream is a non-negative integer seed, for a fresh
-    random.Random, or a random.Random whose stream continues.  Row r is
-    _haar_rows of the uniforms 2dr .. 2dr+2d-1 of one _uniforms draw:
-    first d for the moduli, then d for the phases.  count rows drawn at
-    once equal the same rows drawn in consecutive blocks.
-    """
-    d, count = check_int("d", d, 2), check_int("count", count, 1)
-    return _haar_rows(_uniforms(_stream(seed_or_stream), 2 * count * d).reshape(count, 2, d))
 
 
 def haar_random_state(d: int, seed: int) -> PureState:

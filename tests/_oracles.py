@@ -582,6 +582,31 @@ def majority_vote_values(n: int, samples: int, seed: int) -> np.ndarray:
     return np.where(guess_zero, p0, 1.0 - p0)
 
 
+def majority_vote_beta_sum(n: int) -> Fraction:
+    """The per-copy majority vote's mean fidelity as a sum of Beta integrals.
+
+    p = |c_0|^2 of a Haar qubit state is uniform on [0, 1].  k of the n
+    copies are found in |0> with probability C(n, k) p^k (1-p)^(n-k); the
+    guess |0> then has fidelity p, the guess |1> fidelity 1 - p, and a
+    tie (2k = n) guesses either with probability 1/2, fidelity 1/2.  Each
+    term integrates exactly as B(a+1, b+1) = a! b! / (a+b+1)!.
+    """
+
+    def beta(a: int, b: int) -> Fraction:
+        return Fraction(math.factorial(a) * math.factorial(b), math.factorial(a + b + 1))
+
+    total = Fraction(0)
+    for k in range(n + 1):
+        if 2 * k > n:
+            integral = beta(k + 1, n - k)
+        elif 2 * k < n:
+            integral = beta(k, n - k + 1)
+        else:
+            integral = beta(k, n - k) / 2
+        total += math.comb(n, k) * integral
+    return total
+
+
 def mean_fidelity_exact_fraction(povm) -> float:
     """(d_N / d_{N+1}) sum_a w_a as one Fraction, rounded to a float once.
 

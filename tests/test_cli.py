@@ -475,6 +475,60 @@ class TestTolGrammar:
         assert json.loads(out)["tol"] == CERTIFICATION_TOL
 
 
+class TestAbbreviatedFlags:
+    """A flag is read by its full name or as --name=value, never by a prefix."""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--to", "-inf"], ["--to", "0.5"], ["--to=0.5"], ["--lev", "completeness"], ["--js"]],
+        ids=["to-dash", "to", "to-attached", "lev", "js"],
+    )
+    def test_verify_refuses_a_prefix(self, povm_path, capsys, flags):
+        # `--to -inf` ended in argparse's "expected one argument" and
+        # `--to 0.5` set the tolerance.
+        with pytest.raises(SystemExit) as info:
+            main(["verify", str(povm_path), *flags])
+        assert info.value.code == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert f"unrecognized arguments: {' '.join(flags)}" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--ou", "{out}", "--js"], ["--out", "{out}", "--to", "0.5"], ["--out", "{out}", "--js"]],
+        ids=["ou-js", "to", "js"],
+    )
+    def test_build_refuses_a_prefix(self, tmp_path, capsys, flags):
+        # `build --d 2 --N 1 --ou x.json --js` built the family.
+        out_path = tmp_path / "x.json"
+        argv = [flag.format(out=out_path) for flag in flags]
+        with pytest.raises(SystemExit) as info:
+            main(["build", "--d", "2", "--N", "1", *argv])
+        assert info.value.code == EXIT_INPUT
+        assert capsys.readouterr().out == ""
+        assert not out_path.exists()
+
+    def test_no_parser_takes_a_prefix(self):
+        parser = _build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert parser.allow_abbrev is False
+        assert sorted(sub.choices) == ["build", "clone", "fidelity", "moments", "simulate", "verify"]
+        assert all(p.allow_abbrev is False for p in sub.choices.values())
+
+    @pytest.mark.parametrize("tol", ["0.5", "1e-3"])
+    def test_full_names_read_as_before(self, povm_path, capsys, tol):
+        spaced = run(capsys, ["verify", str(povm_path), "--level", "optimality", "--tol", tol, "--json"])
+        attached = run(capsys, ["verify", str(povm_path), "--level=optimality", f"--tol={tol}", "--json"])
+        assert spaced == attached
+        assert spaced[0] == EXIT_OK and json.loads(spaced[1])["tol"] == float(tol)
+
+    def test_build_full_names_write_the_file(self, tmp_path, povm_path, capsys):
+        out_path = tmp_path / "y.json"
+        code, out, _ = run(capsys, ["build", "--d=2", "--N=1", f"--out={out_path}", "--tol=1e-10", "--json"])
+        assert code == EXIT_OK and json.loads(out)["elements"] == 2
+        assert out_path.read_bytes() == povm_path.read_bytes()
+
+
 class TestFidelity:
     def test_table_output(self, povm_path, capsys):
         code, out, _ = run(
@@ -1894,6 +1948,47 @@ class TestImports:
         ]
         for argv in commands:
             assert self.probe(argv)[0] == self.probe(argv)[0], argv[0]
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_commands() -> list[tuple[list[str], int]]:
+    """Each `povmquad ...` line of the README's Command line sh block, with its exit code.
+
+    A line is split as the shell would split it, its comment dropped; the
+    code is EXIT_CERTIFICATION where the comment says "exits 1 here",
+    else EXIT_OK.
+    """
+    import shlex
+
+    section = README.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("\n```", 1)[0]
+    commands = []
+    for line in block.splitlines():
+        if line.startswith("povmquad "):
+            command, _, comment = line.partition("#")
+            code = EXIT_CERTIFICATION if "exits 1 here" in comment else EXIT_OK
+            commands.append((shlex.split(command)[1:], code))
+    return commands
+
+
+class TestReadmeCommands:
+    def test_block_is_found(self):
+        commands = _readme_commands()
+        assert {argv[0] for argv, _ in commands} == {
+            "build", "verify", "fidelity", "simulate", "clone", "moments"
+        }
+        assert [code for _, code in commands].count(EXIT_CERTIFICATION) == 1
+
+    def test_commands_run_as_documented(self, tmp_path, monkeypatch, capsys):
+        # In order, in one directory: the first line writes the file the
+        # later ones read.
+        monkeypatch.chdir(tmp_path)
+        for argv, expected in _readme_commands():
+            code, out, err = run(capsys, argv)
+            assert code == expected, (argv, err)
+            assert out, argv
 
 
 class TestParser:

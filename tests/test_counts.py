@@ -23,7 +23,7 @@ from povmquad import (
     gauss_legendre,
     haar_random_state,
     haar_random_states,
-    majority_vote_fidelity_mc,
+    majority_vote_fidelity,
     mean_fidelity_mc,
     moment_value,
     occupation_basis,
@@ -85,9 +85,7 @@ ROWS = {
     "sample_outcomes.seed": ("seed", lambda v: sample_outcomes(QUBIT, STATE, 200, v), 2),
     "mean_fidelity_mc.samples": ("samples", lambda v: mean_fidelity_mc(QUBIT, v, 1), 150),
     "mean_fidelity_mc.seed": ("seed", lambda v: mean_fidelity_mc(QUBIT, 150, v), 2),
-    "majority_vote.N": ("N", lambda v: majority_vote_fidelity_mc(v, 200, 1), 2),
-    "majority_vote.samples": ("samples", lambda v: majority_vote_fidelity_mc(2, v, 1), 200),
-    "majority_vote.seed": ("seed", lambda v: majority_vote_fidelity_mc(2, 200, v), 2),
+    "majority_vote.N": ("N", lambda v: majority_vote_fidelity(v), 2),
     "clone.N": ("N", lambda v: clone(STATE, v, 3), 2),
     "clone.M": ("M", lambda v: clone(STATE, 1, v), 2),
     "ClonerOutput.d": ("d", lambda v: ClonerOutput(d=v, N=1, M=1, density=np.eye(2) / 2), 2),
@@ -171,8 +169,8 @@ class TestReproductions:
             (lambda: gauss_legendre(2.0), "n must be an integer, got 2.0"),
             (lambda: haar_random_states(2.0, 3, 1), "d must be an integer, got 2.0"),
             (lambda: mean_fidelity_mc(QUBIT, 150.0, 1), "samples must be an integer, got 150.0"),
-            # A numpy broadcast ValueError.
-            (lambda: majority_vote_fidelity_mc(True, 200, 1), "N must be an integer, got True"),
+            # A numpy broadcast ValueError, when the baseline was simulated.
+            (lambda: majority_vote_fidelity(True), "N must be an integer, got True"),
             # "state norm^2 deviates from 1".
             (lambda: PureState.basis_state(2, True), "index must be an integer, got True"),
             # Returned 1.

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from povmquad import (
     PureState,
     haar_random_state,
     haar_random_states,
-    majority_vote_fidelity_mc,
+    majority_vote_fidelity,
     mean_fidelity_exact,
     mean_fidelity_mc,
     optimal_fidelity,
@@ -28,13 +29,14 @@ from povmquad import (
     sym_dim,
 )
 
-from povmquad import estimation, sampling
+from povmquad import sampling
 from povmquad.estimation import MAX_SHOTS, _MC_BLOCK
 from povmquad.sampling import _log_binomial_ratio, binomial
 
 from _oracles import (
     ACCEPTANCE_PAIRS,
     haar_random_unitary,
+    majority_vote_beta_sum,
     majority_vote_values,
     mean_fidelity_exact_fraction,
     mean_fidelity_mc_whole_block,
@@ -490,7 +492,6 @@ SEEDED_ENTRY_POINTS = {
     "sample_outcomes": lambda povm, seed: sample_outcomes(
         povm, PureState.basis_state(2, 0), 10, seed
     ),
-    "majority_vote_fidelity_mc": lambda povm, seed: majority_vote_fidelity_mc(2, 100, seed),
 }
 
 
@@ -533,58 +534,44 @@ class TestSeedValidation:
 class TestMajorityBaseline:
     @pytest.mark.parametrize("n,analytic", [(2, 2 / 3), (3, 0.7), (4, 0.7)])
     def test_matches_analytic_value(self, n, analytic):
-        report = majority_vote_fidelity_mc(n, samples=40_000, seed=400 + n)
-        assert abs(report.value - analytic) < 4 * report.stderr
+        # The exact value, and the protocol simulated by the oracle within 4 sigma of it.
+        assert float(majority_vote_fidelity(n)) == analytic
+        vals = majority_vote_values(n, 40_000, 400 + n)
+        assert abs(vals.mean() - analytic) < 4 * vals.std(ddof=1) / math.sqrt(vals.size)
 
     def test_single_copy_matches_optimum(self):
         # With one copy the majority vote *is* the optimal basis
         # strategy on average.
-        report = majority_vote_fidelity_mc(1, samples=40_000, seed=405)
-        assert abs(report.value - 2.0 / 3.0) < 4 * report.stderr
+        assert majority_vote_fidelity(1) == optimal_fidelity(1, 2) == Fraction(2, 3)
 
     def test_rejects_no_copies(self):
-        with pytest.raises(InputFormatError):
-            majority_vote_fidelity_mc(0, 100, 1)
+        with pytest.raises(InputFormatError, match="need N >= 1, got 0"):
+            majority_vote_fidelity(0)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_strictly_below_joint_optimum(self, n):
-        report = majority_vote_fidelity_mc(n, samples=40_000, seed=500 + n)
-        gap = float(optimal_fidelity(n, 2)) - report.value
-        assert gap > 3 * report.stderr
+        assert majority_vote_fidelity(n) < optimal_fidelity(n, 2)
 
-    def test_vote_chunks_read_one_stream(self, monkeypatch):
-        # Chunking the vote uniforms is a memory bound, not a new draw.
-        whole = majority_vote_fidelity_mc(3, samples=1000, seed=12)
-        monkeypatch.setattr(estimation, "_VOTE_UNIFORMS", 7)
-        chunked = majority_vote_fidelity_mc(3, samples=1000, seed=12)
-        assert (chunked.value, chunked.stderr) == (whole.value, whole.stderr)
+    def test_below_joint_optimum_for_every_n_from_two(self):
+        for n in range(2, 301):
+            assert majority_vote_fidelity(n) < optimal_fidelity(n, 2), n
 
-    @pytest.mark.parametrize("n", [1, 2, 5])
-    @pytest.mark.parametrize("samples", [100, _MC_BLOCK + 300])
-    def test_rows_match_whole_draw_oracle(self, n, samples):
-        # Each sample reads its state's 4 uniforms and its N + 1 vote
-        # uniforms as one row of one stream.
-        vals = majority_vote_values(n, samples, 77)
-        report = majority_vote_fidelity_mc(n, samples, 77)
-        assert report.value == pytest.approx(vals.mean(), rel=1e-14, abs=0)
-        assert report.stderr == pytest.approx(vals.std(ddof=1) / math.sqrt(samples), rel=1e-9, abs=0)
+    def test_equals_the_beta_sum_oracle(self):
+        for n in range(1, 301):
+            assert majority_vote_fidelity(n) == majority_vote_beta_sum(n), n
 
-    def test_memory_flat_in_samples(self):
-        # Up to version 0.14.0 whole-sample arrays of states, votes and values set the
-        # process peak: 41, 151 and 487 MB for 1e5, 1e6 and 4e6 samples.
-        def peak(samples):
-            tracemalloc.start()
-            try:
-                majority_vote_fidelity_mc(3, samples, seed=1)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+    @pytest.mark.parametrize(
+        "n,expected",
+        [(1, Fraction(2, 3)), (2, Fraction(2, 3)), (3, Fraction(7, 10)), (4, Fraction(7, 10)),
+         (5, Fraction(5, 7))],
+    )
+    def test_first_values(self, n, expected):
+        value = majority_vote_fidelity(n)
+        assert type(value) is Fraction and value == expected
 
-        peak(100)
-        few, many = peak(2 * _MC_BLOCK), peak(50 * _MC_BLOCK)
-        assert many - few < 50_000
-
-    def test_deterministic(self):
-        a = majority_vote_fidelity_mc(2, samples=1000, seed=8)
-        b = majority_vote_fidelity_mc(2, samples=1000, seed=8)
-        assert a.value == b.value
+    def test_huge_copy_number_is_immediate(self):
+        m = (10**18 + 1) // 2
+        start = time.perf_counter()
+        value = majority_vote_fidelity(10**18)
+        assert time.perf_counter() - start < 0.1
+        assert value == Fraction(3 * m + 1, 2 * (2 * m + 1))

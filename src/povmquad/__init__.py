@@ -16,7 +16,7 @@ a command or a caller first uses them.
 
 import importlib
 
-__version__ = "0.17.0"
+__version__ = "0.18.0"
 
 # Public name -> the submodule that defines it.  __all__ is this table's keys.
 _EXPORTS = {

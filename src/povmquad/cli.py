@@ -19,9 +19,14 @@ drops it after, so it holds one family at a time, and a later family's
 refusal can come after earlier rows' Monte Carlo.  clone builds and
 certifies one family, the M-copy one, and measures the clones of every
 level m with its restriction to m copies (povm.restrict_povm), which is
-universal for m < M.  --tol is an ASCII decimal literal, and every
-integer flag and guard variable ASCII digits (errors._parse_int), so
-neither reads 1_0, +1, spaces or non-ASCII digits.
+universal for m < M.
+
+Each flag's parser type holds its whole rule (_count, _tol,
+_parse_indices), so argparse checks a value once, as it reads the flag,
+and every range error names its flag.  Commands check only rules of two
+flags or of a flag and the loaded file.  --tol is an ASCII decimal
+literal, and every integer flag and guard variable ASCII digits
+(errors._parse_int), so neither reads 1_0, +1, spaces or non-ASCII digits.
 
 Every command loads what it runs and no more.  The layer modules
 quadrature, povm, symmetric, estimation and cloner are imported with
@@ -73,10 +78,10 @@ from .errors import (
     exceeds,
 )
 from .estimation import (
+    MAX_SHOTS,
+    MC_MIN_SAMPLES,
     _optimal_ratio,
     check_sample_cost,
-    check_samples,
-    check_shots,
     mean_fidelity_exact,
     mean_fidelity_mc,
     outcome_probs,
@@ -182,11 +187,31 @@ def _attach_tol(argv: list[str]) -> list[str]:
     return args
 
 
-def _check_seeds(args: argparse.Namespace) -> None:
-    for flag in ("seed", "state_seed"):
-        value = getattr(args, flag, None)
-        if value is not None:
-            check_int(f"--{flag.replace('_', '-')}", value, 0)
+def _count(flag: str, lo: int, hi: int | None = None):
+    """The parser type of an integer flag: errors._parse_int's grammar, then check_int's range.
+
+    argparse makes its usage error only of ArgumentTypeError, TypeError
+    and ValueError, so check_int's InputFormatError reaches main.
+    """
+
+    def count(text: str) -> int:
+        value = _parse_int(text)
+        if value is None:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        return check_int(flag, value, lo, hi)
+
+    return count
+
+
+def _parse_indices(flag: str, raw: str) -> tuple[int, ...]:
+    """The comma-separated indices of --i or --j; empty entries are skipped.
+
+    Each entry is ASCII digits only (_is_digits).
+    """
+    tokens = [tok for tok in raw.split(",") if tok]
+    if not all(map(_is_digits, tokens)):
+        raise InputFormatError(f"{flag} must be comma-separated digits 0-9, got {raw!r}")
+    return tuple(int(tok) for tok in tokens)
 
 
 def _residual_checks() -> dict:
@@ -211,7 +236,7 @@ def _residuals(povm: Povm, level: str = "all") -> dict[str, float]:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    povm = build_povm(args.d, args.N, tol=_tol(args.tol))
+    povm = build_povm(args.d, args.N, tol=args.tol)
     res = _residuals(povm)
     save_povm(povm, args.out)
     weight_sum = float(np.sum(povm.weights))
@@ -234,16 +259,15 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    tol = _tol(args.tol)
     povm = load_povm(args.path)
     results = _residuals(povm, args.level)
-    failed = [name for name, value in results.items() if exceeds(value, tol)]
+    failed = [name for name, value in results.items() if exceeds(value, args.tol)]
     payload = {
         "operation": "verify",
         "path": str(args.path),
         "d": povm.d,
         "N": povm.N,
-        "tol": tol,
+        "tol": args.tol,
         "residuals": results,
         "passed": not failed,
     }
@@ -267,7 +291,6 @@ def _fidelity_row(povm: Povm, samples: int, seed: int) -> list:
 
 
 def cmd_fidelity(args: argparse.Namespace) -> int:
-    check_samples(args.samples)
     if bool(args.path) == args.sweep:
         raise InputFormatError("provide exactly one of a POVM path or --sweep")
     # Charged before any state is drawn, and under --sweep before any family is built.
@@ -299,11 +322,8 @@ def cmd_fidelity(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    check_shots(args.shots)
     if (args.state_seed is None) == (args.basis is None):
         raise InputFormatError("provide exactly one of --state-seed or --basis")
-    if args.basis is not None:
-        check_int("--basis", args.basis, 0)
     povm = load_povm(args.path)
     if args.state_seed is not None:
         state = haar_random_state(povm.d, args.state_seed)
@@ -336,10 +356,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_clone(args: argparse.Namespace) -> int:
-    check_int("--d", args.d, 2)
-    check_int("--M", args.M, 1)
     check_int("--N", args.N, 1, args.M)
-    check_int("--states", args.states, 1)
     # The table has one row per state and M; it is charged before any
     # family is built or any state drawn, as the moments table is.
     check_cost(
@@ -373,29 +390,6 @@ def cmd_clone(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _int_arg(text: str) -> int:
-    """The parser type of every integer flag: errors._parse_int's grammar.
-
-    ASCII digits, optionally after one '-'.  A negative value parses, so
-    the command's range check names the flag and its bound.
-    """
-    value = _parse_int(text)
-    if value is None:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    return value
-
-
-def _parse_indices(flag: str, raw: str) -> tuple[int, ...]:
-    """The comma-separated indices of --i or --j; empty entries are skipped.
-
-    Each entry is ASCII digits only (_is_digits).
-    """
-    tokens = [tok for tok in raw.split(",") if tok]
-    if not all(map(_is_digits, tokens)):
-        raise InputFormatError(f"{flag} must be comma-separated digits 0-9, got {raw!r}")
-    return tuple(int(tok) for tok in tokens)
-
-
 def _moment_row(i_tuple: tuple[int, ...], j_tuple: tuple[int, ...], value) -> dict:
     """One table row; value is the exact moment, a Fraction, written p/q."""
     try:
@@ -411,14 +405,11 @@ def cmd_moments(args: argparse.Namespace) -> int:
         raise InputFormatError("--i and --j must be given together")
     if args.i is not None and args.max_len is not None:
         raise InputFormatError("provide --i/--j or --max-len, not both")
-    check_int("--d", args.d, 2)
     from .moments import moment_value
 
     if args.i is not None:
-        i_tuple, j_tuple = _parse_indices("--i", args.i), _parse_indices("--j", args.j)
-        rows = [_moment_row(i_tuple, j_tuple, moment_value(args.d, i_tuple, j_tuple))]
+        rows = [_moment_row(args.i, args.j, moment_value(args.d, args.i, args.j))]
     elif args.max_len is not None:
-        check_int("--max-len", args.max_len, 1)
         # Length l lists the d^l x d^l moment matrix, so the table has
         # sum_l d^(2l) rows.  The running total is checked one length at a
         # time before any row is formed, so a huge max_len is never summed.
@@ -461,10 +452,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_build = sub.add_parser("build", help="construct and certify a POVM")
-    p_build.add_argument("--d", type=_int_arg, required=True)
-    p_build.add_argument("--N", type=_int_arg, required=True)
+    p_build.add_argument("--d", type=_count("--d", 2), required=True)
+    p_build.add_argument("--N", type=_count("--N", 1), required=True)
     p_build.add_argument("--out", required=True)
-    p_build.add_argument("--tol", default=repr(CERTIFICATION_TOL))
+    p_build.add_argument("--tol", type=_tol, default=CERTIFICATION_TOL)
     p_build.add_argument("--json", action="store_true")
     p_build.set_defaults(func=cmd_build)
 
@@ -475,17 +466,17 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["all", *_residual_checks()],
         default="all",
     )
-    p_verify.add_argument("--tol", default=repr(CERTIFICATION_TOL))
+    p_verify.add_argument("--tol", type=_tol, default=CERTIFICATION_TOL)
     p_verify.add_argument("--json", action="store_true")
     p_verify.set_defaults(func=cmd_verify)
 
     p_fid = sub.add_parser("fidelity", help="analytic and Monte Carlo mean fidelity")
     p_fid.add_argument("path", nargs="?")
     p_fid.add_argument("--sweep", action="store_true")
-    p_fid.add_argument("--d", type=_int_arg, nargs="+")
-    p_fid.add_argument("--N", type=_int_arg, nargs="+")
-    p_fid.add_argument("--samples", type=_int_arg, required=True)
-    p_fid.add_argument("--seed", type=_int_arg, required=True)
+    p_fid.add_argument("--d", type=_count("--d", 2), nargs="+")
+    p_fid.add_argument("--N", type=_count("--N", 1), nargs="+")
+    p_fid.add_argument("--samples", type=_count("--samples", MC_MIN_SAMPLES), required=True)
+    p_fid.add_argument("--seed", type=_count("--seed", 0), required=True)
     fmt = p_fid.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true")
     fmt.add_argument("--csv", action="store_true")
@@ -493,29 +484,29 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="sample measurement outcomes")
     p_sim.add_argument("path")
-    p_sim.add_argument("--shots", type=_int_arg, required=True)
-    p_sim.add_argument("--seed", type=_int_arg, required=True)
-    p_sim.add_argument("--state-seed", type=_int_arg, dest="state_seed")
-    p_sim.add_argument("--basis", type=_int_arg)
+    p_sim.add_argument("--shots", type=_count("--shots", 1, MAX_SHOTS), required=True)
+    p_sim.add_argument("--seed", type=_count("--seed", 0), required=True)
+    p_sim.add_argument("--state-seed", type=_count("--state-seed", 0), dest="state_seed")
+    p_sim.add_argument("--basis", type=_count("--basis", 0))
     p_sim.add_argument("--json", action="store_true")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_clone = sub.add_parser("clone", help="optimal cloning and clone-then-estimate")
-    p_clone.add_argument("--d", type=_int_arg, required=True)
-    p_clone.add_argument("--N", type=_int_arg, required=True)
-    p_clone.add_argument("--M", type=_int_arg, required=True)
-    p_clone.add_argument("--states", type=_int_arg, default=5)
-    p_clone.add_argument("--seed", type=_int_arg, required=True)
+    p_clone.add_argument("--d", type=_count("--d", 2), required=True)
+    p_clone.add_argument("--N", type=_count("--N", 1), required=True)
+    p_clone.add_argument("--M", type=_count("--M", 1), required=True)
+    p_clone.add_argument("--states", type=_count("--states", 1), default=5)
+    p_clone.add_argument("--seed", type=_count("--seed", 0), required=True)
     fmt = p_clone.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true")
     fmt.add_argument("--csv", action="store_true")
     p_clone.set_defaults(func=cmd_clone)
 
     p_mom = sub.add_parser("moments", help="exact amplitude moments as p/q")
-    p_mom.add_argument("--d", type=_int_arg, required=True)
-    p_mom.add_argument("--i")
-    p_mom.add_argument("--j")
-    p_mom.add_argument("--max-len", type=_int_arg, dest="max_len")
+    p_mom.add_argument("--d", type=_count("--d", 2), required=True)
+    p_mom.add_argument("--i", type=lambda raw: _parse_indices("--i", raw))
+    p_mom.add_argument("--j", type=lambda raw: _parse_indices("--j", raw))
+    p_mom.add_argument("--max-len", type=_count("--max-len", 1), dest="max_len")
     p_mom.add_argument("--json", action="store_true")
     p_mom.set_defaults(func=cmd_moments)
 
@@ -526,7 +517,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(_attach_tol(sys.argv[1:] if argv is None else argv))
-        _check_seeds(args)
         code = args.func(args)
         sys.stdout.flush()
         return code

@@ -143,11 +143,19 @@ def clone(state: PureState, N: int, M: int) -> ClonerOutput:
     """Optimal symmetric-projection cloning of N copies into M >= N.
 
     Refused when d_M^3, which bounds both the d_{M-N} d_M^2 product and
-    the positivity check, exceeds the build guard.
+    the positivity check, or its lower bound max(d, M+1)^3 exceeds the
+    build guard.
     """
     M = check_int("M", M, 1)
     N = check_int("N", N, 1, M)
     d = state.d
+    # d_M >= max(d, M+1) bounds the cost from below before d_M, huge for a
+    # huge d or M, is formed.
+    check_cost(
+        f"cloner output cost lower bound max(d, M+1)^3 for d={d}, M={M}",
+        max(d, M + 1) ** 3,
+        BUILD_GUARD_ENV,
+    )
     dim = sym_dim(d, M)
     check_cost(f"cloner output cost d_M^3 for d={d}, M={M}", dim**3, BUILD_GUARD_ENV)
     table = _sum_index(d, N, M)

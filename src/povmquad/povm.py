@@ -43,7 +43,8 @@ def check_completeness(povm: Povm) -> float:
     Identical to d_N times the optimality residual since
     E_a = d_N w_a rho_a^{tensor N}.
     """
-    return sym_dim(povm.d, povm.N) * check_optimality(povm)
+    # The residual first: its guard refuses a huge (d, N) before d_N is formed.
+    return check_optimality(povm) * sym_dim(povm.d, povm.N)
 
 
 def check_universality(povm: Povm) -> float:

@@ -227,11 +227,19 @@ def frame_operator(amplitudes: np.ndarray, weights: np.ndarray, level: int) -> n
     v_a are the occupation coordinates of |phi_a>^{tensor k} for the rows
     of amplitudes (shape (A, d)).  A family is an optimal N-copy POVM iff
     G_N = I/d_N and universal iff also G_{N+1} = I/d_{N+1}; its pointwise
-    fidelity is d_N u^dagger G_{N+1} u.  Refused when the cost A*d_k^2
-    exceeds the build guard.
+    fidelity is d_N u^dagger G_{N+1} u.  Refused when the lower bound
+    A*max(d, k+1)^2 or the cost A*d_k^2 exceeds the build guard.
     """
     amps = np.asarray(amplitudes, dtype=np.complex128)
-    dim = sym_dim(amps.shape[-1], level)
+    d, level = amps.shape[-1], check_int("level", level, 1)
+    # d_k >= max(d, k+1) for d >= 2 (d_k = 1 for d = 1) bounds the cost
+    # from below before d_k, huge for a huge d or k, is formed.
+    check_cost(
+        f"frame operator cost lower bound A*max(d, k+1)^2 at level k={level}",
+        amps.shape[0] * (max(d, level + 1) if d > 1 else 1) ** 2,
+        BUILD_GUARD_ENV,
+    )
+    dim = sym_dim(d, level)
     cost = amps.shape[0] * dim * dim
     check_cost(f"frame operator cost A*d_k^2 at level k={level}", cost, BUILD_GUARD_ENV)
     emb = sym_embed_batch(amps, level)
@@ -254,9 +262,12 @@ def sym_isometry(d: int, M: int) -> np.ndarray:
     significant first, the kron convention |x_1> kron ... kron |x_M>)
     have occupation n_k, and 0 otherwise.  Hence V^T V = I, V V^T is the
     symmetric projector and V sym_embed(phi, M) = |phi>^{tensor M}.
-    Refused when d^M exceeds the full-space guard.
+    Refused when the lower bound max(d, M+1) or d^M exceeds the
+    full-space guard.
     """
     d, M = check_int("d", d, 2), check_int("M", M, 1)
+    # d^M >= max(d, M+1) bounds it from below before d^M, huge for a huge M, is formed.
+    check_cost("full-space dimension lower bound max(d, M+1)", max(d, M + 1), FULL_SPACE_GUARD_ENV)
     dim = d**M
     check_cost("full-space dimension d^M", dim, FULL_SPACE_GUARD_ENV)
     digits = np.arange(dim)[:, None] // d ** np.arange(M - 1, -1, -1) % d

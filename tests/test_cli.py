@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -24,9 +25,11 @@ from povmquad.cli import (
     EXIT_OK,
     EXIT_RESOURCE,
     _build_parser,
-    _int_arg,
+    _count,
     main,
 )
+from povmquad.errors import InputFormatError
+from povmquad.estimation import MAX_SHOTS, MC_MIN_SAMPLES
 
 
 @pytest.fixture()
@@ -346,6 +349,24 @@ class TestMalformedFile:
         assert err.startswith("input error:")
         assert err.count("\n") == 1
         assert out == ""
+
+
+class TestHugeFamilyFile:
+    @pytest.mark.parametrize("d", [1000, 2000])
+    @pytest.mark.parametrize("command", sorted(FILE_COMMANDS))
+    def test_refused_by_the_guard_at_once(self, tmp_path, capsys, monkeypatch, command, d):
+        # One element and N = 10**d, so d_N has about d^2 digits.  It was
+        # formed before any guard: verify took 15 s at d = 2000.  The lower
+        # bound A*max(d, N+1)^2 of the level-N operator refuses first.
+        monkeypatch.delenv("POVMQUAD_BUILD_GUARD", raising=False)
+        path = tmp_path / "huge.json"
+        element = {"c": [["1", "0"]] + [["0", "0"]] * (d - 1), "w": "1"}
+        path.write_text(json.dumps({"N": 10**d, "d": d, "elements": [element], "format_version": "1"}))
+        start = time.perf_counter()
+        code, out, err = run(capsys, [command, str(path), *FILE_COMMANDS[command]])
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (EXIT_RESOURCE, "")
+        assert err.startswith("resource guard: frame operator cost lower bound")
 
 
 class TestGuardVariables:
@@ -732,8 +753,8 @@ class TestSampleGuard:
         code, out, err = run(capsys, [
             "fidelity", "--sweep", "--d", "2", "1", "--N", "1", "--samples", "100", "--seed", "1",
         ])
-        assert code == EXIT_INPUT
-        assert err == "input error: need d >= 2, got 1\n"
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == "input error: need --d >= 2, got 1\n"
 
     def test_sweep_holds_one_family_at_a_time(self, capsys, monkeypatch):
         # Each family is built just before its row's Monte Carlo and dropped
@@ -1161,6 +1182,9 @@ INTEGER_FLAGS = {
               ["--d", "2", "--N", "1", "--M", "2", "--states", "1", "--seed", "1"]),
     "moments": (["--d", "--max-len"], ["--d", "2", "--max-len", "1"]),
 }
+# The least value each integer flag accepts.
+INTEGER_FLAG_LOWS = {"--d": 2, "--N": 1, "--M": 1, "--states": 1, "--max-len": 1, "--seed": 0,
+                     "--state-seed": 0, "--basis": 0, "--samples": MC_MIN_SAMPLES, "--shots": 1}
 # Each one int() takes: a digit separator, a plus sign, a space, an
 # Arabic-Indic three and a fullwidth two.
 LOOSE_INTEGERS = ["1_0", "+2", " 2", "\u0663", "\uff12"]
@@ -1188,25 +1212,60 @@ class TestIntegerFlags:
 
     def test_table_covers_every_integer_flag(self):
         # Every flag the parser reads as an integer, and no other, is in
-        # the table, and none is read by int() itself.
+        # the table; each is read by a _count type, none by int() itself,
+        # and the flag its range error names is the flag's own.
         parser = _build_parser()
         commands = parser._subparsers._group_actions[0].choices
-        found = {
-            name: sorted(flag for action in sub._actions if action.type is _int_arg
-                         for flag in action.option_strings)
-            for name, sub in commands.items()
-        }
+        counts = {name: [a for a in sub._actions if a.type is not None
+                         and a.type.__qualname__ == "_count.<locals>.count"]
+                  for name, sub in commands.items()}
+        found = {name: sorted(flag for action in actions for flag in action.option_strings)
+                 for name, actions in counts.items()}
         assert not [a for sub in commands.values() for a in sub._actions if a.type is int]
         assert found == {name: sorted(INTEGER_FLAGS.get(name, ([], []))[0]) for name in commands}
+        for action in (action for actions in counts.values() for action in actions):
+            # Every lower bound is at least 0, so -1 is out of every range.
+            with pytest.raises(InputFormatError) as info:
+                action.type("-1")
+            assert re.fullmatch(r"need (?:\d+ <= )?(\S+) [<>]= \d+, got -1", str(info.value))[1] in (
+                action.option_strings)
 
     @pytest.mark.parametrize("token,value", [("0", 0), ("007", 7), ("-3", -3), ("-0", 0)])
     def test_ascii_digits_parse(self, token, value):
-        assert _int_arg(token) == value
+        assert _count("--x", -3)(token) == value
 
     @pytest.mark.parametrize("token", ["", "-", "--2", "2-", "2.0", "0x10", "1e3", "-+2", "2 "])
     def test_other_tokens_refused(self, token):
         with pytest.raises(argparse.ArgumentTypeError, match="invalid int value"):
-            _int_arg(token)
+            _count("--x", -3)(token)
+
+    @pytest.mark.parametrize(
+        "command,flag,value",
+        [(command, flag, INTEGER_FLAG_LOWS[flag] - 1)
+         for command, (flags, _) in INTEGER_FLAGS.items() for flag in flags]
+        + [("simulate", "--shots", MAX_SHOTS + 1)],
+    )
+    def test_out_of_range_exits_2_naming_the_flag(self, tmp_path, capsys, monkeypatch,
+                                                  command, flag, value):
+        # Refused as the flag is read: nothing is loaded or built.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a family was loaded or built")
+
+        monkeypatch.setattr(povmquad.cli, "load_povm", refuse)
+        monkeypatch.setattr(povmquad.cli, "build_povm", refuse)
+        monkeypatch.chdir(tmp_path)
+        argv = [command, *INTEGER_FLAGS[command][1]]
+        argv[argv.index(flag) + 1] = str(value)
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err.startswith("input error: need ") and f" {flag} " in err, err
+        assert err.endswith(f", got {value}\n") and err.count("\n") == 1
+        assert not (tmp_path / "x.json").exists()
+
+    def test_range_errors_pass_through_argparse(self):
+        # argparse would otherwise replace a type's range error, and the
+        # bound it names, with its own "invalid <type> value" message.
+        assert not issubclass(InputFormatError, (ValueError, TypeError))
 
 
 # Flag values at and around 0, negative and huge.  Small ones alone, so

@@ -1,6 +1,7 @@
 """Optimal cloning in occupation coordinates against the dense full-space oracle."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -104,6 +105,16 @@ class TestCloneMap:
         monkeypatch.setenv("POVMQUAD_BUILD_GUARD", "63")
         with pytest.raises(ResourceLimitError, match="POVMQUAD_BUILD_GUARD"):
             clone(state, 1, 3)
+
+    def test_huge_copy_number_refused_at_once(self, monkeypatch):
+        # d_M for d = 1000 and M = 10**1000 has about a million digits; it
+        # took about 3 s to form before the guard refused its cube.
+        monkeypatch.delenv("POVMQUAD_BUILD_GUARD", raising=False)
+        state = haar_random_state(1000, 1)
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match=r"lower bound max\(d, M\+1\)\^3"):
+            clone(state, 1, 10**1000)
+        assert time.perf_counter() - start < 0.5
 
     def test_output_rejects_nan_density(self):
         density = np.diag([1.0, 0.0, 0.0]).astype(np.complex128)

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -332,6 +333,16 @@ class TestIsometry:
         with pytest.raises(ResourceLimitError, match="POVMQUAD_FULL_SPACE_GUARD"):
             sym_isometry(2, 13)
 
+    @pytest.mark.parametrize("m", [10**7, 10**8])
+    def test_huge_copy_number_refused_at_once(self, monkeypatch, m):
+        # 3**m took over 3 s (m = 10**7) and over a minute (10**8) to form
+        # before the guard refused it.
+        monkeypatch.delenv("POVMQUAD_FULL_SPACE_GUARD", raising=False)
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match=r"lower bound max\(d, M\+1\)"):
+            sym_isometry(3, m)
+        assert time.perf_counter() - start < 0.5
+
 
 class TestFrameOperator:
     @pytest.mark.parametrize("d,n", [(2, 2), (3, 1)])
@@ -350,6 +361,21 @@ class TestFrameOperator:
         monkeypatch.setenv("POVMQUAD_BUILD_GUARD", "7")
         with pytest.raises(ResourceLimitError, match="POVMQUAD_BUILD_GUARD"):
             frame_operator(povm.guesses, povm.weights, 1)
+
+    def test_huge_level_refused_at_once(self, monkeypatch):
+        # d_k for d = 1000 and k = 10**1000 has about a million digits.
+        monkeypatch.delenv("POVMQUAD_BUILD_GUARD", raising=False)
+        amps = np.eye(1000, dtype=np.complex128)[:1]
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match=r"lower bound A\*max\(d, k\+1\)\^2"):
+            frame_operator(amps, np.ones(1), 10**1000)
+        assert time.perf_counter() - start < 0.5
+
+    def test_one_level_rows_charge_one_column(self, monkeypatch):
+        # d_k = 1 for d = 1, below max(d, k+1): A = 2 entries of cost 1.
+        monkeypatch.setenv("POVMQUAD_BUILD_GUARD", "2")
+        gram = frame_operator(np.ones((2, 1)), np.full(2, 0.5), 3)
+        assert gram.shape == (1, 1) and abs(gram[0, 0] - 1.0) < 1e-15
 
 
 class TestHaarSampling:

@@ -16,7 +16,7 @@ a command or a caller first uses them.
 
 import importlib
 
-__version__ = "0.18.0"
+__version__ = "0.19.0"
 
 # Public name -> the submodule that defines it.  __all__ is this table's keys.
 _EXPORTS = {
@@ -56,7 +56,7 @@ _EXPORTS = {
     "single_particle_fidelity": "cloner",
     "single_particle_reduced": "cloner",
     "sphere_grid": "quadrature",
-    "sym_dim": "symmetric",
+    "sym_dim": "errors",
     "sym_embed": "symmetric",
     "sym_embed_batch": "symmetric",
     "sym_isometry": "symmetric",

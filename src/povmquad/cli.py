@@ -360,9 +360,12 @@ def cmd_clone(args: argparse.Namespace) -> int:
     # The table has one row per state and M; it is charged before any
     # family is built or any state drawn, as the moments table is.
     check_cost(
-        f"clone table rows states*(M-N+1) for states={args.states}, N={args.N}, M={args.M}",
+        "clone table rows states*(M-N+1)",
         args.states * (args.M - args.N + 1),
         FULL_SPACE_GUARD_ENV,
+        states=args.states,
+        N=args.N,
+        M=args.M,
     )
     # The top family is the only one built and certified; every level m
     # measures the clones with its restriction to m copies, which is
@@ -416,11 +419,7 @@ def cmd_moments(args: argparse.Namespace) -> int:
         total = 0
         for l in range(1, args.max_len + 1):
             total += args.d ** (2 * l)
-            check_cost(
-                f"moment table rows sum d^(2l) over l <= {l} for d={args.d}",
-                total,
-                FULL_SPACE_GUARD_ENV,
-            )
+            check_cost("moment table rows d^2 + ... + d^(2l)", total, FULL_SPACE_GUARD_ENV, l=l, d=args.d)
         indices = range(1, args.d + 1)
         rows = (
             _moment_row(i_tuple, j_tuple, moment_value(args.d, i_tuple, j_tuple))

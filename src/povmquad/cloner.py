@@ -41,8 +41,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BUILD_GUARD_ENV, ConstructionError, InputFormatError, check_cost, exceeds
-from .errors import check_int
+from .errors import ConstructionError, InputFormatError, _charge_dim, exceeds
+from .errors import check_int, sym_dim
 from .povm import Povm
 from .quadrature import _bisect
 from .symmetric import (
@@ -51,7 +51,6 @@ from .symmetric import (
     _Record,
     _squared_overlaps,
     occupation_basis,
-    sym_dim,
     sym_embed,
 )
 
@@ -142,22 +141,14 @@ def _sum_index(d: int, N: int, M: int) -> np.ndarray:
 def clone(state: PureState, N: int, M: int) -> ClonerOutput:
     """Optimal symmetric-projection cloning of N copies into M >= N.
 
-    Refused when d_M^3, which bounds both the d_{M-N} d_M^2 product and
-    the positivity check, or its lower bound max(d, M+1)^3 exceeds the
-    build guard.
+    Refused, through _charge_dim, when d_M^3, which bounds both the
+    d_{M-N} d_M^2 product and the positivity check, exceeds the build
+    guard.
     """
     M = check_int("M", M, 1)
     N = check_int("N", N, 1, M)
     d = state.d
-    # d_M >= max(d, M+1) bounds the cost from below before d_M, huge for a
-    # huge d or M, is formed.
-    check_cost(
-        f"cloner output cost lower bound max(d, M+1)^3 for d={d}, M={M}",
-        max(d, M + 1) ** 3,
-        BUILD_GUARD_ENV,
-    )
-    dim = sym_dim(d, M)
-    check_cost(f"cloner output cost d_M^3 for d={d}, M={M}", dim**3, BUILD_GUARD_ENV)
+    dim = _charge_dim("cloner output cost d_k^3", 1, d, M, 3)
     table = _sum_index(d, N, M)
     values = (
         _embedding_coefficients(d, N) * sym_embed(state, N)

@@ -12,7 +12,11 @@ ASCII digits, optionally after one '-'.
 
 Both resource guards can be raised or lowered through environment
 variables so batch jobs can opt into bigger computations without code
-changes; check_cost is the one place a guard is enforced.
+changes; check_cost is the one place a guard is enforced.  check_int and
+check_cost write the numbers a refusal names, only as they refuse, through
+one shortener, _shown, so no refusal meets the int-to-str digit limit.
+Every build-guard cost is times*d_k^power for d_k = sym_dim(d, k), so
+sym_dim lives here, beside _charge_dim, the one charge of such a cost.
 """
 
 from __future__ import annotations
@@ -32,9 +36,8 @@ BUILD_GUARD_ENV = "POVMQUAD_BUILD_GUARD"
 
 _DEFAULTS = {FULL_SPACE_GUARD_ENV: 4096, BUILD_GUARD_ENV: 50_000_000}
 
-# Longest cost a refusal prints digit by digit; a longer one is printed
-# by its order of magnitude, which also never meets the interpreter's
-# limit on int-to-str conversion.
+# An integer a refusal names is printed digit by digit below 10**COST_DIGITS
+# and by its order of magnitude from there on.
 COST_DIGITS = 40
 
 
@@ -81,10 +84,18 @@ def check_int(name: str, value, lo: int, hi: int | None = None) -> int:
     value = operator.index(value)
     if hi is None:
         if value < lo:
-            raise InputFormatError(f"need {name} >= {lo}, got {value}")
+            raise InputFormatError(f"need {name} >= {_shown(lo)}, got {_shown(value)}")
     elif not lo <= value <= hi:
-        raise InputFormatError(f"need {lo} <= {name} <= {hi}, got {value}")
+        raise InputFormatError(f"need {_shown(lo)} <= {name} <= {_shown(hi)}, got {_shown(value)}")
     return value
+
+
+def _shown(value: int) -> str:
+    """value in digits, or as about 10^k (-(about 10^k) if negative) from COST_DIGITS digits on."""
+    if abs(value) < 10**COST_DIGITS:
+        return str(value)
+    shown = f"about 10^{math.floor(math.log10(abs(value)))}"
+    return shown if value > 0 else f"-({shown})"
 
 
 def _is_digits(text: str) -> bool:
@@ -124,11 +135,32 @@ def _read_guard(env_name: str) -> int:
     return value
 
 
-def check_cost(what: str, cost: int, env_name: str) -> None:
-    """Raise ResourceLimitError if cost exceeds the guard set by env_name."""
+def check_cost(what: str, cost: int, env_name: str, **values: int) -> None:
+    """Raise ResourceLimitError, naming values then cost, if cost exceeds env_name's guard."""
     guard = _read_guard(env_name)
     if cost > guard:
-        shown = cost if cost < 10**COST_DIGITS else f"about 10^{math.floor(math.log10(cost))}"
+        if values:
+            what += " for " + ", ".join(f"{name}={_shown(value)}" for name, value in values.items())
         raise ResourceLimitError(
-            f"{what} = {shown} exceeds guard {guard}; set {env_name} to raise it"
+            f"{what} = {_shown(cost)} exceeds guard {guard}; set {env_name} to raise it"
         )
+
+
+def sym_dim(d: int, N: int) -> int:
+    """Dimension C(N+d-1, d-1) of the symmetric subspace."""
+    d, N = check_int("d", d, 1), check_int("N", N, 0)
+    return math.comb(N + d - 1, d - 1)
+
+
+def _charge_dim(what: str, times: int, d: int, k: int, power: int, **values: int) -> int:
+    """d_k = sym_dim(d, k), once times*d_k^power is within the build guard.
+
+    For k >= 1, d_k >= max(d, k+1) at d >= 2 and d_k = 1 at d = 1, so that
+    floor is charged first, as "<what> lower bound", and a d_k too huge to
+    admit is never formed.  Both refusals name values, then d and k.
+    """
+    floor = max(d, k + 1) if d > 1 else 1
+    check_cost(f"{what} lower bound", times * floor**power, BUILD_GUARD_ENV, **values, d=d, k=k)
+    dim = sym_dim(d, k)
+    check_cost(what, times * dim**power, BUILD_GUARD_ENV, **values, d=d, k=k)
+    return dim

@@ -46,7 +46,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import BUILD_GUARD_ENV, InputFormatError, check_cost, check_int
+from .errors import BUILD_GUARD_ENV, InputFormatError, _charge_dim, check_cost, check_int, sym_dim
 from .povm import Povm
 from .symmetric import (
     PureState,
@@ -55,7 +55,6 @@ from .symmetric import (
     _squared_overlaps,
     frame_operator,
     haar_random_states,
-    sym_dim,
     sym_embed_batch,
 )
 
@@ -144,26 +143,22 @@ def check_sample_cost(samples: int, families: list[tuple[int, int]]) -> None:
     whose memory grows with it; the kernel's memory is flat in the
     sample count, so only its time is bounded, and the charge counts
     units of samples, not samples.  At the default guard the largest
-    admitted sample count runs for about 10-20 s on one core.  As
-    d_{N+1} = C(N+d, d-1) >= N+d, (N+d)^2 stands in for d_{N+1}^2 in a
-    first charge, so d_{N+1} is formed only for sizes the guard can
+    admitted sample count runs for about 10-20 s on one core.  Each
+    family's units*d_{N+1}^2, at most the sum, is charged first through
+    _charge_dim, so d_{N+1} is formed only for sizes the guard can
     admit.  Raises InputFormatError unless check_samples passes samples
     and every d >= 2 and N >= 1.
     """
     samples = check_samples(samples)
     families = [_check_family(d, n) for d, n in families]
     units = -(-samples // _MC_SAMPLES_PER_CHARGE)
-    which = f"for samples={samples}, (d, N) in {families}"
-    check_cost(
-        f"Monte Carlo cost lower bound units*((N+d)^2+{_MC_SAMPLE_OVERHEAD}) {which}",
-        units * sum((n + d) ** 2 + _MC_SAMPLE_OVERHEAD for d, n in families),
-        BUILD_GUARD_ENV,
-    )
-    check_cost(
-        f"Monte Carlo cost units*(d_(N+1)^2+{_MC_SAMPLE_OVERHEAD}) {which}",
-        units * sum(sym_dim(d, n + 1) ** 2 + _MC_SAMPLE_OVERHEAD for d, n in families),
-        BUILD_GUARD_ENV,
-    )
+    dims = [
+        _charge_dim("Monte Carlo cost units*d_k^2", units, d, n + 1, 2, samples=samples)
+        for d, n in families
+    ]
+    cost = units * sum(dim * dim + _MC_SAMPLE_OVERHEAD for dim in dims)
+    # The sum over the families; 1024 is _MC_SAMPLE_OVERHEAD.
+    check_cost("Monte Carlo cost units*(d_(N+1)^2+1024)", cost, BUILD_GUARD_ENV, samples=samples)
 
 
 def check_shots(shots: int) -> int:

@@ -19,9 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConstructionError, InputFormatError, check_int, exceeds
+from .errors import ConstructionError, InputFormatError, check_int, exceeds, sym_dim
 from .quadrature import Povm, sphere_grid
-from .symmetric import frame_residual, sym_dim
+from .symmetric import frame_residual
 
 FORMAT_VERSION = "1"
 CERTIFICATION_TOL = 1e-10

@@ -65,9 +65,9 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import BUILD_GUARD_ENV, ConstructionError, InputFormatError, check_cost, exceeds
-from .errors import check_int
+from .errors import _charge_dim, check_int
 from .symmetric import NORM_TOL, _check_family, _Record, frame_residual, occupation_basis
-from .symmetric import sym_dim, sym_embed_batch
+from .symmetric import sym_embed_batch
 
 NEWTON_TOL = 1e-14
 # Sturm brackets are halved until their width is at most _BRACKET_TOL
@@ -308,12 +308,12 @@ def _lattice_generator(runs: list[tuple[Callable, int]], d: int, M: int) -> tupl
     return None
 
 
-def _korobov_lattice(d: int, N: int, moduli_nodes: int) -> tuple[int, tuple[int, ...]]:
+def _korobov_lattice(d: int, N: int, moduli_nodes: int, dim: int) -> tuple[int, tuple[int, ...]]:
     """Smallest exact Korobov lattice (M, z), the first g for that M.
 
-    d_N distinct residues need M >= d_N, so the search starts there, and
-    each M is tested by _lattice_generator in Python integers, so no
-    numpy integer kernel is paged in for the search.  The rows of
+    dim is d_N.  d_N distinct residues need M >= d_N, so the search
+    starts there, and each M is tested by _lattice_generator in Python
+    integers, so no numpy integer kernel is paged in.  The rows of
     occupation_basis(d, N) are grouped once by their tail
     (n_2, ..., n_{d-1}), and each tail's residue is formed once per g:
     an itemgetter picks z_j n_j times for each j of the tail, and twice
@@ -325,7 +325,6 @@ def _korobov_lattice(d: int, N: int, moduli_nodes: int) -> tuple[int, tuple[int,
     digits.  That bound is a theorem, not a check; a test pins it for
     every (d, N) the default guard admits at d <= 4.
     """
-    dim = sym_dim(d, N)
     moduli = moduli_nodes ** (d - 1)
     counts: dict[tuple[int, ...], int] = {}
     for row in occupation_basis(d, N):
@@ -334,7 +333,7 @@ def _korobov_lattice(d: int, N: int, moduli_nodes: int) -> tuple[int, tuple[int,
     runs = [(itemgetter(d - 1, d - 1, *tail), (1 << count) - 1) for tail, count in counts.items()]
     for M in itertools.count(dim):
         cost = moduli * M * dim * dim
-        check_cost(f"construction cost A*d_N^2 for d={d}, N={N}, M={M}", cost, BUILD_GUARD_ENV)
+        check_cost("construction cost A*d_N^2", cost, BUILD_GUARD_ENV, d=d, N=N, M=M)
         z = _lattice_generator(runs, d, M)
         if z is not None:
             return M, z
@@ -347,20 +346,15 @@ def sphere_grid(d: int, N: int) -> Povm:
     construction: "moduli-lattice", the Gauss node count per simplex
     coordinate and the phase lattice {"M": M, "z": [...]}.  Rows run
     moduli-major, lattice point fastest; the weights sum to 1.  Raises
-    ResourceLimitError, before the grid is formed, when the lower bound
-    max(d, N+1)^3 or, at the first lattice size M that does, A*d_N^2
-    exceeds POVMQUAD_BUILD_GUARD.
+    ResourceLimitError, before the grid is formed, when d_N^3 or, at the
+    first lattice size M that does, A*d_N^2 exceeds POVMQUAD_BUILD_GUARD.
     """
     d, N = _check_family(d, N)
-    # A >= M >= d_N >= max(d, N+1) bounds A*d_N^2 from below before d_N,
+    # A >= M >= d_N bounds A*d_N^2 from below by d_N^3, charged before
     # n^(d-1) or the search bound, each huge for a huge d, is formed.
-    check_cost(
-        f"construction cost lower bound max(d, N+1)^3 for d={d}, N={N}",
-        max(d, N + 1) ** 3,
-        BUILD_GUARD_ENV,
-    )
+    dim = _charge_dim("construction cost d_k^3", 1, d, N, 3)
     n = (N + 2) // 2
-    M, z = _korobov_lattice(d, N, n)
+    M, z = _korobov_lattice(d, N, n, dim)
     # One simplex coordinate at a time, the new one fastest: x_j = u_j * rest
     # and rest *= 1 - u_j, for u_j = (1+t)/2 at the Gauss-Jacobi nodes t of
     # (1-t)^(d-1-j); x_d is the rest.  Each rule's weights are scaled by the

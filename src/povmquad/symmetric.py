@@ -9,9 +9,9 @@ are sqrt(N!/prod n_i!) * prod c_i^{n_i} where c are the amplitudes of
 c_i^0, ..., c_i^N, gathered through the occupation table, so its numpy
 call count does not grow with d_N.  Certification and the fidelity
 formulas all run on one primitive in these coordinates,
-frame_operator, and the cloner works in them too.  sym_isometry and
-symmetric_projector_full are the one bridge to the d^M full space, for
-callers that need dense operators there.
+frame_operator, and the cloner works in them too; d_N is errors.sym_dim.
+sym_isometry and symmetric_projector_full are the one bridge to the d^M
+full space, for callers that need dense operators there.
 
 A PureState's squared norm is sum_i |c_i|^2 taken elementwise in numpy,
 the formula Povm applies to its rows, and overlap and _squared_overlaps
@@ -45,8 +45,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BUILD_GUARD_ENV, FULL_SPACE_GUARD_ENV, InputFormatError, check_cost
-from .errors import check_int, exceeds
+from .errors import FULL_SPACE_GUARD_ENV, InputFormatError, check_cost
+from .errors import _charge_dim, check_int, exceeds
 
 # Normalisation slack accepted on state amplitudes.
 NORM_TOL = 1e-12
@@ -112,12 +112,6 @@ class PureState(_Record):
         amps = np.zeros(d, dtype=np.complex128)
         amps[index] = 1.0
         return cls(amps)
-
-
-def sym_dim(d: int, N: int) -> int:
-    """Dimension C(N+d-1, d-1) of the symmetric subspace."""
-    d, N = check_int("d", d, 1), check_int("N", N, 0)
-    return math.comb(N + d - 1, d - 1)
 
 
 # typed: 2.0 and True hash and compare as 2 and 1, so an untyped cache
@@ -227,21 +221,12 @@ def frame_operator(amplitudes: np.ndarray, weights: np.ndarray, level: int) -> n
     v_a are the occupation coordinates of |phi_a>^{tensor k} for the rows
     of amplitudes (shape (A, d)).  A family is an optimal N-copy POVM iff
     G_N = I/d_N and universal iff also G_{N+1} = I/d_{N+1}; its pointwise
-    fidelity is d_N u^dagger G_{N+1} u.  Refused when the lower bound
-    A*max(d, k+1)^2 or the cost A*d_k^2 exceeds the build guard.
+    fidelity is d_N u^dagger G_{N+1} u.  The cost A*d_k^2 is charged to
+    the build guard through _charge_dim.
     """
     amps = np.asarray(amplitudes, dtype=np.complex128)
-    d, level = amps.shape[-1], check_int("level", level, 1)
-    # d_k >= max(d, k+1) for d >= 2 (d_k = 1 for d = 1) bounds the cost
-    # from below before d_k, huge for a huge d or k, is formed.
-    check_cost(
-        f"frame operator cost lower bound A*max(d, k+1)^2 at level k={level}",
-        amps.shape[0] * (max(d, level + 1) if d > 1 else 1) ** 2,
-        BUILD_GUARD_ENV,
-    )
-    dim = sym_dim(d, level)
-    cost = amps.shape[0] * dim * dim
-    check_cost(f"frame operator cost A*d_k^2 at level k={level}", cost, BUILD_GUARD_ENV)
+    level = check_int("level", level, 1)
+    _charge_dim("frame operator cost A*d_k^2", amps.shape[0], amps.shape[-1], level, 2)
     emb = sym_embed_batch(amps, level)
     return (emb * np.asarray(weights)[:, None]).T @ emb.conj()
 
@@ -267,9 +252,9 @@ def sym_isometry(d: int, M: int) -> np.ndarray:
     """
     d, M = check_int("d", d, 2), check_int("M", M, 1)
     # d^M >= max(d, M+1) bounds it from below before d^M, huge for a huge M, is formed.
-    check_cost("full-space dimension lower bound max(d, M+1)", max(d, M + 1), FULL_SPACE_GUARD_ENV)
+    check_cost("full-space dimension lower bound max(d, M+1)", max(d, M + 1), FULL_SPACE_GUARD_ENV, d=d, M=M)
     dim = d**M
-    check_cost("full-space dimension d^M", dim, FULL_SPACE_GUARD_ENV)
+    check_cost("full-space dimension d^M", dim, FULL_SPACE_GUARD_ENV, d=d, M=M)
     digits = np.arange(dim)[:, None] // d ** np.arange(M - 1, -1, -1) % d
     occupations = np.stack([np.count_nonzero(digits == i, axis=1) for i in range(d)], axis=1)
     column_of = {n: k for k, n in enumerate(occupation_basis(d, M))}

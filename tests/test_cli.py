@@ -89,7 +89,9 @@ class TestBuild:
         monkeypatch.chdir(tmp_path)
         code, out, err = run(capsys, argv)
         assert code == EXIT_RESOURCE
-        assert err.startswith("resource guard: construction cost lower bound")
+        assert err.startswith(
+            "resource guard: construction cost d_k^3 lower bound for d=20000, k=2 = 8000000000000 exceeds"
+        )
         assert "POVMQUAD_BUILD_GUARD" in err
         assert err.count("\n") == 1
         assert out == ""
@@ -132,7 +134,7 @@ class TestBuild:
         path = tmp_path / "x.json"
         code, _, err = run(capsys, ["build", "--d", "2", "--N", "1", "--out", str(path)])
         assert code == EXIT_RESOURCE
-        assert "level k=2" in err
+        assert "frame operator cost A*d_k^2 lower bound for d=2, k=2 = 18 exceeds guard 10" in err
         assert not path.exists()
 
     def test_dedupe_flag_is_gone(self, tmp_path, capsys):
@@ -366,7 +368,9 @@ class TestHugeFamilyFile:
         code, out, err = run(capsys, [command, str(path), *FILE_COMMANDS[command]])
         assert time.perf_counter() - start < 0.5
         assert (code, out) == (EXIT_RESOURCE, "")
-        assert err.startswith("resource guard: frame operator cost lower bound")
+        assert err.startswith(
+            f"resource guard: frame operator cost A*d_k^2 lower bound for d={d}, k=about 10^{d} = about 10^{2 * d} "
+        )
 
 
 class TestGuardVariables:
@@ -724,7 +728,7 @@ class TestSampleGuard:
         # family is built; (44,1) is the tightest.
         from povmquad.estimation import check_sample_cost
         from povmquad.errors import _DEFAULTS, BUILD_GUARD_ENV
-        from povmquad.symmetric import sym_dim
+        from povmquad.errors import sym_dim
 
         monkeypatch.delenv(BUILD_GUARD_ENV, raising=False)
         guard = _DEFAULTS[BUILD_GUARD_ENV]
@@ -1566,7 +1570,7 @@ class TestMoments:
     def test_huge_max_len_refused_at_first_oversized_length(self, capsys):
         code, out, err = run(capsys, ["moments", "--d", "2", "--max-len", str(10**9)])
         assert code == EXIT_RESOURCE
-        assert "over l <= 6 for d=2 = 5460" in err
+        assert "rows d^2 + ... + d^(2l) for l=6, d=2 = 5460" in err
         assert out == ""
 
     def test_cumulative_rows_refused_at_default_guard(self, capsys):

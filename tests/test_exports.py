@@ -152,7 +152,7 @@ def test_package_import_loads_no_submodule():
         [sys.executable, "-c", probe], capture_output=True, env=env, timeout=120, text=True
     )
     assert proc.returncode == 0, proc.stderr
-    expected = ["povmquad.errors", "povmquad.symmetric"]
+    expected = ["povmquad.errors"]
     assert proc.stdout.strip() == f"[] {expected}"
 
 

@@ -432,7 +432,7 @@ class TestSphereGrid:
 
         grids = {family: sphere_grid(*family) for family in BENCHMARK_FAMILIES}
         monkeypatch.setattr(quadrature, "_gauss_jacobi", gauss_jacobi_eigvalsh)
-        monkeypatch.setattr(quadrature, "_korobov_lattice", lambda d, n, _: korobov_lattice_sorted(d, n))
+        monkeypatch.setattr(quadrature, "_korobov_lattice", lambda d, n, *_: korobov_lattice_sorted(d, n))
         for (d, n), grid in grids.items():
             reference = sphere_grid(d, n)
             assert grid.provenance == reference.provenance
@@ -507,13 +507,14 @@ class TestSphereGrid:
 
     def test_huge_d_refused_before_d_n_is_formed(self, monkeypatch):
         # max(d, N+1)^3 = 10^27 is charged first; d_N, n^(d-1) and the
-        # search bound (N+1)^(d-1) are never formed for d = 10^9.
-        import povmquad.quadrature as quadrature
+        # search bound (N+1)^(d-1) are never formed for d = 10^9.  d_N is
+        # formed in errors._charge_dim.
+        import povmquad.errors as errors
 
         def no_dim(d, n):
             raise AssertionError("d_N formed before the lower bound was charged")
 
-        monkeypatch.setattr(quadrature, "sym_dim", no_dim)
+        monkeypatch.setattr(errors, "sym_dim", no_dim)
         with pytest.raises(ResourceLimitError, match="lower bound") as info:
             sphere_grid(10**9, 2)
         assert f"= {10**27} exceeds guard 50000000" in str(info.value)
@@ -566,11 +567,11 @@ class TestLatticeProperties:
         from povmquad.quadrature import _korobov_lattice
 
         for n in range(1, GUARD_LIMITS[d] + 1):
-            M, _ = _korobov_lattice(d, n, (n + 2) // 2)
+            M, _ = _korobov_lattice(d, n, (n + 2) // 2, sym_dim(d, n))
             assert sym_dim(d, n) <= M <= (n + 1) ** (d - 1)
         n = GUARD_LIMITS[d] + 1
         with pytest.raises(ResourceLimitError):
-            _korobov_lattice(d, n, (n + 2) // 2)
+            _korobov_lattice(d, n, (n + 2) // 2, sym_dim(d, n))
 
     @pytest.mark.parametrize("d", sorted(GUARD_LIMITS))
     def test_search_equals_the_sorting_oracle(self, d):
@@ -578,7 +579,7 @@ class TestLatticeProperties:
         from povmquad.quadrature import _korobov_lattice
 
         for n in range(1, GUARD_LIMITS[d] + 1):
-            assert _korobov_lattice(d, n, (n + 2) // 2) == korobov_lattice_sorted(d, n), (d, n)
+            assert _korobov_lattice(d, n, (n + 2) // 2, sym_dim(d, n)) == korobov_lattice_sorted(d, n), (d, n)
 
     @pytest.mark.parametrize("d,n", [(3, 2), (3, 4), (4, 2), (5, 2)])
     def test_a_generator_separates_as_its_inverse_does(self, d, n):

@@ -33,6 +33,8 @@ pivots of an LDL^H factorisation of sigma + 1e-10 I, formed by numpy
 row updates and matrix products: no command runs a LAPACK routine.
 A failure reports the least eigenvalue, to a 4-ulp bracket, from the
 bisection that finds the Gauss nodes, with these pivots as its count.
+That check costs O(d_M^3), so ClonerOutput charges d_M^3 through
+errors._charge_dim, as clone does, before it forms d_M.
 """
 
 from __future__ import annotations
@@ -85,9 +87,10 @@ class ClonerOutput(_Record):
     """Joint state of the M clones as a d_M x d_M density matrix.
 
     Rows and columns follow occupation_basis(d, M).  Construction
-    validates finiteness, Hermiticity, unit trace, positive
-    semidefiniteness (within -1e-10; a failure reports the least
-    eigenvalue, bisected to 4 ulps), and the input bookkeeping.
+    validates the input bookkeeping, d_M^3 against the build guard,
+    finiteness, Hermiticity, unit trace and positive semidefiniteness
+    (within -1e-10; a failure reports the least eigenvalue, bisected to
+    4 ulps).
     """
 
     _fields = ("d", "N", "M", "density")
@@ -96,7 +99,7 @@ class ClonerOutput(_Record):
         d = check_int("d", d, 2)
         M = check_int("M", M, 1)
         N = check_int("N", N, 1, M)
-        dim = sym_dim(d, M)
+        dim = _charge_dim("cloner output cost d_k^3", 1, d, M, 3)
         density = np.asarray(density, dtype=np.complex128)
         if density.shape != (dim, dim):
             raise InputFormatError(f"density must have shape ({dim}, {dim})")
@@ -177,8 +180,7 @@ def single_particle_reduced(output: ClonerOutput) -> np.ndarray:
 
 def single_particle_fidelity(output: ClonerOutput, state: PureState) -> float:
     """Fidelity <phi| reduced |phi> of one clone against the source state."""
-    if state.d != output.d:
-        raise InputFormatError(f"state dimension {state.d} != cloner dimension {output.d}")
+    check_int("state dimension", state.d, output.d, output.d)
     amps = state.amplitudes
     reduced = single_particle_reduced(output)
     return float((amps.conj()[:, None] * reduced * amps).sum().real)
@@ -194,15 +196,12 @@ def two_step_components(output: ClonerOutput, state: PureState, povm_m: Povm) ->
     of the same nodes.  povm_m keeps its embedding, so it is formed on
     the first call for povm_m and reused after.
     """
-    if state.d != output.d:
-        raise InputFormatError(f"state dimension {state.d} != cloner dimension {output.d}")
-    if povm_m.d != state.d:
-        raise InputFormatError(f"state dimension {state.d} != POVM dimension {povm_m.d}")
-    if povm_m.N != output.M:
-        raise InputFormatError(f"POVM is for {povm_m.N} copies, expected M={output.M}")
+    check_int("state dimension", state.d, output.d, output.d)
+    check_int("POVM dimension", povm_m.d, state.d, state.d)
+    check_int("POVM copy number", povm_m.N, output.M, output.M)
     emb = povm_m._level_n_embedding
     born = ((emb.conj() @ output.density) * emb).sum(axis=1).real
-    probs = sym_dim(state.d, output.M) * povm_m.weights * born
+    probs = output.density.shape[0] * povm_m.weights * born
     state_fids = _squared_overlaps(povm_m.guesses, state)
     pipeline = float((probs * state_fids).sum())
     closed = float(

@@ -5,8 +5,10 @@ construction/certification failures -> 1, malformed inputs -> 2,
 resource-guard refusals -> 3.
 
 check_int is the one test of a count (a dimension, a copy number, a
-sample or shot count, a seed, an index): every such argument the
-package or the CLI checks goes through it.  _parse_int is the one
+sample or shot count, a seed, an index, a guard variable): every such
+argument the package or the CLI checks goes through it, and so does
+every match of two counts, such as a state's dimension against a
+POVM's, as the bounds lo = hi.  _parse_int is the one
 grammar of an integer read from text, a CLI flag or a guard variable:
 ASCII digits, optionally after one '-'.
 
@@ -77,16 +79,19 @@ def check_int(name: str, value, lo: int, hi: int | None = None) -> int:
 
     An integer is a value whose type has __index__ (int, numpy integers)
     other than a bool; a float, even 2.0, a string or None is not.  hi
-    None means no upper bound.
+    None means no upper bound; hi = lo asks for lo itself.
     """
     if isinstance(value, bool) or not hasattr(type(value), "__index__"):
         raise InputFormatError(f"{name} must be an integer, got {value!r}")
     value = operator.index(value)
-    if hi is None:
-        if value < lo:
-            raise InputFormatError(f"need {name} >= {_shown(lo)}, got {_shown(value)}")
-    elif not lo <= value <= hi:
-        raise InputFormatError(f"need {_shown(lo)} <= {name} <= {_shown(hi)}, got {_shown(value)}")
+    if value < lo or hi is not None and value > hi:
+        if hi is None:
+            bound = f"{name} >= {_shown(lo)}"
+        elif lo == hi:
+            bound = f"{name} = {_shown(lo)}"
+        else:
+            bound = f"{_shown(lo)} <= {name} <= {_shown(hi)}"
+        raise InputFormatError(f"need {bound}, got {_shown(value)}")
     return value
 
 
@@ -130,9 +135,7 @@ def _read_guard(env_name: str) -> int:
     value = _parse_int(raw)
     if value is None:
         raise InputFormatError(f"{env_name} must be an integer, got {raw!r}")
-    if value < 1:
-        raise InputFormatError(f"{env_name} must be positive, got {value}")
-    return value
+    return check_int(env_name, value, 1)
 
 
 def check_cost(what: str, cost: int, env_name: str, **values: int) -> None:

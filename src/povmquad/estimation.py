@@ -5,7 +5,7 @@ the outcome probabilities are p_a = d_N w_a |<phi_a|phi>|^{2N} and the
 mean estimation fidelity obeys the closed forms
 
     F(phi) = d_N u^dagger G_{N+1} u                        (pointwise)
-    F_mean = (d_N / d_{N+1}) sum_a w_a                     (state average)
+    F_mean = (N+1) / (N+d) sum_a w_a                       (state average)
     F_optimal(N, d) = (N+1) / (N+d)                        (optimum)
 
 with u the (N+1)-copy embedding of phi and G_{N+1} the family's frame
@@ -46,7 +46,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import BUILD_GUARD_ENV, InputFormatError, _charge_dim, check_cost, check_int, sym_dim
+from .errors import BUILD_GUARD_ENV, _charge_dim, check_cost, check_int, sym_dim
 from .povm import Povm
 from .symmetric import (
     PureState,
@@ -166,14 +166,9 @@ def check_shots(shots: int) -> int:
     return check_int("shots", shots, 1, MAX_SHOTS)
 
 
-def _check_state(povm: Povm, state: PureState) -> None:
-    if state.d != povm.d:
-        raise InputFormatError(f"state dimension {state.d} != POVM dimension {povm.d}")
-
-
 def outcome_probs(povm: Povm, state: PureState) -> np.ndarray:
     """Born probabilities p_a = d_N w_a |<phi_a|phi>|^{2N}, shape (A,)."""
-    _check_state(povm, state)
+    check_int("state dimension", state.d, povm.d, povm.d)
     d_n = sym_dim(povm.d, povm.N)
     return d_n * povm.weights * _squared_overlaps(povm.guesses, state) ** povm.N
 
@@ -227,25 +222,27 @@ def _pointwise_batch(povm: Povm, frame: np.ndarray, states: np.ndarray) -> np.nd
 
 def pointwise_fidelity(povm: Povm, state: PureState) -> float:
     """Mean fidelity of the estimate for one specific input state."""
-    _check_state(povm, state)
+    check_int("state dimension", state.d, povm.d, povm.d)
     frame = frame_operator(povm.guesses, povm.weights, povm.N + 1)
     return float(_pointwise_batch(povm, frame, state.amplitudes[None, :])[0])
 
 
 def mean_fidelity_exact(povm: Povm) -> FidelityReport:
-    """State-averaged fidelity (d_N/d_{N+1}) sum_a w_a.
+    """State-averaged fidelity (d_N/d_{N+1}) sum_a w_a = (N+1)/(N+d) sum_a w_a.
 
     The weight sum is exact: each stored double is num / 2^k, every
     numerator is shifted onto the largest denominator 2^K and summed as
-    an integer, and the one division d_N * sum / (d_{N+1} * 2^K) rounds
-    the exact rational once (CPython's int / int is correctly rounded).
+    an integer, and the one division p * sum / (q * 2^K), p/q = (N+1)/(N+d)
+    in lowest terms, rounds the exact rational once (CPython's int / int
+    is correctly rounded), so no d_N is formed.
     So the only deviation from (N+1)/(N+d) for a built POVM is the
     normalisation rounding of the weights themselves (well below 1e-12).
     """
     ratios = [w.as_integer_ratio() for w in povm.weights.tolist()]
     top = max(den for _, den in ratios).bit_length()
     total = sum(num << (top - den.bit_length()) for num, den in ratios)
-    value = sym_dim(povm.d, povm.N) * total / (sym_dim(povm.d, povm.N + 1) << (top - 1))
+    p, q = _optimal_ratio(povm.N, povm.d)
+    value = p * total / (q << (top - 1))
     return FidelityReport(value=value, stderr=0.0, method="analytic")
 
 

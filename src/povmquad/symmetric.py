@@ -85,8 +85,7 @@ class PureState(_Record):
 
     def __init__(self, amplitudes: np.ndarray):
         amps = np.asarray(amplitudes, dtype=np.complex128).reshape(-1).copy()
-        if amps.size < 2:
-            raise InputFormatError(f"state dimension must be >= 2, got {amps.size}")
+        check_int("state dimension", amps.size, 2)
         if not np.all(np.isfinite(amps.view(np.float64))):
             raise InputFormatError("state amplitudes must be finite")
         # The formula Povm uses for its rows; np.vdot would call BLAS zdotc.
@@ -200,8 +199,7 @@ def sym_embed(state: PureState, N: int) -> np.ndarray:
 
 def overlap(a: PureState, b: PureState) -> complex:
     """Inner product <a|b>."""
-    if a.d != b.d:
-        raise InputFormatError(f"dimension mismatch: {a.d} vs {b.d}")
+    check_int("state dimension", b.d, a.d, a.d)
     return complex((a.amplitudes.conj() * b.amplitudes).sum())
 
 
@@ -221,14 +219,16 @@ def frame_operator(amplitudes: np.ndarray, weights: np.ndarray, level: int) -> n
     v_a are the occupation coordinates of |phi_a>^{tensor k} for the rows
     of amplitudes (shape (A, d)).  A family is an optimal N-copy POVM iff
     G_N = I/d_N and universal iff also G_{N+1} = I/d_{N+1}; its pointwise
-    fidelity is d_N u^dagger G_{N+1} u.  The cost A*d_k^2 is charged to
-    the build guard through _charge_dim.
+    fidelity is d_N u^dagger G_{N+1} u.  weights has shape (A,).  The
+    cost A*d_k^2 is charged to the build guard through _charge_dim.
     """
-    amps = np.asarray(amplitudes, dtype=np.complex128)
+    amps, weights = np.asarray(amplitudes, dtype=np.complex128), np.asarray(weights)
+    check_int("weights ndim", weights.ndim, 1, 1)
+    check_int("weight count", weights.size, amps.shape[0], amps.shape[0])
     level = check_int("level", level, 1)
     _charge_dim("frame operator cost A*d_k^2", amps.shape[0], amps.shape[-1], level, 2)
     emb = sym_embed_batch(amps, level)
-    return (emb * np.asarray(weights)[:, None]).T @ emb.conj()
+    return (emb * weights[:, None]).T @ emb.conj()
 
 
 def frame_residual(amplitudes: np.ndarray, weights: np.ndarray, level: int) -> float:

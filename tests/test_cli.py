@@ -389,7 +389,10 @@ class TestGuardVariables:
         monkeypatch.setenv(variable, value)
         code, out, err = run(capsys, argv)
         assert code == EXIT_INPUT
-        assert err.startswith(f"input error: {variable} must be")
+        if value in ("0", "-5"):
+            assert err == f"input error: need {variable} >= 1, got {value}\n"
+        else:
+            assert err == f"input error: {variable} must be an integer, got {value!r}\n"
         assert err.count("\n") == 1
         assert out == ""
         assert list(tmp_path.iterdir()) == []
@@ -426,7 +429,7 @@ class TestGuardVariableGrammar:
         from povmquad.errors import FULL_SPACE_GUARD_ENV, InputFormatError, _read_guard
 
         monkeypatch.setenv(FULL_SPACE_GUARD_ENV, "-5")
-        with pytest.raises(InputFormatError, match="must be positive, got -5"):
+        with pytest.raises(InputFormatError, match="need POVMQUAD_FULL_SPACE_GUARD >= 1, got -5"):
             _read_guard(FULL_SPACE_GUARD_ENV)
 
 
@@ -2052,6 +2055,65 @@ class TestReadmeCommands:
             code, out, err = run(capsys, argv)
             assert code == expected, (argv, err)
             assert out, argv
+
+
+WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tier1.yml"
+
+
+def _workflow_step_script(name: str) -> str:
+    """The `run: |` block of the workflow step `name`, dedented, cut from the YAML text.
+
+    The block is every line after `run: |` indented deeper than that key,
+    up to the first non-blank line that is not.
+    """
+    import textwrap
+
+    lines = WORKFLOW.read_text(encoding="utf-8").splitlines()
+    start = next(i for i, line in enumerate(lines) if line.strip() == f"- name: {name}")
+    key = next(i for i in range(start + 1, len(lines)) if lines[i].strip() == "run: |")
+    indent = len(lines[key]) - len(lines[key].lstrip())
+    block = []
+    for line in lines[key + 1 :]:
+        if line.strip() and len(line) - len(line.lstrip()) <= indent:
+            break
+        block.append(line)
+    return textwrap.dedent("\n".join(block)).strip() + "\n"
+
+
+class TestWorkflowConsoleScript:
+    """The workflow's "Console script" step, run as the runner's bash runs it.
+
+    A `povmquad` shim on PATH stands for the installed entry point: it runs
+    `python -m povmquad.cli` on the tree under test.
+    """
+
+    def test_step_is_found(self):
+        script = _workflow_step_script("Console script")
+        commands = [line.split()[1] for line in script.splitlines() if line.startswith("povmquad ")]
+        assert commands == ["build", "verify", "moments", "build"]
+        assert "test \"$code\" -eq 3\n" in script
+
+    def test_step_runs(self, tmp_path):
+        import shlex
+
+        shims = tmp_path / "bin"
+        shims.mkdir()
+        shim = shims / "povmquad"
+        shim.write_text(f'#!/bin/sh\nexec {shlex.quote(sys.executable)} -m povmquad.cli "$@"\n')
+        shim.chmod(0o755)
+        src = Path(povmquad.__file__).resolve().parent.parent
+        # The step reads the default guards.
+        env = {k: v for k, v in os.environ.items() if not k.startswith("POVMQUAD_")}
+        env["PATH"] = os.pathsep.join([str(shims), env.get("PATH", "")])
+        env["PYTHONPATH"] = os.pathsep.join([str(src), env.get("PYTHONPATH", "")])
+        env["RUNNER_TEMP"] = str(tmp_path)
+        script = _workflow_step_script("Console script")
+        proc = subprocess.run(
+            ["bash", "--noprofile", "--norc", "-eo", "pipefail", "-c", script],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bin", "qubit1.json"]
 
 
 class TestParser:

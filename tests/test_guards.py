@@ -7,28 +7,37 @@ oracle, C(k+d-1, d-1) from math.comb: it admits exactly what the exact
 cost admits, and with d or k up to 10^6000 it never forms d_k once the
 floor exceeds the guard.  The regression tests are calls whose refusal,
 when it wrote its integers in full, raised the interpreter's ValueError
-on int-to-str conversion instead of the package's own error.
+on int-to-str conversion instead of the package's own error.  A match
+of two counts is check_int with lo = hi, and mean_fidelity_exact is
+(N+1)/(N+d) times the exact weight sum, rounded once, with no d_N formed.
 """
 
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import povmquad.errors as errors
+import povmquad.estimation as estimation
 from povmquad import (
+    ClonerOutput,
     InputFormatError,
+    Povm,
     ResourceLimitError,
     build_povm,
     clone,
     frame_operator,
+    frame_residual,
     haar_random_state,
+    mean_fidelity_exact,
     restrict_povm,
     sphere_grid,
+    two_step_estimate,
 )
-from povmquad.errors import BUILD_GUARD_ENV, _charge_dim, check_cost, check_int
+from povmquad.errors import BUILD_GUARD_ENV, _charge_dim, _shown, check_cost, check_int
 from povmquad.estimation import check_sample_cost
 
 HUGE = 10**5000
@@ -92,6 +101,13 @@ HUGE_CALLS = {
     "check_sample_cost-N": (lambda: check_sample_cost(100, [(2, HUGE)]), ResourceLimitError),
     "check_int-negative": (lambda: check_int("N", -HUGE, 1), InputFormatError),
     "restrict_povm-N": (lambda: restrict_povm(QUBIT, HUGE), InputFormatError),
+    "two_step_estimate-povm-N": (
+        lambda: two_step_estimate(
+            clone(STATE, 1, 2), STATE, Povm(d=2, N=HUGE, weights=np.ones(1), guesses=np.eye(2)[:1])
+        ),
+        InputFormatError,
+    ),
+    "ClonerOutput-M": (lambda: ClonerOutput(2, 1, HUGE, np.eye(2)), ResourceLimitError),
 }
 
 
@@ -137,3 +153,68 @@ class TestShown:
         with pytest.raises(ResourceLimitError) as info:
             check_cost("work", 6, BUILD_GUARD_ENV)
         assert str(info.value) == f"work = 6 exceeds guard 5; set {BUILD_GUARD_ENV} to raise it"
+
+
+# Weights of the wrong shape: numpy spread the one weight over both rows,
+# or failed to broadcast three weights onto two rows.
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: frame_residual(np.eye(2), np.ones(1), 1), "need weight count = 2, got 1"),
+        (lambda: frame_operator(np.eye(2), np.ones(3), 1), "need weight count = 2, got 3"),
+        (lambda: frame_operator(np.eye(2), np.ones((2, 1)), 1), "need weights ndim = 1, got 2"),
+    ],
+    ids=["one-weight", "three-weights", "column-weights"],
+)
+def test_frame_operator_needs_one_weight_per_row(call, message):
+    with pytest.raises(InputFormatError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_mean_fidelity_exact_forms_no_level_dimension(monkeypatch):
+    # d_N and d_{N+1} have about 5.4 million digits here.
+    def no_dim(d, k):
+        raise AssertionError("mean_fidelity_exact formed a level dimension")
+
+    monkeypatch.setattr(estimation, "sym_dim", no_dim)
+    povm = Povm(d=2000, N=10**2000, weights=np.ones(1), guesses=np.eye(2000)[:1])
+    assert mean_fidelity_exact(povm).value == 1.0
+
+
+# A weight is a mantissa in [1, 10) times 10^e, e in -15..15.
+WEIGHT = st.builds(
+    lambda m, e: m * 10.0**e, st.floats(1.0, 10.0, exclude_max=True), st.integers(-15, 15)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=st.integers(2, 9), N=st.integers(1, 60), weights=st.lists(WEIGHT, min_size=1, max_size=12))
+def test_mean_fidelity_exact_is_the_once_rounded_rational(d, N, weights):
+    guesses = np.eye(d)[np.arange(len(weights)) % d]
+    povm = Povm(d=d, N=N, weights=weights, guesses=guesses)
+    exact = Fraction(N + 1, N + d) * sum(map(Fraction, povm.weights.tolist()))
+    assert mean_fidelity_exact(povm).value.hex() == float(exact).hex()
+
+
+# Drawn as sign * mantissa * 10**exponent, up to about 10^6000, for the
+# reason given above test_charge_never_forms_d_k_past_its_floor; the
+# value is either a notch from lo or drawn the same way.
+HUGE_INTS = st.builds(
+    lambda sign, m, e: sign * m * 10**e,
+    st.sampled_from([1, -1]),
+    st.integers(0, 999),
+    st.integers(0, 5997),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lo=HUGE_INTS, step=st.one_of(st.integers(-2, 2), HUGE_INTS), near=st.booleans())
+def test_equal_bounds_admit_exactly_that_value(lo, step, near):
+    value = lo + step if near else step
+    if value == lo:
+        assert check_int("x", value, lo, lo) == lo
+        return
+    with pytest.raises(InputFormatError) as info:
+        check_int("x", value, lo, lo)
+    assert str(info.value) == f"need x = {_shown(lo)}, got {_shown(value)}"

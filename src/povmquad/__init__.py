@@ -9,14 +9,15 @@ of every public name; the first access to a name (attribute, from-import
 or star-import) imports that module and keeps the name here (PEP 562).
 So `import povmquad.cli` loads only what the command line needs: the
 layer modules quadrature, povm, symmetric, estimation and cloner with
-their helper errors, but neither moments nor sampling, nor the
-fractions and csv modules of the standard library.  Those load when
-a command or a caller first uses them.
+their helper modules errors and _numpy, but neither moments nor
+sampling, nor numpy, nor the fractions and csv modules of the standard
+library.  Those load when a command or a caller first uses them; numpy
+loads at the first attribute read of the deferred handle _numpy.np.
 """
 
 import importlib
 
-__version__ = "0.20.0"
+__version__ = "0.21.0"
 
 # Public name -> the submodule that defines it.  __all__ is this table's keys.
 _EXPORTS = {

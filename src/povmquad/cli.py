@@ -28,12 +28,19 @@ flags or of a flag and the loaded file.  --tol is an ASCII decimal
 literal, and every integer flag and guard variable ASCII digits
 (errors._parse_int), so neither reads 1_0, +1, spaces or non-ASCII digits.
 
-Every command loads what it runs and no more.  The layer modules
-quadrature, povm, symmetric, estimation and cloner are imported with
-this module, so a tracer that rebinds their functions in the modules
-`import povmquad.cli` has loaded reaches every call.  The rest is
-imported where it is used: moments (and with it fractions) by the
-moments command, csv by --csv, and the binomial sampler by simulate.
+Every command loads what it runs and no more.  No module of the
+package imports numpy: each reads it through the deferred handle
+_numpy.np.  main imports numpy right after parsing, for every command
+but moments, so --help, a usage error and moments never load it (about
+90 ms and 12 MB), a numeric command pays the import inside main, and
+numpy's heap is laid out only after every package module has compiled.
+The layer modules quadrature, povm, symmetric, estimation and cloner
+still load with this module, numpy or not: a tracer that rebinds their
+functions in the modules `import povmquad.cli` has loaded
+(perfbench/launcher.py) would miss every call of a layer imported
+later, inside a cmd_* function.  The rest is imported where it is
+used: moments (and with it fractions) by the moments command, csv by
+--csv, and the binomial sampler by simulate.
 fidelity prints its exact optimum p/q from estimation's integer pair,
 so it loads neither fractions nor decimal.
 
@@ -55,6 +62,7 @@ exits the usual way.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import os
@@ -63,8 +71,7 @@ import sys
 from itertools import product
 from typing import NoReturn
 
-import numpy as np
-
+from ._numpy import np
 from .cloner import clone, single_particle_fidelity, two_step_estimate
 from .errors import (
     FULL_SPACE_GUARD_ENV,
@@ -516,6 +523,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(_attach_tol(sys.argv[1:] if argv is None else argv))
+        if args.command != "moments":
+            # Here, not at the first np.* read: the import is charged to
+            # main, not to whichever layer computes first.
+            importlib.import_module("numpy")
         code = args.func(args)
         sys.stdout.flush()
         return code

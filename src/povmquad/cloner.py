@@ -41,8 +41,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-import numpy as np
-
+from ._numpy import np
 from .errors import ConstructionError, InputFormatError, _charge_dim, exceeds
 from .errors import check_int, sym_dim
 from .povm import Povm

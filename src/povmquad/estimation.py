@@ -44,8 +44,7 @@ import math
 import random
 from typing import TYPE_CHECKING
 
-import numpy as np
-
+from ._numpy import np
 from .errors import BUILD_GUARD_ENV, _charge_dim, check_cost, check_int, sym_dim
 from .povm import Povm
 from .symmetric import (
@@ -167,9 +166,15 @@ def check_shots(shots: int) -> int:
 
 
 def outcome_probs(povm: Povm, state: PureState) -> np.ndarray:
-    """Born probabilities p_a = d_N w_a |<phi_a|phi>|^{2N}, shape (A,)."""
+    """Born probabilities p_a = d_N w_a |<phi_a|phi>|^{2N}, shape (A,).
+
+    d_N is formed through _charge_dim at the family's level-N frame
+    operator cost A*d_N^2, the charge load_povm's completeness check
+    makes, so every family a file can hold has its probabilities, and a
+    d_N too huge to admit is refused before it is formed.
+    """
     check_int("state dimension", state.d, povm.d, povm.d)
-    d_n = sym_dim(povm.d, povm.N)
+    d_n = _charge_dim("outcome probability cost A*d_N^2", povm.n_outcomes, povm.d, povm.N, 2)
     return d_n * povm.weights * _squared_overlaps(povm.guesses, state) ** povm.N
 
 

@@ -17,8 +17,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import numpy as np
-
+from ._numpy import np
 from .errors import ConstructionError, InputFormatError, check_int, exceeds, sym_dim
 from .quadrature import Povm, sphere_grid
 from .symmetric import frame_residual

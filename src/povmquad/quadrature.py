@@ -62,8 +62,7 @@ from collections.abc import Callable
 from functools import cached_property, partial
 from operator import itemgetter
 
-import numpy as np
-
+from ._numpy import np
 from .errors import BUILD_GUARD_ENV, ConstructionError, InputFormatError, check_cost, exceeds
 from .errors import _charge_dim, check_int
 from .symmetric import NORM_TOL, _check_family, _Record, frame_residual, occupation_basis

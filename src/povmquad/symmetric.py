@@ -43,8 +43,7 @@ import math
 import random
 from functools import lru_cache
 
-import numpy as np
-
+from ._numpy import np
 from .errors import FULL_SPACE_GUARD_ENV, InputFormatError, check_cost
 from .errors import _charge_dim, check_int, exceeds
 

@@ -1929,7 +1929,9 @@ class TestWhatProcessExitSkips:
 class TestImports:
     """What each command loads, each probed in a fresh interpreter.
 
-    No command loads numpy.random: it pulls in secrets, hashlib and
+    numpy loads only in the commands that compute with it: importing the
+    CLI, --help, moments and a refused flag leave it unloaded.  No
+    command loads numpy.random: it pulls in secrets, hashlib and
     OpenSSL's _hashlib, and every draw comes from random.Random instead.
     The binomial sampler is loaded by the one command that draws shot
     counts.  Exact rationals (fractions, which loads decimal) and the
@@ -1939,35 +1941,40 @@ class TestImports:
     """
 
     WATCHED = (
-        "numpy.random", "secrets", "_hashlib", "povmquad.sampling",
+        "numpy", "numpy.random", "secrets", "_hashlib", "povmquad.sampling",
         "fractions", "decimal", "csv", "povmquad.moments", "dataclasses", "copy",
     )
     LAYERS = tuple(
         f"povmquad.{name}" for name in ("quadrature", "povm", "symmetric", "estimation", "cloner")
     )
 
-    def probe(self, argv, preload="", watch=WATCHED):
+    def probe(self, argv, preload="", watch=WATCHED, code=EXIT_OK):
         """(stdout, the watched modules loaded) of one command in a fresh interpreter.
 
-        With argv None the probe only imports povmquad.cli.
+        With argv None the probe only imports povmquad.cli.  The command
+        must end with exit code `code`, returned by main or, from
+        argparse (--help, a usage error), raised as SystemExit.
         """
         src = Path(povmquad.__file__).resolve().parent.parent
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
-        code = (
+        script = (
             preload
             + "import sys\n"
             + "from povmquad.cli import main\n"
-            + ("code = main(sys.argv[1:])\n" if argv is not None else "code = 0\n")
+            + "try:\n"
+            + ("    code = main(sys.argv[1:])\n" if argv is not None else "    code = 0\n")
+            + "except SystemExit as exc:\n"
+            + "    code = exc.code\n"
             + "sys.stdout.flush()\n"
             + f"sys.stderr.write(' '.join(m for m in {tuple(watch)!r} if m in sys.modules))\n"
             + "sys.exit(code)\n"
         )
         proc = subprocess.run(
-            [sys.executable, "-c", code, *(argv or [])],
+            [sys.executable, "-c", script, *(argv or [])],
             capture_output=True, env=env, timeout=120, text=True,
         )
-        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.returncode == code, proc.stderr
         lines = proc.stderr.splitlines()
         return proc.stdout, set(lines[-1].split()) if lines else set()
 
@@ -1975,19 +1982,33 @@ class TestImports:
         path = str(tmp_path / "qubit2.json")
         clone = ["clone", "--d", "3", "--N", "1", "--M", "3", "--states", "2", "--seed", "1"]
         commands = [
-            (["build", "--d", "2", "--N", "2", "--out", path], set()),
-            (["verify", path, "--level", "optimality"], set()),
-            (["fidelity", path, "--samples", "100", "--seed", "1"], set()),
+            (["build", "--d", "2", "--N", "2", "--out", path], {"numpy"}),
+            (["verify", path, "--level", "optimality"], {"numpy"}),
+            (["fidelity", path, "--samples", "100", "--seed", "1"], {"numpy"}),
             (
                 ["simulate", path, "--shots", "100", "--seed", "1", "--state-seed", "2"],
-                {"povmquad.sampling"},
+                {"numpy", "povmquad.sampling"},
             ),
-            (clone, set()),
-            ([*clone, "--csv"], {"csv"}),
+            (clone, {"numpy"}),
+            ([*clone, "--csv"], {"numpy", "csv"}),
             (["moments", "--d", "2", "--max-len", "2"], {"fractions", "decimal", "povmquad.moments"}),
         ]
         for argv, expected in commands:
             assert self.probe(argv)[1] == expected, argv
+
+    def test_numpy_loads_only_where_a_command_computes(self, tmp_path):
+        out = str(tmp_path / "refused.json")
+        commands = [
+            (None, EXIT_OK),
+            (["--help"], EXIT_OK),
+            (["moments", "--d", "2", "--i", "1,2", "--j", "2,1"], EXIT_OK),
+            # argparse's refusal of a missing flag, then cli._count's of --d.
+            (["build", "--d", "2", "--out", out], EXIT_INPUT),
+            (["build", "--d", "1", "--N", "2", "--out", out], EXIT_INPUT),
+        ]
+        for argv, code in commands:
+            assert "numpy" not in self.probe(argv, code=code)[1], argv
+        assert not (tmp_path / "refused.json").exists()
 
     def test_probe_sees_a_loaded_module(self):
         # Guards the probe: a command that loads none of the watched
@@ -1995,7 +2016,7 @@ class TestImports:
         # and the modules they pull in.
         argv = ["clone", "--d", "2", "--N", "1", "--M", "2", "--states", "1", "--seed", "1"]
         loaded = self.probe(argv, preload="import csv, fractions, numpy.random\n")[1]
-        assert loaded == {"numpy.random", "secrets", "_hashlib", "fractions", "decimal", "csv"}
+        assert loaded == {"numpy", "numpy.random", "secrets", "_hashlib", "fractions", "decimal", "csv"}
 
     def test_cli_import_loads_the_layers_and_nothing_deferred(self):
         # perfbench/launcher.py rebinds the layer functions only in the
@@ -2084,23 +2105,27 @@ class TestWorkflowConsoleScript:
     """The workflow's "Console script" step, run as the runner's bash runs it.
 
     A `povmquad` shim on PATH stands for the installed entry point: it runs
-    `python -m povmquad.cli` on the tree under test.
+    `python -m povmquad.cli` on the tree under test.  A `python` shim runs
+    the interpreter of these tests.
     """
 
     def test_step_is_found(self):
         script = _workflow_step_script("Console script")
         commands = [line.split()[1] for line in script.splitlines() if line.startswith("povmquad ")]
-        assert commands == ["build", "verify", "moments", "build"]
+        assert commands == ["--help", "build", "verify", "moments", "build", "build"]
         assert "test \"$code\" -eq 3\n" in script
+        assert "test \"$code\" -eq 2\n" in script
+        assert "sys.exit('numpy' in sys.modules)" in script
 
     def test_step_runs(self, tmp_path):
         import shlex
 
         shims = tmp_path / "bin"
         shims.mkdir()
-        shim = shims / "povmquad"
-        shim.write_text(f'#!/bin/sh\nexec {shlex.quote(sys.executable)} -m povmquad.cli "$@"\n')
-        shim.chmod(0o755)
+        for name, command in [("povmquad", "-m povmquad.cli "), ("python", "")]:
+            shim = shims / name
+            shim.write_text(f'#!/bin/sh\nexec {shlex.quote(sys.executable)} {command}"$@"\n')
+            shim.chmod(0o755)
         src = Path(povmquad.__file__).resolve().parent.parent
         # The step reads the default guards.
         env = {k: v for k, v in os.environ.items() if not k.startswith("POVMQUAD_")}

@@ -9,7 +9,8 @@ floor exceeds the guard.  The regression tests are calls whose refusal,
 when it wrote its integers in full, raised the interpreter's ValueError
 on int-to-str conversion instead of the package's own error.  A match
 of two counts is check_int with lo = hi, and mean_fidelity_exact is
-(N+1)/(N+d) times the exact weight sum, rounded once, with no d_N formed.
+(N+1)/(N+d) times the exact weight sum, rounded once, with no d_N formed;
+outcome_probs forms d_N only after charging it.
 """
 
 import math
@@ -26,6 +27,7 @@ from povmquad import (
     ClonerOutput,
     InputFormatError,
     Povm,
+    PureState,
     ResourceLimitError,
     build_povm,
     clone,
@@ -33,7 +35,9 @@ from povmquad import (
     frame_residual,
     haar_random_state,
     mean_fidelity_exact,
+    outcome_probs,
     restrict_povm,
+    sample_outcomes,
     sphere_grid,
     two_step_estimate,
 )
@@ -180,6 +184,25 @@ def test_mean_fidelity_exact_forms_no_level_dimension(monkeypatch):
     monkeypatch.setattr(estimation, "sym_dim", no_dim)
     povm = Povm(d=2000, N=10**2000, weights=np.ones(1), guesses=np.eye(2000)[:1])
     assert mean_fidelity_exact(povm).value == 1.0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda povm, state: outcome_probs(povm, state),
+        lambda povm, state: sample_outcomes(povm, state, 1, 0),
+    ],
+    ids=["outcome_probs", "sample_outcomes"],
+)
+def test_outcome_probs_charges_d_n_before_forming_it(monkeypatch, call):
+    # d_N has about 5.4 million digits here: formed uncharged, it took
+    # seconds and then overflowed float conversion.
+    monkeypatch.delenv(BUILD_GUARD_ENV, raising=False)
+    povm = Povm(d=2000, N=10**2000, weights=np.ones(1), guesses=np.eye(2000)[:1])
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match=r"^outcome probability cost A\*d_N\^2 lower bound "):
+        call(povm, PureState.basis_state(2000, 0))
+    assert time.perf_counter() - start < 0.1
 
 
 # A weight is a mantissa in [1, 10) times 10^e, e in -15..15.

@@ -174,7 +174,7 @@ def outcome_probs(povm: Povm, state: PureState) -> np.ndarray:
     d_N too huge to admit is refused before it is formed.
     """
     check_int("state dimension", state.d, povm.d, povm.d)
-    d_n = _charge_dim("outcome probability cost A*d_N^2", povm.n_outcomes, povm.d, povm.N, 2)
+    d_n = _charge_dim("outcome probability cost A*d_k^2", povm.n_outcomes, povm.d, povm.N, 2)
     return d_n * povm.weights * _squared_overlaps(povm.guesses, state) ** povm.N
 
 

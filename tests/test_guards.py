@@ -200,7 +200,7 @@ def test_outcome_probs_charges_d_n_before_forming_it(monkeypatch, call):
     monkeypatch.delenv(BUILD_GUARD_ENV, raising=False)
     povm = Povm(d=2000, N=10**2000, weights=np.ones(1), guesses=np.eye(2000)[:1])
     start = time.perf_counter()
-    with pytest.raises(ResourceLimitError, match=r"^outcome probability cost A\*d_N\^2 lower bound "):
+    with pytest.raises(ResourceLimitError, match=r"^outcome probability cost A\*d_k\^2 lower bound "):
         call(povm, PureState.basis_state(2000, 0))
     assert time.perf_counter() - start < 0.1
 

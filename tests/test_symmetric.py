@@ -106,6 +106,27 @@ class TestPureState:
         with pytest.raises(InputFormatError):
             PureState(np.array([1.0, 1.0]))
 
+    def test_package_sees_numpy_patched_after_a_read(self, monkeypatch):
+        # The package reads numpy through povmquad._numpy.np.  A patch of
+        # numpy.sum made after the package has read np.sum must reach it
+        # (or the guards above, which patch numpy, would test nothing), and
+        # undoing the patch must restore the real function.
+        from povmquad._numpy import np as handle
+
+        PureState.basis_state(2, 0)
+        assert handle.sum is np.sum
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.sum called")
+
+        monkeypatch.setattr(np, "sum", refuse)
+        assert handle.sum is refuse
+        with pytest.raises(AssertionError, match="np.sum called"):
+            PureState.basis_state(2, 0)
+        monkeypatch.undo()
+        assert handle.sum is np.sum
+        PureState.basis_state(2, 0)
+
     def test_amplitudes_frozen(self):
         state = PureState.basis_state(2, 0)
         with pytest.raises(ValueError):

@@ -58,6 +58,8 @@ from .symmetric import (
 VALIDATION_TOL = 1e-10
 TWO_STEP_AGREEMENT_TOL = 1e-8
 # Columns eliminated one by one before a matrix product updates the rest.
+# Measured in process: 20 vs 104 ms at d_M = 368 without panels, 1.9 vs
+# 2.9 ms at 100, about equal up to 56; no benchmark clone exceeds d_M = 15.
 _PANEL = 32
 
 

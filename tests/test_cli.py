@@ -2112,7 +2112,10 @@ class TestWorkflowConsoleScript:
     def test_step_is_found(self):
         script = _workflow_step_script("Console script")
         commands = [line.split()[1] for line in script.splitlines() if line.startswith("povmquad ")]
-        assert commands == ["--help", "build", "verify", "moments", "build", "build"]
+        assert commands == [
+            "--help", "build", "verify", "moments", "fidelity", "simulate", "clone", "build", "build"
+        ]
+        assert 'test "$(ls -A "$RUNNER_TEMP")" = "$before"\n' in script
         assert "test \"$code\" -eq 3\n" in script
         assert "test \"$code\" -eq 2\n" in script
         assert "sys.exit('numpy' in sys.modules)" in script

@@ -332,15 +332,25 @@ def _oracle_family(povm_for, d, n, restricted):
 def _direct_values(povm, samples, seed):
     """The direct-sum pointwise fidelity at the Monte Carlo kernel's states.
 
-    The states are redrawn as the kernel draws them: fixed-size blocks,
-    one after another from one random.Random(seed).
+    The states are drawn at once from random.Random(seed): a draw of n
+    rows is the first n rows of any longer draw, so these are the rows
+    the kernel draws block by block.
     """
-    stream = random.Random(seed)
-    states = np.concatenate([
-        haar_random_states(povm.d, min(_MC_BLOCK, samples - start), stream)
-        for start in range(0, samples, _MC_BLOCK)
-    ])
+    states = haar_random_states(povm.d, samples, random.Random(seed))
     return pointwise_fidelity_direct(povm.guesses, povm.weights, povm.N, states)
+
+
+def _assert_stderr_is_two_pass_spread(povm_for, family, tol, samples, seed):
+    """The kernel's merged stderr against the two-pass spread of its draws.
+
+    Universal families (restricted) have a constant integrand: the
+    tolerance is absolute.  Minimal ones vary: it is relative.
+    """
+    povm = _oracle_family(povm_for, *family)
+    report = mean_fidelity_mc(povm, samples, seed)
+    expected = np.std(_direct_values(povm, samples, seed), ddof=1) / math.sqrt(samples)
+    scale = 1.0 if family[2] is not None else expected
+    assert abs(report.stderr - expected) <= tol * scale
 
 
 class TestFrameOperatorFidelity:
@@ -358,7 +368,7 @@ class TestFrameOperatorFidelity:
     @given(
         family=st.sampled_from(ORACLE_FAMILIES),
         seed=st.integers(0, 2**32 - 1),
-        samples=st.integers(100, 2 * _MC_BLOCK + 700),
+        samples=st.integers(100, 8892),
     )
     def test_monte_carlo_matches_direct_sum(self, povm_for, family, seed, samples):
         povm = _oracle_family(povm_for, *family)
@@ -373,17 +383,20 @@ class TestFrameOperatorFidelity:
         ids=["2-3-restricted", "3-3-restricted", "2-1", "3-2", "2-8"],
     )
     def test_monte_carlo_stderr_matches_two_pass_spread(self, povm_for, family, tol):
-        # Universal families (restricted) have a constant integrand: the
-        # tolerance is absolute.  Minimal ones vary: it is relative.
-        povm = _oracle_family(povm_for, *family)
-        samples = 20_000
-        report = mean_fidelity_mc(povm, samples, seed=5)
-        direct = _direct_values(povm, samples, seed=5)
-        expected = np.std(direct, ddof=1) / math.sqrt(samples)
-        scale = 1.0 if family[2] is not None else expected
-        assert abs(report.stderr - expected) <= tol * scale
+        _assert_stderr_is_two_pass_spread(povm_for, family, tol, 20_000, seed=5)
 
-    @pytest.mark.parametrize("samples", [100, _MC_BLOCK + 1500, 2 * _MC_BLOCK + 700])
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), samples=st.integers(100, 8892))
+    @pytest.mark.parametrize(
+        "family,tol", [((2, 3, 2), 1e-15), ((3, 2, None), 1e-9)], ids=["2-3-restricted", "3-2"]
+    )
+    def test_monte_carlo_stderr_matches_two_pass_spread_at_any_count(
+        self, povm_for, family, tol, seed, samples
+    ):
+        # Every block count, a partial last block included.
+        _assert_stderr_is_two_pass_spread(povm_for, family, tol, samples, seed)
+
+    @pytest.mark.parametrize("samples", [100, 256, 257, 5596, 8892])
     @pytest.mark.parametrize("family", ORACLE_FAMILIES + [(3, 4, None)], ids=str)
     def test_chunked_kernel_equals_whole_block_oracle(self, povm_for, family, samples):
         # Same draws, same per-row arithmetic, same block sums: equal bits.
@@ -392,8 +405,8 @@ class TestFrameOperatorFidelity:
         assert report.value == mean_fidelity_mc_whole_block(povm, samples, 23, _MC_BLOCK)
 
     def test_monte_carlo_working_set_is_bounded(self, povm_for):
-        # 20,000 states on (3,4), d_{N+1} = 21: evaluating a whole
-        # 4096-state block holds about 4 MB of arrays at once.
+        # 20,000 states on (3,4), d_{N+1} = 21: evaluating 4096 of
+        # them at once holds about 4 MB of arrays.
         povm = povm_for(3, 4)
         mean_fidelity_mc(povm, 100, seed=1)
         tracemalloc.start()

@@ -11,10 +11,12 @@ where it offers --csv, its table, and prints through the one writer
 _emit.  moments streams its rows as they are formed instead, so its
 memory stays flat in the table size.  The parser writes and flushes
 --help itself, so help that cannot be written is exit 2 whether stdout
-is buffered or not.  fidelity charges its Monte Carlo work
-(estimation.check_sample_cost, per 512 samples) to the build guard
-before it draws a state, and --sweep the sum over its families before
-it builds one; --sweep then builds each family just before its row and
+is buffered or not.  build reports the certificate it checks, at level
+N; the level-(N+1) universality residual is verify's.  fidelity charges
+its Monte Carlo work (estimation.check_sample_cost, per 512 samples) to
+the build guard before it draws a state, and --sweep, after a floor
+from its list lengths alone, the sum over its families before it
+builds one; --sweep then builds each family just before its row and
 drops it after, so it holds one family at a time, and a later family's
 refusal can come after earlier rows' Monte Carlo.  clone builds and
 certifies one family, the M-copy one, and measures the clones of every
@@ -89,6 +91,7 @@ from .estimation import (
     MC_MIN_SAMPLES,
     _optimal_ratio,
     check_sample_cost,
+    check_sweep_floor,
     mean_fidelity_exact,
     mean_fidelity_mc,
     outcome_probs,
@@ -222,7 +225,7 @@ def _parse_indices(flag: str, raw: str) -> tuple[int, ...]:
 
 
 def _residual_checks() -> dict:
-    """The checks build reports and verify selects with --level, in report order.
+    """The checks verify selects with --level, in report order.
 
     Formed per call from this module's bindings, so a wrapper installed
     over one of these names (a profiler's, say) sees every call.
@@ -234,17 +237,10 @@ def _residual_checks() -> dict:
     }
 
 
-def _residuals(povm: Povm, level: str = "all") -> dict[str, float]:
-    """Residuals of every check, or of the one named by level."""
-    checks = _residual_checks()
-    if level != "all":
-        checks = {level: checks[level]}
-    return {name: check(povm) for name, check in checks.items()}
-
-
 def cmd_build(args: argparse.Namespace) -> int:
     povm = build_povm(args.d, args.N, tol=args.tol)
-    res = _residuals(povm)
+    # Both read the level-N residual build_povm certified.
+    res = {"completeness": check_completeness(povm), "optimality": check_optimality(povm)}
     save_povm(povm, args.out)
     weight_sum = float(np.sum(povm.weights))
     payload = {
@@ -267,7 +263,10 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     povm = load_povm(args.path)
-    results = _residuals(povm, args.level)
+    checks = _residual_checks()
+    if args.level != "all":
+        checks = {args.level: checks[args.level]}
+    results = {name: check(povm) for name, check in checks.items()}
     failed = [name for name, value in results.items() if exceeds(value, args.tol)]
     payload = {
         "operation": "verify",
@@ -304,6 +303,8 @@ def cmd_fidelity(args: argparse.Namespace) -> int:
     if args.sweep:
         if not args.d or not args.N:
             raise InputFormatError("--sweep requires --d and --N lists")
+        # From the list lengths alone, before the families are listed.
+        check_sweep_floor(args.samples, len(args.d) * len(args.N))
         families = list(product(args.d, args.N))
         check_sample_cost(args.samples, families)
         # Each family is built just before its row and dropped after it.
@@ -415,9 +416,19 @@ def cmd_moments(args: argparse.Namespace) -> int:
         raise InputFormatError("--i and --j must be given together")
     if args.i is not None and args.max_len is not None:
         raise InputFormatError("provide --i/--j or --max-len, not both")
-    from .moments import moment_value
+    from .moments import denominator_digits_floor, moment_value
 
     if args.i is not None:
+        # A moment past the int-to-str limit is refused before it is formed
+        # (+ 1 covers the floor's rounding); entries out of range are
+        # left to moment_value's own refusal.
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if (
+            limit
+            and all(1 <= k <= args.d for k in args.i)
+            and denominator_digits_floor(args.d, args.i, args.j) > limit + 1
+        ):
+            raise InputFormatError("the exact moment for this --d has too many digits to print")
         rows = [_moment_row(args.i, args.j, moment_value(args.d, args.i, args.j))]
     elif args.max_len is not None:
         # Length l lists the d^l x d^l moment matrix, so the table has

@@ -158,6 +158,19 @@ def check_sample_cost(samples: int, families: list[tuple[int, int]]) -> None:
     check_cost("Monte Carlo cost units*(d_(N+1)^2+1024)", cost, BUILD_GUARD_ENV, samples=samples)
 
 
+def check_sweep_floor(samples: int, families: int) -> None:
+    """Charge check_sample_cost's sum over `families` families at its least, d_(N+1) = 3.
+
+    Every d_(N+1) is at least 3 (d >= 2, N >= 1), so this lower bound
+    never refuses what check_sample_cost admits.  It needs only the
+    family count, so a sweep too large for the guard is refused before
+    its families are listed.
+    """
+    units = -(-check_samples(samples) // _MC_SAMPLES_PER_CHARGE)
+    cost = families * units * (3**2 + _MC_SAMPLE_OVERHEAD)
+    check_cost("Monte Carlo cost units*(d_(N+1)^2+1024) lower bound", cost, BUILD_GUARD_ENV, samples=samples)
+
+
 def check_shots(shots: int) -> int:
     """shots as a plain int; refused unless an integer in [1, MAX_SHOTS]."""
     return check_int("shots", shots, 1, MAX_SHOTS)

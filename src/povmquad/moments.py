@@ -39,6 +39,20 @@ def contraction_count(i: Sequence[int], j: Sequence[int]) -> int:
     return math.prod(math.factorial(m) for m in multiplicities.values())
 
 
+def denominator_digits_floor(d: int, i: Sequence[int], j: Sequence[int]) -> float:
+    """A lower bound on the digits of moment_value(d, i, j)'s reduced denominator.
+
+    The count is at most l!, so the reduced denominator of
+    count / (d (d+1) ... (d+l-1)) is at least d^l / l!: it has more than
+    l*log10(d) - log10(l!) digits.  0 for a moment that vanishes, whose
+    denominator is 1.  No big integer is formed, and no entry is checked.
+    """
+    if not contraction_count(i, j):
+        return 0.0
+    l = len(i)
+    return l * math.log10(d) - math.lgamma(l + 1) / math.log(10)
+
+
 def moment_value(d: int, i: Sequence[int], j: Sequence[int]) -> Fraction:
     """Exact moment <c_{i_1}..c_{i_l} conj(c_{j_1})..conj(c_{j_l})>.
 

@@ -118,23 +118,61 @@ class TestBuild:
 
 
     def test_build_residuals_equal_library_checks(self, tmp_path, capsys):
+        # build reports the certificate it checks, at level N, and no
+        # level-(N+1) residual: universality is verify's.
         path = tmp_path / "povm.json"
         _, out, _ = run(capsys, ["build", "--d", "2", "--N", "3", "--out", str(path), "--json"])
         povm = load_povm(path)
         assert json.loads(out)["residuals"] == {
             "completeness": check_completeness(povm),
             "optimality": check_optimality(povm),
-            "universality": check_universality(povm),
         }
+        assert "universality" not in run(capsys, ["build", "--d", "2", "--N", "3", "--out", str(path)])[1]
+
+    @pytest.mark.parametrize("d,n", [(2, 1), (2, 4), (2, 8), (3, 2), (3, 3), (3, 4), (4, 2)])
+    def test_verify_universality_equals_the_built_family(self, tmp_path, capsys, povm_for, d, n):
+        # The level-(N+1) residual of the benchmark families, read from the
+        # file build writes, is the library's on the built family, bit for bit.
+        path = tmp_path / "povm.json"
+        assert run(capsys, ["build", "--d", str(d), "--N", str(n), "--out", str(path)])[0] == EXIT_OK
+        code, out, _ = run(capsys, ["verify", str(path), "--level", "universality", "--json"])
+        assert code == EXIT_CERTIFICATION  # the grids are exact at degree 2N only
+        assert json.loads(out)["residuals"] == {"universality": check_universality(povm_for(d, n))}
 
     def test_refused_build_leaves_no_file(self, tmp_path, capsys, monkeypatch):
-        # Level-1 cost 2 * 2^2 = 8 fits the guard; level-2 cost
-        # 2 * 3^2 = 18 at the universality check does not.
-        monkeypatch.setenv("POVMQUAD_BUILD_GUARD", "10")
+        # The grid's first charge, d_1^3 >= max(2, 2)^3 = 8, does not fit.
+        monkeypatch.setenv("POVMQUAD_BUILD_GUARD", "7")
         path = tmp_path / "x.json"
         code, _, err = run(capsys, ["build", "--d", "2", "--N", "1", "--out", str(path)])
         assert code == EXIT_RESOURCE
-        assert "frame operator cost A*d_k^2 lower bound for d=2, k=2 = 18 exceeds guard 10" in err
+        assert "construction cost d_k^3 lower bound for d=2, k=1 = 8 exceeds guard 7" in err
+        assert not path.exists()
+
+    @pytest.mark.parametrize("d,n", [(2, 99), (6, 3), (8, 2)])
+    def test_build_reaches_every_certified_family(self, tmp_path, capsys, monkeypatch, d, n):
+        # The default guard admits these certificates but not their
+        # level-(N+1) operators: build writes the file, which verifies at
+        # level N, and verify's universality check is refused.
+        monkeypatch.delenv("POVMQUAD_BUILD_GUARD", raising=False)
+        path = tmp_path / "povm.json"
+        code, _, err = run(capsys, ["build", "--d", str(d), "--N", str(n), "--out", str(path)])
+        assert code == EXIT_OK, err
+        assert path.exists()
+        code, out, err = run(capsys, ["verify", str(path), "--level", "optimality"])
+        assert code == EXIT_OK, err
+        assert "[PASS]" in out
+        code, out, err = run(capsys, ["verify", str(path), "--level", "universality"])
+        assert (code, out) == (EXIT_RESOURCE, "")
+        assert err.startswith("resource guard: frame operator cost A*d_k^2")
+        assert f"for d={d}, k={n + 1} = " in err
+
+    @pytest.mark.parametrize("d,n", [(9, 2), (2, 100)])
+    def test_build_past_the_certificate_writes_nothing(self, tmp_path, capsys, monkeypatch, d, n):
+        monkeypatch.delenv("POVMQUAD_BUILD_GUARD", raising=False)
+        path = tmp_path / "povm.json"
+        code, out, err = run(capsys, ["build", "--d", str(d), "--N", str(n), "--out", str(path)])
+        assert (code, out) == (EXIT_RESOURCE, "")
+        assert f"construction cost A*d_N^2 for d={d}, N={n}, " in err
         assert not path.exists()
 
     def test_dedupe_flag_is_gone(self, tmp_path, capsys):
@@ -274,8 +312,9 @@ class TestVerify:
             argv, expected = ["verify", str(povm_path), "--json"], EXIT_CERTIFICATION
         assert run(capsys, argv)[0] == expected
         # build certifies G_1 and verify's load gate forms it; every
-        # level-1 check reuses it.  Then G_2 for universality.
-        assert levels == [1, 2]
+        # level-1 check reuses it.  verify then forms G_2 for universality,
+        # which build does not report.
+        assert levels == ([1] if command == "build" else [1, 2])
 
 
 # Commands that read a POVM file, with arguments that make them run.
@@ -754,6 +793,49 @@ class TestSampleGuard:
             ])
             assert code == EXIT_RESOURCE, err
             assert out == ""
+
+    def test_huge_sweep_refused_before_its_families_are_listed(self, capsys, monkeypatch, no_draws):
+        # 10^4 x 10^4 families of 1 unit each cost at least 10^8 * (3^2 + 1024).
+        # Listing and charging them one by one took 5.7 s at 10^6 families;
+        # product is refused too, so a regression fails before it lists 10^8.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a family was listed or built")
+
+        monkeypatch.setattr(povmquad.cli, "build_povm", refuse)
+        monkeypatch.setattr(povmquad.cli, "product", refuse)
+        monkeypatch.setattr(povmquad.cli, "check_sample_cost", refuse)
+        argv = ["fidelity", "--sweep", "--d", *["2"] * 10**4, "--N", *["1"] * 10**4,
+                "--samples", "100", "--seed", "1"]
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (EXIT_RESOURCE, "")
+        assert err == (
+            "resource guard: Monte Carlo cost units*(d_(N+1)^2+1024) lower bound for samples=100 "
+            "= 103300000000 exceeds guard 50000000; set POVMQUAD_BUILD_GUARD to raise it\n"
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ds=st.lists(st.integers(2, 6), min_size=1, max_size=4),
+        ns=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+        samples=st.integers(MC_MIN_SAMPLES, 5000),
+    )
+    def test_sweep_floor_admits_what_the_sum_admits(self, ds, ns, samples):
+        # Under a guard equal to the full charge, computed here from
+        # C(N+d, d-1), the floor passes, and one less refuses the sum.
+        from povmquad.errors import BUILD_GUARD_ENV, ResourceLimitError
+        from povmquad.estimation import check_sample_cost, check_sweep_floor
+
+        families = [(d, n) for d in ds for n in ns]
+        cost = -(-samples // 512) * sum(math.comb(n + d, d - 1) ** 2 + 1024 for d, n in families)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv(BUILD_GUARD_ENV, str(cost))
+            check_sweep_floor(samples, len(families))
+            check_sample_cost(samples, families)
+            patch.setenv(BUILD_GUARD_ENV, str(cost - 1))
+            with pytest.raises(ResourceLimitError):
+                check_sample_cost(samples, families)
 
     def test_sweep_refuses_a_bad_family_before_any_build(self, capsys, monkeypatch):
         monkeypatch.setattr(povmquad.cli, "build_povm", None)
@@ -1606,6 +1688,40 @@ class TestMoments:
         assert err.count("\n") == 1
         assert out == ""
 
+    @pytest.mark.skipif(not INT_STR_DIGITS, reason="this interpreter prints integers of any length")
+    @pytest.mark.parametrize("copies", [5000, 20000])
+    def test_unprintable_moment_refused_before_it_is_formed(self, capsys, monkeypatch, copies):
+        # Its denominator is at least (10^100)^l / l!, millions of digits;
+        # forming it took 35.5 s at 20,000 copies.
+        import povmquad.moments
+
+        d, ones = "1" + "0" * 100, ",".join(["1"] * copies)
+        with monkeypatch.context() as patch:
+            patch.setattr(povmquad.moments, "moment_value", None)
+            start = time.perf_counter()
+            code, out, err = run(capsys, ["moments", "--d", d, "--i", ones, "--j", ones])
+            assert time.perf_counter() - start < 1.0
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == "input error: the exact moment for this --d has too many digits to print\n"
+        # A vanishing pair at the same --d is formed and printed.
+        twos = ",".join(["2"] * copies)
+        code, out, _ = run(capsys, ["moments", "--d", d, "--i", ones, "--j", twos])
+        assert code == EXIT_OK
+        assert out.endswith("> = 0/1\n")
+
+    @pytest.mark.skipif(not INT_STR_DIGITS, reason="this interpreter prints integers of any length")
+    @pytest.mark.parametrize("k", range(INT_STR_DIGITS // 2 - 2, INT_STR_DIGITS // 2 + 3))
+    def test_digit_refusal_is_exact_at_the_limit(self, capsys, k):
+        # At d = 10^k the moment of (1,2), (2,1) is 1/(d(d+1)), whose
+        # denominator has 2k+1 digits: it prints exactly when they fit.
+        code, out, err = run(capsys, ["moments", "--d", "1" + "0" * k, "--i", "1,2", "--j", "2,1"])
+        if 2 * k + 1 <= INT_STR_DIGITS:
+            assert (code, err) == (EXIT_OK, "")
+            assert len(out.rsplit("/", 1)[1].strip()) == 2 * k + 1
+        else:
+            assert (code, out) == (EXIT_INPUT, "")
+            assert err == "input error: the exact moment for this --d has too many digits to print\n"
+
 
 class TestSeeds:
     @pytest.mark.parametrize(
@@ -2113,7 +2229,8 @@ class TestWorkflowConsoleScript:
         script = _workflow_step_script("Console script")
         commands = [line.split()[1] for line in script.splitlines() if line.startswith("povmquad ")]
         assert commands == [
-            "--help", "build", "verify", "moments", "fidelity", "simulate", "clone", "build", "build"
+            "--help", "build", "verify", "moments", "fidelity", "simulate", "clone",
+            "build", "verify", "verify", "build", "build",
         ]
         assert 'test "$(ls -A "$RUNNER_TEMP")" = "$before"\n' in script
         assert "test \"$code\" -eq 3\n" in script
@@ -2141,7 +2258,7 @@ class TestWorkflowConsoleScript:
             capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["bin", "qubit1.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bin", "qubit1.json", "qudit8.json"]
 
 
 class TestParser:

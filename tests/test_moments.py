@@ -5,12 +5,14 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from povmquad import (
     InputFormatError,
     contraction_count,
     moment_value,
 )
+from povmquad.moments import denominator_digits_floor
 
 from _oracles import (
     contraction_count_bruteforce,
@@ -132,3 +134,24 @@ class TestMomentValue:
                 exact = float(moment_value(d, i, j))
                 assert abs(mean[flat_i, flat_j].real - exact) <= 5 * err_re[flat_i, flat_j] + 1e-9
                 assert abs(mean[flat_i, flat_j].imag) <= 5 * err_im[flat_i, flat_j] + 1e-9
+
+
+class TestDenominatorDigitsFloor:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), d=st.one_of(st.integers(2, 40), st.sampled_from([10, 10**6, 10**30])))
+    def test_bounds_the_printed_denominator(self, data, d):
+        # Every non-vanishing moment's reduced denominator has more digits
+        # than the floor; j is a permutation of i.
+        i = data.draw(st.lists(st.integers(1, min(d, 6)), max_size=14), label="i")
+        j = data.draw(st.permutations(i), label="j")
+        digits = len(str(moment_value(d, i, j).denominator))
+        assert digits > denominator_digits_floor(d, i, j) - 1e-9
+
+    def test_vanishing_moment_has_floor_zero(self):
+        assert denominator_digits_floor(10**100, (1,) * 50, (2,) * 50) == 0.0
+        assert denominator_digits_floor(3, (1, 2), (1,)) == 0.0
+
+    def test_value_of_a_long_moment(self):
+        # 20,000 ones at d = 10^100: 2*10^6 - log10(20000!), about 1.92*10^6.
+        floor = denominator_digits_floor(10**100, (1,) * 20000, (1,) * 20000)
+        assert floor == pytest.approx(2_000_000 - 77337.26, abs=0.01)

@@ -17,7 +17,7 @@ loads at the first attribute read of the deferred handle _numpy.np.
 
 import importlib
 
-__version__ = "0.23.0"
+__version__ = "0.24.0"
 
 # Public name -> the submodule that defines it.  __all__ is this table's keys.
 _EXPORTS = {

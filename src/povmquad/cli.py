@@ -12,16 +12,18 @@ _emit.  moments streams its rows as they are formed instead, so its
 memory stays flat in the table size.  The parser writes and flushes
 --help itself, so help that cannot be written is exit 2 whether stdout
 is buffered or not.  build reports the certificate it checks, at level
-N; the level-(N+1) universality residual is verify's.  fidelity charges
-its Monte Carlo work (estimation.check_sample_cost, per 512 samples) to
-the build guard before it draws a state, and --sweep, after a floor
-from its list lengths alone, the sum over its families before it
-builds one; --sweep then builds each family just before its row and
-drops it after, so it holds one family at a time, and a later family's
-refusal can come after earlier rows' Monte Carlo.  clone builds and
-certifies one family, the M-copy one, and measures the clones of every
-level m with its restriction to m copies (povm.restrict_povm), which is
-universal for m < M.
+N, and the weights' sum, correctly rounded (math.fsum); the level-(N+1)
+universality residual is verify's.  Where the guard refuses only that
+one, verify's default --level all says that --level optimality fits.
+fidelity charges its Monte Carlo work (estimation.check_sample_cost,
+per 512 samples) to the build guard before it draws a state, and
+--sweep, after a floor from its list lengths alone, the sum over its
+families before it builds one; --sweep then builds each family just
+before its row and drops it after, so it holds one family at a time,
+and a later family's refusal can come after earlier rows' Monte Carlo.
+clone builds and certifies one family, the M-copy one, and measures the
+clones of every level m with its restriction to m copies
+(povm.restrict_povm), which is universal for m < M.
 
 Each flag's parser type holds its whole rule (_count, _tol,
 _parse_indices), so argparse checks a value once, as it reads the flag,
@@ -32,10 +34,15 @@ literal, and every integer flag and guard variable ASCII digits
 
 Every command loads what it runs and no more.  No module of the
 package imports numpy: each reads it through the deferred handle
-_numpy.np.  main imports numpy right after parsing, for every command
-but moments, so --help, a usage error and moments never load it (about
-90 ms and 12 MB), a numeric command pays the import inside main, and
-numpy's heap is laid out only after every package module has compiled.
+_numpy.np.  main imports numpy right after parsing for fidelity,
+simulate and clone, which compute with arrays at any size, so they pay
+the import inside main, and numpy's heap is laid out only after every
+package module has compiled.  --help, a usage error and moments never
+load it (about 60-90 ms and 13 MB).  Nor do build and verify while
+every frame operator they form costs at most
+symmetric.PYTHON_GRAM_MAX: the grid is assembled in Python floats, the
+Povm keeps buffers of doubles and the certificate's Gram is formed in
+Python; a larger family loads numpy at its first frame operator.
 The layer modules quadrature, povm, symmetric, estimation and cloner
 still load with this module, numpy or not: a tracer that rebinds their
 functions in the modules `import povmquad.cli` has loaded
@@ -100,6 +107,7 @@ from .estimation import (
 from .povm import (
     CERTIFICATION_TOL,
     Povm,
+    _weight_sum,
     build_povm,
     check_completeness,
     check_optimality,
@@ -242,7 +250,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     # Both read the level-N residual build_povm certified.
     res = {"completeness": check_completeness(povm), "optimality": check_optimality(povm)}
     save_povm(povm, args.out)
-    weight_sum = float(np.sum(povm.weights))
+    weight_sum = _weight_sum(povm)
     payload = {
         "operation": "build",
         "d": args.d,
@@ -266,7 +274,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     checks = _residual_checks()
     if args.level != "all":
         checks = {args.level: checks[args.level]}
-    results = {name: check(povm) for name, check in checks.items()}
+    results = {}
+    for name, check in checks.items():
+        try:
+            results[name] = check(povm)
+        except ResourceLimitError as exc:
+            # Under --level all only G_{N+1} can be refused: load_povm formed G_N.
+            if args.level != "all":
+                raise
+            hint = "--level optimality checks this file within the guard"
+            raise ResourceLimitError(f"{exc}; {hint}") from exc
     failed = [name for name, value in results.items() if exceeds(value, args.tol)]
     payload = {
         "operation": "verify",
@@ -534,7 +551,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(_attach_tol(sys.argv[1:] if argv is None else argv))
-        if args.command != "moments":
+        if args.command in ("fidelity", "simulate", "clone"):
             # Here, not at the first np.* read: the import is charged to
             # main, not to whichever layer computes first.
             importlib.import_module("numpy")

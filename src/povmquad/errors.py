@@ -74,6 +74,15 @@ def exceeds(value: float, tol: float) -> bool:
     return not value <= tol
 
 
+def _worst(values: list[float]) -> float:
+    """The largest of values, or NaN if any is NaN.
+
+    Python's max keeps a NaN only from first place, so a residual taken
+    with it could pass exceeds with a NaN entry anywhere else.
+    """
+    return math.nan if any(map(math.isnan, values)) else max(values)
+
+
 def check_int(name: str, value, lo: int, hi: int | None = None) -> int:
     """value as a plain int, or InputFormatError unless it is an integer in [lo, hi].
 

@@ -15,12 +15,12 @@ and re-exported here.
 from __future__ import annotations
 
 import json
+import math
+import struct
 from pathlib import Path
 
-from ._numpy import np
 from .errors import ConstructionError, InputFormatError, check_int, exceeds, sym_dim
-from .quadrature import Povm, sphere_grid
-from .symmetric import frame_residual
+from .quadrature import Povm, _doubles, sphere_grid
 
 FORMAT_VERSION = "1"
 CERTIFICATION_TOL = 1e-10
@@ -52,7 +52,7 @@ def check_universality(povm: Povm) -> float:
     Zero (to tolerance) iff the estimator's fidelity is pointwise
     constant in the input state.
     """
-    return frame_residual(povm.guesses, povm.weights, povm.N + 1)
+    return povm._residual(povm.N + 1)
 
 
 def build_povm(d: int, N: int, *, tol: float = CERTIFICATION_TOL) -> Povm:
@@ -85,7 +85,8 @@ def restrict_povm(povm: Povm, N: int) -> Povm:
     N = check_int("N", N, 1, povm.N)
     provenance = dict(povm.provenance)
     provenance["restricted_from"] = povm.N
-    return Povm(d=povm.d, N=N, weights=povm.weights, guesses=povm.guesses, provenance=provenance)
+    # The buffers are never written, so the restriction shares them.
+    return Povm(povm.d, N, povm._weights, povm._parts, provenance)
 
 
 def save_povm(povm: Povm, path: str | Path) -> None:
@@ -103,7 +104,12 @@ def save_povm(povm: Povm, path: str | Path) -> None:
     """
     pair = '        [\n          "%.17g",\n          "%.17g"\n        ]'
     element = '    {\n      "c": [\n' + ",\n".join([pair] * povm.d) + '\n      ],\n      "w": "%.17g"\n    }'
-    table = np.column_stack([povm.guesses.view(np.float64), povm.weights])
+    # Each element's 2d parts, then its weight, read from the buffers.
+    stride = 2 * povm.d + 1
+    table = [0.0] * (stride * povm.n_outcomes)
+    for k in range(stride - 1):
+        table[k::stride] = povm._parts[k :: stride - 1]
+    table[stride - 1 :: stride] = povm._weights
     # Sorted top-level keys are N, d, elements, format_version, provenance:
     # the parts before and after the elements are dumped on their own, so
     # the splice never depends on the content of provenance.
@@ -119,21 +125,27 @@ def save_povm(povm: Povm, path: str | Path) -> None:
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(head[:-2] + ',\n  "elements": [\n')
-            fh.write(",\n".join([element] * povm.n_outcomes) % tuple(table.ravel().tolist()))
+            fh.write(",\n".join([element] * povm.n_outcomes) % tuple(table))
             fh.write("\n  ],\n" + tail[2:] + "\n")
     except OSError as exc:
         raise InputFormatError(f"cannot write POVM file {path}: {exc}") from exc
 
 
-def _real(value) -> float:
-    """One weight or amplitude part: a decimal string or a JSON number.
+def _weight_sum(povm: Povm) -> float:
+    """The weights' sum, correctly rounded (math.fsum); inf past the largest double."""
+    try:
+        return math.fsum(povm._weights)
+    except OverflowError:
+        return math.inf
 
-    float(false) is 0.0, so a JSON true or false is refused here, as it
-    is for d and N; load_povm reports the TypeError as InputFormatError.
+
+def _bool_refused(value) -> TypeError:
+    """The error for a weight or amplitude part that is a JSON true or false.
+
+    float(false) is 0.0, so a bool is refused, as it is for d and N;
+    load_povm reports the TypeError as InputFormatError.
     """
-    if isinstance(value, bool):
-        raise TypeError(f"expected a number or a decimal string, got {value!r}")
-    return float(value)
+    return TypeError(f"expected a number or a decimal string, got {value!r}")
 
 
 def load_povm(path: str | Path) -> Povm:
@@ -142,7 +154,7 @@ def load_povm(path: str | Path) -> Povm:
     Rejects unknown format versions, d or N that are not JSON integers,
     a weight or amplitude part that is true or false, everything Povm
     rejects (non-finite values, non-positive weights, non-unit guesses),
-    weight sums away from 1, and completeness
+    weight sums (math.fsum, correctly rounded) away from 1, completeness
     residuals above 1e-8 (reported in the error message), and text that
     is not JSON or that the parser cannot hold (nesting too deep,
     integers too long).  Missing provenance maps to {"source": "unknown"}.
@@ -162,22 +174,39 @@ def load_povm(path: str | Path) -> Povm:
     # The writer only ever writes JSON integers; 1.9, true or "1" are not N.
     if type(d) is not int or type(N) is not int:
         raise InputFormatError(f"d and N must be JSON integers, got d={d!r}, N={N!r}")
+    # One pass over the parts, each element packed into the buffer Povm
+    # keeps: each part is refused if it is a bool, else read by float(),
+    # in file order.
+    weights, parts, widths = [], [], set()
     try:
         raw_elements = doc["elements"]
-        weights = np.array([_real(e["w"]) for e in raw_elements], dtype=np.float64)
-        guesses = np.array(
-            [[complex(_real(re), _real(im)) for re, im in e["c"]] for e in raw_elements],
-            dtype=np.complex128,
-        )
+        for element in raw_elements:
+            w = element["w"]
+            if w is True or w is False:
+                raise _bool_refused(w)
+            weights.append(float(w))
+        for element in raw_elements:
+            values = []
+            for re, im in element["c"]:
+                if re is True or re is False:
+                    raise _bool_refused(re)
+                values.append(float(re))
+                if im is True or im is False:
+                    raise _bool_refused(im)
+                values.append(float(im))
+            widths.add(len(values))
+            parts.append(struct.pack(f"{len(values)}d", *values))
+        if len(widths) > 1:
+            raise ValueError("elements have different numbers of amplitudes")
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"malformed POVM file {path}: {exc}") from exc
+    weights = _doubles(struct.pack(f"{len(weights)}d", *weights))
     provenance = doc.get("provenance")
     if not isinstance(provenance, dict) or not provenance:
         provenance = {"source": "unknown"}
-    povm = Povm(d=d, N=N, weights=weights, guesses=guesses, provenance=provenance)
+    povm = Povm(d, N, weights, _doubles(b"".join(parts)), provenance)
     # Weights near the largest double sum to inf, which is refused below.
-    with np.errstate(over="ignore"):
-        weight_sum = float(np.sum(povm.weights))
+    weight_sum = _weight_sum(povm)
     if exceeds(abs(weight_sum - 1.0), 1e-8):
         raise InputFormatError(f"weights sum to {weight_sum!r}, expected 1")
     residual = check_completeness(povm)

@@ -23,11 +23,9 @@ tail's; each tail's residue is formed once per g, the residues taken
 are the bits of one Python integer, and g stops at its first repeat.
 A g prime to M separates exactly when its inverse does, so the inverse
 of a g that fails is not tried.
-The phase index t z_j mod M is formed in Python integers too and
-passed to np.exp as float64.  So building a grid runs no numpy integer
-loop: numpy's int64 multiply, remainder, matmul and bincount kernels
-would otherwise be paged into every build and clone for the lattice
-alone.
+The phase index t z_j mod M is formed in Python integers too, and the
+phase exp(i 2 pi (t z_j mod M) (1/M)) by math.cos and math.sin, bit for
+bit what numpy's complex division by M and exp gave.
 
 Moduli.  On the diagonal the moduli part is x^n, of degree N.  In
 collapsed (Duffy/Stroud) coordinates x_j = u_j prod_{i<j} (1-u_i),
@@ -43,12 +41,18 @@ LAPACK routine.
 A = n^{d-1} M, and every weight is positive.  Only phase-invariant
 moments are exact: the average of c_d, say, is positive on the grid.
 
+The grid is assembled in Python floats, each operation in the order
+numpy's outer products and elementwise loops took, so it equals that
+construction bit for bit (tests/_oracles.py keeps it), and building a
+grid loads no numpy: the import would be most of the time and memory of
+a build whose certificate is small (see symmetric.frame_residual).
+
 An exact grid is already the optimal POVM (see povm), so sphere_grid
 returns the Povm record itself, uncertified; povm.build_povm certifies
 that same object.  Povm lives here so that this module needs nothing
 from povm.  It is a frozen record (symmetric._Record) that compares by
 identity.  It is also the one owner of what is derived from its frozen
-arrays at level N: the residual max |G_N - I/d_N| that
+buffers at level N: the residual max |G_N - I/d_N| that
 povm.check_optimality returns and the occupation embedding that the
 cloner's two-step check applies, each formed on first access and kept
 in the instance __dict__.
@@ -58,13 +62,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import struct
 from collections.abc import Callable
 from functools import cached_property, partial
-from operator import itemgetter
+from operator import itemgetter, lt, mul
 
 from ._numpy import np
 from .errors import BUILD_GUARD_ENV, ConstructionError, InputFormatError, check_cost, exceeds
-from .errors import _charge_dim, check_int
+from .errors import _charge_dim, _worst, check_int
 from .symmetric import NORM_TOL, _check_family, _Record, frame_residual, occupation_basis
 from .symmetric import sym_embed_batch
 
@@ -77,14 +82,14 @@ _BRACKET_FLOOR = 2.0**-60
 _LEAST_PIVOT = 5e-324
 
 
-def _recurrence(jacobi: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> tuple[np.ndarray, ...]:
+def _recurrence(jacobi: tuple[list[float], list[float]], x: float) -> tuple[float, float, float]:
     """q_n(x), q_n'(x) and sum_{k<n} q_k(x)^2 for jacobi = (diag, off), n = len(off).
 
     q_k are the orthonormal polynomials of the Jacobi matrix scaled to
     q_0 = 1: off_k q_k = (x - diag_{k-1}) q_{k-1} - off_{k-1} q_{k-2}.
     """
-    q_prev = dq_prev = dq = squares = np.zeros_like(x)
-    q = np.ones_like(x)
+    q_prev = dq_prev = dq = squares = 0.0
+    q = 1.0
     b_prev = 0.0
     for a, b in zip(*jacobi):
         squares = squares + q * q
@@ -137,7 +142,7 @@ def _bisect(count: Callable[[float], int], n: int, lo: float, hi: float) -> list
     return ends
 
 
-def _gauss_jacobi(n: int, alpha: int) -> tuple[np.ndarray, np.ndarray]:
+def _gauss_jacobi(n: int, alpha: int) -> tuple[list[float], list[float]]:
     """n-point Gauss rule on [-1, 1] for the weight (1-x)^alpha, alpha >= 0.
 
     Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix J
@@ -148,52 +153,56 @@ def _gauss_jacobi(n: int, alpha: int) -> tuple[np.ndarray, np.ndarray]:
     at rounding level with its start point; from the lower end, the
     rules of the seven benchmark families equal bit for bit those
     started from LAPACK's eigenvalues (tests/_oracles.py keeps that
-    construction).  For alpha = 0 the diagonal is zero, so J^2 splits
-    into its even- and odd-indexed rows, and the odd block, of size
-    n//2, has the squares of the positive nodes as its eigenvalues (the
-    zero node of an odd n lies in the even block); bisecting that block
-    is a quarter of the work.  A zero diagonal also makes negation exact,
-    q_k(-x) = (-1)^k q_k(x) bit for bit, so from mirrored start points
-    the nodes and weights are exactly symmetric.  The weights are
+    construction, and the numpy form of this one).  For alpha = 0 the
+    diagonal is zero, so J^2 splits into its even- and odd-indexed rows,
+    and the odd block, of size n//2, has the squares of the positive
+    nodes as its eigenvalues (the zero node of an odd n lies in the even
+    block); bisecting that block is a quarter of the work.  A zero
+    diagonal also makes negation exact, q_k(-x) = (-1)^k q_k(x) bit for
+    bit, so from mirrored start points the nodes and weights are exactly
+    symmetric.  The weights are
     mu_0/sum_{k<n} q_k(x)^2, mu_0 = 2^(alpha+1)/(alpha+1).  Certified
     fail-closed by the root residual |q_n/q_n'| (the Newton correction,
     free of the scale of q_n) at the final nodes, and by the nodes
     ascending strictly inside (-1, 1): n distinct roots, one to each
-    bracket.  Exact for polynomials of degree <= 2n-1.
+    bracket.  Exact for polynomials of degree <= 2n-1.  Every step is a
+    Python float operation in the order numpy's elementwise form took,
+    squares written x*x, so the rules equal that form's bit for bit.
     """
-    diag = np.zeros(n)
+    diag = [0.0] * n
     if alpha:
-        s = 2.0 * np.arange(n) + alpha
-        diag = -alpha**2 / (s * (s + 2.0))
-    k = np.arange(1.0, n + 1)
-    s = 2.0 * k + alpha
-    # One rounding of an exact integer ratio; at alpha = 0 the square is Legendre's k^2/(4k^2-1).
-    off = np.sqrt((2.0 * k * (k + alpha)) ** 2 / (s * s * (s * s - 1.0)))
+        diag = [-alpha**2 / (s * (s + 2.0)) for s in (2.0 * k + alpha for k in range(n))]
+    off = []
+    for k in range(1, n + 1):
+        s = 2.0 * k + alpha
+        # One rounding of an exact integer ratio; at alpha = 0 the square is Legendre's k^2/(4k^2-1).
+        ratio = 2.0 * k * (k + alpha)
+        off.append(math.sqrt(ratio * ratio / (s * s * (s * s - 1.0))))
     jacobi = (diag, off)
     # c2[j] = off_j^2 couples rows j and j+1 of J; the last row couples to none.
-    c2 = np.append(off[:-1] ** 2, 0.0)
+    c2 = [b * b for b in off[:-1]] + [0.0]
     if alpha:
-        rows = list(zip(diag.tolist(), [0.0, *c2[:-1].tolist()]))
-        roots = np.array(_bisect(partial(_sturm_count, rows), n, -1.0, 1.0))
+        rows = list(zip(diag, [0.0, *c2[:-1]]))
+        roots = _bisect(partial(_sturm_count, rows), n, -1.0, 1.0)
     else:
         # Row 2i+1 of J^2: diagonal c2[2i] + c2[2i+1], coupled to row 2i+3 by off_{2i+1} off_{2i+2}.
-        pairs = c2[: n - n % 2].reshape(-1, 2)
-        couplings = pairs[:-1, 1] * pairs[1:, 0]
-        rows = list(zip(pairs.sum(axis=1).tolist(), [0.0, *couplings.tolist()]))
-        positive = np.sqrt(_bisect(partial(_sturm_count, rows), len(rows), 0.0, 1.0))
-        roots = np.concatenate((-positive[::-1], np.zeros(n % 2), positive))
-    p, dp, _ = _recurrence(jacobi, roots)
-    roots = roots - p / dp
-    p, dp, squares = _recurrence(jacobi, roots)
-    residual = float(np.max(np.abs(p / dp)))
+        half = range(n // 2)
+        couplings = [c2[2 * i + 1] * c2[2 * i + 2] for i in half[:-1]]
+        rows = list(zip([c2[2 * i] + c2[2 * i + 1] for i in half], [0.0, *couplings]))
+        positive = [math.sqrt(x) for x in _bisect(partial(_sturm_count, rows), len(rows), 0.0, 1.0)]
+        roots = [-x for x in reversed(positive)] + [0.0] * (n % 2) + positive
+    start = [_recurrence(jacobi, x) for x in roots]
+    roots = [x - p / dp for x, (p, dp, _) in zip(roots, start)]
+    final = [_recurrence(jacobi, x) for x in roots]
+    residual = _worst([abs(p / dp) for p, dp, _ in final])
     if exceeds(residual, NEWTON_TOL):
         raise ConstructionError(
             f"Gauss root residual {residual:.3e} exceeds {NEWTON_TOL:g}", residual
         )
-    if not (-1.0 < roots[0] and roots[-1] < 1.0 and np.all(np.diff(roots) > 0.0)):
+    if not (-1.0 < roots[0] and roots[-1] < 1.0 and all(map(lt, roots, roots[1:]))):
         raise ConstructionError("Gauss nodes are not strictly ascending inside (-1, 1)")
-    weights = 2.0 ** (alpha + 1) / (alpha + 1) / squares
-    return roots, weights
+    mu_0 = 2.0 ** (alpha + 1) / (alpha + 1)
+    return roots, [mu_0 / squares for _, _, squares in final]
 
 
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -201,7 +210,8 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 
     Exact for polynomials of degree <= 2n-1.
     """
-    return _gauss_jacobi(check_int("n", n, 1), 0)
+    nodes, weights = _gauss_jacobi(check_int("n", n, 1), 0)
+    return np.array(nodes), np.array(weights)
 
 
 class Povm(_Record):
@@ -209,13 +219,26 @@ class Povm(_Record):
 
     weights has shape (A,) with finite, strictly positive entries;
     guesses has shape (A, d) with finite, unit-norm rows; both are
-    copied and frozen on construction; provenance defaults to a fresh
-    dict.  Completeness and optimality are not re-verified on
-    construction (tests build deliberately broken instances); build_povm
-    and load_povm are the certifying entry points.  The level-N residual
-    and embedding are cached properties: formed on first access, then
-    kept on the instance.  The residual charges POVMQUAD_BUILD_GUARD
-    before G_N is formed, and a refused first access keeps nothing.
+    copied on construction; provenance defaults to a fresh dict.
+    Completeness and optimality are not re-verified on construction
+    (tests build deliberately broken instances); build_povm and
+    load_povm are the certifying entry points.
+
+    The data is kept once, in two buffers of doubles, read-only flat
+    memoryviews (_doubles): _weights, and _parts, the guesses' real and
+    imaginary parts interleaved, row by row.  Given as such a pair
+    (weights, then parts), they are kept as they are, not copied:
+    sphere_grid and povm.load_povm pack them so, and restrict_povm
+    shares them.  Any other input is copied into them by numpy.  The
+    checks run on the buffers in Python floats, so a Povm of buffers
+    loads no numpy.  weights and guesses are numpy views of the buffers,
+    formed on first read, and read-only as the buffers are.  (The stdlib
+    array module would do as well, but it is a shared library that no
+    command loads otherwise: it raised clone's peak by 0.12 MB.)  The
+    level-N residual and embedding are cached properties: formed on
+    first access, then kept on the instance.  The residual charges
+    POVMQUAD_BUILD_GUARD before G_N is formed, and a refused first
+    access keeps nothing.
     """
 
     _fields = ("d", "N", "weights", "guesses", "provenance")
@@ -224,41 +247,67 @@ class Povm(_Record):
         self,
         d: int,
         N: int,
-        weights: np.ndarray,
-        guesses: np.ndarray,
+        weights: np.ndarray | memoryview,
+        guesses: np.ndarray | memoryview,
         provenance: dict | None = None,
     ):
         d, N = _check_family(d, N)
-        weights = np.array(weights, dtype=np.float64).reshape(-1)
-        guesses = np.array(guesses, dtype=np.complex128, order="C")
-        if guesses.ndim != 2 or guesses.shape != (weights.size, d):
+        if not (_is_doubles(weights) and _is_doubles(guesses)):
+            weights = np.array(weights, dtype=np.float64).reshape(-1)
+            guesses = np.array(guesses, dtype=np.complex128, order="C")
+            if guesses.ndim != 2 or guesses.shape != (weights.size, d):
+                raise InputFormatError("guesses must have shape (len(weights), d)")
+            weights, guesses = _doubles(weights.tobytes()), _doubles(guesses.tobytes())
+        width = 2 * d
+        if len(guesses) != width * len(weights):
             raise InputFormatError("guesses must have shape (len(weights), d)")
-        if weights.size == 0:
+        if not weights:
             raise InputFormatError("POVM must have at least one element")
-        if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(guesses.view(np.float64)))):
+        # A sum is finite iff every term is, unless it overflows; all() settles that case.
+        if not all(
+            math.isfinite(sum(values)) or all(map(math.isfinite, values)) for values in (weights, guesses)
+        ):
             raise InputFormatError("weights and guess amplitudes must be finite")
-        if not np.all(weights > 0.0):
+        if not min(weights) > 0.0:
             raise InputFormatError("all weights must be strictly positive")
-        # A part past 1e154 squares to inf, which the check below refuses.
-        with np.errstate(over="ignore"):
-            norms = np.abs(np.sqrt(np.sum((guesses.conj() * guesses).real, axis=1)) - 1.0)
-        worst = float(np.max(norms))
+        # Each row's norm is math.hypot of its 2d parts, taken from one
+        # iterator; hypot scales, so no finite part overflows it.
+        norms = map(math.hypot, *[iter(guesses)] * width)
+        worst = max(abs(norm - 1.0) for norm in norms)
         if exceeds(worst, 10 * NORM_TOL):
             raise InputFormatError(f"guess norm deviates from 1 by {worst:.3e}")
-        weights.setflags(write=False)
-        guesses.setflags(write=False)
         provenance = {} if provenance is None else provenance
-        for name, value in zip(self._fields, (d, N, weights, guesses, provenance)):
+        fields = {"d": d, "N": N, "_weights": weights, "_parts": guesses, "provenance": provenance}
+        for name, value in fields.items():
             object.__setattr__(self, name, value)
 
     @property
     def n_outcomes(self) -> int:
-        return self.weights.size
+        return len(self._weights)
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """The weights, shape (A,), a read-only view of _weights."""
+        return np.frombuffer(self._weights)
+
+    @cached_property
+    def guesses(self) -> np.ndarray:
+        """The guesses, shape (A, d), a read-only complex view of _parts."""
+        return np.frombuffer(self._parts, dtype=np.complex128).reshape(-1, self.d)
+
+    def _residual(self, level: int) -> float:
+        """max |G_level - I/d_level| of the family, by symmetric.frame_residual.
+
+        The weights go in as their buffer and the guesses as _Guesses,
+        so numpy loads only if the cost takes frame_residual to its numpy
+        form.
+        """
+        return frame_residual(_Guesses(self), self._weights, level)
 
     @cached_property
     def _level_n_residual(self) -> float:
         """max |G_N - I/d_N|, read through povm.check_optimality."""
-        return frame_residual(self.guesses, self.weights, self.N)
+        return self._residual(self.N)
 
     @cached_property
     def _level_n_embedding(self) -> np.ndarray:
@@ -266,6 +315,44 @@ class Povm(_Record):
         emb = sym_embed_batch(self.guesses, self.N)
         emb.setflags(write=False)
         return emb
+
+
+class _Guesses:
+    """A Povm's guesses as symmetric.frame_residual reads them.
+
+    shape is (A, d); tolist() forms the rows in Python complex numbers
+    from the interleaved parts, for the Python Gram; numpy reads the
+    Povm's read-only view (__array__), formed only then.
+    """
+
+    __slots__ = ("_povm",)
+
+    def __init__(self, povm: Povm):
+        self._povm = povm
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self._povm.n_outcomes, self._povm.d
+
+    def tolist(self) -> list[list[complex]]:
+        parts, d = iter(self._povm._parts), self._povm.d
+        flat = list(map(complex, parts, parts))
+        return [flat[k : k + d] for k in range(0, len(flat), d)]
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return self._povm.guesses
+
+
+def _doubles(data: bytes) -> memoryview:
+    """data, packed doubles, as the read-only flat memoryview a Povm keeps."""
+    return memoryview(data).cast("d")
+
+
+def _is_doubles(values) -> bool:
+    """True iff values is a buffer as _doubles forms it, which a Povm keeps as it is."""
+    return (
+        isinstance(values, memoryview) and values.readonly and values.format == "d" and values.ndim == 1
+    )
 
 
 def _lattice_generator(runs: list[tuple[Callable, int]], d: int, M: int) -> tuple[int, ...] | None:
@@ -363,27 +450,40 @@ def sphere_grid(d: int, N: int) -> Povm:
     # power of two that brings their sum into [1/2, 1), so their product
     # stays finite at any d (the rule masses 2^(a+1)/(a+1) multiply to inf
     # from d = 51) and no bit of a normalised weight changes.
-    x = np.empty((1, 0))
-    rest = weights = np.ones(1)
+    points = [((), 1.0, 1.0)]
     for j in range(1, d):
         nodes, w = _gauss_jacobi(n, d - 1 - j)
-        u = 0.5 * (1.0 + nodes)
-        x = np.column_stack([np.repeat(x, n, axis=0), np.outer(rest, u).ravel()])
-        rest = np.outer(rest, 1.0 - u).ravel()
-        weights = np.outer(weights, np.ldexp(w, -math.frexp(math.fsum(w))[1])).ravel()
-    x = np.column_stack([x, rest])
-    # The phase index t*z_j mod M in Python integers, as float64.
-    index = np.array([[t * zj % M for zj in (*z, 0)] for t in range(M)], dtype=np.float64)
-    phases = np.exp(2j * np.pi * index / M)
-    states = (np.sqrt(x)[:, None, :] * phases).reshape(-1, d)
-    weights = np.repeat(weights, M)
-    weights = weights / math.fsum(weights)
+        scale = -math.frexp(math.fsum(w))[1]
+        rule = [(0.5 * (1.0 + t), math.ldexp(wk, scale)) for t, wk in zip(nodes, w)]
+        points = [
+            ((*x, rest * u), rest * (1.0 - u), weight * wk)
+            for x, rest, weight in points
+            for u, wk in rule
+        ]
+    # The phases exp(i theta), theta = 2 pi (t z_j mod M) (1/M), as numpy
+    # formed them: it divides a complex array by M as a product with 1/M,
+    # and its exp of a zero real part is (cos theta, sin theta).  Then row
+    # by row, each modulus sqrt(x_j) times its phase's two parts.
+    step, inverse = 2.0 * math.pi, 1.0 / M
+    phases = []
+    for t in range(M):
+        for zj in (*z, 0):
+            theta = step * (t * zj % M) * inverse
+            phases += (math.cos(theta), math.sin(theta))
+    rows = struct.Struct(f"{2 * d * M}d")
+    parts = []
+    for x, rest, _ in points:
+        moduli = [math.sqrt(xj) for xj in (*x, rest) for _ in range(2)]
+        parts.append(rows.pack(*map(mul, moduli * M, phases)))
+    weights = [weight for _, _, weight in points for _ in range(M)]
+    total = math.fsum(weights)
+    weights = struct.pack(f"{len(weights)}d", *[w / total for w in weights])
     provenance = {
         "construction": "moduli-lattice",
         "moduli_nodes": n,
         "lattice": {"M": M, "z": list(z)},
     }
-    return Povm(d=d, N=N, weights=weights, guesses=states, provenance=provenance)
+    return Povm(d, N, _doubles(weights), _doubles(b"".join(parts)), provenance)
 
 
 def verify_exactness(family: Povm, N: int) -> float:
@@ -393,4 +493,4 @@ def verify_exactness(family: Povm, N: int) -> float:
     family equals identity/d_N: the weighted average of rho_a^{tensor N}
     matches the uniform state average.  Returns max |G_N - I/d_N|.
     """
-    return frame_residual(family.guesses, family.weights, N)
+    return family._residual(N)

@@ -7,15 +7,18 @@ by tuples n = (n_1, ..., n_d) with sum N.  A product state
 are sqrt(N!/prod n_i!) * prod c_i^{n_i} where c are the amplitudes of
 |phi>.  sym_embed_batch forms them for a whole batch from power tables
 c_i^0, ..., c_i^N, gathered through the occupation table, so its numpy
-call count does not grow with d_N.  Certification and the fidelity
-formulas all run on one primitive in these coordinates,
-frame_operator, and the cloner works in them too; d_N is errors.sym_dim.
+call count does not grow with d_N.  The fidelity formulas run on one
+primitive in these coordinates, frame_operator, and the cloner works in
+them too; d_N is errors.sym_dim.  Certification runs on frame_residual,
+which forms the same G_k in Python complex floats while its cost
+A*d_k^2 is at most PYTHON_GRAM_MAX, so a command whose certificates are
+that small never imports numpy, and by frame_operator above it.
 sym_isometry and symmetric_projector_full are the one bridge to the d^M
 full space, for callers that need dense operators there.
 
 A PureState's squared norm is sum_i |c_i|^2 taken elementwise in numpy,
-the formula Povm applies to its rows, and overlap and _squared_overlaps
-form <a|b> = sum_i conj(a_i) b_i the same way: a product and a sum, so
+and overlap and _squared_overlaps form <a|b> = sum_i conj(a_i) b_i the
+same way: a product and a sum, so
 no state-sized contraction calls a BLAS level-1 or level-2 routine
 (np.vdot would call zdotc, a matrix times a vector zgemv).  Each such
 routine's first call faults in its own pages of the library, which a
@@ -42,13 +45,28 @@ from __future__ import annotations
 import math
 import random
 from functools import lru_cache
+from itertools import repeat
+from operator import add, mul
 
 from ._numpy import np
 from .errors import FULL_SPACE_GUARD_ENV, InputFormatError, check_cost
-from .errors import _charge_dim, check_int, exceeds
+from .errors import _charge_dim, _worst, check_int, exceeds
 
 # Normalisation slack accepted on state amplitudes.
 NORM_TOL = 1e-12
+
+# Largest cost A*d_k^2 whose frame residual is formed in Python floats
+# (_python_residual), so that build and verify of a small family never
+# import numpy: 56 ms and about 13 MB in a fresh interpreter on a shared
+# 2-vCPU VM.  There, in process, the Python vs the numpy Gram (numpy's
+# import not counted) took 3.9 vs 0.07 ms at 41,600 units ((4,2), level
+# 3), 6.5 vs 0.11 ms at 75,411 ((3,4), level 5), 15 vs 0.16 ms at
+# 211,680 ((3,5), level 6), 34 vs 0.5 ms at 450,800 ((5,2), level 3) and
+# 86 vs 1.6 ms at 1,447,341 ((2,40), level 40).  At 2e5 units the Python
+# form costs about a quarter of the import it saves; that also bounds
+# what fidelity and simulate, which import numpy anyway, pay for it in
+# load_povm's completeness check.
+PYTHON_GRAM_MAX = 200_000
 
 
 class _Record:
@@ -87,7 +105,7 @@ class PureState(_Record):
         check_int("state dimension", amps.size, 2)
         if not np.all(np.isfinite(amps.view(np.float64))):
             raise InputFormatError("state amplitudes must be finite")
-        # The formula Povm uses for its rows; np.vdot would call BLAS zdotc.
+        # np.vdot would call BLAS zdotc.
         # A part past 1e154 squares to inf, which is refused below.
         with np.errstate(over="ignore"):
             norm_sq = float(np.sum((amps.conj() * amps).real))
@@ -128,12 +146,18 @@ def occupation_basis(d: int, N: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _embedding_coefficients(d: int, N: int) -> np.ndarray:
+def _coefficient_list(d: int, N: int) -> tuple[float, ...]:
     """sqrt(N!/prod n_i!) for each occupation tuple, in basis order."""
-    basis = occupation_basis(d, N)
     fact_n = math.factorial(N)
-    coeffs = [math.sqrt(fact_n / math.prod(math.factorial(k) for k in n)) for n in basis]
-    arr = np.asarray(coeffs, dtype=np.float64)
+    return tuple(
+        math.sqrt(fact_n / math.prod(math.factorial(k) for k in n)) for n in occupation_basis(d, N)
+    )
+
+
+@lru_cache(maxsize=None)
+def _embedding_coefficients(d: int, N: int) -> np.ndarray:
+    """_coefficient_list(d, N) as a read-only float64 array."""
+    arr = np.asarray(_coefficient_list(d, N), dtype=np.float64)
     arr.setflags(write=False)
     return arr
 
@@ -231,11 +255,72 @@ def frame_operator(amplitudes: np.ndarray, weights: np.ndarray, level: int) -> n
 
 
 def frame_residual(amplitudes: np.ndarray, weights: np.ndarray, level: int) -> float:
-    """Max-modulus of G_level - I/d_level for the weighted family."""
+    """Max-modulus of G_level - I/d_level for the weighted family.
+
+    amplitudes (shape (A, d)) and weights (shape (A,)) are numpy arrays,
+    anything numpy reads as one, or objects with a shape and a tolist()
+    that numpy reads too: quadrature.Povm passes its weights' buffer and
+    its guesses so.  The cost A*d_k^2 is charged to the build guard
+    before any work, as frame_operator charges it.  Up to
+    PYTHON_GRAM_MAX, G_k is formed in Python complex floats
+    (_python_residual), from tolist(), so numpy is not loaded for it;
+    above, by frame_operator.  A given (d, N, level) and A thus always
+    take the same form.
+    """
+    if not hasattr(amplitudes, "shape"):
+        amplitudes = np.asarray(amplitudes, dtype=np.complex128)
+    if not hasattr(weights, "shape"):
+        weights = np.asarray(weights)
+    if len(amplitudes.shape) != 2:
+        raise InputFormatError("amplitudes must have shape (batch, d)")
+    count, d = amplitudes.shape
+    check_int("weights ndim", len(weights.shape), 1, 1)
+    check_int("weight count", weights.shape[0], count, count)
+    level = check_int("level", level, 1)
+    dim = _charge_dim("frame operator cost A*d_k^2", count, d, level, 2)
+    if count * dim * dim <= PYTHON_GRAM_MAX:
+        return _python_residual(amplitudes.tolist(), weights.tolist(), level, dim)
     gram = frame_operator(amplitudes, weights, level)
-    dim = gram.shape[0]
     gram[np.diag_indices(dim)] -= 1.0 / dim
     return float(np.max(np.abs(gram)))
+
+
+def _python_residual(rows: list[list[complex]], weights: list[float], level: int, dim: int) -> float:
+    """frame_residual's value, with G_level formed in Python complex floats.
+
+    A row's occupation coordinates v are a product of powers of its
+    amplitudes, one variable at a time, on the coefficients; the row then
+    adds w v_i conj(v_j), j >= i, to row i of the upper triangle.  So the
+    work holds d_k(d_k+1)/2 entries and one row's v, never the family's
+    A x d_k embedding: a form that kept it, and summed each entry over
+    the rows, was faster but raised the peak of fidelity (3,4), which
+    loads numpy anyway, by 0.13 MB.  The value agrees with
+    frame_operator's to rounding (its sums run in another order) and
+    fails closed: a NaN entry gives NaN (errors._worst), an infinite one
+    inf, and so does a modulus past the largest double.
+    """
+    d = len(rows[0])
+    columns = list(zip(*occupation_basis(d, level)))
+    coefficients = _coefficient_list(d, level)
+    upper = [[0j] * (dim - i) for i in range(dim)]
+    for amplitudes, w in zip(rows, weights):
+        v = coefficients
+        for a, column in zip(amplitudes, columns):
+            powers = [1.0]
+            for _ in range(level):
+                powers.append(powers[-1] * a)
+            v = list(map(mul, v, map(powers.__getitem__, column)))
+        conj = [x.conjugate() for x in v]
+        for i, row in enumerate(upper):
+            upper[i] = list(map(add, row, map(mul, repeat(w * v[i]), conj[i:])))
+    moduli = []
+    try:
+        for row in upper:
+            row[0] -= 1.0 / dim
+            moduli += map(abs, row)
+    except OverflowError:
+        return math.inf
+    return _worst(moduli)
 
 
 def sym_isometry(d: int, M: int) -> np.ndarray:

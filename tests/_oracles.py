@@ -14,7 +14,7 @@ import json
 import math
 import random
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 
 import numpy as np
 
@@ -429,6 +429,86 @@ def moduli_lattice_grid(d: int, counts, M: int, z, drop=()):
     return np.array(states), weights / math.fsum(weights)
 
 
+def recurrence_numpy(jacobi, x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """quadrature._recurrence over an array of x: q_n(x), q_n'(x), sum_{k<n} q_k(x)^2.
+
+    The numpy form the package used before it took one Python float x
+    at a time.
+    """
+    q_prev = dq_prev = dq = squares = np.zeros_like(x)
+    q = np.ones_like(x)
+    b_prev = 0.0
+    for a, b in zip(*jacobi):
+        squares = squares + q * q
+        dq_prev, dq = dq, (q + (x - a) * dq - b_prev * dq_prev) / b
+        q_prev, q = q, ((x - a) * q - b_prev * q_prev) / b
+        b_prev = b
+    return q, dq, squares
+
+
+def _jacobi_numpy(n: int, alpha: int) -> tuple[np.ndarray, np.ndarray]:
+    """(diag, off) of the Golub-Welsch Jacobi matrix for (1-x)^alpha, in numpy."""
+    diag = np.zeros(n)
+    if alpha:
+        s = 2.0 * np.arange(n) + alpha
+        diag = -alpha**2 / (s * (s + 2.0))
+    k = np.arange(1.0, n + 1)
+    s = 2.0 * k + alpha
+    off = np.sqrt((2.0 * k * (k + alpha)) ** 2 / (s * s * (s * s - 1.0)))
+    return diag, off
+
+
+def gauss_jacobi_numpy(n: int, alpha: int) -> tuple[np.ndarray, np.ndarray]:
+    """quadrature._gauss_jacobi as the package formed it in numpy arrays.
+
+    The same Sturm bisection (the package's _bisect and _sturm_count),
+    fed and finished by numpy elementwise operations: the Jacobi matrix,
+    the square roots of the alpha = 0 block, the Newton step and the
+    Christoffel weights.  Without the certificates.
+    """
+    from povmquad.quadrature import _bisect, _sturm_count
+
+    diag, off = _jacobi_numpy(n, alpha)
+    c2 = np.append(off[:-1] ** 2, 0.0)
+    if alpha:
+        rows = list(zip(diag.tolist(), [0.0, *c2[:-1].tolist()]))
+        roots = np.array(_bisect(partial(_sturm_count, rows), n, -1.0, 1.0))
+    else:
+        pairs = c2[: n - n % 2].reshape(-1, 2)
+        couplings = pairs[:-1, 1] * pairs[1:, 0]
+        rows = list(zip(pairs.sum(axis=1).tolist(), [0.0, *couplings.tolist()]))
+        positive = np.sqrt(_bisect(partial(_sturm_count, rows), len(rows), 0.0, 1.0))
+        roots = np.concatenate((-positive[::-1], np.zeros(n % 2), positive))
+    p, dp, _ = recurrence_numpy((diag, off), roots)
+    roots = roots - p / dp
+    _, _, squares = recurrence_numpy((diag, off), roots)
+    return roots, 2.0 ** (alpha + 1) / (alpha + 1) / squares
+
+
+def sphere_grid_numpy(d: int, n: int, M: int, z) -> tuple[np.ndarray, np.ndarray]:
+    """(weights, guesses) of quadrature.sphere_grid(d, n) on lattice (M, z), assembled in numpy.
+
+    The package's construction before it ran in Python floats: moduli
+    from gauss_jacobi_numpy by outer products, the phase table
+    exp(2 pi i (t z_j mod M) / M) by np.exp, and their product.
+    """
+    nodes_per_coordinate = (n + 2) // 2
+    x = np.empty((1, 0))
+    rest = weights = np.ones(1)
+    for j in range(1, d):
+        nodes, w = gauss_jacobi_numpy(nodes_per_coordinate, d - 1 - j)
+        u = 0.5 * (1.0 + nodes)
+        x = np.column_stack([np.repeat(x, nodes_per_coordinate, axis=0), np.outer(rest, u).ravel()])
+        rest = np.outer(rest, 1.0 - u).ravel()
+        weights = np.outer(weights, np.ldexp(w, -math.frexp(math.fsum(w))[1])).ravel()
+    x = np.column_stack([x, rest])
+    index = np.array([[t * zj % M for zj in (*z, 0)] for t in range(M)], dtype=np.float64)
+    phases = np.exp(2j * np.pi * index / M)
+    states = (np.sqrt(x)[:, None, :] * phases).reshape(-1, d)
+    weights = np.repeat(weights, M)
+    return weights / math.fsum(weights), states
+
+
 def gauss_jacobi_eigvalsh(n: int, alpha: int):
     """The Golub-Welsch rule of quadrature._gauss_jacobi, started from LAPACK's eigenvalues.
 
@@ -437,21 +517,13 @@ def gauss_jacobi_eigvalsh(n: int, alpha: int):
     symmetrisation at alpha = 0 and Christoffel weights.  Only the
     eigenvalue solver differs, so the two agree to rounding level.
     """
-    from povmquad.quadrature import _recurrence
-
-    diag = np.zeros(n)
-    if alpha:
-        s = 2.0 * np.arange(n) + alpha
-        diag = -alpha**2 / (s * (s + 2.0))
-    k = np.arange(1.0, n + 1)
-    s = 2.0 * k + alpha
-    off = np.sqrt((2.0 * k * (k + alpha)) ** 2 / (s * s * (s * s - 1.0)))
+    diag, off = _jacobi_numpy(n, alpha)
     roots = np.linalg.eigvalsh(np.diag(diag) + np.diag(off[:-1], 1) + np.diag(off[:-1], -1))
-    p, dp, _ = _recurrence((diag, off), roots)
+    p, dp, _ = recurrence_numpy((diag, off), roots)
     roots = roots - p / dp
     if not alpha:
         roots = 0.5 * (roots - roots[::-1])
-    _, _, squares = _recurrence((diag, off), roots)
+    _, _, squares = recurrence_numpy((diag, off), roots)
     weights = 2.0 ** (alpha + 1) / (alpha + 1) / squares
     if not alpha:
         weights = 0.5 * (weights + weights[::-1])

@@ -165,6 +165,10 @@ class TestBuild:
         assert (code, out) == (EXIT_RESOURCE, "")
         assert err.startswith("resource guard: frame operator cost A*d_k^2")
         assert f"for d={d}, k={n + 1} = " in err
+        # The default --level all is refused alike, and names the level that fits.
+        code, out, all_err = run(capsys, ["verify", str(path)])
+        assert (code, out) == (EXIT_RESOURCE, "")
+        assert all_err == err.rstrip("\n") + "; --level optimality checks this file within the guard\n"
 
     @pytest.mark.parametrize("d,n", [(9, 2), (2, 100)])
     def test_build_past_the_certificate_writes_nothing(self, tmp_path, capsys, monkeypatch, d, n):
@@ -298,13 +302,20 @@ class TestVerify:
         import povmquad.symmetric
 
         levels = []
-        original = povmquad.symmetric.frame_operator
+        python_form = povmquad.symmetric._python_residual
+        numpy_form = povmquad.symmetric.frame_operator
 
-        def counting(amplitudes, weights, level):
+        def python_counting(rows, weights, level, dim):
             levels.append(level)
-            return original(amplitudes, weights, level)
+            return python_form(rows, weights, level, dim)
 
-        monkeypatch.setattr(povmquad.symmetric, "frame_operator", counting)
+        def numpy_counting(amplitudes, weights, level):
+            levels.append(level)
+            return numpy_form(amplitudes, weights, level)
+
+        # Either form of G_k counts; these small ones take the Python form.
+        monkeypatch.setattr(povmquad.symmetric, "_python_residual", python_counting)
+        monkeypatch.setattr(povmquad.symmetric, "frame_operator", numpy_counting)
         if command == "build":
             argv, expected = ["build", "--d", "2", "--N", "1", "--out", str(tmp_path / "b.json")], EXIT_OK
         else:
@@ -2046,7 +2057,9 @@ class TestImports:
     """What each command loads, each probed in a fresh interpreter.
 
     numpy loads only in the commands that compute with it: importing the
-    CLI, --help, moments and a refused flag leave it unloaded.  No
+    CLI, --help, moments and a refused flag leave it unloaded, and so do
+    build and verify where every frame operator they form takes the
+    Python Gram (symmetric.PYTHON_GRAM_MAX).  No
     command loads numpy.random: it pulls in secrets, hashlib and
     OpenSSL's _hashlib, and every draw comes from random.Random instead.
     The binomial sampler is loaded by the one command that draws shot
@@ -2098,8 +2111,8 @@ class TestImports:
         path = str(tmp_path / "qubit2.json")
         clone = ["clone", "--d", "3", "--N", "1", "--M", "3", "--states", "2", "--seed", "1"]
         commands = [
-            (["build", "--d", "2", "--N", "2", "--out", path], {"numpy"}),
-            (["verify", path, "--level", "optimality"], {"numpy"}),
+            (["build", "--d", "2", "--N", "2", "--out", path], set()),
+            (["verify", path, "--level", "optimality"], set()),
             (["fidelity", path, "--samples", "100", "--seed", "1"], {"numpy"}),
             (
                 ["simulate", path, "--shots", "100", "--seed", "1", "--state-seed", "2"],
@@ -2125,6 +2138,17 @@ class TestImports:
         for argv, code in commands:
             assert "numpy" not in self.probe(argv, code=code)[1], argv
         assert not (tmp_path / "refused.json").exists()
+
+    def test_build_and_verify_load_numpy_only_past_the_python_gram(self, tmp_path):
+        # Every certificate of the benchmark families, at levels N and N+1,
+        # costs at most symmetric.PYTHON_GRAM_MAX; (2, 40)'s does not.
+        for d, n in [(2, 1), (2, 4), (2, 8), (3, 2), (3, 3), (3, 4), (4, 2)]:
+            path = str(tmp_path / f"d{d}_N{n}.json")
+            assert self.probe(["build", "--d", str(d), "--N", str(n), "--out", path])[1] == set(), (d, n)
+            # The minimal grids are not universal: verify exits 1.
+            assert self.probe(["verify", path], code=EXIT_CERTIFICATION)[1] == set(), (d, n)
+        path = str(tmp_path / "d2_N40.json")
+        assert self.probe(["build", "--d", "2", "--N", "40", "--out", path])[1] == {"numpy"}
 
     def test_probe_sees_a_loaded_module(self):
         # Guards the probe: a command that loads none of the watched
@@ -2236,6 +2260,10 @@ class TestWorkflowConsoleScript:
         assert "test \"$code\" -eq 3\n" in script
         assert "test \"$code\" -eq 2\n" in script
         assert "sys.exit('numpy' in sys.modules)" in script
+        assert (
+            "sys.exit(main(['build', '--d', '3', '--N', '4', '--out', sys.argv[1]]) != 0 "
+            "or main(['verify', sys.argv[1]]) != 1 or 'numpy' in sys.modules)"
+        ) in script
 
     def test_step_runs(self, tmp_path):
         import shlex
@@ -2258,7 +2286,7 @@ class TestWorkflowConsoleScript:
             capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["bin", "qubit1.json", "qudit8.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bin", "qubit1.json", "qudit8.json", "qutrit4.json"]
 
 
 class TestParser:

@@ -28,7 +28,14 @@ from povmquad import (
     sym_embed_batch,
 )
 
-from _oracles import ACCEPTANCE_PAIRS, polar_grid, povm_json_reference
+from _oracles import (
+    ACCEPTANCE_PAIRS,
+    gram_residual_states,
+    korobov_lattice_sorted,
+    polar_grid,
+    povm_json_reference,
+    sphere_grid_numpy,
+)
 
 # Text that stresses the JSON encoder and any splice keyed on content.
 TRICKY_TEXT = ["elements", '"elements": []', "\x00", 'say "hi" \\ ok', "é ünïcødé ☃", "\n}\n  ],", ""]
@@ -549,6 +556,28 @@ class TestFileFormat:
         path = tmp_path / "povm.json"
         save_povm(copy, path)
         assert path.read_text(encoding="utf-8") == povm_json_reference(povm)
+
+    @pytest.mark.parametrize("d,n", [(2, 1), (2, 4), (2, 8), (3, 2), (3, 3), (3, 4), (4, 2), (6, 3), (8, 2)])
+    def test_build_files_equal_the_numpy_construction(self, tmp_path, capsys, d, n):
+        # The benchmark families and the largest the default guard admits at
+        # d = 6 and 8: the file of the grid assembled in numpy, certified
+        # by numpy's Gram, but for the certified_residual string, where
+        # the Python Gram's sums run in another order.
+        from povmquad.cli import EXIT_OK, main
+
+        path = tmp_path / "built.json"
+        assert main(["build", "--d", str(d), "--N", str(n), "--out", str(path)]) == EXIT_OK
+        text = path.read_text(encoding="utf-8")
+        provenance = json.loads(text)["provenance"]
+        M, z = korobov_lattice_sorted(d, n)
+        weights, guesses = sphere_grid_numpy(d, n, M, z)
+        residual = gram_residual_states(guesses, weights, n, sym_embed_batch)
+        certified = float(provenance["certified_residual"])
+        assert abs(certified - residual) <= 1e-14 and certified <= 1e-10
+        reference = Povm(d, n, weights, guesses, {**provenance, "certified_residual": f"{residual:.17g}"})
+        assert text.replace(provenance["certified_residual"], "R") == povm_json_reference(reference).replace(
+            f"{residual:.17g}", "R"
+        )
 
     def test_unwritable_path_raises_input_error(self, povm_for, tmp_path):
         with pytest.raises(InputFormatError, match="cannot write POVM file"):

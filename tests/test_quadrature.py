@@ -32,12 +32,14 @@ from povmquad import (
 from _oracles import (
     ACCEPTANCE_PAIRS,
     gauss_jacobi_eigvalsh,
+    gauss_jacobi_numpy,
     gram_residual_states,
     korobov_lattice_sorted,
     lattice_phase_index,
     max_ray_overlap,
     moduli_lattice_grid,
     polar_grid,
+    sphere_grid_numpy,
     truncate_lattice,
 )
 
@@ -46,6 +48,15 @@ BENCHMARK_FAMILIES = {(2, 1): 2, (2, 4): 15, (2, 8): 45, (3, 2): 28, (3, 3): 52,
 
 # Largest N whose grid fits the default POVMQUAD_BUILD_GUARD, per d.
 GUARD_LIMITS = {2: 99, 3: 11, 4: 5, 5: 3, 6: 3}
+# The same up to d = 8.
+ADMITTED_LIMITS = {**GUARD_LIMITS, 7: 2, 8: 2}
+
+
+def gauss_jacobi(n: int, alpha: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rule of quadrature._gauss_jacobi, its lists of Python floats as numpy arrays."""
+    from povmquad.quadrature import _gauss_jacobi
+
+    return tuple(np.array(values) for values in _gauss_jacobi(n, alpha))
 
 
 def lattice_of(grid) -> tuple[int, tuple[int, ...]]:
@@ -98,9 +109,7 @@ class TestGaussLegendre:
     def test_rule_is_exactly_symmetric(self, n):
         # Mirrored start points and a zero diagonal give mirrored nodes and
         # equal weights bit for bit.
-        from povmquad.quadrature import _gauss_jacobi
-
-        nodes, weights = _gauss_jacobi(n, 0)
+        nodes, weights = gauss_jacobi(n, 0)
         assert np.array_equal(nodes, -nodes[::-1])
         assert np.array_equal(weights, weights[::-1])
 
@@ -134,9 +143,7 @@ def beta_moment(k: int, alpha: int) -> float:
 
 def moduli_rule(n: int, alpha: int):
     """The moduli rule of sphere_grid: nodes u = (1+x)/2 and weights on [0, 1]."""
-    from povmquad.quadrature import _gauss_jacobi
-
-    x, w = _gauss_jacobi(n, alpha)
+    x, w = gauss_jacobi(n, alpha)
     return 0.5 * (1.0 + x), w / 2.0 ** (alpha + 1)
 
 
@@ -146,9 +153,7 @@ class TestModuliRule:
     def test_matches_scipy(self, n, alpha):
         from scipy.special import roots_jacobi
 
-        from povmquad.quadrature import _gauss_jacobi
-
-        nodes, weights = _gauss_jacobi(n, alpha)
+        nodes, weights = gauss_jacobi(n, alpha)
         x, w = roots_jacobi(n, alpha, 0)
         assert np.max(np.abs(nodes - x)) < 1e-13
         assert np.max(np.abs(weights - w)) < 1e-13 * 2.0 ** (alpha + 1)
@@ -207,9 +212,7 @@ class TestSturmBisection:
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 50), alpha=st.integers(0, 10))
     def test_nodes_ascend_inside_and_match_lapack(self, n, alpha):
-        from povmquad.quadrature import _gauss_jacobi
-
-        nodes, weights = _gauss_jacobi(n, alpha)
+        nodes, weights = gauss_jacobi(n, alpha)
         reference, _ = gauss_jacobi_eigvalsh(n, alpha)
         assert np.all(np.diff(nodes) > 0.0)
         assert -1.0 < nodes[0] and nodes[-1] < 1.0
@@ -222,9 +225,7 @@ class TestSturmBisection:
         # The Newton step's result moves at rounding level with its start
         # point; started from the brackets' lower ends, these rules land
         # where LAPACK's eigenvalues led.
-        from povmquad.quadrature import _gauss_jacobi
-
-        nodes, weights = _gauss_jacobi(n, alpha)
+        nodes, weights = gauss_jacobi(n, alpha)
         reference_nodes, reference_weights = gauss_jacobi_eigvalsh(n, alpha)
         assert np.array_equal(nodes, reference_nodes)
         assert np.array_equal(weights, reference_weights)
@@ -534,6 +535,29 @@ class TestSphereGrid:
             sphere_grid(1, 1)
         with pytest.raises(InputFormatError):
             sphere_grid(2, 0)
+
+
+class TestNumpyForm:
+    """The rules and grids in Python floats against the numpy construction they replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 60), alpha=st.integers(0, 10))
+    def test_rules_equal_the_numpy_form_bit_for_bit(self, n, alpha):
+        nodes, weights = gauss_jacobi(n, alpha)
+        reference_nodes, reference_weights = gauss_jacobi_numpy(n, alpha)
+        assert np.array_equal(nodes, reference_nodes)
+        assert np.array_equal(weights, reference_weights)
+
+    @pytest.mark.parametrize("d", sorted(ADMITTED_LIMITS))
+    def test_every_admitted_grid_equals_the_numpy_form_bit_for_bit(self, d):
+        # Every family the default guard admits at d <= 8; the next N is refused.
+        for n in range(1, ADMITTED_LIMITS[d] + 1):
+            grid = sphere_grid(d, n)
+            weights, guesses = sphere_grid_numpy(d, n, *lattice_of(grid))
+            assert np.array_equal(grid.weights, weights), (d, n)
+            assert np.array_equal(grid.guesses, guesses), (d, n)
+        with pytest.raises(ResourceLimitError):
+            sphere_grid(d, ADMITTED_LIMITS[d] + 1)
 
 
 def occupation_tuples(d: int, n: int) -> list[tuple[int, ...]]:

@@ -12,12 +12,14 @@ import pytest
 import scipy.stats
 from hypothesis import assume, given, settings, strategies as st
 
+import povmquad.symmetric as symmetric
 from povmquad import (
     InputFormatError,
     PureState,
     ResourceLimitError,
     fidelity,
     frame_operator,
+    frame_residual,
     haar_random_state,
     haar_random_states,
     moment_value,
@@ -29,6 +31,7 @@ from povmquad import (
     sym_isometry,
     symmetric_projector_full,
 )
+from povmquad.errors import exceeds
 from povmquad.symmetric import NORM_TOL, _uniform, _uniforms
 
 from _oracles import (
@@ -400,6 +403,125 @@ class TestFrameOperator:
         monkeypatch.setenv("POVMQUAD_BUILD_GUARD", "2")
         gram = frame_operator(np.ones((2, 1)), np.full(2, 0.5), 3)
         assert gram.shape == (1, 1) and abs(gram[0, 0] - 1.0) < 1e-15
+
+
+# The (d, N) families of the benchmark.
+BENCHMARK_FAMILIES = [(2, 1), (2, 4), (2, 8), (3, 2), (3, 3), (3, 4), (4, 2)]
+
+
+def numpy_form(monkeypatch):
+    """Send every frame_residual to its numpy form from here on."""
+    monkeypatch.setattr(symmetric, "PYTHON_GRAM_MAX", 0)
+
+
+def refuse(name):
+    def refused(*args, **kwargs):
+        raise AssertionError(f"{name} was called")
+
+    return refused
+
+
+@st.composite
+def unit_families(draw):
+    """(amplitudes, weights, level): Haar rows, positive weights summing to 1, cost within the Python form."""
+    d = draw(st.integers(2, 4))
+    count = draw(st.integers(1, 30))
+    level = draw(st.integers(1, 3))
+    assume(count * sym_dim(d, level) ** 2 <= symmetric.PYTHON_GRAM_MAX)
+    amplitudes = haar_random_states(d, count, draw(st.integers(0, 2**32)))
+    weights = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=count, max_size=count)))
+    return amplitudes, weights / math.fsum(weights), level
+
+
+class TestGramForms:
+    """frame_residual forms G_k in Python floats up to PYTHON_GRAM_MAX on A*d_k^2, in numpy above."""
+
+    def test_constant(self):
+        # About a quarter of the numpy import that the Python form saves.
+        assert symmetric.PYTHON_GRAM_MAX == 200_000
+
+    @pytest.mark.parametrize("d,n", BENCHMARK_FAMILIES)
+    def test_forms_agree_on_the_benchmark_families(self, povm_for, monkeypatch, d, n):
+        povm = povm_for(d, n)
+        levels = (n, n + 1)
+        # Both levels of every benchmark family take the Python form.
+        assert all(povm.n_outcomes * sym_dim(d, k) ** 2 <= symmetric.PYTHON_GRAM_MAX for k in levels)
+        python = [frame_residual(povm.guesses, povm.weights, k) for k in levels]
+        # The Povm's buffers give the same floats as its numpy views.
+        assert [povm._residual(k) for k in levels] == python
+        numpy_form(monkeypatch)
+        numpy = [frame_residual(povm.guesses, povm.weights, k) for k in levels]
+        assert np.max(np.abs(np.subtract(python, numpy))) <= 1e-14
+
+    @settings(max_examples=40, deadline=None)
+    @given(family=unit_families())
+    def test_forms_agree_below_the_constant(self, family):
+        amplitudes, weights, level = family
+        python = frame_residual(amplitudes, weights, level)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            numpy_form(monkeypatch)
+            numpy = frame_residual(amplitudes, weights, level)
+        assert abs(python - numpy) <= 1e-14
+
+    def test_boundary(self, povm_for, monkeypatch):
+        povm = povm_for(3, 2)
+        cost = povm.n_outcomes * sym_dim(3, 2) ** 2
+        expected = frame_residual(povm.guesses, povm.weights, 2)
+        # A cost equal to the constant takes the Python form ...
+        monkeypatch.setattr(symmetric, "PYTHON_GRAM_MAX", cost)
+        monkeypatch.setattr(symmetric, "frame_operator", refuse("frame_operator"))
+        assert frame_residual(povm.guesses, povm.weights, 2) == expected
+        monkeypatch.undo()
+        # ... and one unit more the numpy form.
+        monkeypatch.setattr(symmetric, "PYTHON_GRAM_MAX", cost - 1)
+        monkeypatch.setattr(symmetric, "_python_residual", refuse("_python_residual"))
+        assert abs(frame_residual(povm.guesses, povm.weights, 2) - expected) <= 1e-14
+
+    @pytest.mark.parametrize("form", ["python", "numpy"])
+    def test_refusals_come_before_either_form(self, monkeypatch, form):
+        if form == "numpy":
+            numpy_form(monkeypatch)
+        monkeypatch.setattr(symmetric, "frame_operator", refuse("frame_operator"))
+        monkeypatch.setattr(symmetric, "_python_residual", refuse("_python_residual"))
+        with pytest.raises(InputFormatError, match=r"^need weight count = 2, got 1$"):
+            frame_residual(np.eye(2), np.ones(1), 1)
+        with pytest.raises(InputFormatError, match=r"^need weights ndim = 1, got 2$"):
+            frame_residual(np.eye(2), np.ones((2, 1)), 1)
+        # (2, 1): A * d_1^2 = 2 * 2^2 = 8.
+        monkeypatch.setenv("POVMQUAD_BUILD_GUARD", "7")
+        with pytest.raises(ResourceLimitError) as info:
+            frame_residual(np.eye(2), np.full(2, 0.5), 1)
+        assert str(info.value) == (
+            "frame operator cost A*d_k^2 lower bound for d=2, k=1 = 8 exceeds guard 7; "
+            "set POVMQUAD_BUILD_GUARD to raise it"
+        )
+
+    @pytest.mark.parametrize("form", ["python", "numpy"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    @pytest.mark.parametrize("slot", ["amplitude", "weight"])
+    def test_non_finite_input_fails_closed(self, povm_for, monkeypatch, form, bad, where, slot):
+        # Passed straight to frame_residual, past Povm's checks.  A NaN in
+        # the last amplitude leaves G[0, 0] finite, so a max that drops a
+        # NaN not in first place would return a finite value.
+        povm = povm_for(3, 2)
+        amplitudes, weights = povm.guesses.copy(), povm.weights.copy()
+        values = amplitudes if slot == "amplitude" else weights
+        index = {"first": 0, "middle": values.size // 2, "last": values.size - 1}[where]
+        values.flat[index] = bad
+        if form == "numpy":
+            numpy_form(monkeypatch)
+        with np.errstate(invalid="ignore", over="ignore"):
+            value = frame_residual(amplitudes, weights, 2)
+        assert not math.isfinite(value) and exceeds(value, 1e-10)
+
+    def test_modulus_past_the_largest_double_reads_inf(self):
+        # Weights of both signs cancel on the diagonal and add off it, to
+        # an entry whose parts are finite but whose modulus is not: abs()
+        # of it raises OverflowError, and the residual reads inf.
+        row = np.array([1.0, np.exp(0.25j * np.pi)]) / math.sqrt(2.0)
+        amplitudes = np.array([row, row * [1, -1]] * 2)
+        assert frame_residual(amplitudes, np.array([1e308, -1e308] * 2), 1) == math.inf
 
 
 class TestHaarSampling:
